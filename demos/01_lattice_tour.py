@@ -11,7 +11,6 @@ from enriques_bn import (
     config_iii,
     content,
     embed_configuration,
-    pair,
 )
 
 form = canonical_form()
@@ -22,7 +21,7 @@ for row in form.gram:
     print("  " + " ".join(f"{x:3d}" for x in row))
 
 f, g = basis_vector(0), basis_vector(1)
-print("\nThe hyperbolic pair: f.f =", pair(f, f), " f.g =", pair(f, g))
+print("\nThe hyperbolic pair: f.f =", f.dot(f), " f.g =", f.dot(g))
 
 print("\nEvery class factors as content * primitive part:")
 x = 3 * (f + 2 * g)

@@ -6,11 +6,11 @@ Run:  python demos/02_short_vectors.py
 from fractions import Fraction
 
 from enriques_bn import (
+    ComplementLift,
     PosDefForm,
     canonical_form,
     enumerate_short,
     num_class,
-    project_complement,
 )
 
 print("Short vectors of the square form x^2 + y^2 (Gram diag(2, 2)):")
@@ -22,7 +22,8 @@ for bound in (2, 4, 8):
 print("\nProjection along a class L of positive square:")
 form = canonical_form()
 L = num_class([2, 4] + [0] * 8)
-q_perp, lift = project_complement(form, L)
+lift = ComplementLift(form, L)
+q_perp = lift.q_perp
 print(f"  L = {L.coords},  L^2 = {L.square}")
 print(f"  complement form has rank {q_perp.rank};"
       f" positive definite: {q_perp.is_positive_definite()}")

@@ -1,10 +1,13 @@
 """Exact invariants of line bundles on unnodal Enriques surfaces.
 
 Everything works in the rank-10 even unimodular lattice U + E8(-1) with
-integer/Fraction arithmetic only.  The main entry points:
+exact arithmetic only.  Every search is a Fincke-Pohst enumeration run on
+integer-scaled LDL factors, so no float decides anything and every bound is
+exact.  The main entry points:
 
 - :func:`canonical_form`, :func:`embed_configuration` -- the lattice.
-- :func:`enumerate_short`, :func:`project_complement` -- the search kernel.
+- :func:`enumerate_short`, :class:`ComplementLift`, :class:`FiberSystem` --
+  the search kernel.
 - :func:`classify_positivity`, :func:`cohomology` -- positivity and h^i.
 - :func:`phi`, :func:`mu`, :func:`gonality`, :func:`clifford_generic`,
   :func:`decompose_isotropic` -- polarization invariants.
@@ -29,6 +32,7 @@ from .brill_noether import (
     stable_case_audit,
 )
 from .errors import (
+    CertificateError,
     ClassParseError,
     EnriquesBNError,
     FormMismatchError,
@@ -71,7 +75,6 @@ from .lattice import (
     embed_configuration,
     is_primitive,
     num_class,
-    pair,
 )
 from .positivity import (
     CohomologyProfile,
@@ -86,7 +89,6 @@ from .shortvec import (
     PosDefForm,
     ShortVectorResult,
     enumerate_short,
-    project_complement,
 )
 
 __version__ = "0.1.0"

@@ -111,12 +111,13 @@ def parse_class(
         except json.JSONDecodeError as ex:
             raise ClassParseError(f"bad JSON literal: {ex.msg}", ex.pos)
         coords = obj.get("coords")
+        # JSON true/false load as bool, which is an int subclass: reject it
         if not isinstance(coords, list) or len(coords) != form.rank or not all(
-            isinstance(c, int) for c in coords
+            isinstance(c, int) and not isinstance(c, bool) for c in coords
         ):
             raise ClassParseError(f"'coords' must be {form.rank} integers")
         torsion = obj.get("torsion", 0)
-        if torsion not in (0, 1):
+        if isinstance(torsion, bool) or torsion not in (0, 1):
             raise ClassParseError("'torsion' must be 0 or 1")
         return DivisorClass(NumClass(tuple(coords), form), torsion)
 

@@ -78,3 +78,12 @@ class ClassParseError(EnriquesBNError):
             message = f"{message} (at position {position})"
         super().__init__(message)
         self.position = position
+
+
+class CertificateError(EnriquesBNError):
+    """An exact check on a search result failed.
+
+    Searches recheck what they return (the square of every enumerated class,
+    the solvability of the degree equation); a failure means the result is
+    not certified, so it is raised instead of returned.
+    """

@@ -128,11 +128,6 @@ class NumClass:
         return self.__rmul__(k)
 
 
-def pair(x: NumClass, y: NumClass) -> int:
-    """Intersection number x.y through the shared form."""
-    return x.dot(y)
-
-
 def content(x: NumClass) -> tuple[int, NumClass]:
     """gcd of coordinates and the primitive part: x = c * primitive.
 

@@ -9,9 +9,16 @@ x = ((x.L)/L^2) L + x_perp, the identity
 
 turns a constraint on x.L and x^2 into an exact bound on the complement
 norm, which is a positive-definite quantity because the form has signature
-(1, 9).  Enumeration is Fincke-Pohst style recursive coordinate bounding on
-a rational LDL^T decomposition; all arithmetic is int/Fraction, so the
-completeness certificate is exact.
+(1, 9).
+
+Enumeration is Fincke-Pohst recursive coordinate bounding (Fincke-Pohst,
+Math. Comp. 44, 1985) on the LDL^T decomposition of the complement form.
+The factors are computed once per form by fraction-free elimination and
+scaled to integers: the pivots to one common denominator, the off-diagonal
+factors and the centre map to another.  The bound is multiplied by both, so
+each search runs on Python ints with exact integer square roots.  No float decides anything and
+no bound is rounded: every point inside (or on) the ellipsoid is returned,
+and no point outside it, which is the completeness certificate.
 """
 
 from __future__ import annotations
@@ -19,9 +26,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
-from .errors import NotPositiveDefiniteError, PositiveSquareRequiredError
+from .errors import (
+    CertificateError,
+    NotPositiveDefiniteError,
+    PositiveSquareRequiredError,
+)
 from .lattice import (
     IntersectionForm,
     NumClass,
@@ -70,11 +82,6 @@ class PosDefForm:
                 )
         return Fraction(acc, self.denom)
 
-    def gram_fractions(self) -> list[list[Fraction]]:
-        return [
-            [Fraction(x, self.denom) for x in row] for row in self.numer
-        ]
-
 
 @dataclass(frozen=True)
 class ShortVectorResult:
@@ -85,147 +92,124 @@ class ShortVectorResult:
     includes_negatives: bool = True
 
 
-def _ldl(gram: Sequence[Sequence[Fraction]]) -> tuple[list[Fraction], list[list[Fraction]]]:
-    """q(y) = sum_i d_i (y_i + sum_{j>i} r_ij y_j)^2; fails unless q > 0."""
-    n = len(gram)
-    d: list[Fraction] = []
-    r = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        di = gram[i][i] - sum(d[m] * r[m][i] * r[m][i] for m in range(i))
-        if di <= 0:
-            raise NotPositiveDefiniteError(
-                f"pivot {i + 1} of the LDL decomposition is {di}"
-            )
-        d.append(di)
-        r[i][i] = Fraction(1)
-        for j in range(i + 1, n):
-            v = gram[i][j] - sum(d[m] * r[m][i] * r[m][j] for m in range(i))
-            r[i][j] = v / di
-    return d, r
+class _ScaledLDL:
+    """The LDL^T factors of a positive-definite rational Gram matrix
+    G = numer / denom, scaled to integers so that every search runs on
+    Python ints alone.
 
+    With d_i = dn_i / dd and r_ij = rows[i][j-i-1] / s (j > i),
 
-def _solve_spd(
-    d: list[Fraction], r: list[list[Fraction]], b: Sequence[Rational]
-) -> list[Fraction]:
-    """Solve (R^T D R) y = b using the cached LDL factors."""
-    n = len(d)
-    z = [Fraction(0)] * n
-    for i in range(n):
-        z[i] = Fraction(b[i]) - sum(r[j][i] * z[j] for j in range(i))
-    for i in range(n):
-        z[i] /= d[i]
-    y = [Fraction(0)] * n
-    for i in range(n - 1, -1, -1):
-        y[i] = z[i] - sum(r[i][j] * y[j] for j in range(i + 1, n))
-    return y
+        q(y) * dd * s^2 = sum_i dn_i (s*y_i + sum_{j>i} s*r_ij y_j)^2.
 
-
-def _ellipsoid_points(
-    d: list[Fraction],
-    r: list[list[Fraction]],
-    center: Sequence[Fraction],
-    bound: Fraction,
-) -> list[tuple[int, ...]]:
-    """All integer y with q(y - center) <= bound, q given by its LDL factors.
-
-    Integer loop bounds come from integer square roots with one unit of
-    slack; the exact inequality is rechecked before descending, so the
-    output is complete and contains no spurious points.
+    For pairings b = G y_c, the centre y_c enters through the level
+    constants e = R y_c = D^-1 R^-T b, and s * e = centre_map @ b is an
+    integer vector: s is a common denominator of the r_ij and of the
+    entries of D^-1 R^-T.
     """
-    if bound < 0:
-        return []
-    n = len(d)
-    if n == 0:
-        return [()]
-    out: list[tuple[int, ...]] = []
-    y = [0] * n
 
-    def rec(i: int, rem: Fraction) -> None:
-        u = sum(
-            (r[i][j] * (y[j] - center[j]) for j in range(i + 1, n)),
-            start=Fraction(0),
+    def __init__(self, numer: Sequence[Sequence[int]], denom: int = 1):
+        n = len(numer)
+        # Fraction-free (Bareiss) elimination on [numer | I].  Row k is final
+        # once it is the pivot row: its pivot p[k + 1] is the leading minor
+        # of size k + 1, and it holds p[k + 1] r_kj and, by Cramer's rule on
+        # the leading block, p[k + 1] (D^-1 R^-T)_km / denom.
+        a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(numer)]
+        p = [1]
+        for k in range(n):
+            pk, prev = a[k][k], p[-1]
+            if pk <= 0:
+                raise NotPositiveDefiniteError(
+                    f"pivot {k + 1} of the LDL decomposition is "
+                    f"{Fraction(pk, prev * denom)}"
+                )
+            row_k = a[k]
+            for row in a[k + 1:]:
+                f = row[k]
+                for j in range(k + 1, 2 * n):
+                    row[j] = (pk * row[j] - f * row_k[j]) // prev
+            p.append(pk)
+        # d_k = p_k / (p_{k-1} denom)
+        self.dd = math.lcm(
+            *(p[k] * denom // math.gcd(p[k + 1], p[k] * denom) for k in range(n))
         )
-        ci = center[i] - u
-        tau = rem / d[i]
-        root_hi = Fraction(math.isqrt(tau.numerator * tau.denominator) + 1, tau.denominator)
-        lo = math.ceil(ci - root_hi)
-        hi = math.floor(ci + root_hi)
-        for yi in range(lo, hi + 1):
-            t = d[i] * (yi - ci) ** 2
-            if t <= rem:
-                y[i] = yi
-                if i == 0:
-                    out.append(tuple(y))
-                else:
-                    rec(i - 1, rem - t)
-        y[i] = 0
+        self.dn = [p[k + 1] * self.dd // (p[k] * denom) for k in range(n)]
+        row_denominators = []
+        for k in range(n):
+            g = math.gcd(p[k + 1], *a[k][k + 1:n], *(denom * x for x in a[k][n:]))
+            row_denominators.append(p[k + 1] // g)
+        self.s = s = math.lcm(*row_denominators)
+        self.rows = [[x * s // p[k + 1] for x in a[k][k + 1:n]] for k in range(n)]
+        self.centre_map = [
+            [denom * x * s // p[k + 1] for x in a[k][n:]] for k in range(n)
+        ]
 
-    rec(n - 1, Fraction(bound))
-    return out
+    def points(
+        self, b: Sequence[int], excess: Rational, exact: bool
+    ) -> list[tuple[int, ...]]:
+        """All integer y with q(y - c) <= excess + b.c (== if exact), c = G^-1 b.
 
-
-def _ellipsoid_shell(
-    d: list[Fraction],
-    r: list[list[Fraction]],
-    center: Sequence[Fraction],
-    target: Fraction,
-) -> list[tuple[int, ...]]:
-    """All integer y with q(y - center) == target exactly.
-
-    Same recursion as the interior enumeration, but the innermost
-    coordinate is solved from the equality (a perfect-square test) instead
-    of scanned, which avoids walking the interior of large ellipsoids.
-    """
-    if target < 0:
-        return []
-    n = len(d)
-    if n == 0:
-        return [()] if target == 0 else []
-    out: list[tuple[int, ...]] = []
-    y = [0] * n
-
-    def solve_last(rem: Fraction) -> list[int]:
-        u = sum(
-            (r[0][j] * (y[j] - center[j]) for j in range(1, n)),
-            start=Fraction(0),
+        The bound is scaled by dd * s^2 exactly.  The interior search
+        floors it; a shell target that is not an integer after scaling has
+        no lattice point on it.
+        """
+        centre = [sum(map(mul, row, b)) for row in self.centre_map]
+        rem = Fraction(excess) * self.dd * self.s * self.s + sum(
+            di * ci * ci for di, ci in zip(self.dn, centre)
         )
-        c0 = center[0] - u
-        tau = rem / d[0]
-        num_root = math.isqrt(tau.numerator)
-        den_root = math.isqrt(tau.denominator)
-        if num_root * num_root != tau.numerator or den_root * den_root != tau.denominator:
+        if exact and rem.denominator != 1:
             return []
-        root = Fraction(num_root, den_root)
-        vals = []
-        for cand in {c0 + root, c0 - root}:
-            if cand.denominator == 1:
-                vals.append(int(cand))
-        return vals
+        return _scaled_search(self.dn, self.s, self.rows, centre, math.floor(rem), exact)
 
-    def rec(i: int, rem: Fraction) -> None:
+
+def _scaled_search(
+    dn: Sequence[int],
+    s: int,
+    rows: Sequence[Sequence[int]],
+    centre: Sequence[int],
+    rem: int,
+    exact: bool,
+) -> list[tuple[int, ...]]:
+    """All integer y with sum_i dn_i (s*y_i - c_i)^2 <= rem (== rem if exact),
+    where c_i = centre_i - sum_{j>i} rows[i][j-i-1] * y_j.
+
+    Fincke-Pohst on ints: at level i the admissible s*y_i lie within
+    isqrt(rem // dn_i) of c_i, and every y_i in that range fits, so nothing
+    is rechecked.  The shell solves the last coordinate from a perfect-square
+    test and a divisibility test by s instead of scanning it.
+    """
+    if rem < 0:
+        return []
+    n = len(dn)
+    if n == 0:
+        return [()] if rem == 0 or not exact else []
+    out: list[tuple[int, ...]] = []
+    y = [0] * n
+
+    def rec(i: int, rem: int) -> None:
+        c = centre[i] - sum(map(mul, rows[i], y[i + 1:]))
+        di = dn[i]
         if i == 0:
-            for y0 in solve_last(rem):
-                y[0] = y0
-                out.append(tuple(y))
-            y[0] = 0
+            tail = tuple(y[1:])
+            if exact:
+                q, odd = divmod(rem, di)
+                h = math.isqrt(q)
+                if odd or h * h != q:
+                    return
+                for z in (c - h, c + h) if h else (c,):
+                    if z % s == 0:
+                        out.append((z // s,) + tail)
+            else:
+                h = math.isqrt(rem // di)
+                for y0 in range(-((h - c) // s), (c + h) // s + 1):
+                    out.append((y0,) + tail)
             return
-        u = sum(
-            (r[i][j] * (y[j] - center[j]) for j in range(i + 1, n)),
-            start=Fraction(0),
-        )
-        ci = center[i] - u
-        tau = rem / d[i]
-        root_hi = Fraction(math.isqrt(tau.numerator * tau.denominator) + 1, tau.denominator)
-        lo = math.ceil(ci - root_hi)
-        hi = math.floor(ci + root_hi)
-        for yi in range(lo, hi + 1):
-            t = d[i] * (yi - ci) ** 2
-            if t <= rem:
-                y[i] = yi
-                rec(i - 1, rem - t)
-        y[i] = 0
+        h = math.isqrt(rem // di)
+        for yi in range(-((h - c) // s), (c + h) // s + 1):
+            z = s * yi - c
+            y[i] = yi
+            rec(i - 1, rem - di * z * z)
 
-    rec(n - 1, target)
+    rec(n - 1, rem)
     return out
 
 
@@ -234,9 +218,9 @@ def enumerate_short(q: PosDefForm, bound: Rational) -> ShortVectorResult:
     bound = Fraction(bound)
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    d, r = _ldl(q.gram_fractions())
     zero = (0,) * q.rank
-    pts = [p for p in _ellipsoid_points(d, r, [Fraction(0)] * q.rank, bound) if p != zero]
+    pts = _ScaledLDL(q.numer, q.denom).points(zero, bound, exact=False)
+    pts = [p for p in pts if p != zero]
     pts.sort()
     return ShortVectorResult(bound=bound, vectors=tuple(pts))
 
@@ -263,6 +247,48 @@ def _lift_points(
     return out
 
 
+def _complement_basis(
+    form: IntersectionForm, kernel: Sequence[tuple[int, ...]]
+) -> tuple[list[NumClass], PosDefForm, _ScaledLDL]:
+    """The kernel classes, their negated Gram form and its scaled factors."""
+    classes = [NumClass(v, form) for v in kernel]
+    k = len(classes)
+    gram = tuple(
+        tuple(-classes[i].dot(classes[j]) for j in range(k)) for i in range(k)
+    )
+    q_perp = PosDefForm(k, gram)
+    return classes, q_perp, _ScaledLDL(gram)
+
+
+def _fiber(
+    form: IntersectionForm,
+    x0: NumClass,
+    kernel: Sequence[NumClass],
+    ldl: _ScaledLDL,
+    square: int,
+    exact: bool,
+) -> list[NumClass]:
+    """All x in x0 + span(kernel) with x^2 == square (>= square unless exact).
+
+    With x = x0 + sum y_i k_i and b_i = x0.k_i, completing the square gives
+    x^2 = x0^2 + b.c - q(y - c) for c = G^-1 b, so the condition is an
+    ellipsoid bound on y.
+    """
+    b = [x0.dot(v) for v in kernel]
+    pts = ldl.points(b, x0.square - square, exact)
+    return _lift_points(form, x0, kernel, pts)
+
+
+def _check_squares(out: list[NumClass], square: int) -> list[NumClass]:
+    """The post-check of an exact search: every class has the asked square."""
+    bad = next((x for x in out if x.square != square), None)
+    if bad is not None:
+        raise CertificateError(
+            f"enumerated class {bad.coords} has square {bad.square}, not {square}"
+        )
+    return out
+
+
 class FiberSystem:
     """Integer classes with prescribed pairings against fixed classes.
 
@@ -270,8 +296,8 @@ class FiberSystem:
     positive square, their joint orthogonal complement is negative definite,
     so for any prescribed pairing values x.u_j = c_j and any target x^2 the
     solution set is a finite affine ellipsoid problem.  The kernel data and
-    its LDL factors depend only on the classes and are computed once; each
-    value vector costs one small integer solve.
+    its scaled LDL factors depend only on the classes and are computed
+    once; each value vector costs one small integer solve.
     """
 
     def __init__(self, form: IntersectionForm, classes: Sequence[NumClass]):
@@ -279,17 +305,7 @@ class FiberSystem:
         self.classes = list(classes)
         self._rows = [form.apply(u.coords) for u in self.classes]
         _, kernel = solve_integer_linear(self._rows, [0] * len(self._rows))
-        self._kernel = [NumClass(v, form) for v in kernel]
-        k = len(self._kernel)
-        gram = tuple(
-            tuple(-self._kernel[i].dot(self._kernel[j]) for j in range(k))
-            for i in range(k)
-        )
-        self.q_perp = PosDefForm(k, gram)
-        if k:
-            self._ldl = _ldl(self.q_perp.gram_fractions())
-        else:
-            self._ldl = ([], [])
+        self._kernel, self.q_perp, self._ldl = _complement_basis(form, kernel)
 
     def _enumerate(
         self, values: Sequence[int], square: int, exact: bool
@@ -298,26 +314,11 @@ class FiberSystem:
         if x0_coords is None:
             return []
         x0 = NumClass(x0_coords, self.form)
-        k = len(self._kernel)
-        if k == 0:
-            good = x0.square == square if exact else x0.square >= square
-            return [x0] if good else []
-        b = [x0.dot(v) for v in self._kernel]
-        d, r = self._ldl
-        center = _solve_spd(d, r, b)
-        bound = (
-            Fraction(x0.square - square)
-            + sum(Fraction(bi) * ci for bi, ci in zip(b, center))
-        )
-        enum = _ellipsoid_shell if exact else _ellipsoid_points
-        pts = enum(d, r, center, bound)
-        return _lift_points(self.form, x0, self._kernel, pts)
+        return _fiber(self.form, x0, self._kernel, self._ldl, square, exact)
 
     def solutions(self, values: Sequence[int], square: int) -> list[NumClass]:
         """All x with x.u_j = values[j] and x^2 == square."""
-        out = self._enumerate(values, square, exact=True)
-        assert all(x.square == square for x in out)
-        return out
+        return _check_squares(self._enumerate(values, square, exact=True), square)
 
     def solutions_min_square(
         self, values: Sequence[int], min_square: int
@@ -330,9 +331,9 @@ class ComplementLift:
     """Fibers of the projection along a fixed class L of positive square.
 
     For each pairing value t = x.L and admissible complement norm, lists the
-    lattice preimages x.  The complement form q_perp is cached across t; the
-    particular solution scales linearly with t because the lattice is
-    unimodular (x.L ranges over content(L) * Z).
+    lattice preimages x.  The complement form and its scaled factors are
+    cached across t; the particular solution scales linearly with t because
+    the lattice is unimodular (x.L ranges over content(L) * Z).
     """
 
     def __init__(self, form: IntersectionForm, L: NumClass):
@@ -349,16 +350,12 @@ class ComplementLift:
             g = math.gcd(g, a)
         self.degree_step = g  # x.L always lies in g*Z
         x0, kernel = solve_integer_linear([w], [g])
-        assert x0 is not None
+        if x0 is None:
+            raise CertificateError(
+                f"no integer x with x.L = {g}, the content of L's pairing vector"
+            )
         self._x0_unit = NumClass(x0, form)
-        self._kernel = [NumClass(v, form) for v in kernel]
-        k = len(self._kernel)
-        gram = tuple(
-            tuple(-self._kernel[i].dot(self._kernel[j]) for j in range(k))
-            for i in range(k)
-        )
-        self.q_perp = PosDefForm(k, gram)
-        self._ldl = _ldl(self.q_perp.gram_fractions()) if k else ([], [])
+        self._kernel, self.q_perp, self._ldl = _complement_basis(form, kernel)
 
     def complement_norm(self, x: NumClass) -> Fraction:
         """-(x_perp)^2 = (x.L)^2/L^2 - x^2, exactly."""
@@ -369,35 +366,12 @@ class ComplementLift:
         if t % self.degree_step != 0:
             return []
         x0 = (t // self.degree_step) * self._x0_unit
-        k = len(self._kernel)
-        if k == 0:
-            good = x0.square == square if exact else x0.square >= square
-            return [x0] if good else []
-        b = [x0.dot(v) for v in self._kernel]
-        d, r = self._ldl
-        center = _solve_spd(d, r, b)
-        bound = (
-            Fraction(x0.square - square)
-            + sum(Fraction(bi) * ci for bi, ci in zip(b, center))
-        )
-        enum = _ellipsoid_shell if exact else _ellipsoid_points
-        pts = enum(d, r, center, bound)
-        return _lift_points(self.form, x0, self._kernel, pts)
+        return _fiber(self.form, x0, self._kernel, self._ldl, square, exact)
 
     def fiber(self, t: int, square: int) -> list[NumClass]:
         """All x with x.L = t and x^2 = square, in lexicographic order."""
-        out = self._enumerate(t, square, exact=True)
-        assert all(x.square == square for x in out)
-        return out
+        return _check_squares(self._enumerate(t, square, exact=True), square)
 
     def fiber_min_square(self, t: int, min_square: int) -> list[NumClass]:
         """All x with x.L = t and x^2 >= min_square."""
         return self._enumerate(t, min_square, exact=False)
-
-
-def project_complement(
-    form: IntersectionForm, L: NumClass
-) -> tuple[PosDefForm, ComplementLift]:
-    """Positive-definite complement form along L plus the fiber-lifting data."""
-    lift = ComplementLift(form, L)
-    return lift.q_perp, lift

@@ -1,10 +1,15 @@
 """Independent brute-force oracles used to cross-check the search kernel.
 
-Nothing here goes through the projection/LDL machinery under test: short
-vectors are found by scanning a coordinate box sized from the inverse Gram
-matrix, and isotropic classes are generated by scanning the E8 block of the
-lattice over a coordinate box and completing the two hyperbolic coordinates
-by integer factorization.
+The box oracles go through none of the projection/LDL machinery under
+test: short vectors are found by scanning a coordinate box sized from the
+inverse Gram matrix, and isotropic classes are generated by scanning the E8
+block of the lattice over a coordinate box and completing the two
+hyperbolic coordinates by integer factorization.
+
+The Fraction oracles are the search kernel's earlier form: Fincke-Pohst on
+the same LDL factors, but with the centre solved and every level bound
+computed in ``fractions.Fraction``.  They check the integer-scaled kernel
+point for point.
 """
 
 from __future__ import annotations
@@ -16,7 +21,8 @@ from itertools import product
 
 import numpy as np
 
-from enriques_bn.lattice import canonical_form
+from enriques_bn.lattice import NumClass, canonical_form, solve_integer_linear
+from enriques_bn.errors import NotPositiveDefiniteError
 
 E8_BOX_RADIUS = 2
 
@@ -157,4 +163,179 @@ def box_classes_with_square(l_coords, square: int, degree_cap: int) -> set:
             deg = x1 * w0 + x2 * w1 + int(vw_v)
             if 0 < deg <= degree_cap:
                 out.add((x1, x2) + tuple(int(c) for c in v))
+    return out
+
+
+def _ldl(gram) -> tuple[list[Fraction], list[list[Fraction]]]:
+    """q(y) = sum_i d_i (y_i + sum_{j>i} r_ij y_j)^2; fails unless q > 0."""
+    n = len(gram)
+    d: list[Fraction] = []
+    r = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        di = gram[i][i] - sum(d[m] * r[m][i] * r[m][i] for m in range(i))
+        if di <= 0:
+            raise NotPositiveDefiniteError(
+                f"pivot {i + 1} of the LDL decomposition is {di}"
+            )
+        d.append(di)
+        r[i][i] = Fraction(1)
+        for j in range(i + 1, n):
+            v = gram[i][j] - sum(d[m] * r[m][i] * r[m][j] for m in range(i))
+            r[i][j] = v / di
+    return d, r
+
+
+def _solve_spd(
+    d: list[Fraction], r: list[list[Fraction]], b
+) -> list[Fraction]:
+    """Solve (R^T D R) y = b using the cached LDL factors."""
+    n = len(d)
+    z = [Fraction(0)] * n
+    for i in range(n):
+        z[i] = Fraction(b[i]) - sum(r[j][i] * z[j] for j in range(i))
+    for i in range(n):
+        z[i] /= d[i]
+    y = [Fraction(0)] * n
+    for i in range(n - 1, -1, -1):
+        y[i] = z[i] - sum(r[i][j] * y[j] for j in range(i + 1, n))
+    return y
+
+
+def _ellipsoid_points(
+    d: list[Fraction],
+    r: list[list[Fraction]],
+    center,
+    bound: Fraction,
+) -> list[tuple[int, ...]]:
+    """All integer y with q(y - center) <= bound, q given by its LDL factors.
+
+    Integer loop bounds come from integer square roots with one unit of
+    slack; the exact inequality is rechecked before descending, so the
+    output is complete and contains no spurious points.
+    """
+    if bound < 0:
+        return []
+    n = len(d)
+    if n == 0:
+        return [()]
+    out: list[tuple[int, ...]] = []
+    y = [0] * n
+
+    def rec(i: int, rem: Fraction) -> None:
+        u = sum(
+            (r[i][j] * (y[j] - center[j]) for j in range(i + 1, n)),
+            start=Fraction(0),
+        )
+        ci = center[i] - u
+        tau = rem / d[i]
+        root_hi = Fraction(math.isqrt(tau.numerator * tau.denominator) + 1, tau.denominator)
+        lo = math.ceil(ci - root_hi)
+        hi = math.floor(ci + root_hi)
+        for yi in range(lo, hi + 1):
+            t = d[i] * (yi - ci) ** 2
+            if t <= rem:
+                y[i] = yi
+                if i == 0:
+                    out.append(tuple(y))
+                else:
+                    rec(i - 1, rem - t)
+        y[i] = 0
+
+    rec(n - 1, Fraction(bound))
+    return out
+
+
+def _ellipsoid_shell(
+    d: list[Fraction],
+    r: list[list[Fraction]],
+    center,
+    target: Fraction,
+) -> list[tuple[int, ...]]:
+    """All integer y with q(y - center) == target exactly.
+
+    Same recursion as the interior enumeration, but the innermost
+    coordinate is solved from the equality (a perfect-square test) instead
+    of scanned, which avoids walking the interior of large ellipsoids.
+    """
+    if target < 0:
+        return []
+    n = len(d)
+    if n == 0:
+        return [()] if target == 0 else []
+    out: list[tuple[int, ...]] = []
+    y = [0] * n
+
+    def solve_last(rem: Fraction) -> list[int]:
+        u = sum(
+            (r[0][j] * (y[j] - center[j]) for j in range(1, n)),
+            start=Fraction(0),
+        )
+        c0 = center[0] - u
+        tau = rem / d[0]
+        num_root = math.isqrt(tau.numerator)
+        den_root = math.isqrt(tau.denominator)
+        if num_root * num_root != tau.numerator or den_root * den_root != tau.denominator:
+            return []
+        root = Fraction(num_root, den_root)
+        vals = []
+        for cand in {c0 + root, c0 - root}:
+            if cand.denominator == 1:
+                vals.append(int(cand))
+        return vals
+
+    def rec(i: int, rem: Fraction) -> None:
+        if i == 0:
+            for y0 in solve_last(rem):
+                y[0] = y0
+                out.append(tuple(y))
+            y[0] = 0
+            return
+        u = sum(
+            (r[i][j] * (y[j] - center[j]) for j in range(i + 1, n)),
+            start=Fraction(0),
+        )
+        ci = center[i] - u
+        tau = rem / d[i]
+        root_hi = Fraction(math.isqrt(tau.numerator * tau.denominator) + 1, tau.denominator)
+        lo = math.ceil(ci - root_hi)
+        hi = math.floor(ci + root_hi)
+        for yi in range(lo, hi + 1):
+            t = d[i] * (yi - ci) ** 2
+            if t <= rem:
+                y[i] = yi
+                rec(i - 1, rem - t)
+        y[i] = 0
+
+    rec(n - 1, target)
+    return out
+
+
+def fraction_ellipsoid(gram, b, excess, exact: bool) -> set[tuple[int, ...]]:
+    """Integer y with q(y - c) <= excess + b.c (== if exact), c = G^-1 b,
+    for the positive-definite integer Gram matrix G of q."""
+    d, r = _ldl([[Fraction(x) for x in row] for row in gram])
+    center = _solve_spd(d, r, b)
+    bound = Fraction(excess) + sum(Fraction(bi) * ci for bi, ci in zip(b, center))
+    enum = _ellipsoid_shell if exact else _ellipsoid_points
+    return set(enum(d, r, center, bound))
+
+
+def fraction_solutions(form, classes, values, square: int, exact: bool) -> set:
+    """Coordinates of all x with x.u_j = values[j] and x^2 == square
+    (>= square unless exact), through the Fraction kernel."""
+    rows = [form.apply(u.coords) for u in classes]
+    x0_coords, _ = solve_integer_linear(rows, list(values))
+    if x0_coords is None:
+        return set()
+    _, kernel = solve_integer_linear(rows, [0] * len(rows))
+    x0 = NumClass(x0_coords, form)
+    kernel = [NumClass(v, form) for v in kernel]
+    gram = [[-u.dot(v) for v in kernel] for u in kernel]
+    b = [x0.dot(v) for v in kernel]
+    out = set()
+    for y in fraction_ellipsoid(gram, b, x0.square - square, exact):
+        x = list(x0_coords)
+        for yi, v in zip(y, kernel):
+            x = [a + yi * c for a, c in zip(x, v.coords)]
+        out.add(tuple(x))
     return out

@@ -53,6 +53,15 @@ class TestParseClass:
         with pytest.raises(ClassParseError):
             parse_class('{"coords":[1,2,3]}')
 
+    def test_json_booleans_rejected(self):
+        for literal in (
+            '{"coords":[true,true,0,0,0,0,0,0,0,0],"torsion":0}',
+            '{"coords":[1,1,0,0,0,0,0,0,0,0],"torsion":true}',
+            '{"coords":[1,1,0,0,0,0,0,0,0,0],"torsion":false}',
+        ):
+            with pytest.raises(ClassParseError):
+                parse_class(literal)
+
     def test_round_trip(self):
         for coords, torsion in (
             ([1, 2, 0, -1, 0, 0, 3, 0, 0, 0], 0),
@@ -180,6 +189,13 @@ class TestExitCodes:
     def test_parse_error_is_one(self, capsys):
         code, _ = invoke(capsys, "cohomology", "--class", "not-a-class")
         assert code == EXIT_USAGE
+
+    def test_json_boolean_is_one(self, capsys):
+        code, out = invoke(
+            capsys, "cohomology", "--class",
+            '{"coords":[true,true,0,0,0,0,0,0,0,0],"torsion":true}',
+        )
+        assert code == EXIT_USAGE and out == ""
 
     def test_unknown_symbol_is_one(self, capsys):
         code, _ = invoke(

@@ -1,20 +1,30 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from enriques_bn import shortvec
 from enriques_bn.errors import (
+    CertificateError,
     NotPositiveDefiniteError,
     PositiveSquareRequiredError,
 )
-from enriques_bn.lattice import basis_vector, num_class
+from enriques_bn.lattice import NumClass, basis_vector, num_class
 from enriques_bn.shortvec import (
+    ComplementLift,
     FiberSystem,
     PosDefForm,
+    _ScaledLDL,
     enumerate_short,
-    project_complement,
 )
-from oracles import box_classes_with_square, box_short_vectors
+from oracles import (
+    box_classes_with_square,
+    box_short_vectors,
+    fraction_ellipsoid,
+    fraction_inverse,
+    fraction_solutions,
+)
 
 
 def random_posdef(rng, max_rank=4, spread=3):
@@ -92,18 +102,18 @@ class TestEnumerateShort:
 class TestProjectComplement:
     def test_needs_positive_square(self):
         with pytest.raises(PositiveSquareRequiredError):
-            project_complement(basis_vector(0).form, basis_vector(0))
+            ComplementLift(basis_vector(0).form, basis_vector(0))
 
     def test_identity_on_hyperbolic_pair(self, form):
         f, g = basis_vector(0), basis_vector(1)
         L = f + g
-        _, lift = project_complement(form, L)
+        lift = ComplementLift(form, L)
         assert lift.complement_norm(f) == Fraction(1, 2)
 
     def test_isotropic_norm_is_t_squared_over_l_squared(self, form):
         rng = random.Random(24)
         L = num_class([2, 4] + [0] * 8)
-        _, lift = project_complement(form, L)
+        lift = ComplementLift(form, L)
         for t in (2, 4, 6):
             for x in lift.fiber(t, 0):
                 assert lift.complement_norm(x) == Fraction(t * t, L.square)
@@ -116,14 +126,14 @@ class TestProjectComplement:
             L = num_class(coords)
             if L.square <= 0:
                 continue
-            q_perp, _ = project_complement(form, L)
+            q_perp = ComplementLift(form, L).q_perp
             assert q_perp.rank == 9
             assert q_perp.is_positive_definite()
             found += 1
 
     def test_fiber_lift_consistency(self, form):
         L = num_class([2, 4] + [0] * 8)
-        _, lift = project_complement(form, L)
+        lift = ComplementLift(form, L)
         for t in (2, 4, 6, 8):
             for sq in (0, 2, 4):
                 for x in lift.fiber(t, sq):
@@ -134,7 +144,7 @@ class TestProjectComplement:
         # L = 4f + 2g: every isotropic class of degree <= 8 has a small
         # E8 block, so the box scan sees the full fibers
         L = num_class([4, 2] + [0] * 8)
-        _, lift = project_complement(form, L)
+        lift = ComplementLift(form, L)
         box = box_classes_with_square(L.coords, 0, 8)
         for t in (1, 2, 3, 4):
             got = {x.coords for x in lift.fiber(t, 0)}
@@ -144,7 +154,7 @@ class TestProjectComplement:
 
     def test_degree_step_matches_content(self, form):
         L = num_class([3, 6] + [0] * 8)  # content 3
-        _, lift = project_complement(form, L)
+        lift = ComplementLift(form, L)
         assert lift.degree_step == 3
         assert lift.fiber(2, 0) == []
 
@@ -173,3 +183,129 @@ class TestFiberSystem:
         values = [target.dot(c) for c in classes]
         fib = FiberSystem(form, classes)
         assert fib.solutions(values, target.square) == [target]
+
+
+def sample_ample(rng, count, max_square=16):
+    """Distinct ample classes with coordinates in [-3, 3] and L^2 <= max_square."""
+    got = []
+    while len(got) < count:
+        L = num_class([rng.randint(-3, 3) for _ in range(10)])
+        if L.coords[0] + L.coords[1] > 0 and 0 < L.square <= max_square and L not in got:
+            got.append(L)
+    return got
+
+
+class TestScaledKernelAgainstFractionOracle:
+    """The integer-scaled kernel returns exactly the Fraction kernel's points."""
+
+    def test_fibers_of_sampled_ample_classes(self, form):
+        for L in sample_ample(random.Random(31), 30):
+            lift = ComplementLift(form, L)
+            for t in range(1, math.isqrt(L.square) + 2):  # past phi(L) <= sqrt(L^2)
+                for sq in (0, 2, 4):
+                    got = [x.coords for x in lift.fiber(t, sq)]
+                    assert got == sorted(fraction_solutions(form, [L], [t], sq, True))
+                got = [x.coords for x in lift.fiber_min_square(t, 0)]
+                assert got == sorted(fraction_solutions(form, [L], [t], 0, False))
+
+    def test_fiber_system_solutions(self, form, pair_two, triple_iii):
+        a0 = basis_vector(0) + basis_vector(1)
+        for classes in ([a0], [a0, pair_two[0]], [a0] + list(triple_iii[:2])):
+            fib = FiberSystem(form, classes)
+            rests = [r for r in ([], [1], [2], [1, 2], [2, 1]) if len(r) == len(classes) - 1]
+            for height in range(1, 4):
+                for rest in rests:
+                    values = [height] + rest
+                    for sq in (0, 2):
+                        got = [x.coords for x in fib.solutions(values, sq)]
+                        want = fraction_solutions(form, classes, values, sq, True)
+                        assert got == sorted(want)
+
+    def test_enumerate_short(self):
+        rng = random.Random(32)
+        for _ in range(30):
+            q = random_posdef(rng)
+            bound = Fraction(rng.randint(1, 40), rng.randint(1, 3))
+            want = fraction_ellipsoid(q.numer, [0] * q.rank, bound, False)
+            want.discard((0,) * q.rank)
+            assert list(enumerate_short(q, bound).vectors) == sorted(want)
+
+    def test_random_centres_and_targets(self):
+        rng = random.Random(33)
+        for _ in range(40):
+            q = random_posdef(rng)
+            q = PosDefForm(q.rank, q.numer, denom=rng.randint(1, 3))
+            gram = [[Fraction(x, q.denom) for x in row] for row in q.numer]
+            b = [rng.randint(-9, 9) for _ in range(q.rank)]
+            excess = Fraction(rng.randint(-5, 30), rng.randint(1, 4))
+            ell = _ScaledLDL(q.numer, q.denom)
+            for exact in (False, True):
+                want = fraction_ellipsoid(gram, b, excess, exact)
+                assert set(ell.points(b, excess, exact)) == want
+
+    def test_rank_zero(self):
+        ell = _ScaledLDL([])
+        assert ell.points([], 0, True) == [()] and fraction_ellipsoid([], [], 0, True) == {()}
+        assert ell.points([], 3, False) == [()]
+        assert ell.points([], 3, True) == [] and fraction_ellipsoid([], [], 3, True) == set()
+        assert ell.points([], -1, False) == [] and fraction_ellipsoid([], [], -1, False) == set()
+
+    def test_negative_bound(self):
+        q = PosDefForm(3, ((2, 1, 0), (1, 2, 0), (0, 0, 4)))
+        ell = _ScaledLDL(q.numer, q.denom)
+        b = [1, -2, 3]
+        # q(y - c) >= 0 > -1, whatever the centre
+        for exact in (False, True):
+            assert ell.points(b, -1 - Fraction(13, 2), exact) == []
+            assert fraction_ellipsoid(q.numer, b, -1 - Fraction(13, 2), exact) == set()
+
+    def test_shell_target_not_integer_after_scaling(self):
+        q = PosDefForm(2, ((2, 0), (0, 2)))
+        ell = _ScaledLDL(q.numer, q.denom)
+        # q(y) = 2 y.y takes only even values, and 1/3 scales to 8/3
+        assert ell.points([0, 0], Fraction(1, 3), True) == []
+        assert fraction_ellipsoid(q.numer, [0, 0], Fraction(1, 3), True) == set()
+        assert ell.points([0, 0], Fraction(1, 3), False) == [(0, 0)]
+
+    def test_centre_with_large_denominator(self):
+        gram = ((1009, 3, -7), (3, 997, 11), (-7, 11, 1013))
+        q = PosDefForm(3, gram)
+        assert q.leading_principal_minors()[-1] > 10**9
+        ell = _ScaledLDL(q.numer, q.denom)
+        rng = random.Random(34)
+        inverse = fraction_inverse(gram)
+        for _ in range(20):
+            b = [rng.randint(-10**6, 10**6) for _ in range(3)]
+            centre = [sum(m * bj for m, bj in zip(row, b)) for row in inverse]
+            assert max(c.denominator for c in centre) > 10**6
+            # q(y - c) <= radius with the centre's own norm b.c cancelled
+            b_dot_c = sum(bj * cj for bj, cj in zip(b, centre))
+            for radius in (0, 2000, Fraction(4001, 2), 5000):
+                for exact in (False, True):
+                    want = fraction_ellipsoid(gram, b, radius - b_dot_c, exact)
+                    assert set(ell.points(b, radius - b_dot_c, exact)) == want
+
+
+class TestCertificateErrors:
+    """The post-checks raise even when the kernel is wrong."""
+
+    @staticmethod
+    def _one_bad_point(form, x0, kernel, pts):
+        return [NumClass((1, 1) + (0,) * 8, form)]  # square 2, asked for 0
+
+    def test_fiber_post_check(self, form, monkeypatch):
+        lift = ComplementLift(form, num_class([2, 4] + [0] * 8))
+        monkeypatch.setattr(shortvec, "_lift_points", self._one_bad_point)
+        with pytest.raises(CertificateError):
+            lift.fiber(2, 0)
+
+    def test_solutions_post_check(self, form, monkeypatch):
+        fib = FiberSystem(form, [basis_vector(0) + basis_vector(1)])
+        monkeypatch.setattr(shortvec, "_lift_points", self._one_bad_point)
+        with pytest.raises(CertificateError):
+            fib.solutions([2], 0)
+
+    def test_unsolvable_degree_equation(self, form, monkeypatch):
+        monkeypatch.setattr(shortvec, "solve_integer_linear", lambda rows, rhs: (None, []))
+        with pytest.raises(CertificateError):
+            ComplementLift(form, num_class([2, 4] + [0] * 8))
