@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import RangeError, SearchExhaustedError
+from .errors import CertificateError, RangeError, SearchExhaustedError
 from .invariants import (
     CASE_MU_SQUARE,
     IsotropicDecomposition,
@@ -168,8 +168,12 @@ def enumerate_destab(L: DivisorClass, d: int) -> list[DestabCandidate]:
     M^2 > 0, h0(M) >= 2, h1(M) = h2(M) = 0; and when ell > 0 also
     h1(N) = 0 with N^2 > 0.  Finiteness: N.L <= L^2/2 and N^2 >= 0 bound
     the complement norm of N, so candidates come from one short-vector
-    sweep per degree.  Both torsion decorations are listed when they give
-    genuinely different cohomology; otherwise the untwisted M is kept.
+    sweep per degree.  The sweep at t = N.L asks for N^2 >= max(0, t - d),
+    which is exactly ell >= 0: M.N = (L - N).N = t - N^2, so
+    ell = d - t + N^2.  At the tie 2t = L^2, M^2 = L^2 - 2t + N^2 = N^2,
+    so M and N pass together and the tie dedup sees both.  Both torsion
+    decorations are listed when they give genuinely different cohomology;
+    otherwise the untwisted M is kept.
     """
     rep = gonality(L)
     g, k = rep.genus, rep.k
@@ -179,12 +183,10 @@ def enumerate_destab(L: DivisorClass, d: int) -> list[DestabCandidate]:
     lift = ComplementLift(L.num.form, L.num)
     out: list[DestabCandidate] = []
     for t in range(1, l_sq // 2 + 1):
-        for n_num in lift.fiber_min_square(t, 0):
+        for n_num in lift.fiber_min_square(t, max(0, t - d)):
             m_num = L.num - n_num
             mn = m_num.dot(n_num)
             ell = d - mn
-            if ell < 0:
-                continue
             if 2 * t == l_sq and m_num.coords < n_num.coords:
                 continue  # dedup the M.L = N.L tie: keep N lexicographically first
             seen_profiles = []
@@ -241,10 +243,7 @@ def cliff_chain_bound(M: DivisorClass, N: DivisorClass, E: DivisorClass) -> int:
     s = E.dot(M - N)
     if s < 1:
         raise ValueError(f"need E.(M-N) >= 1, got {s}")
-    mn = M.dot(N)
-    bound = mn - s
-    assert bound <= mn - 1
-    return bound
+    return M.dot(N) - s
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +309,11 @@ def param_count(
     gr_dim = 2 * e - 4
     h0_mn = (g - 2 * mn) + h1_mn - h2_mn  # Riemann-Roch on M - N
     total_bound = p_dim + gr_dim - h0_mn + 1
-    assert total_bound == g - 2 + d - mn
+    if total_bound != g - 2 + d - mn:
+        raise CertificateError(
+            f"parameter chain gives {total_bound}, not g - 2 + d - M.N = "
+            f"{g - 2 + d - mn}"
+        )
     theorem_bound = g - 1 + d - k
     return ParamCountAudit(
         g, d, mn, i, ell, h1_mn, h2_mn,
@@ -381,23 +384,32 @@ class PlaneCoverFamilyReport:
 
 def plane_cover_family_report(n: int) -> PlaneCoverFamilyReport:
     """Compute the family invariants for a given n >= 3, with phi and the
-    gonality coming from the live search (the closed forms are asserted
-    against them, never substituted for them)."""
+    gonality coming from the live search (the closed forms are checked
+    against them, never substituted for them; CertificateError names the
+    first that disagrees)."""
     if n < 3:
         raise RangeError(f"the family needs n >= 3, got {n}")
     e1, e2 = embed_configuration(config_ii(2))
     L = DivisorClass(n * (e1 + e2), 0)
     rep = gonality(L)
     l_sq = L.square
-    assert l_sq == 4 * n * n
-    g = rep.genus
-    assert g == 2 * n * n + 1
-    assert rep.phi.value == 2 * n, "live phi disagrees with the family formula"
-    assert rep.k == 4 * n - 2, "live gonality disagrees with the family formula"
-    assert rep.case_label == CASE_MU_SQUARE
     b = DivisorClass(e1 + e2, 0)
     gon_special = b.dot(L) - 4
-    assert gon_special == 4 * n - 4 == rep.k - 2
+    for name, live, formula in (
+        ("L^2", l_sq, 4 * n * n),
+        ("genus", rep.genus, 2 * n * n + 1),
+        ("phi", rep.phi.value, 2 * n),
+        ("gonality", rep.k, 4 * n - 2),
+        ("case", rep.case_label, CASE_MU_SQUARE),
+        ("special gonality", gon_special, 4 * n - 4),
+        ("special gonality", gon_special, rep.k - 2),
+    ):
+        if live != formula:
+            raise CertificateError(
+                f"live {name} {live!r} disagrees with the family formula "
+                f"{formula!r} at n = {n}"
+            )
+    g = rep.genus
     plane_genus = (n - 1) * (n - 2) // 2
     cs_bound = 4 * plane_genus + 3 * (gon_special - 1)
     return PlaneCoverFamilyReport(

@@ -23,7 +23,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NotAmpleEnoughError, NotAmpleError, GenusTooSmallError, SearchExhaustedError
+from .errors import (
+    CertificateError,
+    GenusTooSmallError,
+    NotAmpleEnoughError,
+    NotAmpleError,
+    SearchExhaustedError,
+)
 from .lattice import (
     CONFIG_I,
     CONFIG_II,
@@ -113,9 +119,13 @@ def phi(L: DivisorClass) -> PhiResult:
             if not x.is_zero() and content(x)[0] == 1
         ]
         if hits:
-            for x in hits:
-                # effectivity is automatic: x.L > 0 puts x in the cone of L
-                assert x.dot(a0.num) > 0
+            # effectivity is automatic: x.L > 0 puts x in the cone of L
+            bad = next((x for x in hits if x.dot(a0.num) <= 0), None)
+            if bad is not None:
+                raise CertificateError(
+                    f"isotropic class {bad.coords} with x.L = {t} > 0 pairs "
+                    f"to {bad.dot(a0.num)} with the reference ample class"
+                )
             return PhiResult(t, DivisorClass(hits[0], 0))
     raise SearchExhaustedError(
         f"no isotropic class with L.E <= isqrt(L^2) = {math.isqrt(L.square)}; "
@@ -129,6 +139,10 @@ def mu(L: DivisorClass, cap: int | None = None) -> MuResult:
     The search considers all B with L.B <= cap (default 2 phi(L) + 2, which
     suffices to decide the gonality minimum) and reports "not found below
     cap" otherwise; that report certifies mu(L) > cap - 2.
+
+    Each degree's candidates come from ``ComplementLift.first``, which
+    walks the fiber in lexicographic order and stops at the first
+    admissible class, so no fiber of B^2 = 4 is built in full.
 
     The phi(B) = 2 test never rebuilds lattice machinery per candidate:
     phi(B) = 1 would need an isotropic E with E.B = 1, and the Gram
@@ -147,14 +161,17 @@ def mu(L: DivisorClass, cap: int | None = None) -> MuResult:
     iso_pool: list[NumClass] = []
     for s in range(1, pool_bound + 1):
         iso_pool.extend(lift.fiber(s, 0))
+
+    def admissible(x: NumClass) -> bool:
+        # the definition excludes B numerically equal to L, and phi(x) = 1
+        # fails it; B^2 = 4 admits no larger phi than 2
+        return x != num_L and all(e.dot(x) != 1 for e in iso_pool)
+
     for t in range(1, cap + 1):
-        for x in lift.fiber(t, 4):
-            if x == num_L:
-                continue  # the definition excludes B numerically equal to L
-            if any(e.dot(x) == 1 for e in iso_pool):
-                continue  # phi(x) = 1; B^2 = 4 admits no larger phi than 2
-            # fibers are lexicographically sorted, so the first admissible
-            # candidate at the minimal degree is the canonical witness
+        # fibers come in lexicographic order, so the first admissible
+        # candidate at the minimal degree is the canonical witness
+        x = lift.first(t, 4, admissible)
+        if x is not None:
             return MuResult(MU_EXACT, cap, t - 2, DivisorClass(x, 0))
     return MuResult(MU_NOT_FOUND, cap)
 
@@ -177,7 +194,7 @@ def gonality(L: DivisorClass) -> GonalityReport:
             f"gonality needs an ample class with L^2 >= 2; got square {L.square}"
         )
     p = phi(L)
-    m = mu(L)
+    m = mu(L, 2 * p.value + 2)  # mu's default cap, without a second phi
     floor_term = L.square // 4 + 2
     genus = L.square // 2 + 1
     terms = [2 * p.value, floor_term]
@@ -190,7 +207,11 @@ def gonality(L: DivisorClass) -> GonalityReport:
     label = None
     if pair_key in EXCEPTIONAL_SQUARE_PHI_PAIRS:
         label = CASE_FLOOR_EXCEPTIONAL
-        assert k == floor_term == 2 * p.value - 1
+        if not k == floor_term == 2 * p.value - 1:
+            raise CertificateError(
+                f"exceptional pair {pair_key} needs k = floor(L^2/4) + 2 = "
+                f"2 phi - 1, got k = {k}, floor term {floor_term}"
+            )
     elif k == 2 * p.value:
         label = CASE_GENERIC
     elif m.exact and m.value == k:
@@ -314,7 +335,10 @@ def _normalize_decomposition(
     """Reorder generators to the canonical pattern indexing."""
     n = len(gens)
     label = _pattern_of(two_edges)
-    assert label is not None
+    if label is None:
+        raise CertificateError(
+            f"2-pairings {two_edges} realize no decomposition pattern"
+        )
     order = list(range(n))
     if label == CONFIG_II:
         a, b = two_edges[0]
@@ -373,8 +397,7 @@ def decompose_isotropic(
                     x for x in lift.fiber(t, 0) if content(x)[0] == 1
                 ]
             out.extend(fiber_cache[t])
-        out.sort(key=lambda x: (x.dot(L.num), x.coords))
-        return out
+        return out  # by degree, then lexicographically: fibers come sorted
 
     bounds = list(range(phi_value, l_sq + 1))
 

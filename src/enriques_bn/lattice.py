@@ -158,8 +158,8 @@ class DivisorClass:
     torsion: int = 0
 
     def __post_init__(self):
-        if self.torsion not in (0, 1):
-            raise ValueError("torsion bit must be 0 or 1")
+        if isinstance(self.torsion, bool) or self.torsion not in (0, 1):
+            raise ValueError("torsion bit must be the int 0 or 1")
 
     def dot(self, other: "DivisorClass | NumClass") -> int:
         o = other.num if isinstance(other, DivisorClass) else other
@@ -472,13 +472,10 @@ def embed_configuration(
         fiber = FiberSystem(form, [ample] + chosen)
         wanted = [p.gram_sub[k][idx] for k in range(len(chosen))]
         for height in range(1, max_height + 1):
-            sols = [
-                x
-                for x in fiber.solutions([height] + wanted, 0)
-                if is_primitive(x)
-            ]
-            sols.sort(key=lambda x: x.coords)
-            yield from sols
+            # solutions come in lexicographic order
+            yield from (
+                x for x in fiber.solutions([height] + wanted, 0) if is_primitive(x)
+            )
 
     chosen: list[NumClass] = []
 

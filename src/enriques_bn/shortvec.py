@@ -16,9 +16,19 @@ Math. Comp. 44, 1985) on the LDL^T decomposition of the complement form.
 The factors are computed once per form by fraction-free elimination and
 scaled to integers: the pivots to one common denominator, the off-diagonal
 factors and the centre map to another.  The bound is multiplied by both, so
-each search runs on Python ints with exact integer square roots.  No float decides anything and
-no bound is rounded: every point inside (or on) the ellipsoid is returned,
-and no point outside it, which is the completeness certificate.
+each search runs on Python ints with exact integer square roots.  No float
+decides anything and no bound is rounded: every point inside (or on) the
+ellipsoid is returned, and no point outside it, which is the completeness
+certificate.
+
+The complement basis is in row-echelon form with positive pivots, the first
+pivot at the outermost search level, and every level is scanned in
+ascending order.  So the search itself emits the lattice points x in
+strictly increasing lexicographic order of their coordinates (the ordering
+certificate, argued at :func:`_complement_basis`): no caller sorts a fiber,
+and ``ComplementLift.first`` stops the search at the first class a caller
+accepts.  Every class of an exact search is still square-checked before a
+caller sees it.
 """
 
 from __future__ import annotations
@@ -27,7 +37,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     CertificateError,
@@ -143,10 +153,11 @@ class _ScaledLDL:
             [denom * x * s // p[k + 1] for x in a[k][n:]] for k in range(n)
         ]
 
-    def points(
+    def search(
         self, b: Sequence[int], excess: Rational, exact: bool
-    ) -> list[tuple[int, ...]]:
-        """All integer y with q(y - c) <= excess + b.c (== if exact), c = G^-1 b.
+    ) -> Iterator[tuple[int, ...]]:
+        """All integer y with q(y - c) <= excess + b.c (== if exact), c = G^-1 b,
+        lazily, in the order of :func:`_scaled_search`.
 
         The bound is scaled by dd * s^2 exactly.  The interior search
         floors it; a shell target that is not an integer after scaling has
@@ -157,7 +168,7 @@ class _ScaledLDL:
             di * ci * ci for di, ci in zip(self.dn, centre)
         )
         if exact and rem.denominator != 1:
-            return []
+            return iter(())
         return _scaled_search(self.dn, self.s, self.rows, centre, math.floor(rem), exact)
 
 
@@ -168,49 +179,68 @@ def _scaled_search(
     centre: Sequence[int],
     rem: int,
     exact: bool,
-) -> list[tuple[int, ...]]:
+) -> Iterator[tuple[int, ...]]:
     """All integer y with sum_i dn_i (s*y_i - c_i)^2 <= rem (== rem if exact),
-    where c_i = centre_i - sum_{j>i} rows[i][j-i-1] * y_j.
+    where c_i = centre_i - sum_{j>i} rows[i][j-i-1] * y_j, lazily.
 
     Fincke-Pohst on ints: at level i the admissible s*y_i lie within
     isqrt(rem // dn_i) of c_i, and every y_i in that range fits, so nothing
     is rechecked.  The shell solves the last coordinate from a perfect-square
     test and a divisibility test by s instead of scanning it.
+
+    Depth first from level n - 1 down to level 0, each level in ascending
+    order (the shell's (c - h)/s before (c + h)/s), on an explicit stack.
     """
     if rem < 0:
-        return []
+        return
     n = len(dn)
     if n == 0:
-        return [()] if rem == 0 or not exact else []
-    out: list[tuple[int, ...]] = []
+        if rem == 0 or not exact:
+            yield ()
+        return
     y = [0] * n
-
-    def rec(i: int, rem: int) -> None:
-        c = centre[i] - sum(map(mul, rows[i], y[i + 1:]))
-        di = dn[i]
-        if i == 0:
-            tail = tuple(y[1:])
-            if exact:
-                q, odd = divmod(rem, di)
-                h = math.isqrt(q)
-                if odd or h * h != q:
+    c = [0] * n  # the centre of each open level
+    hi = [0] * n  # the last y_i of each open level
+    rems = [0] * n + [rem]  # rems[i + 1]: the bound left for level i
+    i = n - 1
+    descend = True
+    while True:
+        if descend:
+            ci = centre[i] - sum(map(mul, rows[i], y[i + 1:]))
+            r, di = rems[i + 1], dn[i]
+            if i == 0:
+                tail = tuple(y[1:])
+                if exact:
+                    q, odd = divmod(r, di)
+                    h = math.isqrt(q)
+                    if not odd and h * h == q:
+                        for z in (ci - h, ci + h) if h else (ci,):
+                            if z % s == 0:
+                                yield (z // s,) + tail
+                else:
+                    h = math.isqrt(r // di)
+                    for y0 in range(-((h - ci) // s), (ci + h) // s + 1):
+                        yield (y0,) + tail
+                if n == 1:
                     return
-                for z in (c - h, c + h) if h else (c,):
-                    if z % s == 0:
-                        out.append((z // s,) + tail)
+                i = 1
             else:
-                h = math.isqrt(rem // di)
-                for y0 in range(-((h - c) // s), (c + h) // s + 1):
-                    out.append((y0,) + tail)
-            return
-        h = math.isqrt(rem // di)
-        for yi in range(-((h - c) // s), (c + h) // s + 1):
-            z = s * yi - c
-            y[i] = yi
-            rec(i - 1, rem - di * z * z)
-
-    rec(n - 1, rem)
-    return out
+                h = math.isqrt(r // di)
+                c[i] = ci
+                y[i] = -((h - ci) // s) - 1
+                hi[i] = (ci + h) // s
+        yi = y[i] + 1
+        if yi > hi[i]:
+            i += 1
+            if i == n:
+                return
+            descend = False
+            continue
+        y[i] = yi
+        z = s * yi - c[i]
+        rems[i] = rems[i + 1] - dn[i] * z * z
+        i -= 1
+        descend = True
 
 
 def enumerate_short(q: PosDefForm, bound: Rational) -> ShortVectorResult:
@@ -219,39 +249,74 @@ def enumerate_short(q: PosDefForm, bound: Rational) -> ShortVectorResult:
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     zero = (0,) * q.rank
-    pts = _ScaledLDL(q.numer, q.denom).points(zero, bound, exact=False)
-    pts = [p for p in pts if p != zero]
-    pts.sort()
-    return ShortVectorResult(bound=bound, vectors=tuple(pts))
+    pts = _ScaledLDL(q.numer, q.denom).search(zero, bound, exact=False)
+    vectors = tuple(sorted(p for p in pts if p != zero))
+    return ShortVectorResult(bound=bound, vectors=vectors)
 
 
 def _lift_points(
     form: IntersectionForm,
     x0: NumClass,
     kernel: Sequence[NumClass],
-    pts: Sequence[tuple[int, ...]],
-) -> list[NumClass]:
-    """x0 + sum y_i * kernel_i for every point, sorted lexicographically."""
+    pts: Iterable[tuple[int, ...]],
+) -> Iterator[NumClass]:
+    """x0 + sum y_i * kernel_i for every point, lazily, in the order of pts.
+
+    Each kernel vector adds only its nonzero entries; the echelon vectors
+    of U + E8(-1) complements have two or three.
+    """
     base = x0.coords
-    kernel_coords = [v.coords for v in kernel]
-    n = len(base)
-    out = []
+    entries = [[(j, a) for j, a in enumerate(v.coords) if a] for v in kernel]
     for y in pts:
         acc = list(base)
-        for yi, vc in zip(y, kernel_coords):
+        for yi, vector in zip(y, entries):
             if yi:
-                for idx in range(n):
-                    acc[idx] += yi * vc[idx]
-        out.append(NumClass(tuple(acc), form))
-    out.sort(key=lambda c: c.coords)
+                for j, a in vector:
+                    acc[j] += yi * a
+        yield NumClass(tuple(acc), form)
+
+
+def _echelon_basis(vectors: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """A row-echelon basis of the lattice spanned by independent rows.
+
+    Row r has its first nonzero entry, which is positive, in column p_r,
+    with p_0 < p_1 < ...  Only unimodular row operations are used (Euclid
+    on each column), so the rows span the same lattice (the Hermite form of
+    Cohen, GTM 138, 2.4, without the reduction above the pivots: adding
+    later rows to earlier ones changes no search node count).
+    """
+    rows = [list(v) for v in vectors]
+    out: list[tuple[int, ...]] = []
+    for col in range(len(rows[0]) if rows else 0):
+        live = [r for r in rows if r[col]]
+        if not live:
+            continue
+        while len(live) > 1:
+            piv = min(live, key=lambda r: abs(r[col]))
+            for r in live:
+                if r is not piv:
+                    q = r[col] // piv[col]
+                    r[:] = [a - q * b for a, b in zip(r, piv)]
+            live = [r for r in live if r[col]]
+        piv = live[0]
+        rows = [r for r in rows if r is not piv]
+        out.append(tuple(-a for a in piv) if piv[col] < 0 else tuple(piv))
     return out
 
 
 def _complement_basis(
     form: IntersectionForm, kernel: Sequence[tuple[int, ...]]
 ) -> tuple[list[NumClass], PosDefForm, _ScaledLDL]:
-    """The kernel classes, their negated Gram form and its scaled factors."""
-    classes = [NumClass(v, form) for v in kernel]
+    """The kernel in echelon form, its negated Gram form and scaled factors.
+
+    The basis is :func:`_echelon_basis` reversed, so the row with the first
+    pivot is the outermost search level.  For x = x0 + sum y_r B_r, two
+    points whose y first differ at row r agree on every coordinate before
+    its pivot p_r and differ by (y_r - y'_r) B_r[p_r] there, with
+    B_r[p_r] > 0.  The search scans every level in ascending order, so it
+    emits the classes x in strictly increasing lexicographic order.
+    """
+    classes = [NumClass(v, form) for v in reversed(_echelon_basis(kernel))]
     k = len(classes)
     gram = tuple(
         tuple(-classes[i].dot(classes[j]) for j in range(k)) for i in range(k)
@@ -267,26 +332,26 @@ def _fiber(
     ldl: _ScaledLDL,
     square: int,
     exact: bool,
-) -> list[NumClass]:
-    """All x in x0 + span(kernel) with x^2 == square (>= square unless exact).
+) -> Iterator[NumClass]:
+    """All x in x0 + span(kernel) with x^2 == square (>= square unless exact),
+    lazily, in lexicographic order (see :func:`_complement_basis`).
 
     With x = x0 + sum y_i k_i and b_i = x0.k_i, completing the square gives
     x^2 = x0^2 + b.c - q(y - c) for c = G^-1 b, so the condition is an
-    ellipsoid bound on y.
+    ellipsoid bound on y.  An exact search rechecks the square of every
+    class it yields and raises CertificateError on a mismatch.
     """
     b = [x0.dot(v) for v in kernel]
-    pts = ldl.points(b, x0.square - square, exact)
-    return _lift_points(form, x0, kernel, pts)
-
-
-def _check_squares(out: list[NumClass], square: int) -> list[NumClass]:
-    """The post-check of an exact search: every class has the asked square."""
-    bad = next((x for x in out if x.square != square), None)
-    if bad is not None:
-        raise CertificateError(
-            f"enumerated class {bad.coords} has square {bad.square}, not {square}"
-        )
-    return out
+    out = _lift_points(form, x0, kernel, ldl.search(b, x0.square - square, exact))
+    if not exact:
+        yield from out
+        return
+    for x in out:
+        if x.square != square:
+            raise CertificateError(
+                f"enumerated class {x.coords} has square {x.square}, not {square}"
+            )
+        yield x
 
 
 class FiberSystem:
@@ -309,22 +374,22 @@ class FiberSystem:
 
     def _enumerate(
         self, values: Sequence[int], square: int, exact: bool
-    ) -> list[NumClass]:
+    ) -> Iterator[NumClass]:
         x0_coords, _ = solve_integer_linear(self._rows, list(values))
         if x0_coords is None:
-            return []
+            return iter(())
         x0 = NumClass(x0_coords, self.form)
         return _fiber(self.form, x0, self._kernel, self._ldl, square, exact)
 
     def solutions(self, values: Sequence[int], square: int) -> list[NumClass]:
-        """All x with x.u_j = values[j] and x^2 == square."""
-        return _check_squares(self._enumerate(values, square, exact=True), square)
+        """All x with x.u_j = values[j] and x^2 == square, in lexicographic order."""
+        return list(self._enumerate(values, square, exact=True))
 
     def solutions_min_square(
         self, values: Sequence[int], min_square: int
     ) -> list[NumClass]:
-        """All x with x.u_j = values[j] and x^2 >= min_square."""
-        return self._enumerate(values, min_square, exact=False)
+        """All x with x.u_j = values[j] and x^2 >= min_square, in lexicographic order."""
+        return list(self._enumerate(values, min_square, exact=False))
 
 
 class ComplementLift:
@@ -362,16 +427,25 @@ class ComplementLift:
         t = x.dot(self.L)
         return Fraction(t * t, self.L_square) - x.square
 
-    def _enumerate(self, t: int, square: int, exact: bool) -> list[NumClass]:
+    def _enumerate(self, t: int, square: int, exact: bool) -> Iterator[NumClass]:
         if t % self.degree_step != 0:
-            return []
+            return iter(())
         x0 = (t // self.degree_step) * self._x0_unit
         return _fiber(self.form, x0, self._kernel, self._ldl, square, exact)
 
     def fiber(self, t: int, square: int) -> list[NumClass]:
         """All x with x.L = t and x^2 = square, in lexicographic order."""
-        return _check_squares(self._enumerate(t, square, exact=True), square)
+        return list(self._enumerate(t, square, exact=True))
 
     def fiber_min_square(self, t: int, min_square: int) -> list[NumClass]:
-        """All x with x.L = t and x^2 >= min_square."""
-        return self._enumerate(t, min_square, exact=False)
+        """All x with x.L = t and x^2 >= min_square, in lexicographic order."""
+        return list(self._enumerate(t, min_square, exact=False))
+
+    def first(
+        self, t: int, square: int, accept: Callable[[NumClass], bool]
+    ) -> NumClass | None:
+        """The lexicographically first x with x.L = t, x^2 = square and
+        accept(x), or None.  The search stops at that class."""
+        return next(
+            (x for x in self._enumerate(t, square, exact=True) if accept(x)), None
+        )

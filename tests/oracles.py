@@ -10,6 +10,10 @@ The Fraction oracles are the search kernel's earlier form: Fincke-Pohst on
 the same LDL factors, but with the centre solved and every level bound
 computed in ``fractions.Fraction``.  They check the integer-scaled kernel
 point for point.
+
+``mu_full_scan`` and ``destab_unpruned`` are the whole-fiber forms of
+``mu`` and ``enumerate_destab``: they build every fiber in full and filter
+afterwards, where the library stops at the first hit or prunes the search.
 """
 
 from __future__ import annotations
@@ -338,4 +342,72 @@ def fraction_solutions(form, classes, values, square: int, exact: bool) -> set:
         for yi, v in zip(y, kernel):
             x = [a + yi * c for a, c in zip(x, v.coords)]
         out.add(tuple(x))
+    return out
+
+
+def mu_full_scan(L, cap: int):
+    """(mu(L), witness coordinates) below cap, or None, from whole fibers.
+
+    Every fiber x.L = t, x^2 = 4 for t <= cap comes in full from the
+    Fraction kernel and is sorted; the first class that is not numerically
+    L and has phi = 2 (phi itself, not the isotropic pool of ``mu``) is the
+    witness at the smallest such t.
+    """
+    from enriques_bn.invariants import phi
+    from enriques_bn.lattice import DivisorClass
+
+    form = L.num.form
+    for t in range(1, cap + 1):
+        for coords in sorted(fraction_solutions(form, [L.num], [t], 4, True)):
+            b = NumClass(coords, form)
+            if b != L.num and phi(DivisorClass(b, 0)).value == 2:
+                return t - 2, coords
+    return None
+
+
+def destab_unpruned(L, d: int) -> list:
+    """``enumerate_destab(L, d)`` as it ran before its sweep was pruned: every
+    N with N.L = t <= L^2/2 and N^2 >= 0, the ell = d - M.N >= 0 filter
+    applied afterwards.  Range checks are left to the pruned version."""
+    from enriques_bn.brill_noether import (
+        DestabCandidate,
+        DestabChecklist,
+        _candidate_profile,
+    )
+    from enriques_bn.lattice import DivisorClass
+    from enriques_bn.positivity import cohomology
+    from enriques_bn.shortvec import ComplementLift
+
+    lift = ComplementLift(L.num.form, L.num)
+    out = []
+    for t in range(1, L.square // 2 + 1):
+        for n_num in lift.fiber_min_square(t, 0):
+            m_num = L.num - n_num
+            mn = m_num.dot(n_num)
+            ell = d - mn
+            if ell < 0:
+                continue
+            if 2 * t == L.square and m_num.coords < n_num.coords:
+                continue
+            seen_profiles = []
+            for torsion_m in (0, 1):
+                M = DivisorClass(m_num, torsion_m)
+                N = DivisorClass(n_num, L.torsion ^ torsion_m)
+                ch_n, ch_m = cohomology(N), cohomology(M)
+                checklist = DestabChecklist(
+                    a_h0_N_ge_2=ch_n.h0 >= 2,
+                    b_M_square_positive=m_num.square > 0,
+                    b_h0_M_ge_2=ch_m.h0 >= 2,
+                    b_h2_M_zero=ch_m.h2 == 0,
+                    c_h1_M_zero=ch_m.h1 == 0,
+                    e_points_supported=ell == 0 or (ch_n.h1 == 0 and n_num.square > 0),
+                )
+                if not checklist.all_pass():
+                    continue
+                profile = _candidate_profile(M, N)
+                if profile in seen_profiles:
+                    continue
+                seen_profiles.append(profile)
+                out.append(DestabCandidate(M, N, d, mn, ell, checklist))
+    out.sort(key=lambda c: (c.N.dot(L), c.N.num.coords, c.M.torsion))
     return out

@@ -1,5 +1,8 @@
+import dataclasses
+
 import pytest
 
+from enriques_bn import brill_noether
 from enriques_bn.brill_noether import (
     STATUS_APPLIES,
     STATUS_EMPTY,
@@ -13,8 +16,16 @@ from enriques_bn.brill_noether import (
     rho,
     stable_case_audit,
 )
-from enriques_bn.errors import NotAmpleError, RangeError
-from enriques_bn.lattice import DivisorClass, basis_vector
+from enriques_bn.errors import CertificateError, NotAmpleError, RangeError
+from enriques_bn.invariants import CASE_GENERIC, gonality
+from enriques_bn.lattice import (
+    DivisorClass,
+    basis_vector,
+    config_i,
+    divisor_class,
+    embed_configuration,
+)
+from oracles import destab_unpruned
 
 
 class TestRho:
@@ -139,6 +150,23 @@ class TestEnumerateDestab:
             assert holds
 
 
+class TestDestabPruning:
+    def test_matches_the_unpruned_sweep(self, pair_one):
+        """The sweep at N^2 >= t - d drops exactly the ell < 0 splittings."""
+        e1, e2 = pair_one
+        f_g = ((1, 6), (1, 8), (1, 10), (2, 5), (3, 4))
+        classes = [divisor_class([a, b] + [0] * 8) for a, b in f_g]
+        classes.append(DivisorClass(2 * e1 + 4 * e2, 0))
+        total = 0
+        for L in classes:
+            rep = gonality(L)
+            for d in range(rep.k, rep.genus - rep.k + 1):
+                cands = enumerate_destab(L, d)
+                assert cands == destab_unpruned(L, d)
+                total += len(cands)
+        assert total > 0
+
+
 class TestCliffChainBound:
     def test_two_step_drop(self, pair_one):
         e1, e2 = pair_one
@@ -251,3 +279,25 @@ class TestPlaneCoverFamily:
     def test_small_n_rejected(self):
         with pytest.raises(RangeError):
             plane_cover_family_report(2)
+
+    @pytest.mark.parametrize("field", ["phi", "k", "case_label"])
+    def test_live_value_disagreeing_with_formula(self, monkeypatch, field):
+        def wrong(L):
+            rep = gonality(L)
+            bad = {
+                "phi": dataclasses.replace(rep.phi, value=rep.phi.value + 1),
+                "k": rep.k + 1,
+                "case_label": CASE_GENERIC,
+            }[field]
+            return dataclasses.replace(rep, **{field: bad})
+
+        monkeypatch.setattr(brill_noether, "gonality", wrong)
+        with pytest.raises(CertificateError):
+            plane_cover_family_report(3)
+
+    def test_configuration_disagreeing_with_formula(self, monkeypatch):
+        # E1.E2 = 1 gives L^2 = 2 n^2, not 4 n^2
+        pair_one = embed_configuration(config_i(2))
+        monkeypatch.setattr(brill_noether, "embed_configuration", lambda p: pair_one)
+        with pytest.raises(CertificateError, match="L\\^2"):
+            plane_cover_family_report(3)

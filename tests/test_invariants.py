@@ -3,7 +3,9 @@ import random
 
 import pytest
 
+from enriques_bn import invariants
 from enriques_bn.errors import (
+    CertificateError,
     GenusTooSmallError,
     NotAmpleEnoughError,
     NotAmpleError,
@@ -15,6 +17,9 @@ from enriques_bn.invariants import (
     CASE_MU_SQUARE,
     CASE_MU_SQUARE_PLUS,
     EXCEPTIONAL_SQUARE_PHI_PAIRS,
+    MU_EXACT,
+    MuResult,
+    _normalize_decomposition,
     clifford_generic,
     decompose_isotropic,
     gonality,
@@ -26,9 +31,15 @@ from enriques_bn.lattice import (
     basis_vector,
     divisor_class,
     is_primitive,
+    num_class,
 )
 from enriques_bn.positivity import classify_positivity, reference_ample
-from oracles import box_classes_with_square, box_isotropic_minimum
+from enriques_bn.shortvec import ComplementLift
+from oracles import (
+    box_classes_with_square,
+    box_isotropic_minimum,
+    mu_full_scan,
+)
 
 
 def random_ample(rng, spread=3, max_square=60):
@@ -145,6 +156,57 @@ class TestMu:
         res = mu(L)  # default cap 2 phi + 2 = 4 is below the degree floor
         assert not res.exact
         assert self._box_minimum(L, res.cap) is None
+
+
+class TestMuFirstHit:
+    def test_against_full_fiber_scan(self):
+        """mu stops at its first admissible class; the full scan sorts whole
+        fibers and tests phi(B) = 2 directly."""
+        rng = random.Random(51)
+        classes = []
+        while len(classes) < 6:
+            L = num_class([rng.randint(-2, 2) for _ in range(10)])
+            if L.coords[0] + L.coords[1] > 0 and 0 < L.square <= 10:
+                classes.append((DivisorClass(L, 0), None))
+        # L^2 = 2 whose whole fiber at t = 3 has phi(B) = 1
+        classes.append((divisor_class((1, 2, 0, 0, 0, 1, 1, 1, 1, 1)), None))
+        three_f_g = divisor_class([3, 1] + [0] * 8)
+        classes += [(three_f_g, None), (three_f_g, 6)]
+        first_rejected = not_found = 0
+        for L, cap in classes:
+            res = mu(L, cap)
+            want = mu_full_scan(L, res.cap)
+            if want is None:
+                assert not res.exact
+                not_found += 1
+                continue
+            assert res.exact and (res.value, res.witness.num.coords) == want
+            fiber = ComplementLift(L.num.form, L.num).fiber(res.value + 2, 4)
+            first_rejected += fiber[0].coords != want[1]
+        assert first_rejected and not_found  # both paths of the search ran
+
+
+class TestCertificateChecks:
+    def test_phi_witness_off_the_positive_cone(self, monkeypatch):
+        flipped = lambda form: -reference_ample(form)
+        monkeypatch.setattr(invariants, "reference_ample", flipped)
+        with pytest.raises(CertificateError):
+            phi(divisor_class([1, 2] + [0] * 8))
+
+    def test_exceptional_pair_with_a_smaller_mu(self, monkeypatch, triple_one):
+        # (L^2, phi) = (6, 2) is exceptional; mu = 2 would undercut the floor
+        monkeypatch.setattr(
+            invariants, "mu", lambda L, cap=None: MuResult(MU_EXACT, cap, 2)
+        )
+        e1, e2, e3 = triple_one
+        with pytest.raises(CertificateError):
+            gonality(DivisorClass(e1 + e2 + e3, 0))
+
+    def test_edges_outside_every_pattern(self, triple_one):
+        with pytest.raises(CertificateError):
+            _normalize_decomposition(
+                list(triple_one), [1, 1, 1], [(0, 1), (0, 2), (1, 2)]
+            )
 
 
 class TestGonality:

@@ -139,6 +139,12 @@ class TestDivisorClass:
         b = DivisorClass(e2, 1)
         assert a.dot(b) == e1.dot(e2)
 
+    def test_bool_torsion_rejected(self, pair_one):
+        # True == 1, but a bool bit would print as the non-JSON `True`
+        for bit in (True, False):
+            with pytest.raises(ValueError):
+                DivisorClass(pair_one[0], bit)
+
 
 class TestSolveIntegerLinear:
     def test_single_equation(self):

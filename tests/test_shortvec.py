@@ -10,11 +10,12 @@ from enriques_bn.errors import (
     NotPositiveDefiniteError,
     PositiveSquareRequiredError,
 )
-from enriques_bn.lattice import NumClass, basis_vector, num_class
+from enriques_bn.lattice import NumClass, basis_vector, num_class, solve_integer_linear
 from enriques_bn.shortvec import (
     ComplementLift,
     FiberSystem,
     PosDefForm,
+    _echelon_basis,
     _ScaledLDL,
     enumerate_short,
 )
@@ -241,14 +242,14 @@ class TestScaledKernelAgainstFractionOracle:
             ell = _ScaledLDL(q.numer, q.denom)
             for exact in (False, True):
                 want = fraction_ellipsoid(gram, b, excess, exact)
-                assert set(ell.points(b, excess, exact)) == want
+                assert set(ell.search(b, excess, exact)) == want
 
     def test_rank_zero(self):
         ell = _ScaledLDL([])
-        assert ell.points([], 0, True) == [()] and fraction_ellipsoid([], [], 0, True) == {()}
-        assert ell.points([], 3, False) == [()]
-        assert ell.points([], 3, True) == [] and fraction_ellipsoid([], [], 3, True) == set()
-        assert ell.points([], -1, False) == [] and fraction_ellipsoid([], [], -1, False) == set()
+        assert list(ell.search([], 0, True)) == [()] and fraction_ellipsoid([], [], 0, True) == {()}
+        assert list(ell.search([], 3, False)) == [()]
+        assert list(ell.search([], 3, True)) == [] and fraction_ellipsoid([], [], 3, True) == set()
+        assert list(ell.search([], -1, False)) == [] and fraction_ellipsoid([], [], -1, False) == set()
 
     def test_negative_bound(self):
         q = PosDefForm(3, ((2, 1, 0), (1, 2, 0), (0, 0, 4)))
@@ -256,16 +257,16 @@ class TestScaledKernelAgainstFractionOracle:
         b = [1, -2, 3]
         # q(y - c) >= 0 > -1, whatever the centre
         for exact in (False, True):
-            assert ell.points(b, -1 - Fraction(13, 2), exact) == []
+            assert list(ell.search(b, -1 - Fraction(13, 2), exact)) == []
             assert fraction_ellipsoid(q.numer, b, -1 - Fraction(13, 2), exact) == set()
 
     def test_shell_target_not_integer_after_scaling(self):
         q = PosDefForm(2, ((2, 0), (0, 2)))
         ell = _ScaledLDL(q.numer, q.denom)
         # q(y) = 2 y.y takes only even values, and 1/3 scales to 8/3
-        assert ell.points([0, 0], Fraction(1, 3), True) == []
+        assert list(ell.search([0, 0], Fraction(1, 3), True)) == []
         assert fraction_ellipsoid(q.numer, [0, 0], Fraction(1, 3), True) == set()
-        assert ell.points([0, 0], Fraction(1, 3), False) == [(0, 0)]
+        assert list(ell.search([0, 0], Fraction(1, 3), False)) == [(0, 0)]
 
     def test_centre_with_large_denominator(self):
         gram = ((1009, 3, -7), (3, 997, 11), (-7, 11, 1013))
@@ -283,7 +284,74 @@ class TestScaledKernelAgainstFractionOracle:
             for radius in (0, 2000, Fraction(4001, 2), 5000):
                 for exact in (False, True):
                     want = fraction_ellipsoid(gram, b, radius - b_dot_c, exact)
-                    assert set(ell.points(b, radius - b_dot_c, exact)) == want
+                    assert set(ell.search(b, radius - b_dot_c, exact)) == want
+
+
+def strictly_increasing(xs):
+    return all(a < b for a, b in zip(xs, xs[1:]))
+
+
+class TestLexicographicOrder:
+    """Fibers leave the search in strictly increasing lexicographic order,
+    with no sort anywhere, and hold the Fraction kernel's points."""
+
+    def test_fibers_of_sampled_ample_classes(self, form):
+        rng = random.Random(61)
+        classes = sample_ample(rng, 10, max_square=24) + [num_class([2, 4] + [0] * 8)]
+        for L in classes:
+            lift = ComplementLift(form, L)
+            for t in range(1, math.isqrt(L.square) + 2):
+                for sq, exact in ((0, True), (4, True), (2, False)):
+                    if exact:
+                        got = [x.coords for x in lift.fiber(t, sq)]
+                    else:
+                        got = [x.coords for x in lift.fiber_min_square(t, sq)]
+                    assert strictly_increasing(got)
+                    assert set(got) == fraction_solutions(form, [L], [t], sq, exact)
+                fib = lift.fiber(t, 4)
+                for accept in (lambda x: x.coords[2] > 0, lambda x: False):
+                    want = next((x for x in fib if accept(x)), None)
+                    assert lift.first(t, 4, accept) == want
+
+    def test_fiber_system_solutions(self, form):
+        rng = random.Random(62)
+        a0 = basis_vector(0) + basis_vector(1)
+        for _ in range(12):
+            u = num_class([rng.randint(-2, 2) for _ in range(10)])
+            if u.is_zero():
+                continue
+            fib = FiberSystem(form, [a0, u])
+            for height in range(1, 4):
+                values = [height, rng.randint(-2, 2)]
+                for sq in (0, 2):
+                    got = [x.coords for x in fib.solutions(values, sq)]
+                    assert strictly_increasing(got)
+                    assert set(got) == fraction_solutions(form, [a0, u], values, sq, True)
+
+
+class TestEchelonBasis:
+    def test_positive_increasing_pivots_on_the_same_lattice(self):
+        rng = random.Random(63)
+        for _ in range(30):
+            n_rows = rng.randint(1, 3)
+            rows = [[rng.randint(-3, 3) for _ in range(10)] for _ in range(n_rows)]
+            _, kernel = solve_integer_linear(rows, [0] * len(rows))
+            ech = _echelon_basis(kernel)
+            assert len(ech) == len(kernel)
+            pivots = [next(j for j, a in enumerate(v) if a) for v in ech]
+            assert all(v[p] > 0 for v, p in zip(ech, pivots))
+            assert strictly_increasing(pivots)
+            # each basis is an integer combination of the other: a unimodular
+            # change of basis
+            for a, b in ((kernel, ech), (ech, kernel)):
+                columns = [[v[j] for v in a] for j in range(10)]
+                for w in b:
+                    assert solve_integer_linear(columns, list(w))[0] is not None
+
+    def test_first_pivot_is_the_outermost_level(self, form):
+        lift = ComplementLift(form, num_class([3, 3, 1, 0, 3, 1, 2, 2, 1, 2]))
+        pivots = [next(j for j, a in enumerate(v.coords) if a) for v in lift._kernel]
+        assert strictly_increasing(pivots[::-1])
 
 
 class TestCertificateErrors:
