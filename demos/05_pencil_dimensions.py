@@ -30,7 +30,7 @@ for d, r, dim in pred.rows:
 print("\nDestabilizing splittings L = M + N (all conditions checked):")
 for d in range(rep.k, rep.genus - rep.k + 1):
     cands = enumerate_destab(L, d)
-    min_mn, holds = check_mn_bound(L, d)
+    min_mn, holds = check_mn_bound(cands, rep.k)
     print(f"\n  d = {d}: {len(cands)} splittings, min M.N = {min_mn}"
           f" >= k - 1 = {rep.k - 1}: {holds}")
     for c in cands:

@@ -14,7 +14,7 @@ pencils.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .errors import CertificateError, RangeError, SearchExhaustedError
 from .invariants import (
@@ -156,11 +156,6 @@ class DestabCandidate:
     checklist: DestabChecklist
 
 
-def _candidate_profile(M: DivisorClass, N: DivisorClass) -> tuple:
-    cm, cn, cd = cohomology(M), cohomology(N), cohomology(M - N)
-    return (cm, cn, cd, cohomology(N - M).h0)
-
-
 def enumerate_destab(L: DivisorClass, d: int) -> list[DestabCandidate]:
     """Exhaustive numerical splittings L = M + N that could destabilize.
 
@@ -172,8 +167,9 @@ def enumerate_destab(L: DivisorClass, d: int) -> list[DestabCandidate]:
     which is exactly ell >= 0: M.N = (L - N).N = t - N^2, so
     ell = d - t + N^2.  At the tie 2t = L^2, M^2 = L^2 - 2t + N^2 = N^2,
     so M and N pass together and the tie dedup sees both.  Both torsion
-    decorations are listed when they give genuinely different cohomology;
-    otherwise the untwisted M is kept.
+    decorations are listed when they give M or N different cohomology;
+    otherwise the untwisted M is kept.  (M - N and N - M carry the torsion
+    bit of L under both, so they cannot tell the decorations apart.)
     """
     rep = gonality(L)
     g, k = rep.genus, rep.k
@@ -189,7 +185,7 @@ def enumerate_destab(L: DivisorClass, d: int) -> list[DestabCandidate]:
             ell = d - mn
             if 2 * t == l_sq and m_num.coords < n_num.coords:
                 continue  # dedup the M.L = N.L tie: keep N lexicographically first
-            seen_profiles = []
+            seen = []
             for torsion_m in (0, 1):
                 M = DivisorClass(m_num, torsion_m)
                 N = DivisorClass(n_num, L.torsion ^ torsion_m)
@@ -205,28 +201,26 @@ def enumerate_destab(L: DivisorClass, d: int) -> list[DestabCandidate]:
                         ell == 0 or (ch_n.h1 == 0 and n_num.square > 0)
                     ),
                 )
-                if not checklist.all_pass():
-                    continue
-                profile = _candidate_profile(M, N)
-                if profile in seen_profiles:
-                    continue  # the torsion twist changes nothing measurable
-                seen_profiles.append(profile)
+                if not checklist.all_pass() or (ch_m, ch_n) in seen:
+                    continue  # fails, or the torsion twist changes nothing
+                seen.append((ch_m, ch_n))
                 out.append(DestabCandidate(M, N, d, mn, ell, checklist))
     out.sort(key=lambda c: (c.N.dot(L), c.N.num.coords, c.M.torsion))
     return out
 
 
-def check_mn_bound(L: DivisorClass, d: int) -> tuple[int | None, bool]:
-    """Minimum of M.N over the splittings, and whether it is >= k - 1.
+def check_mn_bound(
+    cands: Sequence[DestabCandidate], k: int
+) -> tuple[int | None, bool]:
+    """Minimum of M.N over the splittings ``enumerate_destab`` returned, and
+    whether it is >= k - 1 for the gonality k.
 
     An empty candidate list verifies the bound vacuously (min is None).
     """
-    rep = gonality(L)
-    cands = enumerate_destab(L, d)
     if not cands:
         return None, True
     m = min(c.mn for c in cands)
-    return m, m >= rep.k - 1
+    return m, m >= k - 1
 
 
 def cliff_chain_bound(M: DivisorClass, N: DivisorClass, E: DivisorClass) -> int:

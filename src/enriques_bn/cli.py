@@ -9,10 +9,10 @@ search-bound exhaustion.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import re
 import sys
-from dataclasses import dataclass
 
 from . import brill_noether as bn
 from . import invariants as inv
@@ -44,30 +44,6 @@ _WORD_NUMBERS = {
     "one": 1, "two": 2, "three": 3, "four": 4, "five": 5,
     "six": 6, "seven": 7, "eight": 8, "nine": 9, "ten": 10,
 }
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    class_literal: str | None = None
-    configuration: str | None = None
-    mu_cap: int | None = None
-    d: int | None = None
-    n: int | None = None
-    output_format: str = "json"
-    seed: int | None = None
-
-    def as_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "class": self.class_literal,
-            "configuration": self.configuration,
-            "muCap": self.mu_cap,
-            "d": self.d,
-            "n": self.n,
-            "outputFormat": self.output_format,
-            "seed": self.seed,
-        }
 
 
 def parse_configuration(spec: str) -> ConfigurationPresentation:
@@ -156,7 +132,8 @@ def format_class(d: DivisorClass) -> str:
     return f'{{"coords":[{coords}],"torsion":{d.torsion}}}'
 
 
-def _dump(payload: dict) -> None:
+def _dump(config: dict, result: dict) -> None:
+    payload = {"config": config, "result": result}
     sys.stdout.write(json.dumps(payload, indent=2) + "\n")
 
 
@@ -169,11 +146,7 @@ def _mu_dict(m: inv.MuResult) -> dict:
     }
 
 
-def _with_header(config: RunConfig, result: dict) -> dict:
-    return {"config": config.as_dict(), "result": result}
-
-
-def _cmd_lattice(config: RunConfig, args) -> int:
+def _cmd_lattice(config: dict, args) -> int:
     form = canonical_form()
     if args.print_gram:
         # bit-exact contract: the matrix and nothing else, row-major
@@ -182,16 +155,14 @@ def _cmd_lattice(config: RunConfig, args) -> int:
         return EXIT_OK
     pos, neg, zero = form.inertia()
     _dump(
-        _with_header(
-            config,
-            {
-                "rank": form.rank,
-                "determinant": form.determinant(),
-                "even": form.is_even(),
-                "signature": [pos, neg],
-                "referenceAmple": format_class(reference_ample(form)),
-            },
-        )
+        config,
+        {
+            "rank": form.rank,
+            "determinant": form.determinant(),
+            "even": form.is_even(),
+            "signature": [pos, neg],
+            "referenceAmple": format_class(reference_ample(form)),
+        },
     )
     return EXIT_OK
 
@@ -202,21 +173,24 @@ def _resolve_class(args) -> tuple[DivisorClass, str | None]:
     return parse_class(args.class_literal, conf), configuration
 
 
-def _cmd_cohomology(config: RunConfig, args) -> int:
+def _cmd_cohomology(config: dict, args) -> int:
     d, _ = _resolve_class(args)
     prof = cohomology(d)
     status = classify_positivity(d)
     result = prof.as_dict()
     result["status"] = status.as_dict()
-    _dump(_with_header(config, result))
+    _dump(config, result)
     return EXIT_OK
 
 
-def _cmd_invariants(config: RunConfig, args) -> int:
+def _cmd_invariants(config: dict, args) -> int:
     d, _ = _resolve_class(args)
-    rep = inv.gonality(d) if args.mu_cap is None else _gonality_with_cap(d, args.mu_cap)
+    rep = inv.gonality(d)
+    if args.mu_cap is not None and args.mu_cap > rep.mu.cap:
+        # a raised cap refines mu; k stays certified by the default cap
+        rep = dataclasses.replace(rep, mu=inv.mu(d, args.mu_cap))
     try:
-        clifford = inv.clifford_generic(d)
+        clifford = rep.clifford()
         clifford_convention = False
     except GenusTooSmallError as ex:
         clifford = ex.convention_value
@@ -233,24 +207,11 @@ def _cmd_invariants(config: RunConfig, args) -> int:
         "cliffordConvention": clifford_convention,
         "notes": list(rep.notes),
     }
-    _dump(_with_header(config, result))
+    _dump(config, result)
     return EXIT_OK
 
 
-def _gonality_with_cap(d: DivisorClass, cap: int) -> inv.GonalityReport:
-    # a user-raised cap refines mu but must stay >= the default to keep the
-    # gonality minimum certified
-    default_cap = 2 * inv.phi(d).value + 2
-    rep = inv.gonality(d)
-    if cap > default_cap:
-        m = inv.mu(d, cap)
-        rep = inv.GonalityReport(
-            rep.k, rep.phi, m, rep.floor_term, rep.case_label, rep.genus, rep.notes
-        )
-    return rep
-
-
-def _cmd_predict(config: RunConfig, args) -> int:
+def _cmd_predict(config: dict, args) -> int:
     d, _ = _resolve_class(args)
     pred = bn.predict_w1d(d)
     if args.tsv:
@@ -267,15 +228,15 @@ def _cmd_predict(config: RunConfig, args) -> int:
         "rows": [{"d": r[0], "rho": r[1], "dim": r[2]} for r in pred.rows],
         "notes": list(pred.notes),
     }
-    _dump(_with_header(config, result))
+    _dump(config, result)
     return EXIT_OK
 
 
-def _cmd_destab(config: RunConfig, args) -> int:
+def _cmd_destab(config: dict, args) -> int:
     d, _ = _resolve_class(args)
     cands = bn.enumerate_destab(d, args.d)
     rep = inv.gonality(d)
-    min_mn, holds = bn.check_mn_bound(d, args.d)
+    min_mn, holds = bn.check_mn_bound(cands, rep.k)
     rows = []
     for c in cands:
         row = {
@@ -304,17 +265,17 @@ def _cmd_destab(config: RunConfig, args) -> int:
         "mnBoundHolds": holds,
         "candidates": rows,
     }
-    _dump(_with_header(config, result))
+    _dump(config, result)
     return EXIT_OK
 
 
-def _cmd_example51(config: RunConfig, args) -> int:
+def _cmd_example51(config: dict, args) -> int:
     report = bn.plane_cover_family_report(args.n)
-    _dump(_with_header(config, report.as_dict()))
+    _dump(config, report.as_dict())
     return EXIT_OK
 
 
-def _cmd_decompose(config: RunConfig, args) -> int:
+def _cmd_decompose(config: dict, args) -> int:
     d, _ = _resolve_class(args)
     dec = inv.decompose_isotropic(d)
     result = {
@@ -323,11 +284,11 @@ def _cmd_decompose(config: RunConfig, args) -> int:
         "generators": [format_class(g) for g in dec.generators],
         "coefficients": list(dec.coefficients),
     }
-    _dump(_with_header(config, result))
+    _dump(config, result)
     return EXIT_OK
 
 
-def _cmd_selftest(config: RunConfig, args) -> int:
+def _cmd_selftest(config: dict, args) -> int:
     import random
 
     from .shortvec import PosDefForm, enumerate_short
@@ -374,7 +335,7 @@ def _cmd_selftest(config: RunConfig, args) -> int:
     record("short-vectors-sound-symmetric", ok)
 
     passed = all(c["ok"] for c in checks)
-    _dump(_with_header(config, {"selftest": "ok" if passed else "failed", "checks": checks}))
+    _dump(config, {"selftest": "ok" if passed else "failed", "checks": checks})
     return EXIT_OK if passed else EXIT_DOMAIN
 
 
@@ -438,16 +399,16 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = RunConfig(
-        command=args.command,
-        class_literal=getattr(args, "class_literal", None),
-        configuration=getattr(args, "config", None),
-        mu_cap=getattr(args, "mu_cap", None),
-        d=getattr(args, "d", None),
-        n=getattr(args, "n", None),
-        output_format="tsv" if getattr(args, "tsv", False) else "json",
-        seed=getattr(args, "seed", None),
-    )
+    config = {  # echoed as the "config" header of every JSON result
+        "command": args.command,
+        "class": getattr(args, "class_literal", None),
+        "configuration": getattr(args, "config", None),
+        "muCap": getattr(args, "mu_cap", None),
+        "d": getattr(args, "d", None),
+        "n": getattr(args, "n", None),
+        "outputFormat": "tsv" if getattr(args, "tsv", False) else "json",
+        "seed": getattr(args, "seed", None),
+    }
     try:
         return args.func(config, args)
     except ClassParseError as ex:

@@ -37,6 +37,7 @@ from .lattice import (
     DivisorClass,
     NumClass,
     content,
+    solve_integer_linear,
 )
 from .positivity import classify_positivity, reference_ample
 from .shortvec import ComplementLift
@@ -54,6 +55,10 @@ CASE_FLOOR_PLAIN = "floor-plain"
 
 MU_EXACT = "exact"
 MU_NOT_FOUND = "not-found-below-cap"
+
+#: Budgets of ``decompose_isotropic``: candidate pool size and search nodes.
+DECOMPOSE_MAX_CANDIDATES = 512
+DECOMPOSE_MAX_NODES = 200_000
 
 
 @dataclass(frozen=True)
@@ -83,6 +88,23 @@ class GonalityReport:
     case_label: str
     genus: int
     notes: tuple[str, ...] = ()
+
+    def clifford(self) -> int:
+        """Generic Clifford index: k - 2 for genus >= 4.
+
+        Genus 2 and 3 are governed by the small-genus conventions (0 for
+        hyperelliptic, 1 for non-hyperelliptic genus 3); those numerically
+        still equal k - 2, and are raised as GenusTooSmallError carrying the
+        value.
+        """
+        value = self.k - 2
+        if self.genus >= 4:
+            return value
+        if self.k == 2:
+            reason = "hyperelliptic convention: Cliff = 0"
+        else:
+            reason = "non-hyperelliptic genus-3 convention: Cliff = 1"
+        raise GenusTooSmallError(self.genus, value, reason)
 
 
 @dataclass(frozen=True)
@@ -252,21 +274,9 @@ def gonality(L: DivisorClass) -> GonalityReport:
 
 
 def clifford_generic(L: DivisorClass) -> int:
-    """Generic Clifford index of smooth curves in |L|: k - 2 for genus >= 4.
-
-    Genus 2 and 3 are governed by the small-genus conventions (0 for
-    hyperelliptic, 1 for non-hyperelliptic genus 3); those numerically still
-    equal k - 2, and are raised as GenusTooSmallError carrying the value.
-    """
-    rep = gonality(L)
-    if rep.genus >= 4:
-        return rep.k - 2
-    value = rep.k - 2
-    if rep.k == 2:
-        reason = "hyperelliptic convention: Cliff = 0"
-    else:
-        reason = "non-hyperelliptic genus-3 convention: Cliff = 1"
-    raise GenusTooSmallError(rep.genus, value, reason)
+    """Generic Clifford index of smooth curves in |L|; see
+    ``GonalityReport.clifford``."""
+    return gonality(L).clifford()
 
 
 # ---------------------------------------------------------------------------
@@ -293,40 +303,23 @@ def _solve_coefficients(
 ) -> list[int] | None:
     """Positive integer a_i with sum a_i E_i = target, or None.
 
-    The pairwise Gram of a pattern-compatible generator set is nonsingular,
-    so the pairings against the target determine the rational coefficients;
-    the coordinate identity is then verified exactly.
+    Solves the coordinate equations over the integers.  A pattern-compatible
+    generator set has a pattern Gram, which is nonsingular for every n <= 10,
+    so the generators are independent and the solution is unique.  The
+    rebuilt sum is checked, and a mismatch raises CertificateError.
     """
-    from fractions import Fraction
-
-    n = len(gens)
-    a = [
-        [Fraction(gens[i].dot(gens[j])) for j in range(n)] + [Fraction(gens[i].dot(target))]
-        for i in range(n)
-    ]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return None  # singular: not a valid generator set
-        a[col], a[piv] = a[piv], a[col]
-        pv = a[col][col]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col] / pv
-                for c in range(col, n + 1):
-                    a[r][c] -= f * a[col][c]
-    coeffs = []
-    for i in range(n):
-        v = a[i][n] / a[i][i]
-        if v.denominator != 1 or v <= 0:
-            return None
-        coeffs.append(int(v))
+    rows = list(zip(*(e.coords for e in gens)))
+    coeffs, _ = solve_integer_linear(rows, target.coords)
+    if coeffs is None or min(coeffs) <= 0:
+        return None
     acc = coeffs[0] * gens[0]
     for c, e in zip(coeffs[1:], gens[1:]):
         acc = acc + c * e
     if acc != target:
-        return None
-    return coeffs
+        raise CertificateError(
+            f"coefficients {coeffs} rebuild {acc.coords}, not {target.coords}"
+        )
+    return list(coeffs)
 
 
 def _normalize_decomposition(
@@ -357,23 +350,20 @@ def _normalize_decomposition(
     )
 
 
-def decompose_isotropic(
-    L: DivisorClass,
-    *,
-    max_candidates: int = 512,
-    max_nodes: int = 200_000,
-) -> IsotropicDecomposition:
+def decompose_isotropic(L: DivisorClass) -> IsotropicDecomposition:
     """One decomposition L = a_1 E_1 + ... + a_n E_n into primitive isotropic
     effective classes whose pairwise pairings follow pattern (i), (ii) or
     (iii).
 
-    The candidate pool is grown degree by degree from phi(L) up to L^2 (in
-    any decomposition every generator satisfies E_i.L <= L^2); within a
-    stage, generators are tried in order of increasing L-degree then
-    lexicographic coordinates, small generator sets before large ones, and
-    the first pattern-compatible subset admitting positive integer
-    coefficients wins.  Deterministic; raises SearchExhaustedError with the
-    bound that was hit rather than silently truncating.
+    The candidate pool is grown degree by degree from 1 up to L^2 (in any
+    decomposition every generator satisfies E_i.L <= L^2; stages below
+    phi(L) have empty pools and are skipped); within a stage, generators
+    are tried in order of increasing L-degree then lexicographic
+    coordinates, small generator sets before large ones, and the first
+    pattern-compatible subset admitting positive integer coefficients wins.
+    Deterministic; raises SearchExhaustedError with the bound that was hit
+    (DECOMPOSE_MAX_CANDIDATES, DECOMPOSE_MAX_NODES) rather than silently
+    truncating.
     """
     st = classify_positivity(L)
     if not st.is_effective or L.square < 0:
@@ -385,7 +375,6 @@ def decompose_isotropic(
         return IsotropicDecomposition((DivisorClass(prim, 0),), (c,), CONFIG_I)
 
     lift = ComplementLift(L.num.form, L.num)
-    phi_value = phi(L).value
     l_sq = L.square
     fiber_cache: dict[int, list[NumClass]] = {}
 
@@ -399,9 +388,7 @@ def decompose_isotropic(
             out.extend(fiber_cache[t])
         return out  # by degree, then lexicographically: fibers come sorted
 
-    bounds = list(range(phi_value, l_sq + 1))
-
-    budget = max_nodes
+    budget = DECOMPOSE_MAX_NODES
 
     def search(cands: list[NumClass], size: int) -> IsotropicDecomposition | None:
         """Depth-first over index tuples of exactly the given size."""
@@ -430,8 +417,8 @@ def decompose_isotropic(
                 budget -= 1
                 if budget <= 0:
                     raise SearchExhaustedError(
-                        f"decomposition search exceeded {max_nodes} nodes "
-                        f"(pool size {n_cand})"
+                        f"decomposition search exceeded {DECOMPOSE_MAX_NODES} "
+                        f"nodes (pool size {n_cand})"
                     )
                 ok = True
                 new_edges = []
@@ -461,15 +448,15 @@ def decompose_isotropic(
     # before any triple and so on; together with the degree-staged pool
     # growth this makes the returned decomposition deterministic.
     last_pool = -1
-    for bound in bounds:
+    for bound in range(1, l_sq + 1):
         cands = pool_up_to(bound)
         if len(cands) == last_pool:
             continue  # nothing new at this degree
         last_pool = len(cands)
-        if len(cands) > max_candidates:
+        if len(cands) > DECOMPOSE_MAX_CANDIDATES:
             raise SearchExhaustedError(
-                f"candidate pool exceeded {max_candidates} classes at degree "
-                f"bound {bound}"
+                f"candidate pool exceeded {DECOMPOSE_MAX_CANDIDATES} classes "
+                f"at degree bound {bound}"
             )
         for size in range(2, min(10, len(cands)) + 1):
             hit = search(cands, size)

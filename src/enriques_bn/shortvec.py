@@ -99,7 +99,6 @@ class ShortVectorResult:
 
     bound: Fraction
     vectors: tuple[tuple[int, ...], ...]
-    includes_negatives: bool = True
 
 
 class _ScaledLDL:

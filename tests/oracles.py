@@ -11,6 +11,10 @@ the same LDL factors, but with the centre solved and every level bound
 computed in ``fractions.Fraction``.  They check the integer-scaled kernel
 point for point.
 
+``fraction_coefficients`` is the decomposition solver's earlier form: it
+solves the Gram system of the generators in ``Fraction`` where the library
+solves their coordinate equations over the integers.
+
 ``mu_full_scan`` and ``destab_unpruned`` are the whole-fiber forms of
 ``mu`` and ``enumerate_destab``: they build every fiber in full and filter
 afterwards, where the library stops at the first hit or prunes the search.
@@ -345,6 +349,42 @@ def fraction_solutions(form, classes, values, square: int, exact: bool) -> set:
     return out
 
 
+def fraction_coefficients(gens: list, target) -> list[int] | None:
+    """Positive integer a_i with sum a_i E_i = target, or None, from the
+    pairings: Gauss-Jordan elimination in ``Fraction`` on the Gram system
+    (E_i.E_j) a = (E_i.target), then the coordinate identity verified.
+    A singular Gram gives None."""
+    n = len(gens)
+    a = [
+        [Fraction(gens[i].dot(gens[j])) for j in range(n)]
+        + [Fraction(gens[i].dot(target))]
+        for i in range(n)
+    ]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            return None
+        a[col], a[piv] = a[piv], a[col]
+        pv = a[col][col]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                f = a[r][col] / pv
+                for c in range(col, n + 1):
+                    a[r][c] -= f * a[col][c]
+    coeffs = []
+    for i in range(n):
+        v = a[i][n] / a[i][i]
+        if v.denominator != 1 or v <= 0:
+            return None
+        coeffs.append(int(v))
+    acc = coeffs[0] * gens[0]
+    for c, e in zip(coeffs[1:], gens[1:]):
+        acc = acc + c * e
+    if acc != target:
+        return None
+    return coeffs
+
+
 def mu_full_scan(L, cap: int):
     """(mu(L), witness coordinates) below cap, or None, from whole fibers.
 
@@ -368,12 +408,10 @@ def mu_full_scan(L, cap: int):
 def destab_unpruned(L, d: int) -> list:
     """``enumerate_destab(L, d)`` as it ran before its sweep was pruned: every
     N with N.L = t <= L^2/2 and N^2 >= 0, the ell = d - M.N >= 0 filter
-    applied afterwards.  Range checks are left to the pruned version."""
-    from enriques_bn.brill_noether import (
-        DestabCandidate,
-        DestabChecklist,
-        _candidate_profile,
-    )
+    applied afterwards, and the two torsion twists told apart by the
+    cohomology of M, N, M - N and N - M.  Range checks are left to the
+    pruned version."""
+    from enriques_bn.brill_noether import DestabCandidate, DestabChecklist
     from enriques_bn.lattice import DivisorClass
     from enriques_bn.positivity import cohomology
     from enriques_bn.shortvec import ComplementLift
@@ -404,7 +442,9 @@ def destab_unpruned(L, d: int) -> list:
                 )
                 if not checklist.all_pass():
                     continue
-                profile = _candidate_profile(M, N)
+                # the full cohomology profile of the splitting, twists of
+                # M - N and N - M included
+                profile = (ch_m, ch_n, cohomology(M - N), cohomology(N - M).h0)
                 if profile in seen_profiles:
                     continue
                 seen_profiles.append(profile)

@@ -138,7 +138,7 @@ def test_06_destabilizing_splittings_bound(pair_one):
             min_mn = min(c.mn for c in cands)
             assert min_mn >= rep.k - 1 == 3
             assert min_mn == 4  # observed value, pinned
-            assert check_mn_bound(L, d) == (4, True)
+            assert check_mn_bound(cands, rep.k) == (4, True)
 
 
 def test_07_parameter_count_chain():

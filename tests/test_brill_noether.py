@@ -123,8 +123,9 @@ class TestEnumerateDestab:
 
     def test_mn_bound(self, polarization):
         L, _, _ = polarization
+        k = gonality(L).k
         for d in (4, 5):
-            min_mn, holds = check_mn_bound(L, d)
+            min_mn, holds = check_mn_bound(enumerate_destab(L, d), k)
             assert min_mn == 4 and holds
 
     def test_no_duplicate_pairs(self, polarization):
@@ -146,8 +147,9 @@ class TestEnumerateDestab:
         rep = gonality(L)
         d = rep.k
         if d <= rep.genus - rep.k:
-            min_mn, holds = check_mn_bound(L, d)
+            min_mn, holds = check_mn_bound(enumerate_destab(L, d), rep.k)
             assert holds
+        assert check_mn_bound([], rep.k) == (None, True)
 
 
 class TestDestabPruning:

@@ -110,6 +110,13 @@ class TestCommands:
         assert raised["mu"]["value"] == 6
         assert raised["k"] == default["k"]  # the gonality was already certified
 
+    def test_mu_cap_at_or_below_default_changes_nothing(self, capsys):
+        args = ("invariants", "--class", "3*E1+3*E2", "--config", "two:2")
+        default = result_of(capsys, *args)
+        assert default["mu"]["cap"] == 14  # 2 phi + 2
+        for cap in ("14", "5"):
+            assert result_of(capsys, *args, "--mu-cap", cap) == default
+
     def test_cohomology(self, capsys):
         r = result_of(
             capsys,

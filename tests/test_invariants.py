@@ -9,6 +9,7 @@ from enriques_bn.errors import (
     GenusTooSmallError,
     NotAmpleEnoughError,
     NotAmpleError,
+    SearchExhaustedError,
 )
 from enriques_bn.invariants import (
     CASE_FLOOR_EXCEPTIONAL,
@@ -20,6 +21,7 @@ from enriques_bn.invariants import (
     MU_EXACT,
     MuResult,
     _normalize_decomposition,
+    _solve_coefficients,
     clifford_generic,
     decompose_isotropic,
     gonality,
@@ -28,8 +30,10 @@ from enriques_bn.invariants import (
 )
 from enriques_bn.lattice import (
     DivisorClass,
+    _pattern_gram,
     basis_vector,
     divisor_class,
+    integer_determinant,
     is_primitive,
     num_class,
 )
@@ -38,6 +42,7 @@ from enriques_bn.shortvec import ComplementLift
 from oracles import (
     box_classes_with_square,
     box_isotropic_minimum,
+    fraction_coefficients,
     mu_full_scan,
 )
 
@@ -385,6 +390,67 @@ class TestDecompose:
             dec = decompose_isotropic(d)
             self.assert_valid(d, dec)
             checked += 1
+
+
+class TestSolveCoefficients:
+    def test_against_fraction_elimination(self):
+        """Seeded generator subsets of isotropic fiber pools, against L, a
+        combination of the generators (positive or not) and that combination
+        moved off their span; solvable and unsolvable both occur."""
+        rng = random.Random(46)
+        solvable = unsolvable = 0
+        for _ in range(5):
+            L = random_ample(rng, max_square=16)
+            lift = ComplementLift(L.num.form, L.num)
+            pool = [x for t in range(1, 4) for x in lift.fiber(t, 0) if is_primitive(x)]
+            if len(pool) < 2:
+                continue
+            for _ in range(30):
+                gens = rng.sample(pool, rng.randint(2, min(6, len(pool))))
+                gram = [[a.dot(b) for b in gens] for a in gens]
+                if integer_determinant(gram) == 0:
+                    continue  # the oracle gives up on a singular Gram
+                coeffs = [rng.randint(-1, 3) for _ in gens]
+                combo = coeffs[0] * gens[0]
+                for c, e in zip(coeffs[1:], gens[1:]):
+                    combo = combo + c * e
+                moved = combo + basis_vector(rng.randrange(10))
+                for target in (L.num, combo, moved):
+                    got = _solve_coefficients(gens, target)
+                    assert got == fraction_coefficients(gens, target)
+                    solvable += got is not None
+                    unsolvable += got is None
+        assert solvable and unsolvable
+
+    @pytest.mark.parametrize(
+        "edges, smallest", [((), 2), (((0, 1),), 2), (((0, 1), (0, 2)), 3)]
+    )
+    def test_pattern_grams_are_nonsingular(self, edges, smallest):
+        # the search tries sets of 2..10 generators; patterns (i), (ii), (iii)
+        for n in range(smallest, 11):
+            assert integer_determinant(_pattern_gram(n, edges)) != 0
+
+    def test_rebuilt_sum_is_checked(self, monkeypatch, pair_one):
+        e1, e2 = pair_one
+        monkeypatch.setattr(
+            invariants, "solve_integer_linear", lambda rows, rhs: ((1, 1), [])
+        )
+        with pytest.raises(CertificateError):
+            _solve_coefficients([e1, e2], 2 * e1 + e2)
+
+
+class TestDecomposeBudgets:
+    def test_candidate_pool_budget(self, monkeypatch, pair_two):
+        e1, e2 = pair_two
+        monkeypatch.setattr(invariants, "DECOMPOSE_MAX_CANDIDATES", 1)
+        with pytest.raises(SearchExhaustedError, match="candidate pool"):
+            decompose_isotropic(DivisorClass(3 * (e1 + e2), 0))
+
+    def test_node_budget(self, monkeypatch, pair_two):
+        e1, e2 = pair_two
+        monkeypatch.setattr(invariants, "DECOMPOSE_MAX_NODES", 1)
+        with pytest.raises(SearchExhaustedError, match="nodes"):
+            decompose_isotropic(DivisorClass(3 * (e1 + e2), 0))
 
 
 class TestConcurrency:
