@@ -25,7 +25,7 @@ from .invariants import (
 )
 from .lattice import CONFIG_II, DivisorClass, config_ii, embed_configuration
 from .positivity import classify_positivity, cohomology
-from .shortvec import ComplementLift
+from .shortvec import complement_lift
 
 STATUS_APPLIES = "applies"
 STATUS_FAILS = "fails-hypothesis"
@@ -176,7 +176,7 @@ def enumerate_destab(L: DivisorClass, d: int) -> list[DestabCandidate]:
     if not (k <= d <= g - k):
         raise RangeError(f"d = {d} outside the admissible range {k}..{g - k}")
     l_sq = L.square
-    lift = ComplementLift(L.num.form, L.num)
+    lift = complement_lift(L.num)
     out: list[DestabCandidate] = []
     for t in range(1, l_sq // 2 + 1):
         for n_num in lift.fiber_min_square(t, max(0, t - d)):

@@ -40,7 +40,7 @@ from .lattice import (
     solve_integer_linear,
 )
 from .positivity import classify_positivity, reference_ample
-from .shortvec import ComplementLift
+from .shortvec import complement_lift
 
 #: (L^2, phi) pairs where the gonality drops to floor(L^2/4) + 2 = 2 phi - 1.
 EXCEPTIONAL_SQUARE_PHI_PAIRS = frozenset(
@@ -132,7 +132,7 @@ def phi(L: DivisorClass) -> PhiResult:
     primitive hit at the smallest t.
     """
     _require_effective_positive(L, "phi")
-    lift = ComplementLift(L.num.form, L.num)
+    lift = complement_lift(L.num)
     a0 = reference_ample(L.num.form)
     for t in range(1, math.isqrt(L.square) + 1):
         hits = [
@@ -175,7 +175,7 @@ def mu(L: DivisorClass, cap: int | None = None) -> MuResult:
     _require_effective_positive(L, "mu")
     if cap is None:
         cap = 2 * phi(L).value + 2
-    lift = ComplementLift(L.num.form, L.num)
+    lift = complement_lift(L.num)
     num_L = L.num
     l_sq = L.square
     disc = cap * cap - 4 * l_sq
@@ -266,7 +266,7 @@ def gonality(L: DivisorClass) -> GonalityReport:
             # bound (L.B)^2 >= 4 L^2 already forces mu > 2 phi - 2.
             label = CASE_FLOOR_PLAIN
         else:
-            raise AssertionError(
+            raise CertificateError(
                 f"mu wins at (L^2, phi) = {pair_key}, outside the known "
                 "classification; this indicates a search bug"
             )
@@ -374,7 +374,7 @@ def decompose_isotropic(L: DivisorClass) -> IsotropicDecomposition:
         c, prim = content(L.num)
         return IsotropicDecomposition((DivisorClass(prim, 0),), (c,), CONFIG_I)
 
-    lift = ComplementLift(L.num.form, L.num)
+    lift = complement_lift(L.num)
     l_sq = L.square
     fiber_cache: dict[int, list[NumClass]] = {}
 

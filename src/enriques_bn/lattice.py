@@ -5,14 +5,22 @@ Coordinates 1-2 span the hyperbolic plane U with Gram [[0,1],[1,0]];
 coordinates 3-10 carry the E8 root lattice with its form negated, basis in
 Bourbaki node order.  Everything below is exact integer (or Fraction)
 arithmetic; floats never appear.
+
+Each :class:`IntersectionForm` computes the nonzero terms of its Gram
+matrix once and keeps them on the instance: the diagonal entries plus each
+off-diagonal pair i < j once (16 terms for U + E8(-1) instead of 24), and
+the nonzero entries of every row.  ``NumClass.dot``, ``NumClass.square``
+and ``IntersectionForm.apply`` loop over these terms only, and a class
+computes its square once.  The terms are derived from ``gram`` and take no
+part in equality or hashing.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 from .errors import FormMismatchError, NotRealizableError, ZeroClassError
@@ -38,6 +46,11 @@ class IntersectionForm:
 
     rank: int
     gram: tuple[tuple[int, ...], ...]
+    # nonzero terms, set from gram in __post_init__: (i, g_ii) on the
+    # diagonal, (i, j, g_ij) for i < j, and (j, g_ij) for every row i
+    _diagonal: tuple = field(init=False, repr=False, compare=False)
+    _off_diagonal: tuple = field(init=False, repr=False, compare=False)
+    _rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.gram) != self.rank or any(len(r) != self.rank for r in self.gram):
@@ -46,6 +59,17 @@ class IntersectionForm:
             for j in range(i):
                 if self.gram[i][j] != self.gram[j][i]:
                     raise ValueError("gram matrix must be symmetric")
+        g, n = self.gram, self.rank
+        # the dataclass is frozen, so the derived terms are set through object
+        object.__setattr__(
+            self, "_diagonal", tuple((i, g[i][i]) for i in range(n) if g[i][i])
+        )
+        object.__setattr__(self, "_off_diagonal", tuple(
+            (i, j, g[i][j]) for i in range(n) for j in range(i + 1, n) if g[i][j]
+        ))
+        object.__setattr__(self, "_rows", tuple(
+            tuple((j, v) for j, v in enumerate(row) if v) for row in g
+        ))
 
     def is_even(self) -> bool:
         return all(self.gram[i][i] % 2 == 0 for i in range(self.rank))
@@ -60,19 +84,7 @@ class IntersectionForm:
 
     def apply(self, coords: Sequence[int]) -> tuple[int, ...]:
         """gram @ coords, the linear functional <., coords>."""
-        return tuple(
-            sum(self.gram[i][j] * coords[j] for j in range(self.rank))
-            for i in range(self.rank)
-        )
-
-
-@lru_cache(maxsize=8)
-def _sparse_entries(gram: tuple) -> tuple[tuple[int, int, int], ...]:
-    """Nonzero (i, j, value) triples of a Gram matrix; it is sparse here."""
-    n = len(gram)
-    return tuple(
-        (i, j, gram[i][j]) for i in range(n) for j in range(n) if gram[i][j]
-    )
+        return tuple(sum(v * coords[j] for j, v in row) for row in self._rows)
 
 
 @dataclass(frozen=True)
@@ -89,17 +101,28 @@ class NumClass:
             )
 
     def _check(self, other: "NumClass") -> None:
-        if self.form != other.form:
+        if self.form is not other.form and self.form != other.form:
             raise FormMismatchError("classes live in different intersection forms")
 
     def dot(self, other: "NumClass") -> int:
         self._check(other)
         a, b = self.coords, other.coords
-        return sum(v * a[i] * b[j] for i, j, v in _sparse_entries(self.form.gram))
+        acc = 0
+        for i, v in self.form._diagonal:
+            acc += v * a[i] * b[i]
+        for i, j, v in self.form._off_diagonal:
+            acc += v * (a[i] * b[j] + a[j] * b[i])
+        return acc
 
-    @property
+    @cached_property
     def square(self) -> int:
-        return self.dot(self)
+        a = self.coords
+        diagonal = off = 0
+        for i, v in self.form._diagonal:
+            diagonal += v * a[i] * a[i]
+        for i, j, v in self.form._off_diagonal:
+            off += v * a[i] * a[j]
+        return diagonal + 2 * off
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)

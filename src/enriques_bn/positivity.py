@@ -15,6 +15,7 @@ in :func:`cohomology`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .lattice import (
     DivisorClass,
@@ -56,8 +57,10 @@ class CohomologyProfile:
         return {"h0": self.h0, "h1": self.h1, "h2": self.h2, "chi": self.chi}
 
 
+@lru_cache(maxsize=8)
 def reference_ample(form: IntersectionForm | None = None) -> DivisorClass:
-    """A0 = f + g: the fixed class orienting the positive cone."""
+    """A0 = f + g: the fixed class orienting the positive cone, built once
+    per form."""
     form = form or canonical_form()
     return DivisorClass(basis_vector(0, form) + basis_vector(1, form), 0)
 

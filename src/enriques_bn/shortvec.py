@@ -29,6 +29,18 @@ certificate, argued at :func:`_complement_basis`): no caller sorts a fiber,
 and ``ComplementLift.first`` stops the search at the first class a caller
 accepts.  Every class of an exact search is still square-checked before a
 caller sees it.
+
+Set-up cost is paid once per constraint set.  The complement Gram comes
+from one ``form.apply`` per basis vector and integer inner products, one
+per entry on or above the diagonal.  A ``ComplementLift`` also keeps the
+pairings b of its unit particular solution x0 with the basis and x0^2; the
+fiber at x.L = m * degree_step scales them to m b and m^2 x0^2 instead of
+pairing again.  :func:`complement_lift` keeps the last lift it built, keyed
+on L by value (the key includes the form), so phi, mu, destab and
+decompose on one polarization share one lift.  Reusing a lift keeps every
+certificate: a lift is immutable data fixed by (form, L) alone, each call
+runs its own search on it, and the square recheck, the ``CertificateError``
+checks and the lexicographic order act on every search as before.
 """
 
 from __future__ import annotations
@@ -36,6 +48,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from operator import mul
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -315,18 +328,22 @@ def _complement_basis(
     B_r[p_r] > 0.  The search scans every level in ascending order, so it
     emits the classes x in strictly increasing lexicographic order.
     """
-    classes = [NumClass(v, form) for v in reversed(_echelon_basis(kernel))]
-    k = len(classes)
-    gram = tuple(
-        tuple(-classes[i].dot(classes[j]) for j in range(k)) for i in range(k)
-    )
-    q_perp = PosDefForm(k, gram)
-    return classes, q_perp, _ScaledLDL(gram)
+    vectors = list(reversed(_echelon_basis(kernel)))
+    k = len(vectors)
+    pairings = [form.apply(v) for v in vectors]
+    gram = [[0] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i, k):
+            gram[i][j] = gram[j][i] = -sum(map(mul, pairings[i], vectors[j]))
+    q_perp = PosDefForm(k, tuple(tuple(row) for row in gram))
+    return [NumClass(v, form) for v in vectors], q_perp, _ScaledLDL(gram)
 
 
 def _fiber(
     form: IntersectionForm,
     x0: NumClass,
+    b: Sequence[int],
+    x0_square: int,
     kernel: Sequence[NumClass],
     ldl: _ScaledLDL,
     square: int,
@@ -337,11 +354,11 @@ def _fiber(
 
     With x = x0 + sum y_i k_i and b_i = x0.k_i, completing the square gives
     x^2 = x0^2 + b.c - q(y - c) for c = G^-1 b, so the condition is an
-    ellipsoid bound on y.  An exact search rechecks the square of every
-    class it yields and raises CertificateError on a mismatch.
+    ellipsoid bound on y.  The caller passes b and x0^2.  An exact search
+    rechecks the square of every class it yields and raises
+    CertificateError on a mismatch.
     """
-    b = [x0.dot(v) for v in kernel]
-    out = _lift_points(form, x0, kernel, ldl.search(b, x0.square - square, exact))
+    out = _lift_points(form, x0, kernel, ldl.search(b, x0_square - square, exact))
     if not exact:
         yield from out
         return
@@ -378,7 +395,10 @@ class FiberSystem:
         if x0_coords is None:
             return iter(())
         x0 = NumClass(x0_coords, self.form)
-        return _fiber(self.form, x0, self._kernel, self._ldl, square, exact)
+        b = [x0.dot(v) for v in self._kernel]
+        return _fiber(
+            self.form, x0, b, x0.square, self._kernel, self._ldl, square, exact
+        )
 
     def solutions(self, values: Sequence[int], square: int) -> list[NumClass]:
         """All x with x.u_j = values[j] and x^2 == square, in lexicographic order."""
@@ -397,7 +417,9 @@ class ComplementLift:
     For each pairing value t = x.L and admissible complement norm, lists the
     lattice preimages x.  The complement form and its scaled factors are
     cached across t; the particular solution scales linearly with t because
-    the lattice is unimodular (x.L ranges over content(L) * Z).
+    the lattice is unimodular (x.L ranges over content(L) * Z), and so do its
+    pairings with the complement basis.  Build one through
+    :func:`complement_lift` to share it between callers.
     """
 
     def __init__(self, form: IntersectionForm, L: NumClass):
@@ -420,6 +442,8 @@ class ComplementLift:
             )
         self._x0_unit = NumClass(x0, form)
         self._kernel, self.q_perp, self._ldl = _complement_basis(form, kernel)
+        self._b_unit = [self._x0_unit.dot(v) for v in self._kernel]
+        self._x0_unit_square = self._x0_unit.square
 
     def complement_norm(self, x: NumClass) -> Fraction:
         """-(x_perp)^2 = (x.L)^2/L^2 - x^2, exactly."""
@@ -429,8 +453,13 @@ class ComplementLift:
     def _enumerate(self, t: int, square: int, exact: bool) -> Iterator[NumClass]:
         if t % self.degree_step != 0:
             return iter(())
-        x0 = (t // self.degree_step) * self._x0_unit
-        return _fiber(self.form, x0, self._kernel, self._ldl, square, exact)
+        m = t // self.degree_step
+        b = [m * bi for bi in self._b_unit]
+        x0_square = m * m * self._x0_unit_square
+        return _fiber(
+            self.form, m * self._x0_unit, b, x0_square, self._kernel, self._ldl,
+            square, exact,
+        )
 
     def fiber(self, t: int, square: int) -> list[NumClass]:
         """All x with x.L = t and x^2 = square, in lexicographic order."""
@@ -448,3 +477,15 @@ class ComplementLift:
         return next(
             (x for x in self._enumerate(t, square, exact=True) if accept(x)), None
         )
+
+
+@lru_cache(maxsize=1)
+def complement_lift(L: NumClass) -> ComplementLift:
+    """The ComplementLift of L, reused while consecutive calls ask for the
+    same L.
+
+    The cache key is L by value; its equality and hash include the form, so
+    a lift is never returned for equal coordinates in another form.  A lift
+    holds no mutable state, so threads may share it.
+    """
+    return ComplementLift(L.form, L)

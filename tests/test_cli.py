@@ -224,6 +224,20 @@ class TestExitCodes:
         assert code == EXIT_EXHAUSTED
 
 
+    def test_certificate_error_is_two(self, capsys, monkeypatch):
+        import enriques_bn.invariants as inv_mod
+
+        # mu = 3 at (L^2, phi) = (16, 2) fits no classified gonality case
+        monkeypatch.setattr(
+            inv_mod, "mu",
+            lambda L, cap=None: inv_mod.MuResult(inv_mod.MU_EXACT, cap, 3),
+        )
+        code, out = invoke(
+            capsys, "invariants", "--class", "2*E1+4*E2", "--config", "i:2"
+        )
+        assert code == EXIT_DOMAIN and out == ""
+
+
 class TestDeterminism:
     def test_identical_runs_identical_bytes(self, capsys):
         args = ("invariants", "--class", "2*E1+4*E2", "--config", "i:2")

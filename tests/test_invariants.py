@@ -2,8 +2,11 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from enriques_bn import invariants
+from enriques_bn.brill_noether import enumerate_destab
 from enriques_bn.errors import (
     CertificateError,
     GenusTooSmallError,
@@ -20,6 +23,7 @@ from enriques_bn.invariants import (
     EXCEPTIONAL_SQUARE_PHI_PAIRS,
     MU_EXACT,
     MuResult,
+    PhiResult,
     _normalize_decomposition,
     _solve_coefficients,
     clifford_generic,
@@ -30,6 +34,7 @@ from enriques_bn.invariants import (
 )
 from enriques_bn.lattice import (
     DivisorClass,
+    NumClass,
     _pattern_gram,
     basis_vector,
     divisor_class,
@@ -37,7 +42,7 @@ from enriques_bn.lattice import (
     is_primitive,
     num_class,
 )
-from enriques_bn.positivity import classify_positivity, reference_ample
+from enriques_bn.positivity import classify_positivity, cohomology, reference_ample
 from enriques_bn.shortvec import ComplementLift
 from oracles import (
     box_classes_with_square,
@@ -207,6 +212,16 @@ class TestCertificateChecks:
         with pytest.raises(CertificateError):
             gonality(DivisorClass(e1 + e2 + e3, 0))
 
+    def test_mu_win_outside_the_classification(self, monkeypatch, pair_one):
+        # (L^2, phi) = (16, 2): mu = 3 would undercut 2 phi = 4 and the
+        # floor term 6 in no classified shape
+        monkeypatch.setattr(
+            invariants, "mu", lambda L, cap=None: MuResult(MU_EXACT, cap, 3)
+        )
+        e1, e2 = pair_one
+        with pytest.raises(CertificateError, match="outside the known"):
+            gonality(DivisorClass(2 * e1 + 4 * e2, 0))
+
     def test_edges_outside_every_pattern(self, triple_one):
         with pytest.raises(CertificateError):
             _normalize_decomposition(
@@ -291,6 +306,65 @@ class TestGonality:
                 [2 * rep.phi.value, rep.floor_term]
                 + ([rep.mu.value] if rep.mu.exact else [])
             )
+
+
+# Isometries of U + E8(-1) fixing f + g, as words in involutions: 0 swaps
+# f and g, and k = 1..8 reflects in the simple root e = e_(k+2) of the
+# E8(-1) block, x -> x + (x.e) e (e^2 = -2 and e.(f+g) = 0).  A word's
+# inverse is the reversed word.
+isometry_words = st.lists(st.integers(0, 8), min_size=1, max_size=8)
+
+
+def apply_isometry(word, x):
+    for gen in word:
+        if gen == 0:
+            x = NumClass((x.coords[1], x.coords[0]) + x.coords[2:], x.form)
+        else:
+            root = basis_vector(gen + 1, x.form)
+            x = x + x.dot(root) * root
+    return x
+
+
+@st.composite
+def small_ample(draw):
+    """An ample class with L^2 <= 16: f and g coefficients in 1..4, the
+    E8(-1) block in [-1, 1]."""
+    coords = [draw(st.integers(1, 4)), draw(st.integers(1, 4))]
+    coords += draw(st.lists(st.integers(-1, 1), min_size=8, max_size=8))
+    L = num_class(coords)
+    assume(0 < L.square <= 16)
+    return DivisorClass(L, draw(st.integers(0, 1)))
+
+
+class TestIsometryInvariance:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(small_ample(), isometry_words)
+    def test_invariants_and_witnesses(self, L, word):
+        a0 = reference_ample().num
+        assert apply_isometry(word, a0) == a0
+        image = DivisorClass(apply_isometry(word, L.num), L.torsion)
+        rep, rep_image = gonality(L), gonality(image)
+        assert rep_image.k == rep.k and rep_image.case_label == rep.case_label
+        assert rep_image.phi.value == rep.phi.value
+        assert (rep_image.mu.status, rep_image.mu.value, rep_image.mu.cap) == (
+            rep.mu.status, rep.mu.value, rep.mu.cap
+        )
+        assert cohomology(image) == cohomology(L)
+        # witnesses map to witnesses of the same degree, both ways
+        for source, target, target_rep, w in (
+            (rep, image, rep_image, word),
+            (rep_image, L, rep, word[::-1]),
+        ):
+            e = apply_isometry(w, source.phi.witness.num)
+            check_phi_witness(
+                target, PhiResult(target_rep.phi.value, DivisorClass(e, 0))
+            )
+            if source.mu.exact:
+                b = apply_isometry(w, source.mu.witness.num)
+                assert b.square == 4 and b != target.num
+                assert classify_positivity(DivisorClass(b, 0)).is_effective
+                assert target.num.dot(b) - 2 == target_rep.mu.value
+                assert phi(DivisorClass(b, 0)).value == 2
 
 
 class TestClifford:
@@ -470,4 +544,34 @@ class TestConcurrency:
         expected = [gonality(L).k for L in inputs]
         with ThreadPoolExecutor(max_workers=4) as pool:
             got = list(pool.map(lambda L: gonality(L).k, inputs))
+        assert got == expected
+
+    def test_lift_cache_thrashed_across_threads(self, pair_one):
+        # phi, mu, decompose and destab share complement_lift's one entry;
+        # interleaving four classes across more threads than cores makes
+        # every call race the others for it
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        e1, e2 = pair_one
+        cases = [
+            (DivisorClass(2 * e1 + 4 * e2, 0), 5),
+            (divisor_class([1, 6] + [0] * 8), 4),
+            (divisor_class([2, 5] + [0] * 8), 6),
+            (divisor_class([3, 4] + [0] * 8), 7),
+        ]
+        calls = [(phi, L) for L, _ in cases]
+        calls += [(mu, L) for L, _ in cases]
+        calls += [(decompose_isotropic, L) for L, _ in cases]
+        calls += [(enumerate_destab, L, d) for L, d in cases]
+        calls *= 3
+        expected = [fn(*args) for fn, *args in calls]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(fn, *args) for fn, *args in calls]
+                got = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
         assert got == expected

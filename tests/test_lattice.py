@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from enriques_bn.errors import (
     FormMismatchError,
@@ -84,6 +86,52 @@ class TestPairing:
         y = NumClass((1, 0), other)
         with pytest.raises(FormMismatchError):
             x.dot(y)
+
+
+@st.composite
+def form_and_classes(draw):
+    """A random symmetric integer form of rank 1..10 (odd, zero and nonzero
+    diagonal entries all occur), two classes in it and a scalar."""
+    n = draw(st.integers(1, 10))
+    gram = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            gram[i][j] = gram[j][i] = draw(st.integers(-3, 3))
+    form = IntersectionForm(n, tuple(tuple(row) for row in gram))
+    coords = st.lists(st.integers(-6, 6), min_size=n, max_size=n).map(tuple)
+    return NumClass(draw(coords), form), NumClass(draw(coords), form), draw(
+        st.integers(-4, 4)
+    )
+
+
+def dense_dot(x, y):
+    g = x.form.gram
+    n = x.form.rank
+    return sum(g[i][j] * x.coords[i] * y.coords[j] for i in range(n) for j in range(n))
+
+
+class TestPairingDifferential:
+    """The stored sparse terms against dense sums over the whole Gram."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(form_and_classes())
+    def test_dot_square_apply_match_dense_sums(self, drawn):
+        x, y, _ = drawn
+        g, n = x.form.gram, x.form.rank
+        assert x.dot(y) == dense_dot(x, y) == y.dot(x)
+        assert x.square == dense_dot(x, x)
+        assert x.form.apply(y.coords) == tuple(
+            sum(g[i][j] * y.coords[j] for j in range(n)) for i in range(n)
+        )
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(form_and_classes())
+    def test_square_after_arithmetic(self, drawn):
+        x, y, k = drawn
+        assert x.square == dense_dot(x, x)  # fill the cached square first
+        for z in (x + y, x - y, -x, k * x, x * k):
+            assert z.square == dense_dot(z, z)
+        assert (k * x).square == k * k * x.square
 
 
 class TestContent:
