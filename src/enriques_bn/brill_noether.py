@@ -23,8 +23,14 @@ from .invariants import (
     decompose_isotropic,
     gonality,
 )
-from .lattice import CONFIG_II, DivisorClass, config_ii, embed_configuration
-from .positivity import classify_positivity, cohomology
+from .lattice import (
+    CONFIG_II,
+    DivisorClass,
+    config_ii,
+    content,
+    embed_configuration,
+)
+from .positivity import classify_positivity
 from .shortvec import complement_lift
 
 STATUS_APPLIES = "applies"
@@ -156,6 +162,24 @@ class DestabCandidate:
     checklist: DestabChecklist
 
 
+#: The checklist every emitted splitting carries: enumerate_destab emits a
+#: splitting exactly when every condition holds (see its docstring).
+_ALL_PASS = DestabChecklist(True, True, True, True, True, True)
+
+
+def _isotropic_twists(c: int, l_torsion: int) -> tuple[int, ...]:
+    """The torsion bits of M listed for an isotropic N = cP at ell = 0.
+
+    N carries the torsion bit of L xor that of M.  (a) needs h1(N) >= 1,
+    and a second twist is listed only when it changes h1(N).
+    """
+    if c == 2:
+        return (l_torsion,)  # only the untwisted 2P has h1 = 1
+    if c >= 3:
+        return (0, 1) if c % 2 == 0 else (0,)
+    return ()
+
+
 def enumerate_destab(L: DivisorClass, d: int) -> list[DestabCandidate]:
     """Exhaustive numerical splittings L = M + N that could destabilize.
 
@@ -163,13 +187,39 @@ def enumerate_destab(L: DivisorClass, d: int) -> list[DestabCandidate]:
     M^2 > 0, h0(M) >= 2, h1(M) = h2(M) = 0; and when ell > 0 also
     h1(N) = 0 with N^2 > 0.  Finiteness: N.L <= L^2/2 and N^2 >= 0 bound
     the complement norm of N, so candidates come from one short-vector
-    sweep per degree.  The sweep at t = N.L asks for N^2 >= max(0, t - d),
-    which is exactly ell >= 0: M.N = (L - N).N = t - N^2, so
-    ell = d - t + N^2.  At the tie 2t = L^2, M^2 = L^2 - 2t + N^2 = N^2,
-    so M and N pass together and the tie dedup sees both.  Both torsion
-    decorations are listed when they give M or N different cohomology;
-    otherwise the untwisted M is kept.  (M - N and N - M carry the torsion
-    bit of L under both, so they cannot tell the decorations apart.)
+    sweep per degree t = N.L, in the order (t, N coordinates, torsion of
+    M), which is lexicographic within each fiber (the ordering
+    certificate of ``shortvec``).
+
+    Every condition is decided by arithmetic on t, s = N^2 and, when s = 0,
+    the content c of N; no cohomology is computed.  Write M = L - N, so
+    M.N = t - s and ell = d - t + s.
+
+    - ell >= 0 is exactly s >= t - d, which the sweep asks for.
+    - N is effective: N != 0 with N^2 >= 0 and N.L > 0 for the ample L
+      lies in the positive cone of L.  M.L = L^2 - t >= L^2/2 > 0, and
+      M^2 = L^2 - 2t + s.  For 2t < L^2 the lattice is even, so
+      M^2 >= 2 + s > 0; at the tie 2t = L^2, M^2 = s.  Whenever M^2 > 0,
+      M is effective and not isotropic, so h1(M) = h2(M) = 0 and
+      h0(M) = M^2/2 + 1 >= 2 under either torsion bit: (b) and (c) hold
+      exactly when M^2 > 0, that is off the tie or with s > 0.
+    - If s > 0, then s >= 2, h1(N) = 0 and h0(N) = s/2 + 1 >= 2, so (a)
+      and (e) hold.  Neither torsion twist changes the cohomology of M or
+      N, so only the untwisted M is listed.
+    - If s = 0, then (e) needs ell = 0, that is t = d.  This is never the
+      tie, as d <= g - k < L^2/2.  N = cP with P primitive isotropic has
+      h0(N) = 1 + h1(N), and h1(N) is floor(c/2) for c >= 2 untwisted and
+      floor((c-1)/2) for c >= 3 twisted, 0 otherwise.  So (a) needs c >= 2
+      for an untwisted N and c >= 3 for a twisted one.  The two twists give
+      different h1(N) only for even c >= 4, and only then are both listed.
+
+    So the sweep asks for s >= max(t - d, 1) at every t != d, and for
+    s >= 0 only at t = d; every splitting it keeps passes the whole
+    checklist.  At the tie M and N pass together (M^2 = N^2), and only the
+    lexicographically first N of the two is kept.  (M - N and N - M carry
+    the torsion bit of L under both twists, so they cannot tell the twists
+    apart.)  ``tests/oracles.destab_unpruned`` computes the same list from
+    the cohomology of every splitting.
     """
     rep = gonality(L)
     g, k = rep.genus, rep.k
@@ -179,33 +229,18 @@ def enumerate_destab(L: DivisorClass, d: int) -> list[DestabCandidate]:
     lift = complement_lift(L.num)
     out: list[DestabCandidate] = []
     for t in range(1, l_sq // 2 + 1):
-        for n_num in lift.fiber_min_square(t, max(0, t - d)):
+        min_square = 0 if t == d else max(t - d, 1)
+        for n_num in lift.fiber_min_square(t, min_square):
             m_num = L.num - n_num
-            mn = m_num.dot(n_num)
-            ell = d - mn
             if 2 * t == l_sq and m_num.coords < n_num.coords:
                 continue  # dedup the M.L = N.L tie: keep N lexicographically first
-            seen = []
-            for torsion_m in (0, 1):
+            s = n_num.square
+            twists = (0,) if s else _isotropic_twists(content(n_num)[0], L.torsion)
+            mn = t - s
+            for torsion_m in twists:
                 M = DivisorClass(m_num, torsion_m)
                 N = DivisorClass(n_num, L.torsion ^ torsion_m)
-                ch_n = cohomology(N)
-                ch_m = cohomology(M)
-                checklist = DestabChecklist(
-                    a_h0_N_ge_2=ch_n.h0 >= 2,
-                    b_M_square_positive=m_num.square > 0,
-                    b_h0_M_ge_2=ch_m.h0 >= 2,
-                    b_h2_M_zero=ch_m.h2 == 0,
-                    c_h1_M_zero=ch_m.h1 == 0,
-                    e_points_supported=(
-                        ell == 0 or (ch_n.h1 == 0 and n_num.square > 0)
-                    ),
-                )
-                if not checklist.all_pass() or (ch_m, ch_n) in seen:
-                    continue  # fails, or the torsion twist changes nothing
-                seen.append((ch_m, ch_n))
-                out.append(DestabCandidate(M, N, d, mn, ell, checklist))
-    out.sort(key=lambda c: (c.N.dot(L), c.N.num.coords, c.M.torsion))
+                out.append(DestabCandidate(M, N, d, mn, d - mn, _ALL_PASS))
     return out
 
 
@@ -229,8 +264,6 @@ def cliff_chain_bound(M: DivisorClass, N: DivisorClass, E: DivisorClass) -> int:
     E must be a primitive isotropic effective class with E.(M - N) >= 1;
     the returned bound is then automatically <= M.N - 1.
     """
-    from .lattice import content
-
     st = classify_positivity(E)
     if E.square != 0 or not st.is_effective or content(E.num)[0] != 1:
         raise ValueError("E must be primitive isotropic effective")

@@ -169,8 +169,12 @@ def mu(L: DivisorClass, cap: int | None = None) -> MuResult:
     The phi(B) = 2 test never rebuilds lattice machinery per candidate:
     phi(B) = 1 would need an isotropic E with E.B = 1, and the Gram
     determinant of <B, E, L> (which is >= 0 in signature (1,9)) forces
-    E.L <= (B.L + sqrt((B.L)^2 - 4 L^2)) / 4, so one bounded pool of
-    isotropic classes decides the test for every candidate at once.
+    E.L <= (B.L + sqrt((B.L)^2 - 4 L^2)) / 4, so at degree t = B.L one
+    pool of isotropic classes with E.L below that bound decides the test
+    for every candidate.  The bound grows with t, so the pool is extended
+    degree by degree and never holds a class the current degree does not
+    need.  Degrees with t^2 < 4 L^2 are skipped: by the Hodge index
+    theorem (B.L)^2 >= B^2 L^2 = 4 L^2, so no candidate lies there.
     """
     _require_effective_positive(L, "mu")
     if cap is None:
@@ -178,11 +182,8 @@ def mu(L: DivisorClass, cap: int | None = None) -> MuResult:
     lift = complement_lift(L.num)
     num_L = L.num
     l_sq = L.square
-    disc = cap * cap - 4 * l_sq
-    pool_bound = (cap + math.isqrt(disc)) // 4 if disc >= 0 else 0
     iso_pool: list[NumClass] = []
-    for s in range(1, pool_bound + 1):
-        iso_pool.extend(lift.fiber(s, 0))
+    pool_degree = 0  # iso_pool holds every isotropic E with E.L <= this
 
     def admissible(x: NumClass) -> bool:
         # the definition excludes B numerically equal to L, and phi(x) = 1
@@ -190,6 +191,12 @@ def mu(L: DivisorClass, cap: int | None = None) -> MuResult:
         return x != num_L and all(e.dot(x) != 1 for e in iso_pool)
 
     for t in range(1, cap + 1):
+        disc = t * t - 4 * l_sq
+        if disc < 0:
+            continue
+        for s in range(pool_degree + 1, (t + math.isqrt(disc)) // 4 + 1):
+            iso_pool.extend(lift.fiber(s, 0))
+            pool_degree = s
         # fibers come in lexicographic order, so the first admissible
         # candidate at the minimal degree is the canonical witness
         x = lift.first(t, 4, admissible)
@@ -364,6 +371,19 @@ def decompose_isotropic(L: DivisorClass) -> IsotropicDecomposition:
     Deterministic; raises SearchExhaustedError with the bound that was hit
     (DECOMPOSE_MAX_CANDIDATES, DECOMPOSE_MAX_NODES) rather than silently
     truncating.
+
+    Two cuts leave that order and its first hit unchanged:
+
+    - a stage tries only subsets holding a class new at its degree: every
+      subset of the older pool already failed the same solve one stage
+      before (the last chosen index starts at the old pool size);
+    - a partial subset is dropped unless its residual R = L - sum E_i is
+      0 or has R^2 >= 0 and R.A0 > 0.  In a decomposition R is a
+      nonnegative combination of effective isotropic classes pairing to 1
+      or 2, so this holds for every subset of the generators.  As the
+      complement of A0 is negative definite, the test reads R^2 >= 0 and
+      R.A0 >= 0, and both numbers follow from the pairings already known:
+      adding E to the subset takes R^2 to R^2 - 2 (E.L - sum of E.E_i).
     """
     st = classify_positivity(L)
     if not st.is_effective or L.square < 0:
@@ -375,37 +395,33 @@ def decompose_isotropic(L: DivisorClass) -> IsotropicDecomposition:
         return IsotropicDecomposition((DivisorClass(prim, 0),), (c,), CONFIG_I)
 
     lift = complement_lift(L.num)
+    a0 = reference_ample(L.num.form).num
     l_sq = L.square
-    fiber_cache: dict[int, list[NumClass]] = {}
+    # the pool by degree, then lexicographically (fibers come sorted), with
+    # each class's degrees against L and A0; it only ever grows at the end,
+    # so indices into it and the pairing cache stay valid across stages
+    cands: list[NumClass] = []
+    deg_l: list[int] = []
+    deg_a0: list[int] = []
+    pairs: dict[tuple[int, int], int] = {}
 
-    def pool_up_to(bound: int) -> list[NumClass]:
-        out = []
-        for t in range(1, bound + 1):
-            if t not in fiber_cache:
-                fiber_cache[t] = [
-                    x for x in lift.fiber(t, 0) if content(x)[0] == 1
-                ]
-            out.extend(fiber_cache[t])
-        return out  # by degree, then lexicographically: fibers come sorted
+    def pairing(i: int, j: int) -> int:
+        if (i, j) not in pairs:
+            pairs[i, j] = cands[i].dot(cands[j])
+        return pairs[i, j]
 
     budget = DECOMPOSE_MAX_NODES
 
-    def search(cands: list[NumClass], size: int) -> IsotropicDecomposition | None:
-        """Depth-first over index tuples of exactly the given size."""
-        nonlocal budget
+    def search(size: int, first_new: int) -> IsotropicDecomposition | None:
+        """Depth-first over index tuples of exactly the given size whose
+        last index is at least first_new."""
         n_cand = len(cands)
-        pairs: dict[tuple[int, int], int] = {}
-
-        def pairing(i: int, j: int) -> int:
-            key = (i, j) if i < j else (j, i)
-            if key not in pairs:
-                pairs[key] = cands[key[0]].dot(cands[key[1]])
-            return pairs[key]
-
         chosen: list[int] = []
         two_edges: list[tuple[int, int]] = []
 
-        def rec(start: int) -> IsotropicDecomposition | None:
+        def rec(
+            start: int, r_sq: int, r_a0: int
+        ) -> IsotropicDecomposition | None:
             nonlocal budget
             if len(chosen) == size:
                 gens = [cands[i] for i in chosen]
@@ -413,6 +429,8 @@ def decompose_isotropic(L: DivisorClass) -> IsotropicDecomposition:
                 if coeffs is not None:
                     return _normalize_decomposition(gens, coeffs, two_edges)
                 return None
+            if len(chosen) == size - 1:
+                start = max(start, first_new)
             for idx in range(start, n_cand):
                 budget -= 1
                 if budget <= 0:
@@ -422,44 +440,52 @@ def decompose_isotropic(L: DivisorClass) -> IsotropicDecomposition:
                     )
                 ok = True
                 new_edges = []
+                paired = 0
                 for pos, prev in enumerate(chosen):
                     v = pairing(prev, idx)
                     if v not in (1, 2):
                         ok = False
                         break
+                    paired += v
                     if v == 2:
                         new_edges.append((pos, len(chosen)))
                 if not ok:
                     continue
+                next_sq = r_sq - 2 * (deg_l[idx] - paired)
+                next_a0 = r_a0 - deg_a0[idx]
+                if next_sq < 0 or next_a0 < 0:
+                    continue  # the residual is neither 0 nor effective
                 if _pattern_of(two_edges + new_edges) is None:
                     continue
                 chosen.append(idx)
                 two_edges.extend(new_edges)
-                hit = rec(idx + 1)
+                hit = rec(idx + 1, next_sq, next_a0)
                 if hit is not None:
                     return hit
                 del two_edges[len(two_edges) - len(new_edges):]
                 chosen.pop()
             return None
 
-        return rec(0)
+        return rec(0, l_sq, L.num.dot(a0))
 
     # Small generator sets are overwhelmingly more common, so try all pairs
     # before any triple and so on; together with the degree-staged pool
     # growth this makes the returned decomposition deterministic.
-    last_pool = -1
     for bound in range(1, l_sq + 1):
-        cands = pool_up_to(bound)
-        if len(cands) == last_pool:
+        new = [x for x in lift.fiber(bound, 0) if content(x)[0] == 1]
+        if not new:
             continue  # nothing new at this degree
-        last_pool = len(cands)
+        first_new = len(cands)
+        cands.extend(new)
+        deg_l.extend([bound] * len(new))
+        deg_a0.extend(x.dot(a0) for x in new)
         if len(cands) > DECOMPOSE_MAX_CANDIDATES:
             raise SearchExhaustedError(
                 f"candidate pool exceeded {DECOMPOSE_MAX_CANDIDATES} classes "
                 f"at degree bound {bound}"
             )
         for size in range(2, min(10, len(cands)) + 1):
-            hit = search(cands, size)
+            hit = search(size, first_new)
             if hit is not None:
                 return hit
     raise SearchExhaustedError(

@@ -269,16 +269,16 @@ def enumerate_short(q: PosDefForm, bound: Rational) -> ShortVectorResult:
 def _lift_points(
     form: IntersectionForm,
     x0: NumClass,
-    kernel: Sequence[NumClass],
+    entries: Sequence[Sequence[tuple[int, int]]],
     pts: Iterable[tuple[int, ...]],
 ) -> Iterator[NumClass]:
     """x0 + sum y_i * kernel_i for every point, lazily, in the order of pts.
 
-    Each kernel vector adds only its nonzero entries; the echelon vectors
-    of U + E8(-1) complements have two or three.
+    ``entries`` holds the nonzero (column, value) pairs of each kernel
+    vector, built once per basis by :func:`_complement_basis`; the echelon
+    vectors of U + E8(-1) complements have two or three.
     """
     base = x0.coords
-    entries = [[(j, a) for j, a in enumerate(v.coords) if a] for v in kernel]
     for y in pts:
         acc = list(base)
         for yi, vector in zip(y, entries):
@@ -318,8 +318,9 @@ def _echelon_basis(vectors: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
 
 def _complement_basis(
     form: IntersectionForm, kernel: Sequence[tuple[int, ...]]
-) -> tuple[list[NumClass], PosDefForm, _ScaledLDL]:
-    """The kernel in echelon form, its negated Gram form and scaled factors.
+) -> tuple[list[NumClass], list[list[tuple[int, int]]], PosDefForm, _ScaledLDL]:
+    """The kernel in echelon form, the nonzero (column, value) pairs of each
+    of its vectors, its negated Gram form and scaled factors.
 
     The basis is :func:`_echelon_basis` reversed, so the row with the first
     pivot is the outermost search level.  For x = x0 + sum y_r B_r, two
@@ -336,7 +337,8 @@ def _complement_basis(
         for j in range(i, k):
             gram[i][j] = gram[j][i] = -sum(map(mul, pairings[i], vectors[j]))
     q_perp = PosDefForm(k, tuple(tuple(row) for row in gram))
-    return [NumClass(v, form) for v in vectors], q_perp, _ScaledLDL(gram)
+    entries = [[(j, a) for j, a in enumerate(v) if a] for v in vectors]
+    return [NumClass(v, form) for v in vectors], entries, q_perp, _ScaledLDL(gram)
 
 
 def _fiber(
@@ -344,7 +346,7 @@ def _fiber(
     x0: NumClass,
     b: Sequence[int],
     x0_square: int,
-    kernel: Sequence[NumClass],
+    entries: Sequence[Sequence[tuple[int, int]]],
     ldl: _ScaledLDL,
     square: int,
     exact: bool,
@@ -354,11 +356,12 @@ def _fiber(
 
     With x = x0 + sum y_i k_i and b_i = x0.k_i, completing the square gives
     x^2 = x0^2 + b.c - q(y - c) for c = G^-1 b, so the condition is an
-    ellipsoid bound on y.  The caller passes b and x0^2.  An exact search
+    ellipsoid bound on y.  The caller passes b, x0^2 and the nonzero
+    entries of the k_i (see :func:`_lift_points`).  An exact search
     rechecks the square of every class it yields and raises
     CertificateError on a mismatch.
     """
-    out = _lift_points(form, x0, kernel, ldl.search(b, x0_square - square, exact))
+    out = _lift_points(form, x0, entries, ldl.search(b, x0_square - square, exact))
     if not exact:
         yield from out
         return
@@ -386,7 +389,9 @@ class FiberSystem:
         self.classes = list(classes)
         self._rows = [form.apply(u.coords) for u in self.classes]
         _, kernel = solve_integer_linear(self._rows, [0] * len(self._rows))
-        self._kernel, self.q_perp, self._ldl = _complement_basis(form, kernel)
+        self._kernel, self._entries, self.q_perp, self._ldl = _complement_basis(
+            form, kernel
+        )
 
     def _enumerate(
         self, values: Sequence[int], square: int, exact: bool
@@ -397,7 +402,7 @@ class FiberSystem:
         x0 = NumClass(x0_coords, self.form)
         b = [x0.dot(v) for v in self._kernel]
         return _fiber(
-            self.form, x0, b, x0.square, self._kernel, self._ldl, square, exact
+            self.form, x0, b, x0.square, self._entries, self._ldl, square, exact
         )
 
     def solutions(self, values: Sequence[int], square: int) -> list[NumClass]:
@@ -441,7 +446,9 @@ class ComplementLift:
                 f"no integer x with x.L = {g}, the content of L's pairing vector"
             )
         self._x0_unit = NumClass(x0, form)
-        self._kernel, self.q_perp, self._ldl = _complement_basis(form, kernel)
+        self._kernel, self._entries, self.q_perp, self._ldl = _complement_basis(
+            form, kernel
+        )
         self._b_unit = [self._x0_unit.dot(v) for v in self._kernel]
         self._x0_unit_square = self._x0_unit.square
 
@@ -457,7 +464,7 @@ class ComplementLift:
         b = [m * bi for bi in self._b_unit]
         x0_square = m * m * self._x0_unit_square
         return _fiber(
-            self.form, m * self._x0_unit, b, x0_square, self._kernel, self._ldl,
+            self.form, m * self._x0_unit, b, x0_square, self._entries, self._ldl,
             square, exact,
         )
 

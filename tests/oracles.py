@@ -18,6 +18,12 @@ solves their coordinate equations over the integers.
 ``mu_full_scan`` and ``destab_unpruned`` are the whole-fiber forms of
 ``mu`` and ``enumerate_destab``: they build every fiber in full and filter
 afterwards, where the library stops at the first hit or prunes the search.
+``destab_unpruned`` also decides the splitting checklist from the
+cohomology of M and N, where the library decides it by arithmetic.
+``mu_whole_pool`` builds mu's isotropic pool for the cap before the scan,
+where the library grows it with the degree.  ``decompose_unpruned`` is the
+decomposition search before its stages were restricted to new classes and
+its partial subsets pruned by their residual.
 """
 
 from __future__ import annotations
@@ -405,6 +411,30 @@ def mu_full_scan(L, cap: int):
     return None
 
 
+def mu_whole_pool(L, cap: int):
+    """``mu(L, cap)`` as it ran before its isotropic pool grew with the
+    degree: the pool of every isotropic E with E.L <= (cap + sqrt(cap^2 -
+    4 L^2)) / 4 is built before degree 1 is scanned, and no degree is
+    skipped."""
+    from enriques_bn.invariants import MU_EXACT, MU_NOT_FOUND, MuResult
+    from enriques_bn.lattice import DivisorClass
+    from enriques_bn.shortvec import ComplementLift
+
+    lift = ComplementLift(L.num.form, L.num)
+    disc = cap * cap - 4 * L.square
+    pool_bound = (cap + math.isqrt(disc)) // 4 if disc >= 0 else 0
+    iso_pool = [e for s in range(1, pool_bound + 1) for e in lift.fiber(s, 0)]
+
+    def admissible(x) -> bool:
+        return x != L.num and all(e.dot(x) != 1 for e in iso_pool)
+
+    for t in range(1, cap + 1):
+        x = lift.first(t, 4, admissible)
+        if x is not None:
+            return MuResult(MU_EXACT, cap, t - 2, DivisorClass(x, 0))
+    return MuResult(MU_NOT_FOUND, cap)
+
+
 def destab_unpruned(L, d: int) -> list:
     """``enumerate_destab(L, d)`` as it ran before its sweep was pruned: every
     N with N.L = t <= L^2/2 and N^2 >= 0, the ell = d - M.N >= 0 filter
@@ -451,3 +481,76 @@ def destab_unpruned(L, d: int) -> list:
                 out.append(DestabCandidate(M, N, d, mn, ell, checklist))
     out.sort(key=lambda c: (c.N.dot(L), c.N.num.coords, c.M.torsion))
     return out
+
+
+def decompose_unpruned(L):
+    """``decompose_isotropic(L)`` as it ran before its stages were restricted
+    to subsets holding a class new at the stage's degree and its partial
+    subsets pruned by the residual L - sum E_i: every stage searches every
+    subset of the whole pool again.  Same budgets, same order, same errors."""
+    from enriques_bn import invariants as inv
+    from enriques_bn.errors import SearchExhaustedError
+    from enriques_bn.lattice import CONFIG_I, DivisorClass, content
+    from enriques_bn.shortvec import ComplementLift
+
+    if L.square == 0:
+        c, prim = content(L.num)
+        return inv.IsotropicDecomposition((DivisorClass(prim, 0),), (c,), CONFIG_I)
+    lift = ComplementLift(L.num.form, L.num)
+    l_sq = L.square
+    budget = inv.DECOMPOSE_MAX_NODES
+
+    def search(cands, size):
+        nonlocal budget
+        chosen, two_edges = [], []
+
+        def rec(start):
+            nonlocal budget
+            if len(chosen) == size:
+                gens = [cands[i] for i in chosen]
+                coeffs = inv._solve_coefficients(gens, L.num)
+                if coeffs is not None:
+                    return inv._normalize_decomposition(gens, coeffs, two_edges)
+                return None
+            for idx in range(start, len(cands)):
+                budget -= 1
+                if budget <= 0:
+                    raise SearchExhaustedError(
+                        f"decomposition search exceeded {inv.DECOMPOSE_MAX_NODES} "
+                        f"nodes (pool size {len(cands)})"
+                    )
+                values = [cands[prev].dot(cands[idx]) for prev in chosen]
+                if any(v not in (1, 2) for v in values):
+                    continue
+                new_edges = [(pos, len(chosen)) for pos, v in enumerate(values) if v == 2]
+                if inv._pattern_of(two_edges + new_edges) is None:
+                    continue
+                chosen.append(idx)
+                two_edges.extend(new_edges)
+                hit = rec(idx + 1)
+                if hit is not None:
+                    return hit
+                del two_edges[len(two_edges) - len(new_edges):]
+                chosen.pop()
+            return None
+
+        return rec(0)
+
+    cands = []
+    for bound in range(1, l_sq + 1):
+        new = [x for x in lift.fiber(bound, 0) if content(x)[0] == 1]
+        if not new:
+            continue
+        cands = cands + new
+        if len(cands) > inv.DECOMPOSE_MAX_CANDIDATES:
+            raise SearchExhaustedError(
+                f"candidate pool exceeded {inv.DECOMPOSE_MAX_CANDIDATES} classes "
+                f"at degree bound {bound}"
+            )
+        for size in range(2, min(10, len(cands)) + 1):
+            hit = search(cands, size)
+            if hit is not None:
+                return hit
+    raise SearchExhaustedError(
+        f"no decomposition found with generator degrees <= L^2 = {l_sq}"
+    )

@@ -22,6 +22,7 @@ from enriques_bn.lattice import (
     DivisorClass,
     basis_vector,
     config_i,
+    content,
     divisor_class,
     embed_configuration,
 )
@@ -153,20 +154,47 @@ class TestEnumerateDestab:
 
 
 class TestDestabPruning:
-    def test_matches_the_unpruned_sweep(self, pair_one):
-        """The sweep at N^2 >= t - d drops exactly the ell < 0 splittings."""
+    @staticmethod
+    def destab_inputs(pair_one):
+        """The benchmark's six destab classes, plus f + 6g with torsion 1."""
         e1, e2 = pair_one
         f_g = ((1, 6), (1, 8), (1, 10), (2, 5), (3, 4))
         classes = [divisor_class([a, b] + [0] * 8) for a, b in f_g]
         classes.append(DivisorClass(2 * e1 + 4 * e2, 0))
-        total = 0
+        classes.append(divisor_class([1, 6] + [0] * 8, torsion=1))
         for L in classes:
             rep = gonality(L)
             for d in range(rep.k, rep.genus - rep.k + 1):
-                cands = enumerate_destab(L, d)
-                assert cands == destab_unpruned(L, d)
-                total += len(cands)
+                yield L, d
+
+    def test_matches_the_unpruned_sweep(self, pair_one):
+        """The arithmetic checklist and the pruned sweep give the list that
+        the cohomology of every splitting gives, order, twists and
+        checklists included."""
+        total = 0
+        isotropic = set()  # (content of N, torsion of M, torsion of L)
+        for L, d in self.destab_inputs(pair_one):
+            cands = enumerate_destab(L, d)
+            assert cands == destab_unpruned(L, d)
+            total += len(cands)
+            isotropic |= {
+                (content(c.N.num)[0], c.M.torsion, L.torsion)
+                for c in cands
+                if c.N.square == 0
+            }
         assert total > 0
+        contents = {c for c, _, _ in isotropic}
+        assert 2 in contents and {3, 5} & contents
+        # an even content of at least 4 lists both twists, under both L
+        assert {(4, 0, 0), (4, 1, 0), (4, 0, 1), (4, 1, 1)} <= isotropic
+        assert (2, 1, 1) in isotropic  # 2P untwisted needs M twisted
+
+    def test_emitted_in_sorted_order(self, pair_one):
+        for L, d in self.destab_inputs(pair_one):
+            cands = enumerate_destab(L, d)
+            assert cands == sorted(
+                cands, key=lambda c: (c.N.dot(L), c.N.num.coords, c.M.torsion)
+            )
 
 
 class TestCliffChainBound:

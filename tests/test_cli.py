@@ -171,6 +171,15 @@ class TestCommands:
         assert r["configuration"] == "config-ii"
         assert sorted(r["coefficients"]) == [3, 3]
 
+    @pytest.mark.parametrize("cls", ["3*E1+2*E2+E3", "3*E1+E2+2*E3"])
+    def test_decompose_square_forty(self, capsys, cls):
+        # the search without its stage and residual cuts exhausts its node
+        # budget on both (exit 3)
+        r = result_of(capsys, "decompose", "--class", cls, "--config", "iii:3")
+        assert r["n"] == 3
+        assert r["configuration"] == "config-iii"
+        assert r["coefficients"] == [3, 2, 1]
+
     def test_selftest(self, capsys):
         code, out = invoke(capsys, "selftest", "--seed", "5")
         assert code == EXIT_OK

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -37,7 +38,11 @@ from enriques_bn.lattice import (
     NumClass,
     _pattern_gram,
     basis_vector,
+    config_i,
+    config_ii,
+    config_iii,
     divisor_class,
+    embed_configuration,
     integer_determinant,
     is_primitive,
     num_class,
@@ -47,8 +52,10 @@ from enriques_bn.shortvec import ComplementLift
 from oracles import (
     box_classes_with_square,
     box_isotropic_minimum,
+    decompose_unpruned,
     fraction_coefficients,
     mu_full_scan,
+    mu_whole_pool,
 )
 
 
@@ -194,6 +201,49 @@ class TestMuFirstHit:
             fiber = ComplementLift(L.num.form, L.num).fiber(res.value + 2, 4)
             first_rejected += fiber[0].coords != want[1]
         assert first_rejected and not_found  # both paths of the search ran
+
+
+class TestMuPoolGrowth:
+    """mu extends its isotropic pool with the degree it scans and skips the
+    degrees below the Hodge bound; the oracles build the cap's whole pool
+    first, or test phi(B) = 2 on whole fibers."""
+
+    def test_against_whole_pool(self):
+        rng = random.Random(52)
+        cases = []
+        for i in range(24):
+            L = random_ample(rng, max_square=24)
+            cases.append((L, 2 * phi(L).value + (6 if i % 2 else 2)))
+        # mu(3f + g) = 6 at degree 8: not found below caps 4 and 7
+        three_f_g = divisor_class([3, 1] + [0] * 8)
+        cases += [(three_f_g, 4), (three_f_g, 7), (three_f_g, 8)]
+        found = not_found = 0
+        for L, cap in cases:
+            res = mu(L, cap)
+            assert res == mu_whole_pool(L, cap)
+            found += res.exact
+            not_found += not res.exact
+        assert found and not_found
+
+    def test_against_full_fiber_scan_at_raised_caps(self):
+        rng = random.Random(53)
+        for _ in range(6):
+            L = random_ample(rng, max_square=12)
+            res = mu(L, 2 * phi(L).value + 6)
+            want = mu_full_scan(L, res.cap)
+            assert res.exact == (want is not None)
+            if want is not None:
+                assert (res.value, res.witness.num.coords) == want
+
+    def test_raised_caps_keep_the_value_and_witness(self):
+        L = divisor_class([3, 1] + [0] * 8)
+        base = mu(L, 12)
+        assert base.exact and base.value == 6
+        for cap in (28, 40):
+            res = mu(L, cap)
+            assert (res.status, res.value, res.witness) == (
+                base.status, base.value, base.witness
+            )
 
 
 class TestCertificateChecks:
@@ -525,6 +575,55 @@ class TestDecomposeBudgets:
         monkeypatch.setattr(invariants, "DECOMPOSE_MAX_NODES", 1)
         with pytest.raises(SearchExhaustedError, match="nodes"):
             decompose_isotropic(DivisorClass(3 * (e1 + e2), 0))
+
+
+def family_members(config, max_square=40, coefficients=range(1, 4)):
+    """(coefficients, L) for L = sum a_i E_i over one embedded configuration,
+    every a_i in ``coefficients``, 0 < L^2 <= max_square."""
+    gens = embed_configuration(config)
+    for coeffs in itertools.product(coefficients, repeat=len(gens)):
+        num = coeffs[0] * gens[0]
+        for c, e in zip(coeffs[1:], gens[1:]):
+            num = num + c * e
+        if num.square <= max_square:
+            yield coeffs, DivisorClass(num, 0)
+
+
+class TestDecomposeCuts:
+    """The stage restriction to new classes and the residual cut leave the
+    search's first hit unchanged and let it finish at L^2 = 40."""
+
+    @pytest.mark.parametrize(
+        "config", [config_i(2), config_ii(2), config_i(3), config_ii(3)],
+        ids=["i:2", "ii:2", "i:3", "ii:3"],
+    )
+    def test_against_the_unpruned_search(self, config):
+        for _, L in family_members(config):
+            assert decompose_isotropic(L) == decompose_unpruned(L)
+
+    def test_against_the_unpruned_search_on_iii3(self):
+        # the unpruned search is slow on the members with a_1 = 1 other
+        # than (1, 1, 1), and (3, 1, 2), (3, 2, 1) exhaust its node budget
+        checked = 0
+        for coeffs, L in family_members(config_iii(3)):
+            if coeffs in ((3, 1, 2), (3, 2, 1)) or coeffs[0] == 1 < max(coeffs):
+                continue
+            assert decompose_isotropic(L) == decompose_unpruned(L)
+            checked += 1
+        assert checked == 8
+
+    @pytest.mark.parametrize("coeffs", [(3, 2, 1), (3, 1, 2)])
+    def test_square_forty_members_of_iii3(self, monkeypatch, triple_iii, coeffs):
+        # within 93,880 search nodes; without the stage cut it takes 94,625
+        monkeypatch.setattr(invariants, "DECOMPOSE_MAX_NODES", 93_880)
+        e1, e2, e3 = triple_iii
+        L = DivisorClass(coeffs[0] * e1 + coeffs[1] * e2 + coeffs[2] * e3, 0)
+        assert L.square == 40
+        dec = decompose_isotropic(L)
+        assert dec.configuration == "config-iii"
+        assert dec.coefficients == (3, 2, 1)
+        a, b, c = (g.num for g in dec.generators)
+        assert 3 * a + 2 * b + c == L.num
 
 
 class TestConcurrency:
