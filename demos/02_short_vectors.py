@@ -12,6 +12,7 @@ from enriques_bn import (
     enumerate_short,
     num_class,
 )
+from enriques_bn.lattice import solve_integer_linear
 
 print("Short vectors of the square form x^2 + y^2 (Gram diag(2, 2)):")
 q = PosDefForm(2, ((2, 0), (0, 2)))
@@ -23,14 +24,17 @@ print("\nProjection along a class L of positive square:")
 form = canonical_form()
 L = num_class([2, 4] + [0] * 8)
 lift = ComplementLift(form, L)
-q_perp = lift.q_perp
+# the complement of L: the integer kernel of x -> x.L, with the negated Gram
+_, kernel = solve_integer_linear([form.apply(L.coords)], [0])
+gram = tuple(tuple(-num_class(u).dot(num_class(v)) for v in kernel) for u in kernel)
+q_perp = PosDefForm(len(kernel), gram)
 print(f"  L = {L.coords},  L^2 = {L.square}")
 print(f"  complement form has rank {q_perp.rank};"
       f" positive definite: {q_perp.is_positive_definite()}")
 print("  the identity -(x_perp)^2 = (x.L)^2/L^2 - x^2 drives every search:")
 f = num_class([1, 0] + [0] * 8)
-print(f"    x = f: complement norm {lift.complement_norm(f)}"
-      f" = {Fraction(f.dot(L)**2, L.square)} - {f.square}")
+along = Fraction(f.dot(L)**2, L.square)
+print(f"    x = f: complement norm {along - f.square} = {along} - {f.square}")
 
 print("\nFibers x.L = t of prescribed self-intersection:")
 for t in (2, 4, 6):

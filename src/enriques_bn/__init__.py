@@ -6,8 +6,8 @@ integer-scaled LDL factors, so no float decides anything and every bound is
 exact.  The main entry points:
 
 - :func:`canonical_form`, :func:`embed_configuration` -- the lattice.
-- :func:`enumerate_short`, :class:`ComplementLift`, :class:`FiberSystem` --
-  the search kernel.
+- :func:`enumerate_short`, :class:`FiberSystem` -- the search kernel: one
+  fiber class, whose one-constraint case is :class:`ComplementLift`.
 - :func:`classify_positivity`, :func:`cohomology` -- positivity and h^i.
 - :func:`phi`, :func:`mu`, :func:`gonality`, :func:`clifford_generic`,
   :func:`decompose_isotropic` -- polarization invariants.

@@ -135,11 +135,7 @@ def phi(L: DivisorClass) -> PhiResult:
     lift = complement_lift(L.num)
     a0 = reference_ample(L.num.form)
     for t in range(1, math.isqrt(L.square) + 1):
-        hits = [
-            x
-            for x in lift.fiber(t, 0)
-            if not x.is_zero() and content(x)[0] == 1
-        ]
+        hits = [x for x in lift.fiber(t, 0) if content(x)[0] == 1]
         if hits:
             # effectivity is automatic: x.L > 0 puts x in the cone of L
             bad = next((x for x in hits if x.dot(a0.num) <= 0), None)

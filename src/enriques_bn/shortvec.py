@@ -25,22 +25,21 @@ The complement basis is in row-echelon form with positive pivots, the first
 pivot at the outermost search level, and every level is scanned in
 ascending order.  So the search itself emits the lattice points x in
 strictly increasing lexicographic order of their coordinates (the ordering
-certificate, argued at :func:`_complement_basis`): no caller sorts a fiber,
-and ``ComplementLift.first`` stops the search at the first class a caller
-accepts.  Every class of an exact search is still square-checked before a
-caller sees it.
+certificate, argued at :meth:`FiberSystem._set_kernel`): no caller sorts a
+fiber, and ``ComplementLift.first`` stops the search at the first class a
+caller accepts.  Every class of an exact search is still square-checked
+before a caller sees it.
 
-Set-up cost is paid once per constraint set.  The complement Gram comes
-from one ``form.apply`` per basis vector and integer inner products, one
-per entry on or above the diagonal.  A ``ComplementLift`` also keeps the
-pairings b of its unit particular solution x0 with the basis and x0^2; the
-fiber at x.L = m * degree_step scales them to m b and m^2 x0^2 instead of
-pairing again.  :func:`complement_lift` keeps the last lift it built, keyed
-on L by value (the key includes the form), so phi, mu, destab and
-decompose on one polarization share one lift.  Reusing a lift keeps every
-certificate: a lift is immutable data fixed by (form, L) alone, each call
-runs its own search on it, and the square recheck, the ``CertificateError``
-checks and the lexicographic order act on every search as before.
+One fiber class, :class:`FiberSystem`, runs every search on the kernel of
+its constraint classes, set up once.  A :class:`ComplementLift` is its
+one-constraint case: it keeps its unit particular solution x0 of
+x.L = degree_step and the pairings b of x0 with the basis, and the fiber at
+x.L = m * degree_step scales x0, b and x0^2 instead of solving and pairing
+again.  :func:`complement_lift` keeps the last lift it built, keyed on L by
+value (the key includes the form), so phi, mu, destab and decompose on one
+polarization share one lift.  A lift is immutable data fixed by (form, L)
+alone and each call runs its own search on it, so reuse keeps every
+certificate.
 """
 
 from __future__ import annotations
@@ -60,7 +59,6 @@ from .errors import (
 from .lattice import (
     IntersectionForm,
     NumClass,
-    integer_determinant,
     solve_integer_linear,
 )
 
@@ -87,14 +85,14 @@ class PosDefForm:
                 if self.numer[i][j] != self.numer[j][i]:
                     raise ValueError("matrix must be symmetric")
 
-    def leading_principal_minors(self) -> list[int]:
-        return [
-            integer_determinant([row[: k + 1] for row in self.numer[: k + 1]])
-            for k in range(self.rank)
-        ]
-
     def is_positive_definite(self) -> bool:
-        return all(m > 0 for m in self.leading_principal_minors())
+        """Sylvester's criterion on the pivots of :class:`_ScaledLDL`, which
+        are the leading principal minors."""
+        try:
+            _ScaledLDL(self.numer, self.denom)
+        except NotPositiveDefiniteError:
+            return False
+        return True
 
     def value(self, v: Sequence[int]) -> Fraction:
         acc = 0
@@ -275,8 +273,8 @@ def _lift_points(
     """x0 + sum y_i * kernel_i for every point, lazily, in the order of pts.
 
     ``entries`` holds the nonzero (column, value) pairs of each kernel
-    vector, built once per basis by :func:`_complement_basis`; the echelon
-    vectors of U + E8(-1) complements have two or three.
+    vector, built once per basis by :meth:`FiberSystem._set_kernel`; the
+    echelon vectors of U + E8(-1) complements have two or three.
     """
     base = x0.coords
     for y in pts:
@@ -316,63 +314,6 @@ def _echelon_basis(vectors: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
     return out
 
 
-def _complement_basis(
-    form: IntersectionForm, kernel: Sequence[tuple[int, ...]]
-) -> tuple[list[NumClass], list[list[tuple[int, int]]], PosDefForm, _ScaledLDL]:
-    """The kernel in echelon form, the nonzero (column, value) pairs of each
-    of its vectors, its negated Gram form and scaled factors.
-
-    The basis is :func:`_echelon_basis` reversed, so the row with the first
-    pivot is the outermost search level.  For x = x0 + sum y_r B_r, two
-    points whose y first differ at row r agree on every coordinate before
-    its pivot p_r and differ by (y_r - y'_r) B_r[p_r] there, with
-    B_r[p_r] > 0.  The search scans every level in ascending order, so it
-    emits the classes x in strictly increasing lexicographic order.
-    """
-    vectors = list(reversed(_echelon_basis(kernel)))
-    k = len(vectors)
-    pairings = [form.apply(v) for v in vectors]
-    gram = [[0] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(i, k):
-            gram[i][j] = gram[j][i] = -sum(map(mul, pairings[i], vectors[j]))
-    q_perp = PosDefForm(k, tuple(tuple(row) for row in gram))
-    entries = [[(j, a) for j, a in enumerate(v) if a] for v in vectors]
-    return [NumClass(v, form) for v in vectors], entries, q_perp, _ScaledLDL(gram)
-
-
-def _fiber(
-    form: IntersectionForm,
-    x0: NumClass,
-    b: Sequence[int],
-    x0_square: int,
-    entries: Sequence[Sequence[tuple[int, int]]],
-    ldl: _ScaledLDL,
-    square: int,
-    exact: bool,
-) -> Iterator[NumClass]:
-    """All x in x0 + span(kernel) with x^2 == square (>= square unless exact),
-    lazily, in lexicographic order (see :func:`_complement_basis`).
-
-    With x = x0 + sum y_i k_i and b_i = x0.k_i, completing the square gives
-    x^2 = x0^2 + b.c - q(y - c) for c = G^-1 b, so the condition is an
-    ellipsoid bound on y.  The caller passes b, x0^2 and the nonzero
-    entries of the k_i (see :func:`_lift_points`).  An exact search
-    rechecks the square of every class it yields and raises
-    CertificateError on a mismatch.
-    """
-    out = _lift_points(form, x0, entries, ldl.search(b, x0_square - square, exact))
-    if not exact:
-        yield from out
-        return
-    for x in out:
-        if x.square != square:
-            raise CertificateError(
-                f"enumerated class {x.coords} has square {x.square}, not {square}"
-            )
-        yield x
-
-
 class FiberSystem:
     """Integer classes with prescribed pairings against fixed classes.
 
@@ -385,25 +326,67 @@ class FiberSystem:
     """
 
     def __init__(self, form: IntersectionForm, classes: Sequence[NumClass]):
-        self.form = form
-        self.classes = list(classes)
-        self._rows = [form.apply(u.coords) for u in self.classes]
+        self._rows = [form.apply(u.coords) for u in classes]
         _, kernel = solve_integer_linear(self._rows, [0] * len(self._rows))
-        self._kernel, self._entries, self.q_perp, self._ldl = _complement_basis(
-            form, kernel
-        )
+        self._set_kernel(form, kernel)
+
+    def _set_kernel(
+        self, form: IntersectionForm, kernel: Sequence[tuple[int, ...]]
+    ) -> None:
+        """Keep the kernel, the nonzero (column, value) pairs of each of its
+        vectors and the scaled factors of its negated Gram form.  The basis
+        is :func:`_echelon_basis` reversed, so the row with the first pivot
+        is the outermost search level.  For x = x0 + sum y_r B_r, two points
+        whose y first differ at row r agree on every coordinate before its
+        pivot p_r and differ by (y_r - y'_r) B_r[p_r] there, with
+        B_r[p_r] > 0.  The search scans every level in ascending order, so it
+        emits the classes x in strictly increasing lexicographic order.
+        """
+        self.form = form
+        vectors = list(reversed(_echelon_basis(kernel)))
+        k = len(vectors)
+        pairings = [form.apply(v) for v in vectors]
+        gram = [[0] * k for _ in range(k)]
+        for i in range(k):
+            for j in range(i, k):
+                gram[i][j] = gram[j][i] = -sum(map(mul, pairings[i], vectors[j]))
+        self._kernel = [NumClass(v, form) for v in vectors]
+        self._entries = [[(j, a) for j, a in enumerate(v) if a] for v in vectors]
+        self._ldl = _ScaledLDL(gram)
+
+    def _particular(
+        self, values: Sequence[int]
+    ) -> tuple[NumClass, list[int], int] | None:
+        """A class x0 with x0.u_j = values[j], its pairings b with the kernel
+        and x0^2; None when no integer class has these pairings."""
+        x0_coords, _ = solve_integer_linear(self._rows, list(values))
+        if x0_coords is None:
+            return None
+        x0 = NumClass(x0_coords, self.form)
+        return x0, [x0.dot(v) for v in self._kernel], x0.square
 
     def _enumerate(
         self, values: Sequence[int], square: int, exact: bool
     ) -> Iterator[NumClass]:
-        x0_coords, _ = solve_integer_linear(self._rows, list(values))
-        if x0_coords is None:
-            return iter(())
-        x0 = NumClass(x0_coords, self.form)
-        b = [x0.dot(v) for v in self._kernel]
-        return _fiber(
-            self.form, x0, b, x0.square, self._entries, self._ldl, square, exact
-        )
+        """All x with x.u_j = values[j] and x^2 == square (>= square unless
+        exact), lazily, in lexicographic order (see :meth:`_set_kernel`).
+
+        With x = x0 + sum y_i k_i and b_i = x0.k_i, x^2 = x0^2 + b.c - q(y - c)
+        for c = G^-1 b, an ellipsoid bound on y.  An exact search rechecks the
+        square of every class it yields and raises CertificateError on a
+        mismatch.
+        """
+        particular = self._particular(values)
+        if particular is None:
+            return
+        x0, b, x0_square = particular
+        pts = self._ldl.search(b, x0_square - square, exact)
+        for x in _lift_points(self.form, x0, self._entries, pts):
+            if exact and x.square != square:
+                raise CertificateError(
+                    f"enumerated class {x.coords} has square {x.square}, not {square}"
+                )
+            yield x
 
     def solutions(self, values: Sequence[int], square: int) -> list[NumClass]:
         """All x with x.u_j = values[j] and x^2 == square, in lexicographic order."""
@@ -416,65 +399,53 @@ class FiberSystem:
         return list(self._enumerate(values, min_square, exact=False))
 
 
-class ComplementLift:
-    """Fibers of the projection along a fixed class L of positive square.
+class ComplementLift(FiberSystem):
+    """Fibers x.L = t of a fixed class L of positive square: the
+    :class:`FiberSystem` of the one constraint class L, with values (t,).
 
-    For each pairing value t = x.L and admissible complement norm, lists the
-    lattice preimages x.  The complement form and its scaled factors are
-    cached across t; the particular solution scales linearly with t because
-    the lattice is unimodular (x.L ranges over content(L) * Z), and so do its
-    pairings with the complement basis.  Build one through
-    :func:`complement_lift` to share it between callers.
+    The particular solution scales linearly with t because the lattice is
+    unimodular (x.L ranges over content(L) * Z), and so do its pairings with
+    the complement basis.  Build one through :func:`complement_lift` to
+    share it between callers.
     """
 
     def __init__(self, form: IntersectionForm, L: NumClass):
+        # not FiberSystem.__init__: one solve here gives the unit solution
+        # and the kernel, and perfbench/tracer.py counts each __init__ once
         if L.square <= 0:
             raise PositiveSquareRequiredError(
                 f"projection needs L^2 > 0, got {L.square}"
             )
-        self.form = form
         self.L = L
-        self.L_square = L.square
         w = form.apply(L.coords)
-        g = 0
-        for a in w:
-            g = math.gcd(g, a)
-        self.degree_step = g  # x.L always lies in g*Z
+        self.degree_step = g = math.gcd(*w)  # x.L always lies in g*Z
         x0, kernel = solve_integer_linear([w], [g])
         if x0 is None:
             raise CertificateError(
                 f"no integer x with x.L = {g}, the content of L's pairing vector"
             )
+        self._set_kernel(form, kernel)
         self._x0_unit = NumClass(x0, form)
-        self._kernel, self._entries, self.q_perp, self._ldl = _complement_basis(
-            form, kernel
-        )
         self._b_unit = [self._x0_unit.dot(v) for v in self._kernel]
-        self._x0_unit_square = self._x0_unit.square
 
-    def complement_norm(self, x: NumClass) -> Fraction:
-        """-(x_perp)^2 = (x.L)^2/L^2 - x^2, exactly."""
-        t = x.dot(self.L)
-        return Fraction(t * t, self.L_square) - x.square
-
-    def _enumerate(self, t: int, square: int, exact: bool) -> Iterator[NumClass]:
+    def _particular(
+        self, values: Sequence[int]
+    ) -> tuple[NumClass, list[int], int] | None:
+        """x0_unit, b_unit and x0_unit^2 scaled by m = t / degree_step."""
+        (t,) = values
         if t % self.degree_step != 0:
-            return iter(())
+            return None
         m = t // self.degree_step
-        b = [m * bi for bi in self._b_unit]
-        x0_square = m * m * self._x0_unit_square
-        return _fiber(
-            self.form, m * self._x0_unit, b, x0_square, self._entries, self._ldl,
-            square, exact,
-        )
+        x0 = self._x0_unit
+        return m * x0, [m * bi for bi in self._b_unit], m * m * x0.square
 
     def fiber(self, t: int, square: int) -> list[NumClass]:
         """All x with x.L = t and x^2 = square, in lexicographic order."""
-        return list(self._enumerate(t, square, exact=True))
+        return list(self._enumerate((t,), square, exact=True))
 
     def fiber_min_square(self, t: int, min_square: int) -> list[NumClass]:
         """All x with x.L = t and x^2 >= min_square, in lexicographic order."""
-        return list(self._enumerate(t, min_square, exact=False))
+        return list(self._enumerate((t,), min_square, exact=False))
 
     def first(
         self, t: int, square: int, accept: Callable[[NumClass], bool]
@@ -482,7 +453,7 @@ class ComplementLift:
         """The lexicographically first x with x.L = t, x^2 = square and
         accept(x), or None.  The search stops at that class."""
         return next(
-            (x for x in self._enumerate(t, square, exact=True) if accept(x)), None
+            (x for x in self._enumerate((t,), square, exact=True) if accept(x)), None
         )
 
 

@@ -1,0 +1,77 @@
+"""Contracts between the package and the tools that read it.
+
+``perfbench/tracer.py`` wraps methods it finds by name in each class's own
+``__dict__`` and counts one span per call; it is imported here read-only,
+the way ``tests/test_golden.py`` reads ``perfbench/golden.json``.  The
+library's checks are explicit errors, so none disappears under
+``python -O``.
+"""
+
+import ast
+import importlib
+import importlib.util
+from pathlib import Path
+
+import enriques_bn.cli  # noqa: F401  (the tracer resolves every traced module)
+from enriques_bn.lattice import num_class
+from enriques_bn.shortvec import ComplementLift, FiberSystem
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_tracer", ROOT / "perfbench" / "tracer.py"
+)
+tracer = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(tracer)
+
+
+class TestTracerContract:
+    def test_every_layer_target_resolves(self):
+        for targets in tracer.LAYERS.values():
+            for mod_name, path in targets:
+                owner = importlib.import_module(f"enriques_bn.{mod_name}")
+                if "." in path:
+                    cls_name, meth = path.split(".")
+                    assert meth in vars(getattr(owner, cls_name)), path
+                else:
+                    assert callable(getattr(owner, path)), path
+
+    def test_a_lift_counts_one_build_and_one_fiber_per_call(self, form):
+        t = tracer.Tracer()
+        L = num_class([2, 4] + [0] * 8)
+        with t.installed(), t.item():
+            lift = ComplementLift(form, L)
+            assert t.calls["shortvec.lift_init"] == 1
+            fib = lift.fiber(4, 0)
+            assert t.calls["shortvec.fiber"] == 1
+            assert t.points["shortvec.fiber"] == len(fib) == 2
+            wide = lift.fiber_min_square(2, -2)
+            assert t.calls["shortvec.fiber_min"] == 1
+            assert t.points["shortvec.fiber_min"] == len(wide) > 0
+        assert t.calls["shortvec.lift_init"] == 1
+
+    def test_a_fiber_system_counts_the_same_way(self, form):
+        t = tracer.Tracer()
+        L = num_class([2, 4] + [0] * 8)
+        with t.installed(), t.item():
+            fib = FiberSystem(form, [L])
+            assert t.calls["shortvec.lift_init"] == 1
+            sols = fib.solutions([4], 0)
+            assert t.calls["shortvec.fiber"] == 1
+            assert t.points["shortvec.fiber"] == len(sols) == 2
+            wide = fib.solutions_min_square([2], -2)
+            assert t.calls["shortvec.fiber_min"] == 1
+            assert t.points["shortvec.fiber_min"] == len(wide) > 0
+        assert t.calls["shortvec.lift_init"] == 1
+
+
+class TestNoAssert:
+    def test_library_code_has_no_assert(self):
+        found = []
+        for path in sorted((ROOT / "src" / "enriques_bn").glob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            found += [
+                f"{path.name}:{node.lineno}"
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Assert)
+            ]
+        assert found == []
