@@ -18,6 +18,7 @@ part in equality or hashing.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -308,6 +309,88 @@ def inertia(gram: Sequence[Sequence[int]]) -> tuple[int, int, int]:
     return pos, neg, zero
 
 
+def _echelon_basis(
+    vectors: Sequence[Sequence[int]],
+) -> tuple[list[int], list[tuple[int, ...]]]:
+    """A row-echelon basis of the lattice spanned by independent rows, and
+    its pivot columns.
+
+    Row r has its first nonzero entry, which is positive, in column p_r,
+    with p_0 < p_1 < ...  Only unimodular row operations are used (Euclid
+    on each column), so the rows span the same lattice (the Hermite form of
+    Cohen, GTM 138, 2.4, without the reduction above the pivots: adding
+    later rows to earlier ones changes no search node count).
+    """
+    rows = [list(v) for v in vectors]
+    pivots: list[int] = []
+    out: list[tuple[int, ...]] = []
+    for col in range(len(rows[0]) if rows else 0):
+        if not rows:
+            break
+        live = [r for r in rows if r[col]]
+        if not live:
+            continue
+        while len(live) > 1:
+            piv = min(live, key=lambda r: abs(r[col]))
+            for r in live:
+                if r is not piv:
+                    q = r[col] // piv[col]
+                    r[:] = [a - q * b for a, b in zip(r, piv)]
+            live = [r for r in live if r[col]]
+        piv = live[0]
+        rows = [r for r in rows if r is not piv]
+        pivots.append(col)
+        out.append(tuple(piv) if piv[col] > 0 else tuple([-a for a in piv]))
+    return pivots, out
+
+
+def _reduce(rows: Sequence[Sequence[int]]) -> tuple[
+    list[int], list[tuple[int, ...]], list[tuple[int, ...]], list[tuple[int, ...]]
+]:
+    """:func:`_echelon_basis` of [rows^T | I], split as ``(pivots, heads,
+    units, kernel)``.
+
+    Each reduced row is a pair (h, u) with h = rows @ u, and the u form a
+    basis of Z^n.  The rows with h != 0 come first: their h are ``heads``,
+    their u are ``units``, and ``pivots`` holds the column of the first
+    nonzero entry of each h, strictly increasing.  The u of the other rows
+    are ``kernel``: a basis of the integer kernel of rows, in echelon form
+    with positive, strictly increasing pivots.
+    """
+    r = len(rows)
+    n = len(rows[0]) if r else 0
+    augmented = []
+    for a, column in enumerate(zip(*rows)):
+        v = list(column) + [0] * n
+        v[r + a] = 1
+        augmented.append(v)
+    pivots, reduced = _echelon_basis(augmented)
+    m = bisect_left(pivots, r)
+    heads = [v[:r] for v in reduced[:m]]
+    units = [v[r:] for v in reduced[:m]]
+    return pivots[:m], heads, units, [v[r:] for v in reduced[m:]]
+
+
+def _substitute(
+    pivots: Sequence[int], heads: Sequence[Sequence[int]], rhs: Sequence[int]
+) -> list[int] | None:
+    """The integers c with sum_i c_i heads[i] = rhs, by forward substitution
+    on the echelon rows ``heads`` (pivot columns ``pivots``), or None when
+    there are none.
+
+    A remainder of the division at pivot p stays in the residual at p,
+    where no later row has an entry, so the final check also rejects it.
+    """
+    res = list(rhs)
+    c = []
+    for p, h in zip(pivots, heads):
+        ci = res[p] // h[p]
+        c.append(ci)
+        if ci:
+            res = [a - ci * b for a, b in zip(res, h)]
+    return None if any(res) else c
+
+
 def solve_integer_linear(
     rows: Sequence[Sequence[int]], rhs: Sequence[int]
 ) -> tuple[tuple[int, ...] | None, list[tuple[int, ...]]]:
@@ -315,84 +398,21 @@ def solve_integer_linear(
 
     Returns ``(x0, kernel)``: one particular integer solution (or None if the
     system has no integer solution) and a basis of the integer kernel of the
-    homogeneous system.  Works by unimodular column reduction, so the kernel
-    basis is a genuine lattice basis, not just a rational one.
+    homogeneous system.  Both come from one unimodular row reduction
+    (:func:`_reduce`): x0 = sum c_i u_i over its ``units``, c found by
+    forward substitution.  The kernel basis is a genuine lattice
+    basis in row-echelon form: the first nonzero entry of each vector is
+    positive, and those entries sit in strictly increasing columns.  The
+    ordering certificate of :meth:`FiberSystem._set_up` rests on this.
     """
-    r = len(rows)
-    n = len(rows[0]) if r else 0
-    h = [list(row) for row in rows]
-    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def col_swap(a: int, b: int) -> None:
-        for row in h:
-            row[a], row[b] = row[b], row[a]
-        for row in u:
-            row[a], row[b] = row[b], row[a]
-
-    def col_addmul(dst: int, src: int, q: int) -> None:
-        for row in h:
-            row[dst] += q * row[src]
-        for row in u:
-            row[dst] += q * row[src]
-
-    def col_neg(a: int) -> None:
-        for row in h:
-            row[a] = -row[a]
-        for row in u:
-            row[a] = -row[a]
-
-    pivots: list[tuple[int, int]] = []
-    p = 0
-    for i in range(r):
-        if p >= n:
-            break
-        while True:
-            if h[i][p] < 0:
-                col_neg(p)
-            rest = [j for j in range(p + 1, n) if h[i][j] != 0]
-            if h[i][p] == 0:
-                if not rest:
-                    break
-                col_swap(rest[0], p)
-                continue
-            if not rest:
-                break
-            for j in rest:
-                col_addmul(j, p, -(h[i][j] // h[i][p]))
-            rest = [j for j in range(p + 1, n) if h[i][j] != 0]
-            if not rest:
-                break
-            # remainders are in [0, pivot); swapping in the smallest shrinks
-            # the pivot, so this loop terminates like the Euclid algorithm
-            col_swap(min(rest, key=lambda j: h[i][j]), p)
-        if h[i][p] != 0:
-            pivots.append((i, p))
-            p += 1
-
-    piv_by_row = dict(pivots)
-    y = [0] * n
-    solvable = True
-    for i in range(r):
-        res = rhs[i] - sum(h[i][j] * y[j] for j in range(n) if h[i][j])
-        pc = piv_by_row.get(i)
-        if pc is None:
-            if res != 0:
-                solvable = False
-                break
-        else:
-            if res % h[i][pc] != 0:
-                solvable = False
-                break
-            y[pc] = res // h[i][pc]
-
-    x0 = None
-    if solvable:
-        x0 = tuple(sum(u[a][j] * y[j] for j in range(n)) for a in range(n))
-    pivot_cols = {pc for _, pc in pivots}
-    kernel = [
-        tuple(u[a][j] for a in range(n)) for j in range(n) if j not in pivot_cols
-    ]
-    return x0, kernel
+    pivots, heads, units, kernel = _reduce(rows)
+    c = _substitute(pivots, heads, rhs)
+    if c is None:
+        return None, kernel
+    x0 = [0] * (len(rows[0]) if rows else 0)
+    for ci, u in zip(c, units):
+        x0 = [a + ci * b for a, b in zip(x0, u)]
+    return tuple(x0), kernel
 
 
 # ---------------------------------------------------------------------------

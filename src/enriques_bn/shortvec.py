@@ -25,21 +25,22 @@ The complement basis is in row-echelon form with positive pivots, the first
 pivot at the outermost search level, and every level is scanned in
 ascending order.  So the search itself emits the lattice points x in
 strictly increasing lexicographic order of their coordinates (the ordering
-certificate, argued at :meth:`FiberSystem._set_kernel`): no caller sorts a
+certificate, argued at :meth:`FiberSystem._set_up`): no caller sorts a
 fiber, and ``ComplementLift.first`` stops the search at the first class a
 caller accepts.  Every class of an exact search is still square-checked
 before a caller sees it.
 
 One fiber class, :class:`FiberSystem`, runs every search on the kernel of
-its constraint classes, set up once.  A :class:`ComplementLift` is its
-one-constraint case: it keeps its unit particular solution x0 of
-x.L = degree_step and the pairings b of x0 with the basis, and the fiber at
-x.L = m * degree_step scales x0, b and x0^2 instead of solving and pairing
-again.  :func:`complement_lift` keeps the last lift it built, keyed on L by
-value (the key includes the form), so phi, mu, destab and decompose on one
-polarization share one lift.  A lift is immutable data fixed by (form, L)
-alone and each call runs its own search on it, so reuse keeps every
-certificate.
+its constraint classes.  One unimodular row reduction, run once at build,
+gives that kernel in echelon form and the pivot classes whose integer
+combinations are the particular solutions; the pivot classes' pairings with
+the kernel and with each other are stored too, so a value vector costs a
+forward substitution and no solve.  A :class:`ComplementLift` is the
+one-constraint case, with values (t,).  :func:`complement_lift` keeps the
+last lift it built, keyed on L by value (the key includes the form), so
+phi, mu, destab and decompose on one polarization share one lift.  A lift
+is immutable data fixed by (form, L) alone and each call runs its own
+search on it, so reuse keeps every certificate.
 """
 
 from __future__ import annotations
@@ -56,11 +57,7 @@ from .errors import (
     NotPositiveDefiniteError,
     PositiveSquareRequiredError,
 )
-from .lattice import (
-    IntersectionForm,
-    NumClass,
-    solve_integer_linear,
-)
+from .lattice import IntersectionForm, NumClass, _reduce, _substitute
 
 Rational = int | Fraction
 
@@ -266,17 +263,17 @@ def enumerate_short(q: PosDefForm, bound: Rational) -> ShortVectorResult:
 
 def _lift_points(
     form: IntersectionForm,
-    x0: NumClass,
+    base: Sequence[int],
     entries: Sequence[Sequence[tuple[int, int]]],
     pts: Iterable[tuple[int, ...]],
 ) -> Iterator[NumClass]:
-    """x0 + sum y_i * kernel_i for every point, lazily, in the order of pts.
+    """x0 + sum y_i * kernel_i for every point, lazily, in the order of pts,
+    where ``base`` holds the coordinates of x0.
 
     ``entries`` holds the nonzero (column, value) pairs of each kernel
-    vector, built once per basis by :meth:`FiberSystem._set_kernel`; the
+    vector, built once per basis by :meth:`FiberSystem._set_up`; the
     echelon vectors of U + E8(-1) complements have two or three.
     """
-    base = x0.coords
     for y in pts:
         acc = list(base)
         for yi, vector in zip(y, entries):
@@ -286,64 +283,40 @@ def _lift_points(
         yield NumClass(tuple(acc), form)
 
 
-def _echelon_basis(vectors: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """A row-echelon basis of the lattice spanned by independent rows.
-
-    Row r has its first nonzero entry, which is positive, in column p_r,
-    with p_0 < p_1 < ...  Only unimodular row operations are used (Euclid
-    on each column), so the rows span the same lattice (the Hermite form of
-    Cohen, GTM 138, 2.4, without the reduction above the pivots: adding
-    later rows to earlier ones changes no search node count).
-    """
-    rows = [list(v) for v in vectors]
-    out: list[tuple[int, ...]] = []
-    for col in range(len(rows[0]) if rows else 0):
-        live = [r for r in rows if r[col]]
-        if not live:
-            continue
-        while len(live) > 1:
-            piv = min(live, key=lambda r: abs(r[col]))
-            for r in live:
-                if r is not piv:
-                    q = r[col] // piv[col]
-                    r[:] = [a - q * b for a, b in zip(r, piv)]
-            live = [r for r in live if r[col]]
-        piv = live[0]
-        rows = [r for r in rows if r is not piv]
-        out.append(tuple(-a for a in piv) if piv[col] < 0 else tuple(piv))
-    return out
-
-
 class FiberSystem:
     """Integer classes with prescribed pairings against fixed classes.
 
     Given constraint classes u_1..u_r whose span contains a class of
     positive square, their joint orthogonal complement is negative definite,
     so for any prescribed pairing values x.u_j = c_j and any target x^2 the
-    solution set is a finite affine ellipsoid problem.  The kernel data and
-    its scaled LDL factors depend only on the classes and are computed
-    once; each value vector costs one small integer solve.
+    solution set is a finite affine ellipsoid problem.  One unimodular
+    reduction, computed once, gives the kernel with its scaled LDL factors
+    and the pivot classes; each value vector then costs a forward
+    substitution and linear combinations of pairings stored at build.
     """
 
     def __init__(self, form: IntersectionForm, classes: Sequence[NumClass]):
-        self._rows = [form.apply(u.coords) for u in classes]
-        _, kernel = solve_integer_linear(self._rows, [0] * len(self._rows))
-        self._set_kernel(form, kernel)
+        self._set_up(form, classes)
 
-    def _set_kernel(
-        self, form: IntersectionForm, kernel: Sequence[tuple[int, ...]]
-    ) -> None:
-        """Keep the kernel, the nonzero (column, value) pairs of each of its
-        vectors and the scaled factors of its negated Gram form.  The basis
-        is :func:`_echelon_basis` reversed, so the row with the first pivot
-        is the outermost search level.  For x = x0 + sum y_r B_r, two points
-        whose y first differ at row r agree on every coordinate before its
-        pivot p_r and differ by (y_r - y'_r) B_r[p_r] there, with
+    def _set_up(self, form: IntersectionForm, classes: Sequence[NumClass]) -> None:
+        """Reduce the pairing rows of ``classes`` once (:func:`lattice._reduce`)
+        and keep what every search needs.
+
+        The pivot classes w_i (the ``units`` of the reduction) carry their
+        pairings with the constraint classes, with the kernel and with each
+        other.  The kernel keeps the nonzero (column, value) pairs of
+        each vector and the scaled factors of its negated Gram form.  Its
+        basis is the echelon kernel reversed, so the row with the first
+        pivot is the outermost search level.  For x = x0 + sum y_r B_r, two
+        points whose y first differ at row r agree on every coordinate
+        before its pivot p_r and differ by (y_r - y'_r) B_r[p_r] there, with
         B_r[p_r] > 0.  The search scans every level in ascending order, so it
         emits the classes x in strictly increasing lexicographic order.
         """
         self.form = form
-        vectors = list(reversed(_echelon_basis(kernel)))
+        rows = [form.apply(u.coords) for u in classes]
+        pivots, heads, units, kernel = _reduce(rows)
+        vectors = kernel[::-1]
         k = len(vectors)
         pairings = [form.apply(v) for v in vectors]
         gram = [[0] * k for _ in range(k)]
@@ -353,23 +326,42 @@ class FiberSystem:
         self._kernel = [NumClass(v, form) for v in vectors]
         self._entries = [[(j, a) for j, a in enumerate(v) if a] for v in vectors]
         self._ldl = _ScaledLDL(gram)
+        # pivot class w_i -> (its coordinates, w_i.kernel, w_i.w_j for all j)
+        ws = [NumClass(u, form) for u in units]
+        self._pivots, self._heads = pivots, heads
+        self._pivot_rows = [
+            list(w.coords) + [w.dot(v) for v in self._kernel] + [w.dot(z) for z in ws]
+            for w in ws
+        ]
+        self._split = (form.rank, form.rank + k)
 
     def _particular(
         self, values: Sequence[int]
-    ) -> tuple[NumClass, list[int], int] | None:
-        """A class x0 with x0.u_j = values[j], its pairings b with the kernel
-        and x0^2; None when no integer class has these pairings."""
-        x0_coords, _ = solve_integer_linear(self._rows, list(values))
-        if x0_coords is None:
+    ) -> tuple[list[int], list[int], int] | None:
+        """The coordinates of a class x0 = sum c_i w_i with x0.u_j = values[j],
+        its pairings b with the kernel and x0^2; None when no integer class
+        has these pairings.
+
+        One linear combination of the pivot rows gives x0, b and every x0.w_j,
+        and x0^2 = sum_j c_j (x0.w_j).  The span of the constraint classes
+        holds a class of positive square, so there is at least one w_i.
+        """
+        c = _substitute(self._pivots, self._heads, values)
+        if c is None:
             return None
-        x0 = NumClass(x0_coords, self.form)
-        return x0, [x0.dot(v) for v in self._kernel], x0.square
+        rows = self._pivot_rows
+        acc = [c[0] * a for a in rows[0]]
+        for i in range(1, len(c)):
+            ci = c[i]
+            acc = [a + ci * e for a, e in zip(acc, rows[i])]
+        rank, end = self._split
+        return acc[:rank], acc[rank:end], sum(map(mul, c, acc[end:]))
 
     def _enumerate(
         self, values: Sequence[int], square: int, exact: bool
     ) -> Iterator[NumClass]:
         """All x with x.u_j = values[j] and x^2 == square (>= square unless
-        exact), lazily, in lexicographic order (see :meth:`_set_kernel`).
+        exact), lazily, in lexicographic order (see :meth:`_set_up`).
 
         With x = x0 + sum y_i k_i and b_i = x0.k_i, x^2 = x0^2 + b.c - q(y - c)
         for c = G^-1 b, an ellipsoid bound on y.  An exact search rechecks the
@@ -403,41 +395,21 @@ class ComplementLift(FiberSystem):
     """Fibers x.L = t of a fixed class L of positive square: the
     :class:`FiberSystem` of the one constraint class L, with values (t,).
 
-    The particular solution scales linearly with t because the lattice is
-    unimodular (x.L ranges over content(L) * Z), and so do its pairings with
-    the complement basis.  Build one through :func:`complement_lift` to
-    share it between callers.
+    Its one pivot class w has w.L = degree_step, the content of L's pairing
+    vector, so the fiber at t = m * degree_step starts from m * w.  Build one
+    through :func:`complement_lift` to share it between callers.
     """
 
     def __init__(self, form: IntersectionForm, L: NumClass):
-        # not FiberSystem.__init__: one solve here gives the unit solution
-        # and the kernel, and perfbench/tracer.py counts each __init__ once
+        # not FiberSystem.__init__: perfbench/tracer.py counts each
+        # __init__ as one build
         if L.square <= 0:
             raise PositiveSquareRequiredError(
                 f"projection needs L^2 > 0, got {L.square}"
             )
         self.L = L
-        w = form.apply(L.coords)
-        self.degree_step = g = math.gcd(*w)  # x.L always lies in g*Z
-        x0, kernel = solve_integer_linear([w], [g])
-        if x0 is None:
-            raise CertificateError(
-                f"no integer x with x.L = {g}, the content of L's pairing vector"
-            )
-        self._set_kernel(form, kernel)
-        self._x0_unit = NumClass(x0, form)
-        self._b_unit = [self._x0_unit.dot(v) for v in self._kernel]
-
-    def _particular(
-        self, values: Sequence[int]
-    ) -> tuple[NumClass, list[int], int] | None:
-        """x0_unit, b_unit and x0_unit^2 scaled by m = t / degree_step."""
-        (t,) = values
-        if t % self.degree_step != 0:
-            return None
-        m = t // self.degree_step
-        x0 = self._x0_unit
-        return m * x0, [m * bi for bi in self._b_unit], m * m * x0.square
+        self._set_up(form, [L])
+        self.degree_step = self._heads[0][0]  # x.L always lies in its multiples
 
     def fiber(self, t: int, square: int) -> list[NumClass]:
         """All x with x.L = t and x^2 = square, in lexicographic order."""

@@ -11,6 +11,11 @@ the same LDL factors, but with the centre solved and every level bound
 computed in ``fractions.Fraction``.  They check the integer-scaled kernel
 point for point.
 
+``column_reduction_solve`` is the integer solver's earlier form: it
+reduces columns where the library reduces the rows of [rows^T | I], and
+its kernel basis is not in echelon form.  ``fraction_solutions`` solves
+with it, so the fiber oracle shares no reduction with the library.
+
 ``fraction_coefficients`` is the decomposition solver's earlier form: it
 solves the Gram system of the generators in ``Fraction`` where the library
 solves their coordinate equations over the integers.
@@ -32,10 +37,11 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from typing import Sequence
 
 import numpy as np
 
-from enriques_bn.lattice import NumClass, canonical_form, solve_integer_linear
+from enriques_bn.lattice import NumClass, canonical_form
 from enriques_bn.errors import NotPositiveDefiniteError
 
 E8_BOX_RADIUS = 2
@@ -334,14 +340,101 @@ def fraction_ellipsoid(gram, b, excess, exact: bool) -> set[tuple[int, ...]]:
     return set(enum(d, r, center, bound))
 
 
+def column_reduction_solve(
+    rows: Sequence[Sequence[int]], rhs: Sequence[int]
+) -> tuple[tuple[int, ...] | None, list[tuple[int, ...]]]:
+    """Solve rows @ x = rhs over the integers.
+
+    Returns ``(x0, kernel)``: one particular integer solution (or None if the
+    system has no integer solution) and a basis of the integer kernel of the
+    homogeneous system.  Works by unimodular column reduction, so the kernel
+    basis is a genuine lattice basis, not just a rational one, but not in
+    echelon form.
+    """
+    r = len(rows)
+    n = len(rows[0]) if r else 0
+    h = [list(row) for row in rows]
+    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+    def col_swap(a: int, b: int) -> None:
+        for row in h:
+            row[a], row[b] = row[b], row[a]
+        for row in u:
+            row[a], row[b] = row[b], row[a]
+
+    def col_addmul(dst: int, src: int, q: int) -> None:
+        for row in h:
+            row[dst] += q * row[src]
+        for row in u:
+            row[dst] += q * row[src]
+
+    def col_neg(a: int) -> None:
+        for row in h:
+            row[a] = -row[a]
+        for row in u:
+            row[a] = -row[a]
+
+    pivots: list[tuple[int, int]] = []
+    p = 0
+    for i in range(r):
+        if p >= n:
+            break
+        while True:
+            if h[i][p] < 0:
+                col_neg(p)
+            rest = [j for j in range(p + 1, n) if h[i][j] != 0]
+            if h[i][p] == 0:
+                if not rest:
+                    break
+                col_swap(rest[0], p)
+                continue
+            if not rest:
+                break
+            for j in rest:
+                col_addmul(j, p, -(h[i][j] // h[i][p]))
+            rest = [j for j in range(p + 1, n) if h[i][j] != 0]
+            if not rest:
+                break
+            # remainders are in [0, pivot); swapping in the smallest shrinks
+            # the pivot, so this loop terminates like the Euclid algorithm
+            col_swap(min(rest, key=lambda j: h[i][j]), p)
+        if h[i][p] != 0:
+            pivots.append((i, p))
+            p += 1
+
+    piv_by_row = dict(pivots)
+    y = [0] * n
+    solvable = True
+    for i in range(r):
+        res = rhs[i] - sum(h[i][j] * y[j] for j in range(n) if h[i][j])
+        pc = piv_by_row.get(i)
+        if pc is None:
+            if res != 0:
+                solvable = False
+                break
+        else:
+            if res % h[i][pc] != 0:
+                solvable = False
+                break
+            y[pc] = res // h[i][pc]
+
+    x0 = None
+    if solvable:
+        x0 = tuple(sum(u[a][j] * y[j] for j in range(n)) for a in range(n))
+    pivot_cols = {pc for _, pc in pivots}
+    kernel = [
+        tuple(u[a][j] for a in range(n)) for j in range(n) if j not in pivot_cols
+    ]
+    return x0, kernel
+
+
 def fraction_solutions(form, classes, values, square: int, exact: bool) -> set:
     """Coordinates of all x with x.u_j = values[j] and x^2 == square
     (>= square unless exact), through the Fraction kernel."""
     rows = [form.apply(u.coords) for u in classes]
-    x0_coords, _ = solve_integer_linear(rows, list(values))
+    x0_coords, kernel = column_reduction_solve(rows, list(values))
     if x0_coords is None:
         return set()
-    _, kernel = solve_integer_linear(rows, [0] * len(rows))
     x0 = NumClass(x0_coords, form)
     kernel = [NumClass(v, form) for v in kernel]
     gram = [[-u.dot(v) for v in kernel] for u in kernel]

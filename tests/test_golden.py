@@ -3,12 +3,15 @@
 The README commands run in-process through ``cli.run`` and must print the
 stdout and return the exit code that ``perfbench/golden.json`` records for
 them.  The demos must print what ``tests/demo_output/`` holds (recorded
-with ``python demos/NAME.py > tests/demo_output/NAME.txt``).
+with ``python demos/NAME.py > tests/demo_output/NAME.txt``).  README's
+library quick start must print what the ``# ...`` comment after each of its
+``print`` calls says.
 """
 
 import contextlib
 import io
 import json
+import re
 import runpy
 from pathlib import Path
 
@@ -45,3 +48,21 @@ def test_demo_matches_recorded_output(demo):
 def test_every_demo_is_recorded():
     recorded = sorted(p.stem for p in (ROOT / "tests" / "demo_output").glob("*.txt"))
     assert recorded == [p.stem for p in DEMOS] and len(DEMOS) == 6
+
+
+def test_readme_quick_start_prints_its_comments():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    comments = [
+        line.split("# ", 1)[1] for line in block.splitlines()
+        if line.startswith("print(")
+    ]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, "README quick start", "exec"), {})
+    printed = out.getvalue().splitlines()
+    assert len(printed) == len(comments) == 4
+    for line, comment in zip(printed, comments):
+        # a comment may add a remark in parentheses after the output
+        assert comment == line or re.fullmatch(re.escape(line) + r" \(.+\)", comment)

@@ -23,10 +23,11 @@ from enriques_bn.lattice import (
     divisor_class,
     embed_configuration,
     is_primitive,
+    _echelon_basis,
     num_class,
     solve_integer_linear,
 )
-from oracles import fraction_det
+from oracles import column_reduction_solve, fraction_det
 
 
 def random_class(rng, form, spread=5):
@@ -222,6 +223,85 @@ class TestSolveIntegerLinear:
             assert [sum(r * x for r, x in zip(row, x0)) for row in rows] == rhs
             for kv in kernel:
                 assert all(sum(r * x for r, x in zip(row, kv)) == 0 for row in rows)
+
+
+def pivots_of(vectors):
+    return [next(j for j, a in enumerate(v) if a) for v in vectors]
+
+
+def spans_each_other(a, b, n):
+    """Each basis is an integer combination of the other: a unimodular
+    change of basis."""
+    for x, y in ((a, b), (b, a)):
+        columns = [[v[j] for v in x] for j in range(n)]
+        if any(column_reduction_solve(columns, list(w))[0] is None for w in y):
+            return False
+    return True
+
+
+class TestEchelonBasis:
+    def test_positive_increasing_pivots_on_the_same_lattice(self):
+        rng = random.Random(63)
+        for _ in range(30):
+            n_rows = rng.randint(1, 3)
+            rows = [[rng.randint(-3, 3) for _ in range(10)] for _ in range(n_rows)]
+            _, kernel = column_reduction_solve(rows, [0] * len(rows))
+            pivots, ech = _echelon_basis(kernel)
+            assert len(ech) == len(kernel)
+            assert pivots == pivots_of(ech)
+            assert all(v[p] > 0 for v, p in zip(ech, pivots))
+            assert all(a < b for a, b in zip(pivots, pivots[1:]))
+            assert spans_each_other(kernel, ech, 10)
+
+
+def random_system(rng, r, n):
+    """An r x n integer system of random rank: r combinations of rank rows."""
+    rank = rng.randint(1, min(r, n))
+    base = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rank)]
+    rows = []
+    for _ in range(r):
+        mix = [rng.randint(-2, 2) for _ in range(rank)]
+        rows.append([sum(m * b[j] for m, b in zip(mix, base)) for j in range(n)])
+    return rows
+
+
+class TestSolveAgainstColumnReduction:
+    """The row reduction against the column reduction it replaced, on the
+    fiber shapes (1-3 x 10) and the coefficient-solve shapes (10 x n)."""
+
+    def systems(self):
+        rng = random.Random(15)
+        shapes = [(r, 10) for r in (1, 2, 3)] + [(10, n) for n in range(2, 7)]
+        for r, n in shapes:
+            for _ in range(25):
+                rows = random_system(rng, r, n)
+                secret = [rng.randint(-3, 3) for _ in range(n)]
+                yield rows, [sum(a * x for a, x in zip(row, secret)) for row in rows]
+                yield rows, [rng.randint(-5, 5) for _ in range(r)]
+                # parity: twice a row cannot reach an odd value
+                doubled = [[2 * a for a in rows[0]]] + rows[1:]
+                yield doubled, [1] + [0] * (r - 1)
+                # inconsistent: one row asked for two values
+                yield rows + [rows[0]], [0] * r + [1]
+
+    def test_same_solvability_and_kernel_lattice(self):
+        outcomes = set()
+        for rows, rhs in self.systems():
+            n = len(rows[0])
+            x0, kernel = solve_integer_linear(rows, rhs)
+            want, want_kernel = column_reduction_solve(rows, rhs)
+            assert (x0 is None) == (want is None)
+            if x0 is not None:
+                assert [sum(a * x for a, x in zip(row, x0)) for row in rows] == list(rhs)
+            assert all(
+                sum(a * x for a, x in zip(row, v)) == 0 for row in rows for v in kernel
+            )
+            assert spans_each_other(kernel, want_kernel, n)
+            pivots = pivots_of(kernel)
+            assert all(v[p] > 0 for v, p in zip(kernel, pivots))
+            assert all(a < b for a, b in zip(pivots, pivots[1:]))
+            outcomes.add((x0 is None, len(kernel) > 0))
+        assert outcomes == {(False, False), (False, True), (True, False), (True, True)}
 
 
 class TestEmbedConfiguration:

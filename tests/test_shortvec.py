@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -19,13 +20,11 @@ from enriques_bn.lattice import (
     canonical_form,
     integer_determinant,
     num_class,
-    solve_integer_linear,
 )
 from enriques_bn.shortvec import (
     ComplementLift,
     FiberSystem,
     PosDefForm,
-    _echelon_basis,
     _ScaledLDL,
     complement_lift,
     enumerate_short,
@@ -288,6 +287,28 @@ class TestScaledKernelAgainstFractionOracle:
                         want = fraction_solutions(form, classes, values, sq, True)
                         assert got == sorted(want)
 
+    def test_values_off_the_reachable_sublattice(self, form):
+        # x -> (x.a0, x.v, x.w) maps onto Z^3, so the value vectors of
+        # (a0, a0 + 2v, a0 + 3w) are the (a, b, c) with b = a mod 2 and
+        # c = a mod 3, a proper sublattice of Z^3
+        a0 = basis_vector(0) + basis_vector(1)
+        v, w = basis_vector(2), basis_vector(3)
+        for classes in ([a0, a0 + 2 * v], [a0, a0 + 2 * v, a0 + 3 * w]):
+            fib = FiberSystem(form, classes)
+            found = 0
+            for a, b, *c in product(range(1, 4), *[range(-2, 4)] * (len(classes) - 1)):
+                values = [a, b, *c]
+                reachable = (b - a) % 2 == 0 and all((ci - a) % 3 == 0 for ci in c)
+                for sq in (0, -2):
+                    exact = [x.coords for x in fib.solutions(values, sq)]
+                    assert exact == sorted(fraction_solutions(form, classes, values, sq, True))
+                    ball = [x.coords for x in fib.solutions_min_square(values, sq)]
+                    assert ball == sorted(fraction_solutions(form, classes, values, sq, False))
+                    if not reachable:
+                        assert exact == ball == []
+                    found += len(ball)
+            assert found > 0
+
     def test_enumerate_short(self):
         rng = random.Random(32)
         for _ in range(30):
@@ -396,24 +417,6 @@ class TestLexicographicOrder:
 
 
 class TestEchelonBasis:
-    def test_positive_increasing_pivots_on_the_same_lattice(self):
-        rng = random.Random(63)
-        for _ in range(30):
-            n_rows = rng.randint(1, 3)
-            rows = [[rng.randint(-3, 3) for _ in range(10)] for _ in range(n_rows)]
-            _, kernel = solve_integer_linear(rows, [0] * len(rows))
-            ech = _echelon_basis(kernel)
-            assert len(ech) == len(kernel)
-            pivots = [next(j for j, a in enumerate(v) if a) for v in ech]
-            assert all(v[p] > 0 for v, p in zip(ech, pivots))
-            assert strictly_increasing(pivots)
-            # each basis is an integer combination of the other: a unimodular
-            # change of basis
-            for a, b in ((kernel, ech), (ech, kernel)):
-                columns = [[v[j] for v in a] for j in range(10)]
-                for w in b:
-                    assert solve_integer_linear(columns, list(w))[0] is not None
-
     def test_first_pivot_is_the_outermost_level(self, form):
         lift = ComplementLift(form, num_class([3, 3, 1, 0, 3, 1, 2, 2, 1, 2]))
         pivots = [next(j for j, a in enumerate(v.coords) if a) for v in lift._kernel]
@@ -438,8 +441,3 @@ class TestCertificateErrors:
         monkeypatch.setattr(shortvec, "_lift_points", self._one_bad_point)
         with pytest.raises(CertificateError):
             fib.solutions([2], 0)
-
-    def test_unsolvable_degree_equation(self, form, monkeypatch):
-        monkeypatch.setattr(shortvec, "solve_integer_linear", lambda rows, rhs: (None, []))
-        with pytest.raises(CertificateError):
-            ComplementLift(form, num_class([2, 4] + [0] * 8))
