@@ -22,6 +22,7 @@ from .invariants import (
     IsotropicDecomposition,
     decompose_isotropic,
     gonality,
+    polarization,
 )
 from .lattice import (
     CONFIG_II,
@@ -31,7 +32,6 @@ from .lattice import (
     embed_configuration,
 )
 from .positivity import classify_positivity
-from .shortvec import complement_lift
 
 STATUS_APPLIES = "applies"
 STATUS_FAILS = "fails-hypothesis"
@@ -226,7 +226,7 @@ def enumerate_destab(L: DivisorClass, d: int) -> list[DestabCandidate]:
     if not (k <= d <= g - k):
         raise RangeError(f"d = {d} outside the admissible range {k}..{g - k}")
     l_sq = L.square
-    lift = complement_lift(L.num)
+    lift = polarization(L.num).lift
     out: list[DestabCandidate] = []
     for t in range(1, l_sq // 2 + 1):
         min_square = 0 if t == d else max(t - d, 1)

@@ -16,12 +16,19 @@ All searches run through the complement projection, so every reported
 minimum is certified: phi candidates satisfy phi <= sqrt(L^2), and a mu
 search capped at L.B <= 2 phi + 2 decides the gonality minimum even when it
 reports "not found".
+
+Each class L of positive square has one :class:`Polarization`, kept by
+:func:`polarization` for the last POLARIZATION_CACHE_SIZE classes, keyed on
+L by value: its lift is built once and its gonality report computed at most
+once.  Both are fixed by L alone, and each caller runs its own search on the
+lift, so a reused answer keeps its certificates and threads may share them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 from .errors import (
     CertificateError,
@@ -40,7 +47,7 @@ from .lattice import (
     solve_integer_linear,
 )
 from .positivity import classify_positivity, reference_ample
-from .shortvec import complement_lift
+from .shortvec import ComplementLift
 
 #: (L^2, phi) pairs where the gonality drops to floor(L^2/4) + 2 = 2 phi - 1.
 EXCEPTIONAL_SQUARE_PHI_PAIRS = frozenset(
@@ -59,6 +66,9 @@ MU_NOT_FOUND = "not-found-below-cap"
 #: Budgets of ``decompose_isotropic``: candidate pool size and search nodes.
 DECOMPOSE_MAX_CANDIDATES = 512
 DECOMPOSE_MAX_NODES = 200_000
+
+#: How many classes :func:`polarization` keeps.
+POLARIZATION_CACHE_SIZE = 32
 
 
 @dataclass(frozen=True)
@@ -132,7 +142,7 @@ def phi(L: DivisorClass) -> PhiResult:
     primitive hit at the smallest t.
     """
     _require_effective_positive(L, "phi")
-    lift = complement_lift(L.num)
+    lift = polarization(L.num).lift
     a0 = reference_ample(L.num.form)
     for t in range(1, math.isqrt(L.square) + 1):
         # at the first t with hits every hit is primitive: x = cP with
@@ -177,7 +187,7 @@ def mu(L: DivisorClass, cap: int | None = None) -> MuResult:
     _require_effective_positive(L, "mu")
     if cap is None:
         cap = 2 * phi(L).value + 2
-    lift = complement_lift(L.num)
+    lift = polarization(L.num).lift
     num_L = L.num
     l_sq = L.square
     iso_pool: list[NumClass] = []
@@ -213,69 +223,105 @@ def _is_twice_d10(L: DivisorClass) -> bool:
     return phi(DivisorClass(half, 0)).value == 3
 
 
+class Polarization:
+    """The shared computations of one class L of positive square: its
+    :class:`ComplementLift`, built once, and its gonality report, computed
+    at most once.  Get one from :func:`polarization`.
+    """
+
+    def __init__(self, L: NumClass):
+        self.L = L
+        self.lift = ComplementLift(L.form, L)
+
+    @cached_property
+    def report(self) -> GonalityReport:
+        """The gonality report of L; :func:`gonality` checks that L is ample.
+
+        No step reads the torsion bit, so the report serves both.  phi and
+        mu are called through this module's names.
+        """
+        L = DivisorClass(self.L, 0)
+        p = phi(L)
+        m = mu(L, 2 * p.value + 2)  # mu's default cap, without a second phi
+        floor_term = L.square // 4 + 2
+        genus = L.square // 2 + 1
+        terms = [2 * p.value, floor_term]
+        if m.exact:
+            terms.append(m.value)
+        k = min(terms)
+
+        notes: list[str] = []
+        pair_key = (L.square, p.value)
+        label = None
+        if pair_key in EXCEPTIONAL_SQUARE_PHI_PAIRS:
+            label = CASE_FLOOR_EXCEPTIONAL
+            if not k == floor_term == 2 * p.value - 1:
+                raise CertificateError(
+                    f"exceptional pair {pair_key} needs k = floor(L^2/4) + 2 = "
+                    f"2 phi - 1, got k = {k}, floor term {floor_term}"
+                )
+        elif k == 2 * p.value:
+            label = CASE_GENERIC
+        elif m.exact and m.value == k:
+            # mu achieves the minimum (possibly tying the floor term); the two
+            # mu shapes require the classified value of k to match as well
+            if (
+                L.square == p.value**2
+                and p.value % 2 == 0
+                and k == 2 * p.value - 2
+            ):
+                label = CASE_MU_SQUARE
+            elif (
+                L.square == p.value**2 + p.value - 2
+                and p.value >= 3
+                and k == (2 * p.value - 1 if p.value >= 5 else 2 * p.value - 2)
+                and not _is_twice_d10(L)
+            ):
+                label = CASE_MU_SQUARE_PLUS
+                notes.append(
+                    "square-plus case: L = 2D exclusion checked numerically "
+                    "(torsion ignored)"
+                )
+        if label is None:
+            if k == floor_term:
+                # the floor term achieves the minimum at a pair outside the
+                # exceptional list.  This covers the boundary shapes where the
+                # classified mu value is impossible: at (4, 2) the would-be
+                # minimizer is numerically L itself (excluded by definition),
+                # and for L^2 = phi^2 + phi - 2 with phi in {3, 4} the Hodge
+                # bound (L.B)^2 >= 4 L^2 already forces mu > 2 phi - 2.
+                label = CASE_FLOOR_PLAIN
+            else:
+                raise CertificateError(
+                    f"mu wins at (L^2, phi) = {pair_key}, outside the known "
+                    "classification; this indicates a search bug"
+                )
+        return GonalityReport(k, p, m, floor_term, label, genus, tuple(notes))
+
+
+@lru_cache(maxsize=POLARIZATION_CACHE_SIZE)
+def polarization(L: NumClass) -> Polarization:
+    """The :class:`Polarization` of L, kept for the last
+    POLARIZATION_CACHE_SIZE classes asked for.
+
+    The key is L by value; its equality and hash include the form, so equal
+    coordinates in another form get their own object.  Two threads that
+    miss at once may each build one; both are equal.
+    """
+    return Polarization(L)
+
+
 def gonality(L: DivisorClass) -> GonalityReport:
-    """Generic gonality of smooth curves in |L|, with its achieving case."""
+    """Generic gonality of smooth curves in |L|, with its achieving case.
+
+    The ample check runs before :func:`polarization` is asked, on every call.
+    """
     st = classify_positivity(L)
     if not st.is_ample or L.square < 2:
         raise NotAmpleError(
             f"gonality needs an ample class with L^2 >= 2; got square {L.square}"
         )
-    p = phi(L)
-    m = mu(L, 2 * p.value + 2)  # mu's default cap, without a second phi
-    floor_term = L.square // 4 + 2
-    genus = L.square // 2 + 1
-    terms = [2 * p.value, floor_term]
-    if m.exact:
-        terms.append(m.value)
-    k = min(terms)
-
-    notes: list[str] = []
-    pair_key = (L.square, p.value)
-    label = None
-    if pair_key in EXCEPTIONAL_SQUARE_PHI_PAIRS:
-        label = CASE_FLOOR_EXCEPTIONAL
-        if not k == floor_term == 2 * p.value - 1:
-            raise CertificateError(
-                f"exceptional pair {pair_key} needs k = floor(L^2/4) + 2 = "
-                f"2 phi - 1, got k = {k}, floor term {floor_term}"
-            )
-    elif k == 2 * p.value:
-        label = CASE_GENERIC
-    elif m.exact and m.value == k:
-        # mu achieves the minimum (possibly tying the floor term); the two
-        # mu shapes require the classified value of k to match as well
-        if (
-            L.square == p.value**2
-            and p.value % 2 == 0
-            and k == 2 * p.value - 2
-        ):
-            label = CASE_MU_SQUARE
-        elif (
-            L.square == p.value**2 + p.value - 2
-            and p.value >= 3
-            and k == (2 * p.value - 1 if p.value >= 5 else 2 * p.value - 2)
-            and not _is_twice_d10(L)
-        ):
-            label = CASE_MU_SQUARE_PLUS
-            notes.append(
-                "square-plus case: L = 2D exclusion checked numerically "
-                "(torsion ignored)"
-            )
-    if label is None:
-        if k == floor_term:
-            # the floor term achieves the minimum at a pair outside the
-            # exceptional list.  This covers the boundary shapes where the
-            # classified mu value is impossible: at (4, 2) the would-be
-            # minimizer is numerically L itself (excluded by definition),
-            # and for L^2 = phi^2 + phi - 2 with phi in {3, 4} the Hodge
-            # bound (L.B)^2 >= 4 L^2 already forces mu > 2 phi - 2.
-            label = CASE_FLOOR_PLAIN
-        else:
-            raise CertificateError(
-                f"mu wins at (L^2, phi) = {pair_key}, outside the known "
-                "classification; this indicates a search bug"
-            )
-    return GonalityReport(k, p, m, floor_term, label, genus, tuple(notes))
+    return polarization(L.num).report
 
 
 def clifford_generic(L: DivisorClass) -> int:
@@ -392,7 +438,7 @@ def decompose_isotropic(L: DivisorClass) -> IsotropicDecomposition:
         c, prim = content(L.num)
         return IsotropicDecomposition((DivisorClass(prim, 0),), (c,), CONFIG_I)
 
-    lift = complement_lift(L.num)
+    lift = polarization(L.num).lift
     a0 = reference_ample(L.num.form).num
     l_sq = L.square
     # the pool by degree, then lexicographically (fibers come sorted), with

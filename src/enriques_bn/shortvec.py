@@ -36,11 +36,10 @@ gives that kernel in echelon form and the pivot classes whose integer
 combinations are the particular solutions; the pivot classes' pairings with
 the kernel and with each other are stored too, so a value vector costs a
 forward substitution and no solve.  A :class:`ComplementLift` is the
-one-constraint case, with values (t,).  :func:`complement_lift` keeps the
-last lift it built, keyed on L by value (the key includes the form), so
-phi, mu, destab and decompose on one polarization share one lift.  A lift
-is immutable data fixed by (form, L) alone and each call runs its own
-search on it, so reuse keeps every certificate.
+one-constraint case, with values (t,).  A lift is immutable data fixed by
+(form, L) alone and each call runs its own search on it, so callers may
+share one and keep every certificate; ``invariants.polarization`` keeps one
+per class.
 """
 
 from __future__ import annotations
@@ -48,7 +47,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from operator import mul
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -396,8 +394,7 @@ class ComplementLift(FiberSystem):
     :class:`FiberSystem` of the one constraint class L, with values (t,).
 
     Its one pivot class w has w.L = degree_step, the content of L's pairing
-    vector, so the fiber at t = m * degree_step starts from m * w.  Build one
-    through :func:`complement_lift` to share it between callers.
+    vector, so the fiber at t = m * degree_step starts from m * w.
     """
 
     def __init__(self, form: IntersectionForm, L: NumClass):
@@ -428,14 +425,3 @@ class ComplementLift(FiberSystem):
             (x for x in self._enumerate((t,), square, exact=True) if accept(x)), None
         )
 
-
-@lru_cache(maxsize=1)
-def complement_lift(L: NumClass) -> ComplementLift:
-    """The ComplementLift of L, reused while consecutive calls ask for the
-    same L.
-
-    The cache key is L by value; its equality and hash include the form, so
-    a lift is never returned for equal coordinates in another form.  A lift
-    holds no mutable state, so threads may share it.
-    """
-    return ComplementLift(L.form, L)

@@ -1,5 +1,6 @@
 import pytest
 
+from enriques_bn import invariants
 from enriques_bn.lattice import (
     canonical_form,
     config_i,
@@ -7,6 +8,13 @@ from enriques_bn.lattice import (
     config_iii,
     embed_configuration,
 )
+
+
+@pytest.fixture(autouse=True)
+def fresh_polarizations():
+    """Start every test on an empty per-polarization cache, so no test reads
+    a report cached before it monkeypatched what the report calls."""
+    invariants.polarization.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from enriques_bn import brill_noether
+from enriques_bn import brill_noether, invariants
 from enriques_bn.brill_noether import (
     STATUS_APPLIES,
     STATUS_EMPTY,
@@ -69,9 +69,13 @@ class TestPredict:
         assert pred.status == STATUS_EMPTY
         assert pred.genus == 5 and pred.k == 4
 
-    def test_requires_ample(self):
-        with pytest.raises(NotAmpleError):
-            predict_w1d(DivisorClass(basis_vector(0), 0))
+    def test_requires_ample(self, pair_one):
+        # -L has positive square: building its lift first would not raise
+        e1, e2 = pair_one
+        for bad in (DivisorClass(basis_vector(0), 0), DivisorClass(-2 * e1 - 4 * e2, 0)):
+            with pytest.raises(NotAmpleError):
+                predict_w1d(bad)
+        assert invariants.polarization.cache_info().currsize == 0
 
 
 @pytest.fixture(scope="module")

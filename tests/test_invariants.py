@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from enriques_bn import invariants
-from enriques_bn.brill_noether import enumerate_destab
+from enriques_bn.brill_noether import enumerate_destab, predict_w1d
 from enriques_bn.errors import (
     CertificateError,
     GenusTooSmallError,
@@ -23,6 +23,7 @@ from enriques_bn.invariants import (
     CASE_MU_SQUARE_PLUS,
     EXCEPTIONAL_SQUARE_PHI_PAIRS,
     MU_EXACT,
+    POLARIZATION_CACHE_SIZE,
     MuResult,
     PhiResult,
     _normalize_decomposition,
@@ -35,9 +36,11 @@ from enriques_bn.invariants import (
 )
 from enriques_bn.lattice import (
     DivisorClass,
+    IntersectionForm,
     NumClass,
     _pattern_gram,
     basis_vector,
+    canonical_form,
     config_i,
     config_ii,
     config_iii,
@@ -100,9 +103,13 @@ class TestPhi:
         assert res.value == 6  # multiples of 3 only; 3 needs a class parallel to E1
         check_phi_witness(L, res)
 
-    def test_precondition(self):
-        with pytest.raises(NotAmpleEnoughError):
-            phi(DivisorClass(basis_vector(0), 0))  # square 0
+    def test_precondition(self, pair_one):
+        # -L has positive square: building its lift first would not raise
+        e1, e2 = pair_one
+        for bad in (DivisorClass(basis_vector(0), 0), DivisorClass(-2 * e1 - 4 * e2, 0)):
+            with pytest.raises(NotAmpleEnoughError):
+                phi(bad)
+        assert invariants.polarization.cache_info().currsize == 0
 
     def test_upper_bound_and_witnesses_random(self):
         rng = random.Random(41)
@@ -342,9 +349,13 @@ class TestGonality:
         assert rep.case_label == CASE_MU_SQUARE_PLUS
         assert any("2D exclusion" in note for note in rep.notes)
 
-    def test_requires_ample(self):
-        with pytest.raises(NotAmpleError):
-            gonality(DivisorClass(basis_vector(0), 0))
+    def test_requires_ample(self, pair_one):
+        # -L has positive square: building its lift first would not raise
+        e1, e2 = pair_one
+        for bad in (DivisorClass(basis_vector(0), 0), DivisorClass(-2 * e1 - 4 * e2, 0)):
+            with pytest.raises(NotAmpleError):
+                gonality(bad)
+        assert invariants.polarization.cache_info().currsize == 0
 
     def test_gonality_bound_random(self):
         rng = random.Random(43)
@@ -626,10 +637,110 @@ class TestDecomposeCuts:
         assert 3 * a + 2 * b + c == L.num
 
 
+def cached_answers(L):
+    """(name, call) for every answer a Polarization caches for L."""
+
+    def clifford():
+        try:
+            return clifford_generic(L)
+        except GenusTooSmallError as ex:
+            return "convention", ex.convention_value
+
+    rep = gonality(L)
+    calls = [("gonality", lambda: gonality(L)), ("clifford", clifford),
+             ("predict", lambda: predict_w1d(L))]
+    calls += [(f"destab d={d}", lambda d=d: enumerate_destab(L, d))
+              for d in range(rep.k, rep.genus - rep.k + 1)]
+    return calls
+
+
+class TestPolarizationCache:
+    def test_equal_classes_share_one_object_and_report(self):
+        L = divisor_class([2, 4] + [0] * 8)
+        pol = invariants.polarization(L.num)
+        assert invariants.polarization(num_class([2, 4] + [0] * 8)) is pol
+        assert gonality(L) is pol.report
+        assert gonality(divisor_class([2, 4] + [0] * 8)) is pol.report
+
+    def test_torsion_twist_shares_it(self):
+        L = divisor_class([2, 4] + [0] * 8)
+        rep = gonality(L)
+        before = invariants.polarization.cache_info()
+        assert gonality(DivisorClass(L.num, 1)) is rep
+        after = invariants.polarization.cache_info()
+        assert (after.misses, after.currsize) == (before.misses, before.currsize)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        st.integers(1, 3),
+        st.integers(1, 3),
+        st.lists(st.integers(-1, 1), min_size=8, max_size=8),
+    )
+    def test_equal_coordinates_in_another_form_get_their_own_object(self, a, b, rest):
+        canonical = canonical_form()
+        gram = [list(row) for row in canonical.gram]
+        gram[0][1] = gram[1][0] = 2
+        other = IntersectionForm(10, tuple(map(tuple, gram)))  # U(2) + E8(-1)
+        coords = (a, b, *rest)
+        L = NumClass(coords, canonical)
+        assume(L.square > 0)  # then the square in U(2) + E8(-1) is L^2 + 2ab
+        pols = [invariants.polarization(M) for M in (L, NumClass(coords, other), L)]
+        assert pols[0] is pols[2] and pols[1] is not pols[0]
+        for pol in pols:
+            M, lift = pol.L, pol.lift
+            assert lift.L == M and lift.form == M.form
+            assert lift._kernel == ComplementLift(M.form, M)._kernel
+            t = lift.degree_step
+            assert all(x.form == M.form and x.dot(M) == t for x in lift.fiber(t, 0))
+
+    def test_bound_plus_one_classes_rebuild_the_first(self):
+        classes = [num_class([1, b] + [0] * 8) for b in range(1, POLARIZATION_CACHE_SIZE + 2)]
+        pols = [invariants.polarization(L) for L in classes]
+        assert invariants.polarization(classes[-1]) is pols[-1]
+        assert invariants.polarization(classes[0]) is not pols[0]
+
+    def test_cold_gonality_calls_mu_once(self, monkeypatch):
+        calls = []
+
+        def counting_mu(L, cap=None, real=invariants.mu):
+            calls.append(cap)
+            return real(L, cap)
+
+        monkeypatch.setattr(invariants, "mu", counting_mu)
+        L = divisor_class([2, 4] + [0] * 8)
+        rep = gonality(L)
+        assert calls == [2 * rep.phi.value + 2]
+        assert gonality(L) is rep
+        clifford_generic(L)
+        predict_w1d(L)
+        enumerate_destab(L, rep.k)
+        assert len(calls) == 1
+
+    def test_warm_answers_equal_cold_ones(self, pair_one):
+        rng = random.Random(44)
+        classes = [random_ample(rng, max_square=16) for _ in range(24)]
+        classes += [divisor_class([a, b] + [0] * 8)
+                    for a, b in ((1, 6), (1, 8), (1, 10), (2, 5), (3, 4))]
+        e1, e2 = pair_one
+        classes.append(DivisorClass(2 * e1 + 4 * e2, 0))
+        for L in classes:
+            calls = cached_answers(L)
+            cold = []
+            for _, call in calls:
+                invariants.polarization.cache_clear()
+                cold.append(call())
+            misses = invariants.polarization.cache_info().misses
+            warm = [call() for _, call in calls]
+            assert invariants.polarization.cache_info().misses == misses
+            for (name, _), c, w in zip(calls, cold, warm):
+                assert w == c, f"{name} of {L.num.coords}"
+
+
 class TestConcurrency:
     def test_shared_state_free_under_threads(self, pair_one, pair_two):
-        # everything is immutable and pure, so concurrent calls over shared
-        # inputs must agree with the sequential answers
+        # values are immutable and the one cache holds answers fixed by their
+        # key, so concurrent calls over shared inputs must agree with the
+        # sequential answers
         from concurrent.futures import ThreadPoolExecutor
 
         e1, e2 = pair_one
@@ -646,9 +757,9 @@ class TestConcurrency:
         assert got == expected
 
     def test_lift_cache_thrashed_across_threads(self, pair_one):
-        # phi, mu, decompose and destab share complement_lift's one entry;
-        # interleaving four classes across more threads than cores makes
-        # every call race the others for it
+        # every call on one class shares its Polarization; with the cache
+        # cleared, more threads than cores race to build each object and
+        # its report
         import sys
         from concurrent.futures import ThreadPoolExecutor
 
@@ -663,8 +774,10 @@ class TestConcurrency:
         calls += [(mu, L) for L, _ in cases]
         calls += [(decompose_isotropic, L) for L, _ in cases]
         calls += [(enumerate_destab, L, d) for L, d in cases]
+        calls += [(fn, L) for fn in (gonality, clifford_generic, predict_w1d) for L, _ in cases]
         calls *= 3
         expected = [fn(*args) for fn, *args in calls]
+        invariants.polarization.cache_clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:

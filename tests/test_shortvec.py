@@ -4,8 +4,6 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
 
 from enriques_bn import shortvec
 from enriques_bn.errors import (
@@ -14,10 +12,8 @@ from enriques_bn.errors import (
     PositiveSquareRequiredError,
 )
 from enriques_bn.lattice import (
-    IntersectionForm,
     NumClass,
     basis_vector,
-    canonical_form,
     integer_determinant,
     num_class,
 )
@@ -26,7 +22,6 @@ from enriques_bn.shortvec import (
     FiberSystem,
     PosDefForm,
     _ScaledLDL,
-    complement_lift,
     enumerate_short,
 )
 from oracles import (
@@ -180,44 +175,12 @@ class TestProjectComplement:
         assert lift.degree_step == 3
         assert lift.fiber(2, 0) == []
 
-
-class TestLiftCache:
-    def test_consecutive_calls_share_one_lift(self):
-        L = num_class([2, 4] + [0] * 8)
-        lift = complement_lift(L)
-        assert complement_lift(num_class([2, 4] + [0] * 8)) is lift
-        complement_lift(num_class([4, 2] + [0] * 8))
-        assert complement_lift(L) is not lift  # the one entry moved on
-
-    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-    @given(
-        st.integers(1, 3),
-        st.integers(1, 3),
-        st.lists(st.integers(-1, 1), min_size=8, max_size=8),
-    )
-    def test_equal_coordinates_in_another_form_get_their_own_lift(self, a, b, rest):
-        canonical = canonical_form()
-        gram = [list(row) for row in canonical.gram]
-        gram[0][1] = gram[1][0] = 2
-        other = IntersectionForm(10, tuple(map(tuple, gram)))  # U(2) + E8(-1)
-        coords = (a, b, *rest)
-        L = NumClass(coords, canonical)
-        assume(L.square > 0)  # then the square in U(2) + E8(-1) is L^2 + 2ab
-        for M in (L, NumClass(coords, other), L):
-            lift = complement_lift(M)
-            assert lift.L == M and lift.form == M.form
-            assert isinstance(lift, FiberSystem)
-            fresh = ComplementLift(M.form, M)
-            assert lift.form == fresh.form and lift._kernel == fresh._kernel
-            t = lift.degree_step
-            assert all(x.form == M.form and x.dot(M) == t for x in lift.fiber(t, 0))
-
     def test_scaled_pairings_match_a_fresh_solve(self, form):
-        # the lift scales b and x0^2 from the unit solution; FiberSystem
-        # solves and pairs anew for every value
+        # the lift's methods against the general FiberSystem on the same
+        # one constraint, off the degree step's multiples too
         for coords in ([2, 4] + [0] * 8, [3, 3, 1, 0, 1, 0, 0, 0, 0, 0], [3, 6] + [0] * 8):
             L = num_class(coords)
-            lift = complement_lift(L)
+            lift = ComplementLift(form, L)
             fib = FiberSystem(form, [L])
             for t in range(-2 * lift.degree_step, 4 * lift.degree_step + 1):
                 for sq in (0, 2, 4):
