@@ -501,9 +501,10 @@ def embed_configuration(
     they all sit in the positive cone.  The search fills one slot at a time,
     trying candidates in order of increasing (f+g)-degree and then
     lexicographic coordinates, and backtracks; the result is therefore
-    deterministic.  Candidates are generated lazily, one degree at a time,
-    so the (large) high-degree fibers are only enumerated when a pattern is
-    hard to realize.  Raises NotRealizableError (exhausted=True) if no
+    deterministic.  Candidates are generated lazily, class by class, so a
+    fiber is searched only up to the first class the backtracking keeps,
+    and the (large) high-degree fibers only when a pattern is hard to
+    realize.  Raises NotRealizableError (exhausted=True) if no
     solution shows up with every degree <= max_height.
     """
     from .shortvec import FiberSystem  # deferred: shortvec imports this module
@@ -515,10 +516,10 @@ def embed_configuration(
         fiber = FiberSystem(form, [ample] + chosen)
         wanted = [p.gram_sub[k][idx] for k in range(len(chosen))]
         for height in range(1, max_height + 1):
-            # solutions come in lexicographic order
-            yield from (
-                x for x in fiber.solutions([height] + wanted, 0) if is_primitive(x)
-            )
+            # lazily, in lexicographic order: the fiber is searched only as
+            # far as the backtracking asks
+            sols = fiber.iter_solutions([height] + wanted, 0)
+            yield from (x for x in sols if is_primitive(x))
 
     chosen: list[NumClass] = []
 

@@ -26,8 +26,9 @@ pivot at the outermost search level, and every level is scanned in
 ascending order.  So the search itself emits the lattice points x in
 strictly increasing lexicographic order of their coordinates (the ordering
 certificate, argued at :meth:`FiberSystem._set_up`): no caller sorts a
-fiber, and ``ComplementLift.first`` stops the search at the first class a
-caller accepts.  Every class of an exact search is still square-checked
+fiber, and a caller of ``FiberSystem.iter_solutions`` (``ComplementLift.first``,
+``lattice.embed_configuration``) stops the search at the first class it
+keeps.  Every class of an exact search is still square-checked
 before a caller sees it.
 
 One fiber class, :class:`FiberSystem`, runs every search on the kernel of
@@ -378,9 +379,17 @@ class FiberSystem:
                 )
             yield x
 
+    def iter_solutions(
+        self, values: Sequence[int], square: int
+    ) -> Iterator[NumClass]:
+        """All x with x.u_j = values[j] and x^2 == square, lazily, in
+        lexicographic order, each square-checked before it is yielded.  A
+        caller that stops early leaves the rest of the search unrun."""
+        return self._enumerate(values, square, exact=True)
+
     def solutions(self, values: Sequence[int], square: int) -> list[NumClass]:
         """All x with x.u_j = values[j] and x^2 == square, in lexicographic order."""
-        return list(self._enumerate(values, square, exact=True))
+        return list(self.iter_solutions(values, square))
 
     def solutions_min_square(
         self, values: Sequence[int], min_square: int
@@ -410,7 +419,7 @@ class ComplementLift(FiberSystem):
 
     def fiber(self, t: int, square: int) -> list[NumClass]:
         """All x with x.L = t and x^2 = square, in lexicographic order."""
-        return list(self._enumerate((t,), square, exact=True))
+        return list(self.iter_solutions((t,), square))
 
     def fiber_min_square(self, t: int, min_square: int) -> list[NumClass]:
         """All x with x.L = t and x^2 >= min_square, in lexicographic order."""
@@ -421,7 +430,5 @@ class ComplementLift(FiberSystem):
     ) -> NumClass | None:
         """The lexicographically first x with x.L = t, x^2 = square and
         accept(x), or None.  The search stops at that class."""
-        return next(
-            (x for x in self._enumerate((t,), square, exact=True) if accept(x)), None
-        )
+        return next((x for x in self.iter_solutions((t,), square) if accept(x)), None)
 

@@ -20,6 +20,10 @@ with it, so the fiber oracle shares no reduction with the library.
 solves the Gram system of the generators in ``Fraction`` where the library
 solves their coordinate equations over the integers.
 
+``embed_eager`` is ``embed_configuration`` as it ran before its candidates
+came lazily: each height's whole fiber is listed before the first class is
+tried.
+
 ``mu_full_scan`` and ``destab_unpruned`` are the whole-fiber forms of
 ``mu`` and ``enumerate_destab``: they build every fiber in full and filter
 afterwards, where the library stops at the first hit or prunes the search.
@@ -482,6 +486,42 @@ def fraction_coefficients(gens: list, target) -> list[int] | None:
     if acc != target:
         return None
     return coeffs
+
+
+def embed_eager(p, max_height: int = 6) -> list:
+    """``embed_configuration(p, max_height=max_height)`` with every fiber
+    built in full by ``FiberSystem.solutions``; same order, same errors."""
+    from enriques_bn.errors import NotRealizableError
+    from enriques_bn.lattice import basis_vector, is_primitive
+    from enriques_bn.shortvec import FiberSystem
+
+    form = canonical_form()
+    ample = basis_vector(0, form) + basis_vector(1, form)
+
+    def candidates(chosen, idx):
+        fiber = FiberSystem(form, [ample] + chosen)
+        wanted = [p.gram_sub[k][idx] for k in range(len(chosen))]
+        for height in range(1, max_height + 1):
+            yield from (
+                x for x in fiber.solutions([height] + wanted, 0) if is_primitive(x)
+            )
+
+    chosen = []
+
+    def search(idx):
+        if idx == p.n:
+            return True
+        for cand in candidates(chosen, idx):
+            chosen.append(cand)
+            if search(idx + 1):
+                return True
+            chosen.pop()
+        return False
+
+    if not search(0):
+        raise NotRealizableError(f"no embedding with degrees <= {max_height}",
+                                 exhausted=True)
+    return chosen
 
 
 def mu_full_scan(L, cap: int):

@@ -27,7 +27,7 @@ from enriques_bn.lattice import (
     num_class,
     solve_integer_linear,
 )
-from oracles import column_reduction_solve, fraction_det
+from oracles import column_reduction_solve, embed_eager, fraction_det
 
 
 def random_class(rng, form, spread=5):
@@ -356,6 +356,28 @@ class TestEmbedConfiguration:
         with pytest.raises(NotRealizableError) as exc:
             embed_configuration(cfg, max_height=1)
         assert exc.value.exhausted
+
+    @pytest.mark.parametrize("max_height", [1, 2, 6])
+    def test_lazy_candidates_against_the_eager_oracle(self, max_height):
+        # every pattern (i) 2..10, (ii) 2..10, (iii) 3..10
+        def outcome(embed, cfg):
+            try:
+                return [x.coords for x in embed(cfg, max_height=max_height)]
+            except NotRealizableError as exc:
+                assert exc.exhausted
+                return "exhausted"
+
+        got = {}
+        for make, smallest in ((config_i, 2), (config_ii, 2), (config_iii, 3)):
+            for n in range(smallest, 11):
+                cfg = make(n)
+                got[make.__name__, n] = outcome(embed_configuration, cfg)
+                assert got[make.__name__, n] == outcome(embed_eager, cfg)
+        assert len(got) == 26
+        if max_height == 1:
+            assert got["config_ii", 2] == "exhausted"
+        else:
+            assert "exhausted" not in got.values()
 
     def test_custom_realizable(self):
         cfg = custom_configuration([[0, 3], [3, 0]])
