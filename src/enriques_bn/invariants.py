@@ -39,15 +39,17 @@ from .errors import (
 )
 from .lattice import (
     CONFIG_I,
-    CONFIG_II,
-    CONFIG_III,
+    ConfigurationPresentation,
     DivisorClass,
     NumClass,
+    config_i,
+    config_ii,
+    config_iii,
     content,
-    solve_integer_linear,
+    is_primitive,
 )
 from .positivity import classify_positivity, reference_ample
-from .shortvec import ComplementLift
+from .shortvec import ComplementLift, FiberSystem
 
 #: (L^2, phi) pairs where the gonality drops to floor(L^2/4) + 2 = 2 phi - 1.
 EXCEPTIONAL_SQUARE_PHI_PAIRS = frozenset(
@@ -63,8 +65,7 @@ CASE_FLOOR_PLAIN = "floor-plain"
 MU_EXACT = "exact"
 MU_NOT_FOUND = "not-found-below-cap"
 
-#: Budgets of ``decompose_isotropic``: candidate pool size and search nodes.
-DECOMPOSE_MAX_CANDIDATES = 512
+#: Budget of ``decompose_isotropic``: slots filled.
 DECOMPOSE_MAX_NODES = 200_000
 
 #: How many classes :func:`polarization` keeps.
@@ -335,70 +336,73 @@ def clifford_generic(L: DivisorClass) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _pattern_of(two_edges: list[tuple[int, int]]) -> str | None:
-    """Which decomposition pattern a set of 2-pairings realizes, if any."""
-    if not two_edges:
-        return CONFIG_I
-    if len(two_edges) == 1:
-        return CONFIG_II
-    if len(two_edges) == 2:
-        a, b = two_edges
-        shared = set(a) & set(b)
-        if len(shared) == 1:
-            return CONFIG_III
-    return None
+def _levels(l_sq: int) -> list[list[tuple]]:
+    """The decomposition shapes of square l_sq, grouped by level (D, n) in
+    increasing order: (pattern, alike, a, delta) for every pattern (i)
+    n = 2..10, (ii) n = 2..10, (iii) n = 3..10 with Gram G, every a >= 1
+    with a^T G a = l_sq, delta = G a and D = max delta.
 
-
-def _solve_coefficients(
-    gens: list[NumClass], target: NumClass
-) -> list[int] | None:
-    """Positive integer a_i with sum a_i E_i = target, or None.
-
-    Solves the coordinate equations over the integers.  A pattern-compatible
-    generator set has a pattern Gram, which is nonsingular for every n <= 10,
-    so the generators are independent and the solution is unique.  The
-    rebuilt sum is checked, and a mismatch raises CertificateError.
+    Slot j is ``alike`` slot j - 1 when their rows of G agree outside
+    columns j - 1 and j; the alike runs are the blocks {1..n} of (i),
+    {1, 2} and {3..n} of (ii) and {2, 3} and {4..n} of (iii), and a is
+    non-increasing inside each.  G has a zero diagonal and positive entries
+    elsewhere, so a^T G a is linear in each a_j with slope 2 (G a)_j > 0: a
+    prefix completed by ones bounds every completion from below, the slope
+    at the next slot bounds its coefficient, and the last coefficient
+    solves its linear equation.  A prefix carries q, its own a^T G a, and
+    c = G a over its slots, so each bound costs O(n).
     """
-    rows = list(zip(*(e.coords for e in gens)))
-    coeffs, _ = solve_integer_linear(rows, target.coords)
-    if coeffs is None or min(coeffs) <= 0:
-        return None
-    acc = coeffs[0] * gens[0]
-    for c, e in zip(coeffs[1:], gens[1:]):
-        acc = acc + c * e
-    if acc != target:
-        raise CertificateError(
-            f"coefficients {coeffs} rebuild {acc.coords}, not {target.coords}"
-        )
-    return list(coeffs)
+    levels: dict[tuple[int, int], list[tuple]] = {}
+    for make, smallest in ((config_i, 2), (config_ii, 2), (config_iii, 3)):
+        # a = (1, ..., 1) gives at least n (n - 1), so (2n - 1)^2 <= 4 l_sq + 1
+        for n in range(smallest, min(10, (math.isqrt(4 * l_sq + 1) + 1) // 2) + 1):
+            p = make(n)
+            g = p.gram_sub
+            alike = [False] + [
+                all(g[j - 1][k] == g[j][k] for k in range(n) if k not in (j - 1, j))
+                for j in range(1, n)
+            ]
+            # after[m] = (G 1)_m over the slots past m; tail[m] = 1^T G 1
+            # over the slots from m on
+            after = [sum(g[m][m + 1:]) for m in range(n)]
+            tail = [0] * (n + 1)
+            for m in range(n - 1, -1, -1):
+                tail[m] = tail[m + 1] + 2 * after[m]
+            prefixes = [([], 0, [0] * n)]
+            while prefixes:
+                a, q, c = prefixes.pop()
+                m = len(a)
+                room, rest = divmod(
+                    l_sq - q - 2 * sum(c[m:]) - tail[m], 2 * (c[m] + after[m])
+                )
+                top = min(1 + room, a[-1]) if alike[m] else 1 + room
+                if m < n - 1:
+                    for x in range(1, top + 1):
+                        c_x = [y + x * z for y, z in zip(c, g[m])]
+                        prefixes.append((a + [x], q + 2 * x * c[m], c_x))
+                elif room >= 0 and not rest and top == 1 + room:
+                    delta = [y + top * z for y, z in zip(c, g[m])]
+                    levels.setdefault((max(delta), n), []).append(
+                        (p, alike, a + [top], delta)
+                    )
+    return [levels[key] for key in sorted(levels)]
 
 
-def _normalize_decomposition(
-    gens: list[NumClass], coeffs: list[int], two_edges: list[tuple[int, int]]
-) -> IsotropicDecomposition:
-    """Reorder generators to the canonical pattern indexing."""
-    n = len(gens)
-    label = _pattern_of(two_edges)
-    if label is None:
+def _check_realization(
+    target: NumClass, p: ConfigurationPresentation, a: list[int], gens: list[NumClass]
+) -> None:
+    """CertificateError unless sum a_i E_i rebuilds target and the Gram of
+    the E_i is the pattern's."""
+    rebuilt = a[0] * gens[0]
+    for c, e in zip(a[1:], gens[1:]):
+        rebuilt = rebuilt + c * e
+    gram = tuple(tuple(e.dot(f) for f in gens) for e in gens)
+    if rebuilt != target or gram != p.gram_sub:
         raise CertificateError(
-            f"2-pairings {two_edges} realize no decomposition pattern"
+            f"generators {[e.coords for e in gens]} with coefficients {a} "
+            f"rebuild {rebuilt.coords} with Gram {gram}; pattern {p.label} "
+            f"of {target.coords} needs {p.gram_sub}"
         )
-    order = list(range(n))
-    if label == CONFIG_II:
-        a, b = two_edges[0]
-        order = [a, b] + [i for i in range(n) if i not in (a, b)]
-    elif label == CONFIG_III:
-        (a1, b1), (a2, b2) = two_edges
-        shared = (set((a1, b1)) & set((a2, b2))).pop()
-        partners = sorted({a1, b1, a2, b2} - {shared})
-        order = [shared] + partners + [
-            i for i in range(n) if i != shared and i not in partners
-        ]
-    return IsotropicDecomposition(
-        tuple(DivisorClass(gens[i], 0) for i in order),
-        tuple(coeffs[i] for i in order),
-        label,
-    )
 
 
 def decompose_isotropic(L: DivisorClass) -> IsotropicDecomposition:
@@ -406,28 +410,31 @@ def decompose_isotropic(L: DivisorClass) -> IsotropicDecomposition:
     effective classes whose pairwise pairings follow pattern (i), (ii) or
     (iii).
 
-    The candidate pool is grown degree by degree from 1 up to L^2 (in any
-    decomposition every generator satisfies E_i.L <= L^2; stages below
-    phi(L) have empty pools and are skipped); within a stage, generators
-    are tried in order of increasing L-degree then lexicographic
-    coordinates, small generator sets before large ones, and the first
-    pattern-compatible subset admitting positive integer coefficients wins.
-    Deterministic; raises SearchExhaustedError with the bound that was hit
-    (DECOMPOSE_MAX_CANDIDATES, DECOMPOSE_MAX_NODES) rather than silently
-    truncating.
+    A pattern Gram G and coefficients a fix L^2 = a^T G a and every degree
+    E_j.L = (G a)_j, so the search runs over the shapes of :func:`_levels`.
+    Levels (D, n), D the largest degree, are visited in increasing order;
+    a level returns the realization with the least sorted list of
+    (E_j.L, coordinates of E_j), and the first level with one ends the
+    search.  That is the minimum of (max E.L, n, that list) over every
+    decomposition, so the answer does not depend on the order of the search.
+    Generators come in pattern order, alike slots (see :func:`_levels`) by
+    increasing (E.L, coordinates).
 
-    Two cuts leave that order and its first hit unchanged:
+    Slot 1 is drawn from L's lift at degree delta_1, slot j < n from
+    ``FiberSystem(form, [L, E_1, ..., E_{j-1}])`` at values (delta_j, G_1j,
+    ..., G_{j-1,j}), primitive classes only; alike slots of equal
+    coefficient take increasing coordinates, so each set is found once.
+    The last slot needs no search.  Let R = L - sum_{i<n} a_i E_i.  For
+    j < n, R.E_j = delta_j - sum_{i<n} a_i G_ij = a_n G_nj; then
+    R.L = a_n delta_n and R^2 = R.L - sum_{i<n} a_i R.E_i = a_n (delta_n -
+    sum_{i<n} G_ni a_i) = a_n^2 G_nn = 0.  So E_n = R / a_n has every
+    pairing the pattern asks for as soon as it is integral, and it is kept
+    when it is also primitive.  The rebuilt sum and the Gram of the
+    realization returned are checked anyway, and a mismatch raises
+    CertificateError.
 
-    - a stage tries only subsets holding a class new at its degree: every
-      subset of the older pool already failed the same solve one stage
-      before (the last chosen index starts at the old pool size);
-    - a partial subset is dropped unless its residual R = L - sum E_i is
-      0 or has R^2 >= 0 and R.A0 > 0.  In a decomposition R is a
-      nonnegative combination of effective isotropic classes pairing to 1
-      or 2, so this holds for every subset of the generators.  As the
-      complement of A0 is negative definite, the test reads R^2 >= 0 and
-      R.A0 >= 0, and both numbers follow from the pairings already known:
-      adding E to the subset takes R^2 to R^2 - 2 (E.L - sum of E.E_i).
+    Deterministic; raises SearchExhaustedError once DECOMPOSE_MAX_NODES
+    slots have been filled.
     """
     st = classify_positivity(L)
     if not st.is_effective or L.square < 0:
@@ -438,101 +445,53 @@ def decompose_isotropic(L: DivisorClass) -> IsotropicDecomposition:
         c, prim = content(L.num)
         return IsotropicDecomposition((DivisorClass(prim, 0),), (c,), CONFIG_I)
 
-    lift = polarization(L.num).lift
-    a0 = reference_ample(L.num.form).num
-    l_sq = L.square
-    # the pool by degree, then lexicographically (fibers come sorted), with
-    # each class's degrees against L and A0; it only ever grows at the end,
-    # so indices into it and the pairing cache stay valid across stages
-    cands: list[NumClass] = []
-    deg_l: list[int] = []
-    deg_a0: list[int] = []
-    pairs: dict[tuple[int, int], int] = {}
-
-    def pairing(i: int, j: int) -> int:
-        if (i, j) not in pairs:
-            pairs[i, j] = cands[i].dot(cands[j])
-        return pairs[i, j]
-
+    target = L.num
+    form = target.form
+    lift = polarization(target).lift
     budget = DECOMPOSE_MAX_NODES
 
-    def search(size: int, first_new: int) -> IsotropicDecomposition | None:
-        """Depth-first over index tuples of exactly the given size whose
-        last index is at least first_new."""
-        n_cand = len(cands)
-        chosen: list[int] = []
-        two_edges: list[tuple[int, int]] = []
+    def fill(p, alike, a, delta, gens):
+        """Every realization of the shape (p, a) that extends gens."""
+        nonlocal budget
+        j = len(gens)
+        if j < p.n - 1:
+            source = lift if j == 0 else FiberSystem(form, [target] + gens)
+            column = [delta[j]] + [p.gram_sub[i][j] for i in range(j)]
+            candidates = source.primitive_isotropic(column)
+        else:
+            rest = target.coords
+            for c, e in zip(a, gens):
+                rest = [r - c * x for r, x in zip(rest, e.coords)]
+            if any(r % a[j] for r in rest):
+                return
+            last = NumClass(tuple(r // a[j] for r in rest), form)
+            candidates = [last] if is_primitive(last) else []
+        for x in candidates:
+            if alike[j] and a[j] == a[j - 1] and x.coords <= gens[-1].coords:
+                continue
+            budget -= 1
+            if budget <= 0:
+                raise SearchExhaustedError(
+                    f"decomposition search exceeded {DECOMPOSE_MAX_NODES} nodes"
+                )
+            if j < p.n - 1:
+                yield from fill(p, alike, a, delta, gens + [x])
+            else:
+                yield gens + [x]
 
-        def rec(
-            start: int, r_sq: int, r_a0: int
-        ) -> IsotropicDecomposition | None:
-            nonlocal budget
-            if len(chosen) == size:
-                gens = [cands[i] for i in chosen]
-                coeffs = _solve_coefficients(gens, L.num)
-                if coeffs is not None:
-                    return _normalize_decomposition(gens, coeffs, two_edges)
-                return None
-            if len(chosen) == size - 1:
-                start = max(start, first_new)
-            for idx in range(start, n_cand):
-                budget -= 1
-                if budget <= 0:
-                    raise SearchExhaustedError(
-                        f"decomposition search exceeded {DECOMPOSE_MAX_NODES} "
-                        f"nodes (pool size {n_cand})"
-                    )
-                ok = True
-                new_edges = []
-                paired = 0
-                for pos, prev in enumerate(chosen):
-                    v = pairing(prev, idx)
-                    if v not in (1, 2):
-                        ok = False
-                        break
-                    paired += v
-                    if v == 2:
-                        new_edges.append((pos, len(chosen)))
-                if not ok:
-                    continue
-                next_sq = r_sq - 2 * (deg_l[idx] - paired)
-                next_a0 = r_a0 - deg_a0[idx]
-                if next_sq < 0 or next_a0 < 0:
-                    continue  # the residual is neither 0 nor effective
-                if _pattern_of(two_edges + new_edges) is None:
-                    continue
-                chosen.append(idx)
-                two_edges.extend(new_edges)
-                hit = rec(idx + 1, next_sq, next_a0)
-                if hit is not None:
-                    return hit
-                del two_edges[len(two_edges) - len(new_edges):]
-                chosen.pop()
-            return None
-
-        return rec(0, l_sq, L.num.dot(a0))
-
-    # Small generator sets are overwhelmingly more common, so try all pairs
-    # before any triple and so on; together with the degree-staged pool
-    # growth this makes the returned decomposition deterministic.
-    for bound in range(1, l_sq + 1):
-        new = [x for x in lift.fiber(bound, 0) if content(x)[0] == 1]
-        if not new:
-            continue  # nothing new at this degree
-        first_new = len(cands)
-        cands.extend(new)
-        deg_l.extend([bound] * len(new))
-        deg_a0.extend(x.dot(a0) for x in new)
-        if len(cands) > DECOMPOSE_MAX_CANDIDATES:
-            raise SearchExhaustedError(
-                f"candidate pool exceeded {DECOMPOSE_MAX_CANDIDATES} classes "
-                f"at degree bound {bound}"
+    for level in _levels(L.square):
+        best = None
+        for p, alike, a, delta in level:
+            for gens in fill(p, alike, a, delta, []):
+                key = sorted(zip(delta, (e.coords for e in gens)))
+                if best is None or key < best[0]:
+                    best = key, gens, a, p
+        if best is not None:
+            _, gens, a, p = best
+            _check_realization(target, p, a, gens)
+            return IsotropicDecomposition(
+                tuple(DivisorClass(e, 0) for e in gens), tuple(a), p.label
             )
-        for size in range(2, min(10, len(cands)) + 1):
-            hit = search(size, first_new)
-            if hit is not None:
-                return hit
     raise SearchExhaustedError(
-        f"no decomposition found with generator degrees <= L^2 = {l_sq}; "
-        f"node budget remaining {budget}"
+        f"no pattern (i)-(iii) decomposition of square {L.square} realizes L"
     )

@@ -167,7 +167,7 @@ def content(x: NumClass) -> tuple[int, NumClass]:
 
 
 def is_primitive(x: NumClass) -> bool:
-    return not x.is_zero() and content(x)[0] == 1
+    return math.gcd(*x.coords) == 1  # the gcd of the zero class is 0
 
 
 @dataclass(frozen=True)
@@ -518,8 +518,7 @@ def embed_configuration(
         for height in range(1, max_height + 1):
             # lazily, in lexicographic order: the fiber is searched only as
             # far as the backtracking asks
-            sols = fiber.iter_solutions([height] + wanted, 0)
-            yield from (x for x in sols if is_primitive(x))
+            yield from fiber.primitive_isotropic([height] + wanted)
 
     chosen: list[NumClass] = []
 

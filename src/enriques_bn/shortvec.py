@@ -56,7 +56,7 @@ from .errors import (
     NotPositiveDefiniteError,
     PositiveSquareRequiredError,
 )
-from .lattice import IntersectionForm, NumClass, _reduce, _substitute
+from .lattice import IntersectionForm, NumClass, _reduce, _substitute, is_primitive
 
 Rational = int | Fraction
 
@@ -386,6 +386,13 @@ class FiberSystem:
         lexicographic order, each square-checked before it is yielded.  A
         caller that stops early leaves the rest of the search unrun."""
         return self._enumerate(values, square, exact=True)
+
+    def primitive_isotropic(self, values: Sequence[int]) -> Iterator[NumClass]:
+        """The primitive x with x.u_j = values[j] and x^2 = 0, lazily, in
+        lexicographic order: the candidates of one slot of an isotropic
+        configuration (``lattice.embed_configuration``,
+        ``invariants.decompose_isotropic``)."""
+        return (x for x in self.iter_solutions(values, 0) if is_primitive(x))
 
     def solutions(self, values: Sequence[int], square: int) -> list[NumClass]:
         """All x with x.u_j = values[j] and x^2 == square, in lexicographic order."""

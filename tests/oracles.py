@@ -16,9 +16,13 @@ reduces columns where the library reduces the rows of [rows^T | I], and
 its kernel basis is not in echelon form.  ``fraction_solutions`` solves
 with it, so the fiber oracle shares no reduction with the library.
 
-``fraction_coefficients`` is the decomposition solver's earlier form: it
-solves the Gram system of the generators in ``Fraction`` where the library
-solves their coordinate equations over the integers.
+``decompose_subset_search`` is ``decompose_isotropic``'s earlier form: it
+searches subsets of a pool of isotropic classes, with its stage and
+residual cuts, where the library searches coefficient vectors of the
+pattern Grams and finds the last generator by division.  Its leaf solves
+the coefficients with ``fraction_coefficients``, exact Gauss-Jordan
+elimination of the generators' Gram system, so it shares no solver with
+the library.
 
 ``embed_eager`` is ``embed_configuration`` as it ran before its candidates
 came lazily: each height's whole fiber is listed before the first class is
@@ -30,9 +34,11 @@ afterwards, where the library stops at the first hit or prunes the search.
 ``destab_unpruned`` also decides the splitting checklist from the
 cohomology of M and N, where the library decides it by arithmetic.
 ``mu_whole_pool`` builds mu's isotropic pool for the cap before the scan,
-where the library grows it with the degree.  ``decompose_unpruned`` is the
-decomposition search before its stages were restricted to new classes and
-its partial subsets pruned by their residual.
+where the library grows it with the degree.
+
+No oracle uses a ``_``-prefixed name of ``enriques_bn``
+(``tests/test_tooling.py`` checks it): an oracle that calls the code under
+test cannot catch its bugs.
 """
 
 from __future__ import annotations
@@ -454,29 +460,30 @@ def fraction_solutions(form, classes, values, square: int, exact: bool) -> set:
 
 def fraction_coefficients(gens: list, target) -> list[int] | None:
     """Positive integer a_i with sum a_i E_i = target, or None, from the
-    pairings: Gauss-Jordan elimination in ``Fraction`` on the Gram system
-    (E_i.E_j) a = (E_i.target), then the coordinate identity verified.
-    A singular Gram gives None."""
+    pairings: Gauss-Jordan elimination on the Gram system (E_i.E_j) a =
+    (E_i.target), rows combined by cross-multiplication and divided by
+    their content, one ``Fraction`` per coefficient at the end, then the
+    coordinate identity verified.  A singular Gram gives None."""
     n = len(gens)
-    a = [
-        [Fraction(gens[i].dot(gens[j])) for j in range(n)]
-        + [Fraction(gens[i].dot(target))]
-        for i in range(n)
-    ]
+    a = [[0] * n + [gens[i].dot(target)] for i in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            a[i][j] = a[j][i] = gens[i].dot(gens[j])
     for col in range(n):
         piv = next((r for r in range(col, n) if a[r][col] != 0), None)
         if piv is None:
             return None
         a[col], a[piv] = a[piv], a[col]
-        pv = a[col][col]
+        p = a[col]
         for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col] / pv
-                for c in range(col, n + 1):
-                    a[r][c] -= f * a[col][c]
+            f = a[r][col]
+            if r != col and f != 0:
+                row = [p[col] * x - f * y for x, y in zip(a[r], p)]
+                g = math.gcd(*row) or 1
+                a[r] = [x // g for x in row]
     coeffs = []
     for i in range(n):
-        v = a[i][n] / a[i][i]
+        v = Fraction(a[i][n], a[i][i])
         if v.denominator != 1 or v <= 0:
             return None
         coeffs.append(int(v))
@@ -616,72 +623,146 @@ def destab_unpruned(L, d: int) -> list:
     return out
 
 
-def decompose_unpruned(L):
-    """``decompose_isotropic(L)`` as it ran before its stages were restricted
-    to subsets holding a class new at the stage's degree and its partial
-    subsets pruned by the residual L - sum E_i: every stage searches every
-    subset of the whole pool again.  Same budgets, same order, same errors."""
-    from enriques_bn import invariants as inv
+def _subset_pattern(two_edges) -> str | None:
+    """Which decomposition pattern a set of 2-pairings realizes, if any."""
+    from enriques_bn.lattice import CONFIG_I, CONFIG_II, CONFIG_III
+
+    if not two_edges:
+        return CONFIG_I
+    if len(two_edges) == 1:
+        return CONFIG_II
+    if len(two_edges) == 2 and len(set(two_edges[0]) & set(two_edges[1])) == 1:
+        return CONFIG_III
+    return None
+
+
+def _subset_normalized(gens, coeffs, two_edges):
+    """The decomposition in canonical pattern order: for (ii) the pair
+    meeting in 2 first, for (iii) the shared class and then its two
+    partners, every other class in the order found."""
+    from enriques_bn.invariants import IsotropicDecomposition
+    from enriques_bn.lattice import CONFIG_II, CONFIG_III, DivisorClass
+
+    n = len(gens)
+    label = _subset_pattern(two_edges)
+    order = list(range(n))
+    if label == CONFIG_II:
+        a, b = two_edges[0]
+        order = [a, b] + [i for i in range(n) if i not in (a, b)]
+    elif label == CONFIG_III:
+        (a1, b1), (a2, b2) = two_edges
+        shared = ({a1, b1} & {a2, b2}).pop()
+        partners = sorted({a1, b1, a2, b2} - {shared})
+        order = [shared] + partners + [
+            i for i in range(n) if i != shared and i not in partners
+        ]
+    return IsotropicDecomposition(
+        tuple(DivisorClass(gens[i], 0) for i in order),
+        tuple(coeffs[i] for i in order),
+        label,
+    )
+
+
+#: Budgets of ``decompose_subset_search``: candidate pool size and nodes.
+SUBSET_MAX_CANDIDATES = 512
+SUBSET_MAX_NODES = 200_000
+
+
+def decompose_subset_search(L):
+    """``decompose_isotropic(L)`` as a search over subsets of a pool of
+    primitive isotropic classes, the form the library had before it
+    searched by coefficient vectors.
+
+    The pool grows degree by degree from 1 up to L^2, sorted by degree and
+    then coordinates, and keeps the pairings it has computed.  Within a
+    stage, subsets of 2..10 classes are tried smallest first, each in the
+    order of its indices, and the first set with pairwise pairings in a
+    pattern and positive integer coefficients (``fraction_coefficients``)
+    wins.  That is the least (max E.L, n, sorted list of (E.L,
+    coordinates)) over every decomposition.  Two cuts leave the first hit
+    unchanged: a stage tries only subsets holding a class new at its
+    degree, and a partial subset is dropped unless its residual
+    R = L - sum E_i has R^2 >= 0 and R.A0 >= 0.  Raises
+    SearchExhaustedError past SUBSET_MAX_CANDIDATES pool classes or
+    SUBSET_MAX_NODES nodes.
+    """
     from enriques_bn.errors import SearchExhaustedError
+    from enriques_bn.invariants import IsotropicDecomposition
     from enriques_bn.lattice import CONFIG_I, DivisorClass, content
+    from enriques_bn.positivity import reference_ample
     from enriques_bn.shortvec import ComplementLift
 
     if L.square == 0:
         c, prim = content(L.num)
-        return inv.IsotropicDecomposition((DivisorClass(prim, 0),), (c,), CONFIG_I)
+        return IsotropicDecomposition((DivisorClass(prim, 0),), (c,), CONFIG_I)
     lift = ComplementLift(L.num.form, L.num)
+    a0 = reference_ample(L.num.form).num
     l_sq = L.square
-    budget = inv.DECOMPOSE_MAX_NODES
+    cands, deg_l, deg_a0 = [], [], []
+    pairs = {}
+    budget = SUBSET_MAX_NODES
 
-    def search(cands, size):
-        nonlocal budget
+    def pairing(i, j):
+        if (i, j) not in pairs:
+            pairs[i, j] = cands[i].dot(cands[j])
+        return pairs[i, j]
+
+    def search(size, first_new):
         chosen, two_edges = [], []
 
-        def rec(start):
+        def rec(start, r_sq, r_a0):
             nonlocal budget
             if len(chosen) == size:
                 gens = [cands[i] for i in chosen]
-                coeffs = inv._solve_coefficients(gens, L.num)
+                coeffs = fraction_coefficients(gens, L.num)
                 if coeffs is not None:
-                    return inv._normalize_decomposition(gens, coeffs, two_edges)
+                    return _subset_normalized(gens, coeffs, two_edges)
                 return None
+            if len(chosen) == size - 1:
+                start = max(start, first_new)
             for idx in range(start, len(cands)):
                 budget -= 1
                 if budget <= 0:
                     raise SearchExhaustedError(
-                        f"decomposition search exceeded {inv.DECOMPOSE_MAX_NODES} "
-                        f"nodes (pool size {len(cands)})"
+                        f"subset search exceeded {SUBSET_MAX_NODES} nodes"
                     )
-                values = [cands[prev].dot(cands[idx]) for prev in chosen]
+                values = [pairing(prev, idx) for prev in chosen]
                 if any(v not in (1, 2) for v in values):
                     continue
-                new_edges = [(pos, len(chosen)) for pos, v in enumerate(values) if v == 2]
-                if inv._pattern_of(two_edges + new_edges) is None:
+                next_sq = r_sq - 2 * (deg_l[idx] - sum(values))
+                next_a0 = r_a0 - deg_a0[idx]
+                if next_sq < 0 or next_a0 < 0:
+                    continue  # the residual is neither 0 nor effective
+                new_edges = [
+                    (pos, len(chosen)) for pos, v in enumerate(values) if v == 2
+                ]
+                if _subset_pattern(two_edges + new_edges) is None:
                     continue
                 chosen.append(idx)
                 two_edges.extend(new_edges)
-                hit = rec(idx + 1)
+                hit = rec(idx + 1, next_sq, next_a0)
                 if hit is not None:
                     return hit
                 del two_edges[len(two_edges) - len(new_edges):]
                 chosen.pop()
             return None
 
-        return rec(0)
+        return rec(0, l_sq, L.num.dot(a0))
 
-    cands = []
     for bound in range(1, l_sq + 1):
         new = [x for x in lift.fiber(bound, 0) if content(x)[0] == 1]
         if not new:
             continue
-        cands = cands + new
-        if len(cands) > inv.DECOMPOSE_MAX_CANDIDATES:
+        first_new = len(cands)
+        cands.extend(new)
+        deg_l.extend([bound] * len(new))
+        deg_a0.extend(x.dot(a0) for x in new)
+        if len(cands) > SUBSET_MAX_CANDIDATES:
             raise SearchExhaustedError(
-                f"candidate pool exceeded {inv.DECOMPOSE_MAX_CANDIDATES} classes "
-                f"at degree bound {bound}"
+                f"candidate pool exceeded {SUBSET_MAX_CANDIDATES} classes"
             )
         for size in range(2, min(10, len(cands)) + 1):
-            hit = search(cands, size)
+            hit = search(size, first_new)
             if hit is not None:
                 return hit
     raise SearchExhaustedError(

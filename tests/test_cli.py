@@ -13,7 +13,13 @@ from enriques_bn.cli import (
     run,
 )
 from enriques_bn.errors import ClassParseError
-from enriques_bn.lattice import canonical_form, config_ii, divisor_class
+from enriques_bn.lattice import (
+    canonical_form,
+    config_ii,
+    config_iii,
+    divisor_class,
+    embed_configuration,
+)
 
 
 def invoke(capsys, *argv):
@@ -173,12 +179,26 @@ class TestCommands:
 
     @pytest.mark.parametrize("cls", ["3*E1+2*E2+E3", "3*E1+E2+2*E3"])
     def test_decompose_square_forty(self, capsys, cls):
-        # the search without its stage and residual cuts exhausts its node
-        # budget on both (exit 3)
+        # a search over subsets of the isotropic classes of degree <= L^2
+        # needs about 94,000 nodes here, and without its stage and residual
+        # cuts it exhausts a budget of 200,000 (exit 3)
         r = result_of(capsys, "decompose", "--class", cls, "--config", "iii:3")
         assert r["n"] == 3
         assert r["configuration"] == "config-iii"
         assert r["coefficients"] == [3, 2, 1]
+
+    def test_decompose_square_fifty_six(self, capsys):
+        # the subset search exhausts its budget of 200,000 nodes here (exit 3)
+        r = result_of(
+            capsys, "decompose", "--class", "E1+3*E2+2*E3+2*E4", "--config", "iii:4"
+        )
+        e = embed_configuration(config_iii(4))
+        target = e[0] + 3 * e[1] + 2 * e[2] + 2 * e[3]
+        rebuilt = [0] * 10
+        for gen, c in zip(r["generators"], r["coefficients"]):
+            rebuilt = [x + c * y for x, y in zip(rebuilt, json.loads(gen)["coords"])]
+        assert r["configuration"] == "config-iii"
+        assert rebuilt == list(target.coords)
 
     def test_selftest(self, capsys):
         code, out = invoke(capsys, "selftest", "--seed", "5")

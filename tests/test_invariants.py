@@ -26,8 +26,6 @@ from enriques_bn.invariants import (
     POLARIZATION_CACHE_SIZE,
     MuResult,
     PhiResult,
-    _normalize_decomposition,
-    _solve_coefficients,
     clifford_generic,
     decompose_isotropic,
     gonality,
@@ -35,6 +33,9 @@ from enriques_bn.invariants import (
     phi,
 )
 from enriques_bn.lattice import (
+    CONFIG_I,
+    CONFIG_II,
+    CONFIG_III,
     DivisorClass,
     IntersectionForm,
     NumClass,
@@ -55,8 +56,7 @@ from enriques_bn.shortvec import ComplementLift
 from oracles import (
     box_classes_with_square,
     box_isotropic_minimum,
-    decompose_unpruned,
-    fraction_coefficients,
+    decompose_subset_search,
     mu_full_scan,
     mu_whole_pool,
 )
@@ -279,12 +279,6 @@ class TestCertificateChecks:
         with pytest.raises(CertificateError, match="outside the known"):
             gonality(DivisorClass(2 * e1 + 4 * e2, 0))
 
-    def test_edges_outside_every_pattern(self, triple_one):
-        with pytest.raises(CertificateError):
-            _normalize_decomposition(
-                list(triple_one), [1, 1, 1], [(0, 1), (0, 2), (1, 2)]
-            )
-
 
 class TestGonality:
     def test_mu_square_case(self, pair_two):
@@ -451,17 +445,28 @@ class TestClifford:
         assert exc.value.convention_value == 0
 
 
+PATTERNS = {CONFIG_I: config_i, CONFIG_II: config_ii, CONFIG_III: config_iii}
+
+
+def check_decomposition(L, dec):
+    """dec rebuilds L from positive multiples of primitive, effective,
+    isotropic generators whose Gram is the labelled pattern's."""
+    total = None
+    for gen, coeff in zip(dec.generators, dec.coefficients):
+        assert coeff > 0
+        assert gen.square == 0
+        assert is_primitive(gen.num)
+        assert classify_positivity(gen).is_effective
+        part = coeff * gen.num
+        total = part if total is None else total + part
+    assert total == L.num
+    gram = tuple(tuple(e.dot(f) for f in dec.generators) for e in dec.generators)
+    assert gram == PATTERNS[dec.configuration](len(dec.generators)).gram_sub
+
+
 class TestDecompose:
     def assert_valid(self, L, dec):
-        total = None
-        for gen, coeff in zip(dec.generators, dec.coefficients):
-            assert coeff > 0
-            assert gen.square == 0
-            assert is_primitive(gen.num)
-            assert classify_positivity(gen).is_effective
-            part = coeff * gen.num
-            total = part if total is None else total + part
-        assert total == L.num
+        check_decomposition(L, dec)
 
     def test_recovers_constructed_input(self, pair_one):
         e1, e2 = pair_one
@@ -528,35 +533,6 @@ class TestDecompose:
 
 
 class TestSolveCoefficients:
-    def test_against_fraction_elimination(self):
-        """Seeded generator subsets of isotropic fiber pools, against L, a
-        combination of the generators (positive or not) and that combination
-        moved off their span; solvable and unsolvable both occur."""
-        rng = random.Random(46)
-        solvable = unsolvable = 0
-        for _ in range(5):
-            L = random_ample(rng, max_square=16)
-            lift = ComplementLift(L.num.form, L.num)
-            pool = [x for t in range(1, 4) for x in lift.fiber(t, 0) if is_primitive(x)]
-            if len(pool) < 2:
-                continue
-            for _ in range(30):
-                gens = rng.sample(pool, rng.randint(2, min(6, len(pool))))
-                gram = [[a.dot(b) for b in gens] for a in gens]
-                if integer_determinant(gram) == 0:
-                    continue  # the oracle gives up on a singular Gram
-                coeffs = [rng.randint(-1, 3) for _ in gens]
-                combo = coeffs[0] * gens[0]
-                for c, e in zip(coeffs[1:], gens[1:]):
-                    combo = combo + c * e
-                moved = combo + basis_vector(rng.randrange(10))
-                for target in (L.num, combo, moved):
-                    got = _solve_coefficients(gens, target)
-                    assert got == fraction_coefficients(gens, target)
-                    solvable += got is not None
-                    unsolvable += got is None
-        assert solvable and unsolvable
-
     @pytest.mark.parametrize(
         "edges, smallest", [((), 2), (((0, 1),), 2), (((0, 1), (0, 2)), 3)]
     )
@@ -565,22 +541,29 @@ class TestSolveCoefficients:
         for n in range(smallest, 11):
             assert integer_determinant(_pattern_gram(n, edges)) != 0
 
-    def test_rebuilt_sum_is_checked(self, monkeypatch, pair_one):
-        e1, e2 = pair_one
-        monkeypatch.setattr(
-            invariants, "solve_integer_linear", lambda rows, rhs: ((1, 1), [])
-        )
-        with pytest.raises(CertificateError):
-            _solve_coefficients([e1, e2], 2 * e1 + e2)
+    def test_rebuilt_sum_is_checked(self, monkeypatch, triple_iii):
+        # slots after the first drawn at their degree but only with pairings
+        # the pattern forbids: the last slot's division still goes through
+        # at coefficient 1, and the recheck of the rebuilt sum and the
+        # pattern Gram raises on the realization a level would return
+        class WrongPairings:
+            def __init__(self, form, classes):
+                self.classes = classes
+                self.lift = ComplementLift(form, classes[0])
+
+            def primitive_isotropic(self, values):
+                return (
+                    x for x in self.lift.primitive_isotropic(values[:1])
+                    if [x.dot(u) for u in self.classes[1:]] != list(values[1:])
+                )
+
+        monkeypatch.setattr(invariants, "FiberSystem", WrongPairings)
+        e1, e2, e3 = triple_iii
+        with pytest.raises(CertificateError, match="needs"):
+            decompose_isotropic(DivisorClass(e1 + e2 + e3, 0))
 
 
 class TestDecomposeBudgets:
-    def test_candidate_pool_budget(self, monkeypatch, pair_two):
-        e1, e2 = pair_two
-        monkeypatch.setattr(invariants, "DECOMPOSE_MAX_CANDIDATES", 1)
-        with pytest.raises(SearchExhaustedError, match="candidate pool"):
-            decompose_isotropic(DivisorClass(3 * (e1 + e2), 0))
-
     def test_node_budget(self, monkeypatch, pair_two):
         e1, e2 = pair_two
         monkeypatch.setattr(invariants, "DECOMPOSE_MAX_NODES", 1)
@@ -588,45 +571,109 @@ class TestDecomposeBudgets:
             decompose_isotropic(DivisorClass(3 * (e1 + e2), 0))
 
 
+def combine(coeffs, gens):
+    num = coeffs[0] * gens[0]
+    for c, e in zip(coeffs[1:], gens[1:]):
+        num = num + c * e
+    return num
+
+
 def family_members(config, max_square=40, coefficients=range(1, 4)):
     """(coefficients, L) for L = sum a_i E_i over one embedded configuration,
     every a_i in ``coefficients``, 0 < L^2 <= max_square."""
     gens = embed_configuration(config)
     for coeffs in itertools.product(coefficients, repeat=len(gens)):
-        num = coeffs[0] * gens[0]
-        for c, e in zip(coeffs[1:], gens[1:]):
-            num = num + c * e
+        num = combine(coeffs, gens)
         if num.square <= max_square:
             yield coeffs, DivisorClass(num, 0)
 
 
+#: The blocks of slots each pattern treats alike, by pattern and size.
+SWEEP_BLOCKS = {
+    "i": (config_i, 2, lambda n: [range(n)]),
+    "ii": (config_ii, 2, lambda n: [range(2), range(2, n)]),
+    "iii": (config_iii, 3, lambda n: [range(1), range(1, 3), range(3, n)]),
+}
+
+
+def structured_sweep(max_square):
+    """(name, coefficients, L) for L = sum a_i E_i over the realization
+    ``embed_configuration`` gives each pattern (i) n = 2..10, (ii) n = 2..10,
+    (iii) n = 3..10, every a_i >= 1, a non-increasing inside each block of
+    alike slots, L^2 <= max_square.  L^2 grows in every a_i, so a prefix
+    completed by ones bounds its completions."""
+    for name, (make, smallest, blocks) in SWEEP_BLOCKS.items():
+        for n in range(smallest, 11):
+            gens = embed_configuration(make(n))
+            firsts = {b[0] for b in blocks(n) if len(b)}
+
+            def extend(a):
+                if len(a) == n:
+                    yield f"{name}:{n}", tuple(a), DivisorClass(combine(a, gens), 0)
+                    return
+                x = 1
+                while (len(a) in firsts or x <= a[-1]) and combine(
+                    a + [x] + [1] * (n - len(a) - 1), gens
+                ).square <= max_square:
+                    yield from extend(a + [x])
+                    x += 1
+
+            yield from extend([])
+
+
+#: Classes of pattern (iii) at L^2 = 56..58 on which the subset search
+#: exhausted its node budget.
+FORMERLY_EXHAUSTED = [
+    (1, 3, 2, 2), (1, 3, 3, 1),
+    (1, 2, 1, 2, 2), (1, 2, 2, 2, 1), (1, 3, 1, 2, 1), (1, 3, 2, 1, 1),
+    (1, 1, 1, 2, 2, 1), (1, 2, 1, 2, 1, 1), (1, 3, 1, 1, 1, 1),
+    (1, 1, 1, 2, 1, 1, 1),
+]
+
+
 class TestDecomposeCuts:
-    """The stage restriction to new classes and the residual cut leave the
-    search's first hit unchanged and let it finish at L^2 = 40."""
+    """The coefficient-vector search returns what the subset search with its
+    stage and residual cuts returned (``oracles.decompose_subset_search``),
+    and every answer rebuilds L in its labelled pattern."""
+
+    @staticmethod
+    def check_against_the_subset_search(classes):
+        checked = 0
+        for L in classes:
+            dec = decompose_isotropic(L)
+            check_decomposition(L, dec)
+            assert dec == decompose_subset_search(L)
+            checked += 1
+        return checked
 
     @pytest.mark.parametrize(
-        "config", [config_i(2), config_ii(2), config_i(3), config_ii(3)],
+        "config, count",
+        [(config_i(2), 9), (config_ii(2), 9), (config_i(3), 23), (config_ii(3), 20)],
         ids=["i:2", "ii:2", "i:3", "ii:3"],
     )
-    def test_against_the_unpruned_search(self, config):
-        for _, L in family_members(config):
-            assert decompose_isotropic(L) == decompose_unpruned(L)
+    def test_against_the_unpruned_search(self, config, count):
+        members = (L for _, L in family_members(config))
+        assert self.check_against_the_subset_search(members) == count
 
     def test_against_the_unpruned_search_on_iii3(self):
-        # the unpruned search is slow on the members with a_1 = 1 other
-        # than (1, 1, 1), and (3, 1, 2), (3, 2, 1) exhaust its node budget
-        checked = 0
-        for coeffs, L in family_members(config_iii(3)):
-            if coeffs in ((3, 1, 2), (3, 2, 1)) or coeffs[0] == 1 < max(coeffs):
-                continue
-            assert decompose_isotropic(L) == decompose_unpruned(L)
-            checked += 1
-        assert checked == 8
+        # (3, 2, 1) and (3, 1, 2) at L^2 = 40 take the subset search 9e4 nodes
+        members = (L for _, L in family_members(config_iii(3)))
+        assert self.check_against_the_subset_search(members) == 17
+
+    def test_structured_sweep_against_the_subset_search(self):
+        classes = (L for _, _, L in structured_sweep(30))
+        assert self.check_against_the_subset_search(classes) == 89
+
+    @pytest.mark.parametrize("coeffs", FORMERLY_EXHAUSTED, ids=str)
+    def test_formerly_exhausted_classes(self, coeffs):
+        gens = embed_configuration(config_iii(len(coeffs)))
+        L = DivisorClass(combine(coeffs, gens), 0)
+        assert 56 <= L.square <= 58
+        dec = decompose_isotropic(L)
+        check_decomposition(L, dec)
 
     @pytest.mark.parametrize("coeffs", [(3, 2, 1), (3, 1, 2)])
-    def test_square_forty_members_of_iii3(self, monkeypatch, triple_iii, coeffs):
-        # within 93,880 search nodes; without the stage cut it takes 94,625
-        monkeypatch.setattr(invariants, "DECOMPOSE_MAX_NODES", 93_880)
+    def test_square_forty_members_of_iii3(self, triple_iii, coeffs):
         e1, e2, e3 = triple_iii
         L = DivisorClass(coeffs[0] * e1 + coeffs[1] * e2 + coeffs[2] * e3, 0)
         assert L.square == 40

@@ -4,7 +4,8 @@
 ``__dict__`` and counts one span per call; it is imported here read-only,
 the way ``tests/test_golden.py`` reads ``perfbench/golden.json``.  The
 library's checks are explicit errors, so none disappears under
-``python -O``.
+``python -O``.  The test oracles reach the package through its public
+names only, so no oracle runs the code it is meant to check.
 """
 
 import ast
@@ -75,3 +76,55 @@ class TestNoAssert:
                 if isinstance(node, ast.Assert)
             ]
         assert found == []
+
+
+def private_package_names(source: str) -> list[str]:
+    """The ``_``-prefixed names of ``enriques_bn`` that ``source`` imports or
+    reads as an attribute of a package module, as ``line: name`` in line
+    order."""
+    def in_package(name):
+        return (name or "").split(".")[0] == "enriques_bn"
+
+    tree = ast.parse(source)
+    modules = set()  # local names bound to enriques_bn or one of its modules
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and in_package(node.module):
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    found.append((node.lineno, f"{node.module}.{alias.name}"))
+                elif node.module == "enriques_bn":
+                    modules.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if in_package(alias.name):
+                    modules.add(alias.asname or "enriques_bn")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_"):
+            base = node.value
+            while isinstance(base, ast.Attribute):
+                base = base.value
+            if isinstance(base, ast.Name) and base.id in modules:
+                found.append((node.lineno, ast.unparse(node)))
+    return [f"{line}: {name}" for line, name in sorted(found)]
+
+
+class TestOraclesStandAlone:
+    def test_oracles_use_no_private_name_of_the_package(self):
+        source = (ROOT / "tests" / "oracles.py").read_text()
+        assert private_package_names(source) == []
+
+    def test_the_check_sees_imports_and_attributes(self):
+        source = (
+            "from enriques_bn.lattice import _reduce, num_class\n"
+            "from enriques_bn import invariants as inv\n"
+            "import enriques_bn.shortvec\n"
+            "inv._levels(4)\n"
+            "enriques_bn.shortvec._scaled_search\n"
+            "inv.phi\n"
+        )
+        assert private_package_names(source) == [
+            "1: enriques_bn.lattice._reduce",
+            "4: inv._levels",
+            "5: enriques_bn.shortvec._scaled_search",
+        ]
