@@ -13,10 +13,10 @@ pencils.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .errors import CertificateError, RangeError, SearchExhaustedError
+from .frozen import Frozen, set_field
 from .invariants import (
     CASE_MU_SQUARE,
     IsotropicDecomposition,
@@ -45,8 +45,7 @@ def rho(g: int, r: int, d: int) -> int:
     return g - (r + 1) * (g - d + r)
 
 
-@dataclass(frozen=True)
-class BNPrediction:
+class BNPrediction(NamedTuple):
     genus: int
     k: int
     status: str
@@ -109,8 +108,7 @@ def predict_w1d(L: DivisorClass) -> BNPrediction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DestabChecklist:
+class DestabChecklist(Frozen):
     """Numerical consequences of the splitting conditions, by name.
 
     (a) |N| moves: h0(N) >= 2.
@@ -121,24 +119,23 @@ class DestabChecklist:
     (e) if ell > 0: h1(N) = 0 and N^2 > 0.
     """
 
-    a_h0_N_ge_2: bool
-    b_M_square_positive: bool
-    b_h0_M_ge_2: bool
-    b_h2_M_zero: bool
-    c_h1_M_zero: bool
-    e_points_supported: bool
+    __slots__ = _fields = (
+        "a_h0_N_ge_2", "b_M_square_positive", "b_h0_M_ge_2", "b_h2_M_zero",
+        "c_h1_M_zero", "e_points_supported",
+    )
+
+    def __init__(
+        self, a_h0_N_ge_2: bool, b_M_square_positive: bool, b_h0_M_ge_2: bool,
+        b_h2_M_zero: bool, c_h1_M_zero: bool, e_points_supported: bool,
+    ):
+        for name, flag in zip(self._fields, (
+            a_h0_N_ge_2, b_M_square_positive, b_h0_M_ge_2, b_h2_M_zero,
+            c_h1_M_zero, e_points_supported,
+        )):
+            set_field(self, name, flag)
 
     def all_pass(self) -> bool:
-        return all(
-            (
-                self.a_h0_N_ge_2,
-                self.b_M_square_positive,
-                self.b_h0_M_ge_2,
-                self.b_h2_M_zero,
-                self.c_h1_M_zero,
-                self.e_points_supported,
-            )
-        )
+        return all(self._values())
 
     def as_dict(self) -> dict:
         return {
@@ -152,14 +149,23 @@ class DestabChecklist:
         }
 
 
-@dataclass(frozen=True)
-class DestabCandidate:
-    M: DivisorClass
-    N: DivisorClass
-    d: int
-    mn: int
-    ell: int
-    checklist: DestabChecklist
+class DestabCandidate(Frozen):
+    """L = M + N at degree d, mn = M.N, ell = d - M.N.  It and the checklist
+    are slotted, not NamedTuples: callers read their fields per splitting,
+    and on CPython 3.11 a slot read costs half a NamedTuple field read."""
+
+    __slots__ = _fields = ("M", "N", "d", "mn", "ell", "checklist")
+
+    def __init__(
+        self, M: DivisorClass, N: DivisorClass, d: int, mn: int, ell: int,
+        checklist: DestabChecklist,
+    ):
+        set_field(self, "M", M)
+        set_field(self, "N", N)
+        set_field(self, "d", d)
+        set_field(self, "mn", mn)
+        set_field(self, "ell", ell)
+        set_field(self, "checklist", checklist)
 
 
 #: The checklist every emitted splitting carries: enumerate_destab emits a
@@ -278,8 +284,7 @@ def cliff_chain_bound(M: DivisorClass, N: DivisorClass, E: DivisorClass) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ParamCountAudit:
+class ParamCountAudit(NamedTuple):
     """Dimension bookkeeping for the family of splittings with invariants
     (g, d, M.N, i = h1 of the bundle, ell = d - M.N).
 
@@ -370,8 +375,7 @@ def stable_case_audit(g: int, d: int) -> StableCaseAudit:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PlaneCoverFamilyReport:
+class PlaneCoverFamilyReport(NamedTuple):
     """Invariants of L = n(E_1 + E_2) with E_1.E_2 = 2 (n >= 3).
 
     B = E_1 + E_2 maps the surface 4:1 onto the plane; pulling back the

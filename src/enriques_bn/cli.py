@@ -9,7 +9,6 @@ search-bound exhaustion.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import re
 import sys
@@ -188,7 +187,7 @@ def _cmd_invariants(config: dict, args) -> int:
     rep = inv.gonality(d)
     if args.mu_cap is not None and args.mu_cap > rep.mu.cap:
         # a raised cap refines mu; k stays certified by the default cap
-        rep = dataclasses.replace(rep, mu=inv.mu(d, args.mu_cap))
+        rep = rep._replace(mu=inv.mu(d, args.mu_cap))
     try:
         clifford = rep.clifford()
         clifford_convention = False
@@ -252,7 +251,7 @@ def _cmd_destab(config: dict, args) -> int:
             row["audits"] = [
                 bn.param_count(
                     rep.genus, args.d, c.mn, i, c.ell, prof.h1, prof.h2, k=rep.k
-                ).__dict__
+                )._asdict()
                 for i in (0, 1, 2)
             ]
         rows.append(row)

@@ -27,8 +27,8 @@ lift, so a reused answer keeps its certificates and threads may share them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 from .errors import (
     CertificateError,
@@ -72,14 +72,12 @@ DECOMPOSE_MAX_NODES = 200_000
 POLARIZATION_CACHE_SIZE = 32
 
 
-@dataclass(frozen=True)
-class PhiResult:
+class PhiResult(NamedTuple):
     value: int
     witness: DivisorClass
 
 
-@dataclass(frozen=True)
-class MuResult:
+class MuResult(NamedTuple):
     status: str
     cap: int
     value: int | None = None
@@ -90,8 +88,7 @@ class MuResult:
         return self.status == MU_EXACT
 
 
-@dataclass(frozen=True)
-class GonalityReport:
+class GonalityReport(NamedTuple):
     k: int
     phi: PhiResult
     mu: MuResult
@@ -118,8 +115,7 @@ class GonalityReport:
         raise GenusTooSmallError(self.genus, value, reason)
 
 
-@dataclass(frozen=True)
-class IsotropicDecomposition:
+class IsotropicDecomposition(NamedTuple):
     generators: tuple[DivisorClass, ...]
     coefficients: tuple[int, ...]
     configuration: str
@@ -433,6 +429,9 @@ def decompose_isotropic(L: DivisorClass) -> IsotropicDecomposition:
     realization returned are checked anyway, and a mismatch raises
     CertificateError.
 
+    Shapes share prefixes, so each constraint list [L, E_1, ..., E_{j-1}]
+    gets one FiberSystem per call.
+
     Deterministic; raises SearchExhaustedError once DECOMPOSE_MAX_NODES
     slots have been filled.
     """
@@ -449,13 +448,17 @@ def decompose_isotropic(L: DivisorClass) -> IsotropicDecomposition:
     form = target.form
     lift = polarization(target).lift
     budget = DECOMPOSE_MAX_NODES
+    systems = {(): lift}  # the FiberSystem of [L] + gens, by gens' coordinates
 
     def fill(p, alike, a, delta, gens):
         """Every realization of the shape (p, a) that extends gens."""
         nonlocal budget
         j = len(gens)
         if j < p.n - 1:
-            source = lift if j == 0 else FiberSystem(form, [target] + gens)
+            key = tuple(e.coords for e in gens)
+            source = systems.get(key)
+            if source is None:
+                source = systems[key] = FiberSystem(form, [target] + gens)
             column = [delta[j]] + [p.gram_sub[i][j] for i in range(j)]
             candidates = source.primitive_isotropic(column)
         else:

@@ -12,19 +12,20 @@ off-diagonal pair i < j once (16 terms for U + E8(-1) instead of 24), and
 the nonzero entries of every row.  ``NumClass.dot``, ``NumClass.square``
 and ``IntersectionForm.apply`` loop over these terms only, and a class
 computes its square once.  The terms are derived from ``gram`` and take no
-part in equality or hashing.
+part in equality or hashing; a form hashes once, a class hashes its
+coordinates only.  The value types are slotted ``frozen.Frozen`` classes.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .errors import FormMismatchError, NotRealizableError, ZeroClassError
+from .frozen import Frozen, set_field
 
 RANK = 10
 
@@ -41,36 +42,35 @@ def _e8_cartan() -> list[list[int]]:
     return c
 
 
-@dataclass(frozen=True)
-class IntersectionForm:
+class IntersectionForm(Frozen):
     """A symmetric integer bilinear form on Z^rank."""
 
-    rank: int
-    gram: tuple[tuple[int, ...], ...]
-    # nonzero terms, set from gram in __post_init__: (i, g_ii) on the
-    # diagonal, (i, j, g_ij) for i < j, and (j, g_ij) for every row i
-    _diagonal: tuple = field(init=False, repr=False, compare=False)
-    _off_diagonal: tuple = field(init=False, repr=False, compare=False)
-    _rows: tuple = field(init=False, repr=False, compare=False)
+    # _diagonal, _off_diagonal, _rows: the nonzero terms of gram, (i, g_ii)
+    # on the diagonal, (i, j, g_ij) for i < j, and (j, g_ij) for every row i
+    __slots__ = ("rank", "gram", "_diagonal", "_off_diagonal", "_rows", "_hash")
+    _fields = ("rank", "gram")
 
-    def __post_init__(self):
-        if len(self.gram) != self.rank or any(len(r) != self.rank for r in self.gram):
+    def __init__(self, rank: int, gram: tuple[tuple[int, ...], ...]):
+        if len(gram) != rank or any(len(r) != rank for r in gram):
             raise ValueError("gram matrix size does not match rank")
-        for i in range(self.rank):
+        for i in range(rank):
             for j in range(i):
-                if self.gram[i][j] != self.gram[j][i]:
+                if gram[i][j] != gram[j][i]:
                     raise ValueError("gram matrix must be symmetric")
-        g, n = self.gram, self.rank
-        # the dataclass is frozen, so the derived terms are set through object
-        object.__setattr__(
-            self, "_diagonal", tuple((i, g[i][i]) for i in range(n) if g[i][i])
-        )
-        object.__setattr__(self, "_off_diagonal", tuple(
+        g, n = gram, rank
+        set_field(self, "rank", rank)
+        set_field(self, "gram", gram)
+        set_field(self, "_diagonal", tuple((i, g[i][i]) for i in range(n) if g[i][i]))
+        set_field(self, "_off_diagonal", tuple(
             (i, j, g[i][j]) for i in range(n) for j in range(i + 1, n) if g[i][j]
         ))
-        object.__setattr__(self, "_rows", tuple(
+        set_field(self, "_rows", tuple(
             tuple((j, v) for j, v in enumerate(row) if v) for row in g
         ))
+        set_field(self, "_hash", hash((rank, gram)))
+
+    def __hash__(self):
+        return self._hash
 
     def is_even(self) -> bool:
         return all(self.gram[i][i] % 2 == 0 for i in range(self.rank))
@@ -88,18 +88,29 @@ class IntersectionForm:
         return tuple(sum(v * coords[j] for j, v in row) for row in self._rows)
 
 
-@dataclass(frozen=True)
-class NumClass:
-    """An element of the numerical lattice, as coordinates in a fixed form."""
+class NumClass(Frozen):
+    """An element of the numerical lattice, as coordinates in a fixed form.
+    Equal classes have equal coordinates, so the hash reads those alone."""
 
-    coords: tuple[int, ...]
-    form: IntersectionForm
+    __slots__ = ("coords", "form", "_square")
+    _fields = ("coords", "form")
 
-    def __post_init__(self):
-        if len(self.coords) != self.form.rank:
-            raise ValueError(
-                f"expected {self.form.rank} coordinates, got {len(self.coords)}"
-            )
+    def __init__(self, coords: tuple[int, ...], form: IntersectionForm):
+        if len(coords) != form.rank:
+            raise ValueError(f"expected {form.rank} coordinates, got {len(coords)}")
+        _set_coords(self, coords)
+        _set_form(self, form)
+        _set_square(self, None)  # set on first use of square
+
+    def __eq__(self, other):
+        if other.__class__ is not NumClass:
+            return NotImplemented
+        return self.coords == other.coords and (
+            self.form is other.form or self.form == other.form
+        )
+
+    def __hash__(self):
+        return hash(self.coords)
 
     def _check(self, other: "NumClass") -> None:
         if self.form is not other.form and self.form != other.form:
@@ -115,15 +126,20 @@ class NumClass:
             acc += v * (a[i] * b[j] + a[j] * b[i])
         return acc
 
-    @cached_property
+    @property
     def square(self) -> int:
+        square = self._square
+        if square is not None:
+            return square
         a = self.coords
         diagonal = off = 0
         for i, v in self.form._diagonal:
             diagonal += v * a[i] * a[i]
         for i, j, v in self.form._off_diagonal:
             off += v * a[i] * a[j]
-        return diagonal + 2 * off
+        square = diagonal + 2 * off
+        _set_square(self, square)
+        return square
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
@@ -152,6 +168,13 @@ class NumClass:
         return self.__rmul__(k)
 
 
+# NumClass is built once per lattice point searched: its slots are set
+# through their own descriptors, which skips set_field's attribute lookup
+_set_coords, _set_form, _set_square = (
+    NumClass.__dict__[name].__set__ for name in NumClass.__slots__
+)
+
+
 def content(x: NumClass) -> tuple[int, NumClass]:
     """gcd of coordinates and the primitive part: x = c * primitive.
 
@@ -170,20 +193,20 @@ def is_primitive(x: NumClass) -> bool:
     return math.gcd(*x.coords) == 1  # the gcd of the zero class is 0
 
 
-@dataclass(frozen=True)
-class DivisorClass:
+class DivisorClass(Frozen):
     """Numerical class plus a torsion bit (0: the class, 1: class + K_S).
 
     The Picard group of an Enriques surface is Num + Z/2.K_S; intersection
     numbers never see the bit, cohomology sometimes does.
     """
 
-    num: NumClass
-    torsion: int = 0
+    __slots__ = _fields = ("num", "torsion")
 
-    def __post_init__(self):
-        if isinstance(self.torsion, bool) or self.torsion not in (0, 1):
+    def __init__(self, num: NumClass, torsion: int = 0):
+        if isinstance(torsion, bool) or torsion not in (0, 1):
             raise ValueError("torsion bit must be the int 0 or 1")
+        set_field(self, "num", num)
+        set_field(self, "torsion", torsion)
 
     def dot(self, other: "DivisorClass | NumClass") -> int:
         o = other.num if isinstance(other, DivisorClass) else other
@@ -425,8 +448,7 @@ CONFIG_III = "config-iii"
 CONFIG_CUSTOM = "custom"
 
 
-@dataclass(frozen=True)
-class ConfigurationPresentation:
+class ConfigurationPresentation(Frozen):
     """Requested pairwise intersections of n primitive isotropic classes.
 
     The three named patterns are the ones every effective class of
@@ -435,17 +457,15 @@ class ConfigurationPresentation:
     and third in 2, all remaining pairs meet in 1.
     """
 
-    n: int
-    gram_sub: tuple[tuple[int, ...], ...]
-    label: str = CONFIG_CUSTOM
+    __slots__ = _fields = ("n", "gram_sub", "label")
 
-    def __post_init__(self):
-        if not 1 <= self.n <= 10:
-            raise NotRealizableError(f"need 1 <= n <= 10, got {self.n}")
-        g = self.gram_sub
-        if len(g) != self.n or any(len(row) != self.n for row in g):
+    def __init__(self, n: int, gram_sub: tuple, label: str = CONFIG_CUSTOM):
+        if not 1 <= n <= 10:
+            raise NotRealizableError(f"need 1 <= n <= 10, got {n}")
+        g = gram_sub
+        if len(g) != n or any(len(row) != n for row in g):
             raise NotRealizableError("sub-Gram size does not match n")
-        for i in range(self.n):
+        for i in range(n):
             if g[i][i] != 0:
                 raise NotRealizableError(
                     "isotropic classes need a zero diagonal; "
@@ -459,6 +479,9 @@ class ConfigurationPresentation:
                         "distinct effective isotropic classes pair positively; "
                         f"entry ({j + 1},{i + 1}) is {g[i][j]}"
                     )
+        set_field(self, "n", n)
+        set_field(self, "gram_sub", gram_sub)
+        set_field(self, "label", label)
 
 
 def _pattern_gram(n: int, two_pairs: Sequence[tuple[int, int]]) -> tuple:

@@ -14,8 +14,8 @@ in :func:`cohomology`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .lattice import (
     DivisorClass,
@@ -26,8 +26,7 @@ from .lattice import (
 )
 
 
-@dataclass(frozen=True)
-class PositivityStatus:
+class PositivityStatus(NamedTuple):
     is_zero: bool
     is_effective: bool
     is_anti_effective: bool
@@ -46,8 +45,7 @@ class PositivityStatus:
         }
 
 
-@dataclass(frozen=True)
-class CohomologyProfile:
+class CohomologyProfile(NamedTuple):
     h0: int
     h1: int
     h2: int

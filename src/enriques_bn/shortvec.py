@@ -46,40 +46,38 @@ per class.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     CertificateError,
     NotPositiveDefiniteError,
     PositiveSquareRequiredError,
 )
+from .frozen import Frozen, set_field
 from .lattice import IntersectionForm, NumClass, _reduce, _substitute, is_primitive
 
 Rational = int | Fraction
 
 
-@dataclass(frozen=True)
-class PosDefForm:
+class PosDefForm(Frozen):
     """A positive-definite rational quadratic form, stored as numer/denom."""
 
-    rank: int
-    numer: tuple[tuple[int, ...], ...]
-    denom: int = 1
+    __slots__ = _fields = ("rank", "numer", "denom")
 
-    def __post_init__(self):
-        if self.denom <= 0:
+    def __init__(self, rank: int, numer: tuple[tuple[int, ...], ...], denom: int = 1):
+        if denom <= 0:
             raise ValueError("denominator must be positive")
-        if len(self.numer) != self.rank or any(
-            len(r) != self.rank for r in self.numer
-        ):
+        if len(numer) != rank or any(len(r) != rank for r in numer):
             raise ValueError("matrix size does not match rank")
-        for i in range(self.rank):
+        for i in range(rank):
             for j in range(i):
-                if self.numer[i][j] != self.numer[j][i]:
+                if numer[i][j] != numer[j][i]:
                     raise ValueError("matrix must be symmetric")
+        set_field(self, "rank", rank)
+        set_field(self, "numer", numer)
+        set_field(self, "denom", denom)
 
     def is_positive_definite(self) -> bool:
         """Sylvester's criterion on the pivots of :class:`_ScaledLDL`, which
@@ -100,8 +98,7 @@ class PosDefForm:
         return Fraction(acc, self.denom)
 
 
-@dataclass(frozen=True)
-class ShortVectorResult:
+class ShortVectorResult(NamedTuple):
     """All nonzero vectors v with 0 < q(v) <= bound, lexicographically sorted."""
 
     bound: Fraction

@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 from enriques_bn import brill_noether, invariants
@@ -319,11 +317,11 @@ class TestPlaneCoverFamily:
         def wrong(L):
             rep = gonality(L)
             bad = {
-                "phi": dataclasses.replace(rep.phi, value=rep.phi.value + 1),
+                "phi": rep.phi._replace(value=rep.phi.value + 1),
                 "k": rep.k + 1,
                 "case_label": CASE_GENERIC,
             }[field]
-            return dataclasses.replace(rep, **{field: bad})
+            return rep._replace(**{field: bad})
 
         monkeypatch.setattr(brill_noether, "gonality", wrong)
         with pytest.raises(CertificateError):

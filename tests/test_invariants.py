@@ -52,7 +52,7 @@ from enriques_bn.lattice import (
     num_class,
 )
 from enriques_bn.positivity import classify_positivity, cohomology, reference_ample
-from enriques_bn.shortvec import ComplementLift
+from enriques_bn.shortvec import ComplementLift, FiberSystem
 from oracles import (
     box_classes_with_square,
     box_isotropic_minimum,
@@ -671,6 +671,23 @@ class TestDecomposeCuts:
         assert 56 <= L.square <= 58
         dec = decompose_isotropic(L)
         check_decomposition(L, dec)
+
+    def test_one_fiber_system_per_constraint_list(self, monkeypatch):
+        # the shapes of iii:7 with all a_i = 1 share slot prefixes: without
+        # reuse, 81 of 436 builds repeat a constraint list of the same call
+        builds = []
+
+        class Counting(FiberSystem):
+            def __init__(self, form, classes):
+                builds.append(tuple(c.coords for c in classes))
+                super().__init__(form, classes)
+
+        monkeypatch.setattr(invariants, "FiberSystem", Counting)
+        L = DivisorClass(combine([1] * 7, embed_configuration(config_iii(7))), 0)
+        dec = decompose_isotropic(L)
+        assert len(builds) == len(set(builds)) > 0
+        check_decomposition(L, dec)
+        assert dec == decompose_subset_search(L)
 
     @pytest.mark.parametrize("coeffs", [(3, 2, 1), (3, 1, 2)])
     def test_square_forty_members_of_iii3(self, triple_iii, coeffs):

@@ -5,12 +5,17 @@
 the way ``tests/test_golden.py`` reads ``perfbench/golden.json``.  The
 library's checks are explicit errors, so none disappears under
 ``python -O``.  The test oracles reach the package through its public
-names only, so no oracle runs the code it is meant to check.
+names only, so no oracle runs the code it is meant to check.  Importing
+the CLI loads none of the modules that made up most of its start-up
+(``dataclasses`` and what it imports); the checks count modules, not time.
 """
 
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import enriques_bn.cli  # noqa: F401  (the tracer resolves every traced module)
@@ -128,3 +133,65 @@ class TestOraclesStandAlone:
             "4: inv._levels",
             "5: enriques_bn.shortvec._scaled_search",
         ]
+
+
+#: ``dataclasses`` and the modules it pulls in; importing them cost every
+#: CLI process more start-up than most commands spend computing.
+HEAVY_MODULES = ("dataclasses", "inspect", "ast", "dis")
+
+
+def heavy_modules_after(statement: str, path: Path) -> list[str]:
+    """The HEAVY_MODULES in ``sys.modules`` of a fresh interpreter that ran
+    ``statement`` with PYTHONPATH=path."""
+    code = (
+        f"{statement}; import sys; "
+        f"print(*[m for m in {HEAVY_MODULES!r} if m in sys.modules])"
+    )
+    env = dict(os.environ, PYTHONPATH=str(path))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    )
+    return out.stdout.split()
+
+
+def dataclasses_imports(source: str) -> list[int]:
+    """Lines of ``source`` that import ``dataclasses`` or a name from it."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            continue
+        if any(name.split(".")[0] == "dataclasses" for name in names):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+class TestStartUp:
+    def test_cli_import_loads_no_heavy_module(self):
+        assert heavy_modules_after("import enriques_bn.cli", ROOT / "src") == []
+
+    def test_the_check_sees_a_heavy_import(self, tmp_path):
+        (tmp_path / "scratch_startup.py").write_text("import dataclasses\n")
+        loaded = heavy_modules_after("import scratch_startup", tmp_path)
+        assert "dataclasses" in loaded and "inspect" in loaded
+
+    def test_library_code_does_not_import_dataclasses(self):
+        found = {
+            path.name: dataclasses_imports(path.read_text())
+            for path in sorted((ROOT / "src" / "enriques_bn").glob("*.py"))
+        }
+        assert {name: lines for name, lines in found.items() if lines} == {}
+
+    def test_the_ast_check_sees_both_import_forms(self):
+        source = (
+            "import json\n"
+            "import dataclasses\n"
+            "from dataclasses import dataclass, field\n"
+            "import os, dataclasses as dc\n"
+            "from .dataclasses_free import x\n"
+        )
+        assert dataclasses_imports(source) == [2, 3, 4]
