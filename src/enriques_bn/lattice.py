@@ -9,18 +9,18 @@ arithmetic; floats never appear.
 Each :class:`IntersectionForm` computes the nonzero terms of its Gram
 matrix once and keeps them on the instance: the diagonal entries plus each
 off-diagonal pair i < j once (16 terms for U + E8(-1) instead of 24), and
-the nonzero entries of every row.  ``NumClass.dot``, ``NumClass.square``
-and ``IntersectionForm.apply`` loop over these terms only, and a class
-computes its square once.  The terms are derived from ``gram`` and take no
-part in equality or hashing; a form hashes once, a class hashes its
-coordinates only.  The value types are slotted ``frozen.Frozen`` classes.
+the nonzero entries of every row.  ``NumClass.dot``, ``NumClass.square``,
+``IntersectionForm.apply`` and the build of ``shortvec.FiberSystem`` loop
+over these terms only, and a class computes its square once.  The terms
+are derived from ``gram`` and take no part in equality or hashing; a form
+hashes once, a class hashes its coordinates only.  The value types are
+slotted ``frozen.Frozen`` classes.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -297,6 +297,8 @@ def integer_determinant(gram: Sequence[Sequence[int]]) -> int:
 
 def inertia(gram: Sequence[Sequence[int]]) -> tuple[int, int, int]:
     """Signature of a symmetric matrix by congruence reduction over Q."""
+    from fractions import Fraction
+
     n = len(gram)
     a = [[Fraction(x) for x in row] for row in gram]
     pos = neg = zero = 0

@@ -46,9 +46,8 @@ per class.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from operator import mul
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     CertificateError,
@@ -58,7 +57,9 @@ from .errors import (
 from .frozen import Frozen, set_field
 from .lattice import IntersectionForm, NumClass, _reduce, _substitute, is_primitive
 
-Rational = int | Fraction
+if TYPE_CHECKING:  # fractions is imported only where a rational is built
+    from fractions import Fraction
+    Rational = int | Fraction
 
 
 class PosDefForm(Frozen):
@@ -89,6 +90,8 @@ class PosDefForm(Frozen):
         return True
 
     def value(self, v: Sequence[int]) -> Fraction:
+        from fractions import Fraction
+
         acc = 0
         for i in range(self.rank):
             if v[i]:
@@ -117,28 +120,39 @@ class _ScaledLDL:
     For pairings b = G y_c, the centre y_c enters through the level
     constants e = R y_c = D^-1 R^-T b, and s * e = centre_map @ b is an
     integer vector: s is a common denominator of the r_ij and of the
-    entries of D^-1 R^-T.
+    entries of D^-1 R^-T.  R is unit upper triangular, so D^-1 R^-T is
+    lower triangular: row k of ``centre_map`` holds its k + 1 entries up to
+    the diagonal, and the product reads b_0..b_k alone.
+
+    The factors come from fraction-free (Bareiss) elimination on [numer | I].
+    With p_0 = 1 and p_{k+1} the pivot of step k, the leading minor of size
+    k + 1, step k replaces each later row a_i by (p_{k+1} a_i - a_ik a_k) / p_k.
+    Before step k, each row i >= k is zero in the identity columns n + m,
+    k <= m < n, except for p_k at n + i: so at k = 0, and step k keeps it,
+    as a_k is zero in those columns but n + k.  So the identity half starts
+    at zero, and step k sets a_k's entry at n + k to p_k and computes
+    columns k+1..n+k alone.  The pivot row a_k is then final: p_{k+1} r_kj
+    and, by Cramer's rule on the leading block, p_{k+1} (D^-1 R^-T)_km / denom,
+    zero right of column n + k.
     """
 
     def __init__(self, numer: Sequence[Sequence[int]], denom: int = 1):
         n = len(numer)
-        # Fraction-free (Bareiss) elimination on [numer | I].  Row k is final
-        # once it is the pivot row: its pivot p[k + 1] is the leading minor
-        # of size k + 1, and it holds p[k + 1] r_kj and, by Cramer's rule on
-        # the leading block, p[k + 1] (D^-1 R^-T)_km / denom.
-        a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(numer)]
+        a = [list(row) + [0] * n for row in numer]
         p = [1]
         for k in range(n):
-            pk, prev = a[k][k], p[-1]
+            row_k, pk, prev = a[k], a[k][k], p[-1]
             if pk <= 0:
+                from fractions import Fraction
+
                 raise NotPositiveDefiniteError(
                     f"pivot {k + 1} of the LDL decomposition is "
                     f"{Fraction(pk, prev * denom)}"
                 )
-            row_k = a[k]
+            row_k[n + k] = prev
             for row in a[k + 1:]:
                 f = row[k]
-                for j in range(k + 1, 2 * n):
+                for j in range(k + 1, n + k + 1):
                     row[j] = (pk * row[j] - f * row_k[j]) // prev
             p.append(pk)
         # d_k = p_k / (p_{k-1} denom)
@@ -146,14 +160,13 @@ class _ScaledLDL:
             *(p[k] * denom // math.gcd(p[k + 1], p[k] * denom) for k in range(n))
         )
         self.dn = [p[k + 1] * self.dd // (p[k] * denom) for k in range(n)]
-        row_denominators = []
-        for k in range(n):
-            g = math.gcd(p[k + 1], *a[k][k + 1:n], *(denom * x for x in a[k][n:]))
-            row_denominators.append(p[k + 1] // g)
-        self.s = s = math.lcm(*row_denominators)
+        self.s = s = math.lcm(*(
+            p[k + 1] // math.gcd(p[k + 1], *a[k][k + 1:n], denom * math.gcd(*a[k][n:]))
+            for k in range(n)
+        ))
         self.rows = [[x * s // p[k + 1] for x in a[k][k + 1:n]] for k in range(n)]
         self.centre_map = [
-            [denom * x * s // p[k + 1] for x in a[k][n:]] for k in range(n)
+            [denom * x * s // p[k + 1] for x in a[k][n:n + k + 1]] for k in range(n)
         ]
 
     def search(
@@ -162,17 +175,22 @@ class _ScaledLDL:
         """All integer y with q(y - c) <= excess + b.c (== if exact), c = G^-1 b,
         lazily, in the order of :func:`_scaled_search`.
 
-        The bound is scaled by dd * s^2 exactly.  The interior search
-        floors it; a shell target that is not an integer after scaling has
-        no lattice point on it.
+        The bound is scaled by dd * s^2 exactly, on ints: an int excess
+        (every fiber search) stays an int, and a rational one
+        (:func:`enumerate_short`) enters as numerator over denominator.
+        The interior search floors the scaled bound; a shell target that is
+        not an integer after scaling has no lattice point on it.
         """
         centre = [sum(map(mul, row, b)) for row in self.centre_map]
-        rem = Fraction(excess) * self.dd * self.s * self.s + sum(
+        den = excess.denominator
+        rem = excess.numerator * self.dd * self.s * self.s + den * sum(
             di * ci * ci for di, ci in zip(self.dn, centre)
         )
-        if exact and rem.denominator != 1:
-            return iter(())
-        return _scaled_search(self.dn, self.s, self.rows, centre, math.floor(rem), exact)
+        if den != 1:
+            rem, odd = divmod(rem, den)
+            if exact and odd:
+                return iter(())
+        return _scaled_search(self.dn, self.s, self.rows, centre, rem, exact)
 
 
 def _scaled_search(
@@ -248,6 +266,8 @@ def _scaled_search(
 
 def enumerate_short(q: PosDefForm, bound: Rational) -> ShortVectorResult:
     """Exactly the nonzero v with q(v) <= bound, complete and duplicate-free."""
+    from fractions import Fraction
+
     bound = Fraction(bound)
     if bound < 0:
         raise ValueError("bound must be nonnegative")
@@ -300,11 +320,14 @@ class FiberSystem:
 
         The pivot classes w_i (the ``units`` of the reduction) carry their
         pairings with the constraint classes, with the kernel and with each
-        other.  The kernel keeps the nonzero (column, value) pairs of
-        each vector and the scaled factors of its negated Gram form.  Its
-        basis is the echelon kernel reversed, so the row with the first
-        pivot is the outermost search level.  For x = x0 + sum y_r B_r, two
-        points whose y first differ at row r agree on every coordinate
+        other.  The kernel keeps the nonzero (column, value) pairs of each
+        vector (two or three in most complements in U + E8(-1)) and the
+        scaled factors of its negated Gram form.  Every pairing is sparse:
+        gram @ v sums the form's Gram rows over v's entries, v_i.v_j reads
+        gram @ v_i at v_j's entries, and each w_i costs one ``form.apply``.
+        The kernel basis is the echelon kernel reversed, so the row with the
+        first pivot is the outermost search level.  For x = x0 + sum y_r B_r,
+        two points whose y first differ at row r agree on every coordinate
         before its pivot p_r and differ by (y_r - y'_r) B_r[p_r] there, with
         B_r[p_r] > 0.  The search scans every level in ascending order, so it
         emits the classes x in strictly increasing lexicographic order.
@@ -314,20 +337,27 @@ class FiberSystem:
         pivots, heads, units, kernel = _reduce(rows)
         vectors = kernel[::-1]
         k = len(vectors)
-        pairings = [form.apply(v) for v in vectors]
+        entries = [[(j, a) for j, a in enumerate(v) if a] for v in vectors]
         gram = [[0] * k for _ in range(k)]
-        for i in range(k):
-            for j in range(i, k):
-                gram[i][j] = gram[j][i] = -sum(map(mul, pairings[i], vectors[j]))
+        for i, vector in enumerate(entries):
+            pairing = [0] * form.rank  # gram @ v_i
+            for j, a in vector:
+                for m, g in form._rows[j]:
+                    pairing[m] += a * g
+            for j in range(i + 1):
+                acc = 0
+                for m, a in entries[j]:
+                    acc -= a * pairing[m]
+                gram[i][j] = gram[j][i] = acc
         self._kernel = [NumClass(v, form) for v in vectors]
-        self._entries = [[(j, a) for j, a in enumerate(v) if a] for v in vectors]
+        self._entries = entries
         self._ldl = _ScaledLDL(gram)
         # pivot class w_i -> (its coordinates, w_i.kernel, w_i.w_j for all j)
-        ws = [NumClass(u, form) for u in units]
         self._pivots, self._heads = pivots, heads
         self._pivot_rows = [
-            list(w.coords) + [w.dot(v) for v in self._kernel] + [w.dot(z) for z in ws]
-            for w in ws
+            list(w) + [sum(a * g[m] for m, a in v) for v in entries]
+            + [sum(map(mul, g, z)) for z in units]
+            for w, g in zip(units, map(form.apply, units))
         ]
         self._split = (form.rank, form.rank + k)
 

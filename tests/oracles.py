@@ -196,7 +196,7 @@ def box_classes_with_square(l_coords, square: int, degree_cap: int) -> set:
     return out
 
 
-def _ldl(gram) -> tuple[list[Fraction], list[list[Fraction]]]:
+def fraction_ldl(gram) -> tuple[list[Fraction], list[list[Fraction]]]:
     """q(y) = sum_i d_i (y_i + sum_{j>i} r_ij y_j)^2; fails unless q > 0."""
     n = len(gram)
     d: list[Fraction] = []
@@ -343,7 +343,7 @@ def _ellipsoid_shell(
 def fraction_ellipsoid(gram, b, excess, exact: bool) -> set[tuple[int, ...]]:
     """Integer y with q(y - c) <= excess + b.c (== if exact), c = G^-1 b,
     for the positive-definite integer Gram matrix G of q."""
-    d, r = _ldl([[Fraction(x) for x in row] for row in gram])
+    d, r = fraction_ldl([[Fraction(x) for x in row] for row in gram])
     center = _solve_spd(d, r, b)
     bound = Fraction(excess) + sum(Fraction(bi) * ci for bi, ci in zip(b, center))
     enum = _ellipsoid_shell if exact else _ellipsoid_points

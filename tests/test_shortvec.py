@@ -1,3 +1,4 @@
+import fractions
 import math
 import random
 from fractions import Fraction
@@ -5,15 +6,22 @@ from itertools import product
 
 import pytest
 
-from enriques_bn import shortvec
+from enriques_bn import invariants, shortvec
+from enriques_bn.brill_noether import enumerate_destab, predict_w1d
 from enriques_bn.errors import (
     CertificateError,
     NotPositiveDefiniteError,
     PositiveSquareRequiredError,
 )
 from enriques_bn.lattice import (
+    DivisorClass,
+    IntersectionForm,
     NumClass,
+    _reduce,
     basis_vector,
+    canonical_form,
+    config_i,
+    embed_configuration,
     integer_determinant,
     num_class,
 )
@@ -29,6 +37,7 @@ from oracles import (
     box_short_vectors,
     fraction_ellipsoid,
     fraction_inverse,
+    fraction_ldl,
     fraction_solutions,
 )
 
@@ -404,3 +413,186 @@ class TestCertificateErrors:
         monkeypatch.setattr(shortvec, "_lift_points", self._one_bad_point)
         with pytest.raises(CertificateError):
             fib.solutions([2], 0)
+
+
+def u2_e8_form():
+    """U(2) + E8(-1): the canonical Gram with the hyperbolic pairing doubled."""
+    gram = [list(row) for row in canonical_form().gram]
+    gram[0][1] = gram[1][0] = 2
+    return IntersectionForm(10, tuple(map(tuple, gram)))
+
+
+def random_constraints(rng, form, count):
+    """A class of positive square, so the complement is negative definite,
+    then count - 1 nonzero classes with coordinates in [-2, 2]."""
+    while True:
+        L = NumClass(tuple(rng.randint(-3, 3) for _ in range(10)), form)
+        if L.square > 0:
+            break
+    rest = []
+    while len(rest) < count - 1:
+        u = NumClass(tuple(rng.randint(-2, 2) for _ in range(10)), form)
+        if not u.is_zero():
+            rest.append(u)
+    return [L] + rest
+
+
+def check_factors(ldl, numer, denom):
+    """dn/dd and rows/s are the Fraction LDL factors of numer/denom, and
+    centre_map/s is the lower-triangular part of D^-1 R^-T = R G^-1, whose
+    entries above the diagonal are zero."""
+    gram = [[Fraction(x, denom) for x in row] for row in numer]
+    d, r = fraction_ldl(gram)
+    n = len(gram)
+    assert [Fraction(x, ldl.dd) for x in ldl.dn] == d
+    assert [[Fraction(x, ldl.s) for x in row] for row in ldl.rows] == [
+        r[i][i + 1:] for i in range(n)
+    ]
+    inverse = fraction_inverse(gram)
+    centre = [
+        [sum(r[k][j] * inverse[j][m] for j in range(n)) for m in range(n)]
+        for k in range(n)
+    ]
+    assert [[Fraction(x, ldl.s) for x in row] for row in ldl.centre_map] == [
+        row[:k + 1] for k, row in enumerate(centre)
+    ]
+    assert all(x == 0 for k, row in enumerate(centre) for x in row[k + 1:])
+
+
+class TestSparseBuild:
+    """What a FiberSystem stores at build, from the sparse kernel entries,
+    against dense recomputations and the Fraction oracles."""
+
+    @staticmethod
+    def check(form, classes, monkeypatch):
+        grams = []
+
+        class Recording(_ScaledLDL):
+            def __init__(self, numer, denom=1):
+                grams.append(numer)
+                super().__init__(numer, denom)
+
+        with monkeypatch.context() as m:
+            m.setattr(shortvec, "_ScaledLDL", Recording)
+            fib = FiberSystem(form, classes)
+        (gram,) = grams
+        kernel = fib._kernel
+        assert gram == [[-v.dot(w) for w in kernel] for v in kernel]
+        units = _reduce([form.apply(u.coords) for u in classes])[2]
+        ws = [NumClass(u, form) for u in units]
+        assert fib._pivot_rows == [
+            list(w.coords) + [w.dot(v) for v in kernel] + [w.dot(z) for z in ws]
+            for w in ws
+        ]
+        check_factors(fib._ldl, gram, 1)
+        return fib
+
+    @pytest.mark.parametrize("make_form", [canonical_form, u2_e8_form], ids=["U", "U(2)"])
+    def test_random_constraint_lists(self, make_form, monkeypatch):
+        form = make_form()
+        rng = random.Random(36)
+        for _ in range(20):
+            classes = random_constraints(rng, form, rng.randint(1, 3))
+            self.check(form, classes, monkeypatch)
+
+    def test_decompose_constraint_lists(self, form, triple_iii, monkeypatch):
+        # [L, E_1, ..., E_{j-1}] as decompose_isotropic builds them, from
+        # the realization of a pattern and from decompositions of sampled
+        # classes, whose kernel vectors reach four nonzero entries
+        lists = []
+        for gens in (triple_iii, embed_configuration(config_i(3))):
+            for a in ((1, 1, 1), (3, 2, 1)):
+                L = sum((ai * e for ai, e in zip(a[1:], gens[1:])), a[0] * gens[0])
+                lists += [[L, *gens[:j]] for j in range(3)]
+        for L in sample_ample(random.Random(41), 8, max_square=40):
+            gens = [e.num for e in invariants.decompose_isotropic(DivisorClass(L)).generators]
+            lists += [[L, *gens[:j]] for j in range(min(3, len(gens)))]
+        widest = 0
+        for classes in lists:
+            fib = self.check(form, classes, monkeypatch)
+            widest = max(widest, *map(len, fib._entries))
+        assert widest >= 4
+
+    def test_rational_forms(self):
+        rng = random.Random(37)
+        for _ in range(30):
+            q = random_posdef(rng)
+            denom = rng.randint(2, 6)
+            check_factors(_ScaledLDL(q.numer, denom), q.numer, denom)
+
+
+class TestIntegerBound:
+    """An int excess is scaled on ints and gives what its Fraction gives."""
+
+    def test_int_excess_equals_its_fraction(self):
+        rng = random.Random(38)
+        on_shell = 0
+        for _ in range(40):
+            q = random_posdef(rng)
+            ell = _ScaledLDL(q.numer, rng.randint(1, 3))
+            b = [rng.randint(-9, 9) for _ in range(q.rank)]
+            for excess in range(-3, 25, 3):
+                for exact in (False, True):
+                    got = list(ell.search(b, excess, exact))
+                    assert got == list(ell.search(b, Fraction(excess), exact))
+                    on_shell += exact and len(got)
+        assert on_shell > 0
+
+    def test_shell_target_off_the_integers_is_empty(self):
+        # on an integer Gram G with integer b, q(y - c) - b.c = y.G.y - 2 b.y
+        rng = random.Random(39)
+        for _ in range(40):
+            q = random_posdef(rng)
+            ell = _ScaledLDL(q.numer)
+            b = [rng.randint(-9, 9) for _ in range(q.rank)]
+            for den in (2, 3, 7):
+                excess = Fraction(rng.randint(-3, 20) * den + 1, den)
+                assert list(ell.search(b, excess, True)) == []
+                assert fraction_ellipsoid(q.numer, b, excess, True) == set()
+
+
+class FractionBuilt(Exception):
+    pass
+
+
+def refuse_fractions(monkeypatch):
+    def refuse(cls, *args, **kwargs):
+        raise FractionBuilt(args)
+
+    monkeypatch.setattr(fractions.Fraction, "__new__", refuse)
+
+
+class TestNoFractionOnTheIntegerPath:
+    """Fiber searches run on ints: with fractions.Fraction unable to build
+    an instance, every invariant still comes out."""
+
+    @staticmethod
+    def run_all(L):
+        rep = invariants.gonality(L)
+        predict_w1d(L)
+        invariants.decompose_isotropic(L)
+        for d in range(rep.k, rep.genus - rep.k + 1):
+            enumerate_destab(L, d)
+
+    def test_destab_classes(self, form, pair_one, monkeypatch):
+        e1, e2 = pair_one
+        classes = [num_class([a, b] + [0] * 8) for a, b in ((1, 6), (1, 8), (1, 10), (2, 5), (3, 4))]
+        classes.append(2 * e1 + 4 * e2)
+        refuse_fractions(monkeypatch)
+        for L in classes:
+            self.run_all(DivisorClass(L))
+
+    def test_seeded_sweep_classes(self, monkeypatch):
+        classes = sample_ample(random.Random(40), 12, max_square=40)
+        refuse_fractions(monkeypatch)
+        for L in classes:
+            self.run_all(DivisorClass(L))
+
+    def test_the_guard_fires(self, monkeypatch):
+        refuse_fractions(monkeypatch)
+        with pytest.raises(FractionBuilt):
+            Fraction(1, 3)
+        with pytest.raises(FractionBuilt):
+            enumerate_short(PosDefForm(1, ((2,),)), 4)
+        monkeypatch.undo()
+        assert Fraction(2, 4) == Fraction(1, 2)

@@ -7,7 +7,8 @@ library's checks are explicit errors, so none disappears under
 ``python -O``.  The test oracles reach the package through its public
 names only, so no oracle runs the code it is meant to check.  Importing
 the CLI loads none of the modules that made up most of its start-up
-(``dataclasses`` and what it imports); the checks count modules, not time.
+(``dataclasses`` and what it imports) and not ``fractions``; the checks
+count modules, not time.
 """
 
 import ast
@@ -135,9 +136,10 @@ class TestOraclesStandAlone:
         ]
 
 
-#: ``dataclasses`` and the modules it pulls in; importing them cost every
-#: CLI process more start-up than most commands spend computing.
-HEAVY_MODULES = ("dataclasses", "inspect", "ast", "dis")
+#: ``dataclasses`` and the modules it pulls in, whose import cost every CLI
+#: process more start-up than most commands spend computing; and
+#: ``fractions`` with its ``decimal``, which no fiber search needs.
+HEAVY_MODULES = ("dataclasses", "inspect", "ast", "dis", "fractions", "decimal")
 
 
 def heavy_modules_after(statement: str, path: Path) -> list[str]:
