@@ -13,6 +13,7 @@ pencils.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
 from typing import NamedTuple, Sequence
 
 from .errors import CertificateError, RangeError, SearchExhaustedError
@@ -108,69 +109,29 @@ def predict_w1d(L: DivisorClass) -> BNPrediction:
 # ---------------------------------------------------------------------------
 
 
-class DestabChecklist(Frozen):
-    """Numerical consequences of the splitting conditions, by name.
-
-    (a) |N| moves: h0(N) >= 2.
-    (b) M is big on C: M^2 > 0, h0(M) >= 2, h2(M) = 0.
-    (c) h1(M) = 0.
-    (d) N|_C dominates the pencil: constrains the pencil, not (M, N);
-        recorded as informational only.
-    (e) if ell > 0: h1(N) = 0 and N^2 > 0.
-    """
-
-    __slots__ = _fields = (
-        "a_h0_N_ge_2", "b_M_square_positive", "b_h0_M_ge_2", "b_h2_M_zero",
-        "c_h1_M_zero", "e_points_supported",
-    )
-
-    def __init__(
-        self, a_h0_N_ge_2: bool, b_M_square_positive: bool, b_h0_M_ge_2: bool,
-        b_h2_M_zero: bool, c_h1_M_zero: bool, e_points_supported: bool,
-    ):
-        for name, flag in zip(self._fields, (
-            a_h0_N_ge_2, b_M_square_positive, b_h0_M_ge_2, b_h2_M_zero,
-            c_h1_M_zero, e_points_supported,
-        )):
-            set_field(self, name, flag)
-
-    def all_pass(self) -> bool:
-        return all(self._values())
-
-    def as_dict(self) -> dict:
-        return {
-            "a": self.a_h0_N_ge_2,
-            "b": self.b_M_square_positive
-            and self.b_h0_M_ge_2
-            and self.b_h2_M_zero,
-            "c": self.c_h1_M_zero,
-            "d": None,  # informational only
-            "e": self.e_points_supported,
-        }
+# Conditions (a)-(e) of enumerate_destab as the CLI prints them: its
+# docstring proves that every splitting it emits passes (a), (b), (c) and
+# (e), and (d) filters nothing.  Kept only for the readers that print it;
+# each as_dict() call returns a new dict.
+_CHECKLIST = SimpleNamespace(
+    as_dict=lambda: {"a": True, "b": True, "c": True, "d": None, "e": True}
+)
 
 
 class DestabCandidate(Frozen):
-    """L = M + N at degree d, mn = M.N, ell = d - M.N.  It and the checklist
-    are slotted, not NamedTuples: callers read their fields per splitting,
-    and on CPython 3.11 a slot read costs half a NamedTuple field read."""
+    """L = M + N at degree d, mn = M.N, ell = d - M.N.  Slotted, not a
+    NamedTuple: callers read its fields per splitting, and on CPython 3.11 a
+    slot read costs half a NamedTuple field read."""
 
-    __slots__ = _fields = ("M", "N", "d", "mn", "ell", "checklist")
+    __slots__ = _fields = ("M", "N", "d", "mn", "ell")
+    checklist = _CHECKLIST  # the same for every splitting
 
-    def __init__(
-        self, M: DivisorClass, N: DivisorClass, d: int, mn: int, ell: int,
-        checklist: DestabChecklist,
-    ):
+    def __init__(self, M: DivisorClass, N: DivisorClass, d: int, mn: int, ell: int):
         set_field(self, "M", M)
         set_field(self, "N", N)
         set_field(self, "d", d)
         set_field(self, "mn", mn)
         set_field(self, "ell", ell)
-        set_field(self, "checklist", checklist)
-
-
-#: The checklist every emitted splitting carries: enumerate_destab emits a
-#: splitting exactly when every condition holds (see its docstring).
-_ALL_PASS = DestabChecklist(True, True, True, True, True, True)
 
 
 def _isotropic_twists(c: int, l_torsion: int) -> tuple[int, ...]:
@@ -189,12 +150,16 @@ def _isotropic_twists(c: int, l_torsion: int) -> tuple[int, ...]:
 def enumerate_destab(L: DivisorClass, d: int) -> list[DestabCandidate]:
     """Exhaustive numerical splittings L = M + N that could destabilize.
 
-    Filters: N effective with h0(N) >= 2; M.L >= N.L; ell = d - M.N >= 0;
-    M^2 > 0, h0(M) >= 2, h1(M) = h2(M) = 0; and when ell > 0 also
-    h1(N) = 0 with N^2 > 0.  Finiteness: N.L <= L^2/2 and N^2 >= 0 bound
-    the complement norm of N, so candidates come from one short-vector
-    sweep per degree t = N.L, in the order (t, N coordinates, torsion of
-    M), which is lexicographic within each fiber (the ordering
+    Filters: M.L >= N.L, ell = d - M.N >= 0 and the splitting conditions:
+    (a) |N| moves: N effective with h0(N) >= 2;
+    (b) M is big on C: M^2 > 0, h0(M) >= 2, h2(M) = 0;
+    (c) h1(M) = 0;
+    (e) if ell > 0: h1(N) = 0 and N^2 > 0.
+    Condition (d), that N|_C dominates the pencil, constrains the pencil,
+    not (M, N), and filters nothing.  Finiteness: N.L <= L^2/2 and
+    N^2 >= 0 bound the complement norm of N, so candidates come from one
+    short-vector sweep per degree t = N.L, in the order (t, N coordinates,
+    torsion of M), which is lexicographic within each fiber (the ordering
     certificate of ``shortvec``).
 
     Every condition is decided by arithmetic on t, s = N^2 and, when s = 0,
@@ -220,8 +185,8 @@ def enumerate_destab(L: DivisorClass, d: int) -> list[DestabCandidate]:
       different h1(N) only for even c >= 4, and only then are both listed.
 
     So the sweep asks for s >= max(t - d, 1) at every t != d, and for
-    s >= 0 only at t = d; every splitting it keeps passes the whole
-    checklist.  At the tie M and N pass together (M^2 = N^2), and only the
+    s >= 0 only at t = d; every splitting it keeps passes (a), (b), (c)
+    and (e).  At the tie M and N pass together (M^2 = N^2), and only the
     lexicographically first N of the two is kept.  (M - N and N - M carry
     the torsion bit of L under both twists, so they cannot tell the twists
     apart.)  ``tests/oracles.destab_unpruned`` computes the same list from
@@ -246,7 +211,7 @@ def enumerate_destab(L: DivisorClass, d: int) -> list[DestabCandidate]:
             for torsion_m in twists:
                 M = DivisorClass(m_num, torsion_m)
                 N = DivisorClass(n_num, L.torsion ^ torsion_m)
-                out.append(DestabCandidate(M, N, d, mn, d - mn, _ALL_PASS))
+                out.append(DestabCandidate(M, N, d, mn, d - mn))
     return out
 
 

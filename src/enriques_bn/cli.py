@@ -166,14 +166,14 @@ def _cmd_lattice(config: dict, args) -> int:
     return EXIT_OK
 
 
-def _resolve_class(args) -> tuple[DivisorClass, str | None]:
+def _resolve_class(args) -> DivisorClass:
     configuration = getattr(args, "config", None)
     conf = parse_configuration(configuration) if configuration else None
-    return parse_class(args.class_literal, conf), configuration
+    return parse_class(args.class_literal, conf)
 
 
 def _cmd_cohomology(config: dict, args) -> int:
-    d, _ = _resolve_class(args)
+    d = _resolve_class(args)
     prof = cohomology(d)
     status = classify_positivity(d)
     result = prof.as_dict()
@@ -183,7 +183,7 @@ def _cmd_cohomology(config: dict, args) -> int:
 
 
 def _cmd_invariants(config: dict, args) -> int:
-    d, _ = _resolve_class(args)
+    d = _resolve_class(args)
     rep = inv.gonality(d)
     if args.mu_cap is not None and args.mu_cap > rep.mu.cap:
         # a raised cap refines mu; k stays certified by the default cap
@@ -211,7 +211,7 @@ def _cmd_invariants(config: dict, args) -> int:
 
 
 def _cmd_predict(config: dict, args) -> int:
-    d, _ = _resolve_class(args)
+    d = _resolve_class(args)
     pred = bn.predict_w1d(d)
     if args.tsv:
         sys.stdout.write("d\trho\tdim\n")
@@ -232,7 +232,7 @@ def _cmd_predict(config: dict, args) -> int:
 
 
 def _cmd_destab(config: dict, args) -> int:
-    d, _ = _resolve_class(args)
+    d = _resolve_class(args)
     cands = bn.enumerate_destab(d, args.d)
     rep = inv.gonality(d)
     min_mn, holds = bn.check_mn_bound(cands, rep.k)
@@ -275,7 +275,7 @@ def _cmd_example51(config: dict, args) -> int:
 
 
 def _cmd_decompose(config: dict, args) -> int:
-    d, _ = _resolve_class(args)
+    d = _resolve_class(args)
     dec = inv.decompose_isotropic(d)
     result = {
         "n": len(dec.generators),

@@ -76,8 +76,7 @@ class IntersectionForm(Frozen):
         return all(self.gram[i][i] % 2 == 0 for i in range(self.rank))
 
     def determinant(self) -> int:
-        d = integer_determinant(self.gram)
-        return d
+        return integer_determinant(self.gram)
 
     def inertia(self) -> tuple[int, int, int]:
         """(positive, negative, zero) counts of a rational diagonalization."""

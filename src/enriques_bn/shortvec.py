@@ -349,7 +349,6 @@ class FiberSystem:
                 for m, a in entries[j]:
                     acc -= a * pairing[m]
                 gram[i][j] = gram[j][i] = acc
-        self._kernel = [NumClass(v, form) for v in vectors]
         self._entries = entries
         self._ldl = _ScaledLDL(gram)
         # pivot class w_i -> (its coordinates, w_i.kernel, w_i.w_j for all j)

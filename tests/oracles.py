@@ -31,8 +31,8 @@ tried.
 ``mu_full_scan`` and ``destab_unpruned`` are the whole-fiber forms of
 ``mu`` and ``enumerate_destab``: they build every fiber in full and filter
 afterwards, where the library stops at the first hit or prunes the search.
-``destab_unpruned`` also decides the splitting checklist from the
-cohomology of M and N, where the library decides it by arithmetic.
+``destab_unpruned`` also decides the splitting conditions from the
+cohomology of M and N, where the library decides them by arithmetic.
 ``mu_whole_pool`` builds mu's isotropic pool for the cap before the scan,
 where the library grows it with the degree.
 
@@ -581,7 +581,7 @@ def destab_unpruned(L, d: int) -> list:
     applied afterwards, and the two torsion twists told apart by the
     cohomology of M, N, M - N and N - M.  Range checks are left to the
     pruned version."""
-    from enriques_bn.brill_noether import DestabCandidate, DestabChecklist
+    from enriques_bn.brill_noether import DestabCandidate
     from enriques_bn.lattice import DivisorClass
     from enriques_bn.positivity import cohomology
     from enriques_bn.shortvec import ComplementLift
@@ -602,15 +602,12 @@ def destab_unpruned(L, d: int) -> list:
                 M = DivisorClass(m_num, torsion_m)
                 N = DivisorClass(n_num, L.torsion ^ torsion_m)
                 ch_n, ch_m = cohomology(N), cohomology(M)
-                checklist = DestabChecklist(
-                    a_h0_N_ge_2=ch_n.h0 >= 2,
-                    b_M_square_positive=m_num.square > 0,
-                    b_h0_M_ge_2=ch_m.h0 >= 2,
-                    b_h2_M_zero=ch_m.h2 == 0,
-                    c_h1_M_zero=ch_m.h1 == 0,
-                    e_points_supported=ell == 0 or (ch_n.h1 == 0 and n_num.square > 0),
-                )
-                if not checklist.all_pass():
+                a = ch_n.h0 >= 2
+                b = m_num.square > 0 and ch_m.h0 >= 2 and ch_m.h2 == 0
+                c = ch_m.h1 == 0
+                # (d) constrains the pencil, not (M, N): it rejects nothing
+                e = ell == 0 or (ch_n.h1 == 0 and n_num.square > 0)
+                if not (a and b and c and e):
                     continue
                 # the full cohomology profile of the splitting, twists of
                 # M - N and N - M included
@@ -618,7 +615,7 @@ def destab_unpruned(L, d: int) -> list:
                 if profile in seen_profiles:
                     continue
                 seen_profiles.append(profile)
-                out.append(DestabCandidate(M, N, d, mn, ell, checklist))
+                out.append(DestabCandidate(M, N, d, mn, ell))
     out.sort(key=lambda c: (c.N.dot(L), c.N.num.coords, c.M.torsion))
     return out
 

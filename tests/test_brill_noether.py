@@ -5,6 +5,7 @@ from enriques_bn.brill_noether import (
     STATUS_APPLIES,
     STATUS_EMPTY,
     STATUS_FAILS,
+    DestabCandidate,
     check_mn_bound,
     cliff_chain_bound,
     enumerate_destab,
@@ -25,6 +26,10 @@ from enriques_bn.lattice import (
     embed_configuration,
 )
 from oracles import destab_unpruned
+
+# every splitting enumerate_destab emits passes (a), (b), (c) and (e); (d)
+# constrains the pencil, not the splitting
+PASSED = {"a": True, "b": True, "c": True, "d": None, "e": True}
 
 
 class TestRho:
@@ -98,11 +103,22 @@ class TestEnumerateDestab:
             assert c.M + c.N == L
             assert c.mn == 4 and c.ell == 1
             assert c.M.dot(L) >= c.N.dot(L)
-            assert c.checklist.all_pass()
+            assert c.checklist.as_dict() == PASSED
         n_classes = {c.N.num for c in cands}
         assert (e1 + e2) in n_classes  # the hyperbolic sum splits off
         half = {c.N.num for c in cands if c.M.num == c.N.num}
         assert len(half) == 1  # the symmetric splitting M = N
+
+    def test_checklist_is_one_constant(self, polarization):
+        L, _, _ = polarization
+        first, second = enumerate_destab(L, 5)
+        got = first.checklist.as_dict()
+        assert list(got) == ["a", "b", "c", "d", "e"] and got == PASSED
+        got["a"] = False  # a new dict on each call
+        assert second.checklist.as_dict() == PASSED
+        twin = DestabCandidate(first.M, first.N, first.d, first.mn, first.ell)
+        assert twin == first and hash(twin) == hash(first)
+        assert twin != second
 
     def test_low_section_splittings_are_excluded(self, polarization):
         L, e1, e2 = polarization
@@ -170,9 +186,9 @@ class TestDestabPruning:
                 yield L, d
 
     def test_matches_the_unpruned_sweep(self, pair_one):
-        """The arithmetic checklist and the pruned sweep give the list that
-        the cohomology of every splitting gives, order, twists and
-        checklists included."""
+        """The arithmetic conditions and the pruned sweep give the list that
+        the cohomology of every splitting gives, order and twists
+        included."""
         total = 0
         isotropic = set()  # (content of N, torsion of M, torsion of L)
         for L, d in self.destab_inputs(pair_one):

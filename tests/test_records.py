@@ -1,8 +1,8 @@
 """Contracts of the package's record types.
 
 Plain result records are ``typing.NamedTuple``s.  The value types that
-validate their input or keep derived state (and the two destab records,
-read once per splitting) are slotted immutable classes.  Every one refuses
+validate their input or keep derived state (and the destab record, read
+once per splitting) are slotted immutable classes.  Every one refuses
 assignment with AttributeError, compares and hashes by value, survives a
 pickle round trip, and rejects invalid input with the package's errors.
 """
@@ -33,12 +33,11 @@ from enriques_bn.shortvec import PosDefForm, enumerate_short
 
 
 def sample_records():
-    """One instance of each of the 17 record types, by type name."""
+    """One instance of each of the 16 record types, by type name."""
     form = canonical_form()
     num = NumClass((1, 6, 0, 0, 0, 0, 0, 0, 0, 0), form)  # f + 6g
     L = DivisorClass(num, 0)
     rep = gonality(L)
-    destab = enumerate_destab(L, rep.k)[0]
     posdef = PosDefForm(2, ((2, 1), (1, 2)))
     return {
         "IntersectionForm": form,
@@ -51,8 +50,7 @@ def sample_records():
         "GonalityReport": rep,
         "IsotropicDecomposition": decompose_isotropic(L),
         "BNPrediction": predict_w1d(L),
-        "DestabChecklist": destab.checklist,
-        "DestabCandidate": destab,
+        "DestabCandidate": enumerate_destab(L, rep.k)[0],
         "ParamCountAudit": param_count(13, 5, 5, 0, 0, 0, 0, k=2),
         "PlaneCoverFamilyReport": plane_cover_family_report(3),
         "ShortVectorResult": enumerate_short(posdef, 2),
@@ -70,7 +68,7 @@ def fields(record):
 
 
 def test_every_type_is_covered():
-    assert len(RECORDS) == 17
+    assert len(RECORDS) == 16
     assert sorted(type(r).__name__ for r in RECORDS.values()) == sorted(RECORDS)
     assert len(REPORTS) == 10
 

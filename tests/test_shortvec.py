@@ -154,7 +154,7 @@ class TestProjectComplement:
             if L.square <= 0:
                 continue
             # building the lift raises NotPositiveDefiniteError otherwise
-            assert len(ComplementLift(form, L)._kernel) == 9
+            assert len(ComplementLift(form, L)._entries) == 9
             found += 1
 
     def test_fiber_lift_consistency(self, form):
@@ -391,7 +391,7 @@ class TestLexicographicOrder:
 class TestEchelonBasis:
     def test_first_pivot_is_the_outermost_level(self, form):
         lift = ComplementLift(form, num_class([3, 3, 1, 0, 3, 1, 2, 2, 1, 2]))
-        pivots = [next(j for j, a in enumerate(v.coords) if a) for v in lift._kernel]
+        pivots = [entries[0][0] for entries in lift._entries]
         assert strictly_increasing(pivots[::-1])
 
 
@@ -476,7 +476,10 @@ class TestSparseBuild:
             m.setattr(shortvec, "_ScaledLDL", Recording)
             fib = FiberSystem(form, classes)
         (gram,) = grams
-        kernel = fib._kernel
+        kernel = [  # the sparse (column, value) lists as classes
+            NumClass(tuple(dict(entries).get(j, 0) for j in range(form.rank)), form)
+            for entries in fib._entries
+        ]
         assert gram == [[-v.dot(w) for w in kernel] for v in kernel]
         units = _reduce([form.apply(u.coords) for u in classes])[2]
         ws = [NumClass(u, form) for u in units]
