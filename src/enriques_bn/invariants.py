@@ -19,9 +19,12 @@ reports "not found".
 
 Each class L of positive square has one :class:`Polarization`, kept by
 :func:`polarization` for the last POLARIZATION_CACHE_SIZE classes, keyed on
-L by value: its lift is built once and its gonality report computed at most
-once.  Both are fixed by L alone, and each caller runs its own search on the
-lift, so a reused answer keeps its certificates and threads may share them.
+L by value: its lift is built once, and its isotropic floor (phi(L) and the
+fiber x.L = phi(L), x^2 = 0) and gonality report are computed at most once.
+All three are fixed by L alone.  phi, mu and decompose_isotropic read the
+floor instead of searching the degrees it settles, and each caller runs its
+own search on the lift above it, so a reused answer keeps its certificates
+and threads may share them.
 """
 
 from __future__ import annotations
@@ -133,31 +136,13 @@ def _require_effective_positive(L: DivisorClass, op: str) -> None:
 def phi(L: DivisorClass) -> PhiResult:
     """Exact minimum of L.E over primitive isotropic effective classes E.
 
-    Complete by the bound phi(L) <= sqrt(L^2): for t = 1.. isqrt(L^2), the
-    isotropic classes with x.L = t have complement norm exactly t^2/L^2, a
-    finite ellipsoid search.  The witness is the lexicographically least
-    primitive hit at the smallest t.
+    The value and the fiber at it are searched once per class, by
+    :attr:`Polarization.isotropic_floor`.  The witness is the
+    lexicographically least class of that fiber.
     """
     _require_effective_positive(L, "phi")
-    lift = polarization(L.num).lift
-    a0 = reference_ample(L.num.form)
-    for t in range(1, math.isqrt(L.square) + 1):
-        # at the first t with hits every hit is primitive: x = cP with
-        # c >= 2 would put the isotropic P at the earlier degree t / c
-        hits = lift.fiber(t, 0)
-        if hits:
-            # effectivity is automatic: x.L > 0 puts x in the cone of L
-            bad = next((x for x in hits if x.dot(a0.num) <= 0), None)
-            if bad is not None:
-                raise CertificateError(
-                    f"isotropic class {bad.coords} with x.L = {t} > 0 pairs "
-                    f"to {bad.dot(a0.num)} with the reference ample class"
-                )
-            return PhiResult(t, DivisorClass(hits[0], 0))
-    raise SearchExhaustedError(
-        f"no isotropic class with L.E <= isqrt(L^2) = {math.isqrt(L.square)}; "
-        "input is outside the modeled cone"
-    )
+    value, fiber = polarization(L.num).isotropic_floor
+    return PhiResult(value, DivisorClass(fiber[0], 0))
 
 
 def mu(L: DivisorClass, cap: int | None = None) -> MuResult:
@@ -180,15 +165,24 @@ def mu(L: DivisorClass, cap: int | None = None) -> MuResult:
     degree by degree and never holds a class the current degree does not
     need.  Degrees with t^2 < 4 L^2 are skipped: by the Hodge index
     theorem (B.L)^2 >= B^2 L^2 = 4 L^2, so no candidate lies there.
+
+    The pool searches no degree that phi has settled
+    (:attr:`Polarization.isotropic_floor`): no isotropic class has
+    0 < E.L < phi(L), and the fiber at phi(L) is stored.  So the pool
+    starts at degree phi(L) with that fiber, and holds at every degree what
+    a search of each fiber from degree 1 on would give.  A class whose floor
+    is not yet stored gets phi's search, and its checks, first.
     """
     _require_effective_positive(L, "mu")
     if cap is None:
         cap = 2 * phi(L).value + 2
-    lift = polarization(L.num).lift
+    pol = polarization(L.num)
+    lift = pol.lift
+    floor, floor_fiber = pol.isotropic_floor
     num_L = L.num
     l_sq = L.square
     iso_pool: list[NumClass] = []
-    pool_degree = 0  # iso_pool holds every isotropic E with E.L <= this
+    pool_degree = floor - 1  # iso_pool holds every isotropic E with E.L <= this
 
     def admissible(x: NumClass) -> bool:
         # the definition excludes B numerically equal to L, and phi(x) = 1
@@ -200,7 +194,7 @@ def mu(L: DivisorClass, cap: int | None = None) -> MuResult:
         if disc < 0:
             continue
         for s in range(pool_degree + 1, (t + math.isqrt(disc)) // 4 + 1):
-            iso_pool.extend(lift.fiber(s, 0))
+            iso_pool.extend(floor_fiber if s == floor else lift.fiber(s, 0))
             pool_degree = s
         # fibers come in lexicographic order, so the first admissible
         # candidate at the minimal degree is the canonical witness
@@ -222,13 +216,45 @@ def _is_twice_d10(L: DivisorClass) -> bool:
 
 class Polarization:
     """The shared computations of one class L of positive square: its
-    :class:`ComplementLift`, built once, and its gonality report, computed
-    at most once.  Get one from :func:`polarization`.
+    :class:`ComplementLift`, built once, and its isotropic floor and
+    gonality report, each computed at most once.  Get one from
+    :func:`polarization`.
     """
 
     def __init__(self, L: NumClass):
         self.L = L
         self.lift = ComplementLift(L.form, L)
+
+    @cached_property
+    def isotropic_floor(self) -> tuple[int, tuple[NumClass, ...]]:
+        """(phi(L), every isotropic x with x.L = phi(L)), the fiber in
+        lexicographic order.  Its readers check first that L is effective.
+
+        Complete by the bound phi(L) <= sqrt(L^2): for t = 1.. isqrt(L^2),
+        the isotropic classes with x.L = t have complement norm exactly
+        t^2/L^2, a finite ellipsoid search, and phi(L) is the first t with
+        hits.  So no isotropic class has 0 < x.L < phi(L), and every class
+        of the fiber is primitive: x = cP with c >= 2 would put the
+        isotropic P at the degree phi(L) / c < phi(L).  :func:`mu` and
+        :func:`decompose_isotropic` read the fiber instead of searching it.
+        """
+        lift = self.lift
+        a0 = reference_ample(self.L.form)
+        for t in range(1, math.isqrt(self.L.square) + 1):
+            hits = lift.fiber(t, 0)
+            if hits:
+                # effectivity is automatic: x.L > 0 puts x in the cone of L
+                bad = next((x for x in hits if x.dot(a0.num) <= 0), None)
+                if bad is not None:
+                    raise CertificateError(
+                        f"isotropic class {bad.coords} with x.L = {t} > 0 pairs "
+                        f"to {bad.dot(a0.num)} with the reference ample class"
+                    )
+                return t, tuple(hits)
+        raise SearchExhaustedError(
+            f"no isotropic class with L.E <= isqrt(L^2) = {math.isqrt(self.L.square)}; "
+            "input is outside the modeled cone"
+        )
 
     @cached_property
     def report(self) -> GonalityReport:
@@ -432,6 +458,19 @@ def decompose_isotropic(L: DivisorClass) -> IsotropicDecomposition:
     Shapes share prefixes, so each constraint list [L, E_1, ..., E_{j-1}]
     gets one FiberSystem per call.
 
+    No slot is searched at a degree phi has settled
+    (:attr:`Polarization.isotropic_floor`).  Every E_j is isotropic with
+    E_j.L = delta_j > 0 (the last one too, by the division above), and no
+    isotropic class has 0 < x.L < phi(L), so every generator has
+    E_j.L >= phi(L) and a shape with min(G a) < phi(L) is skipped.  A slot
+    with delta_j = phi(L) takes the stored fiber at phi(L), filtered on
+    E_i.x = G_ij for i < j, with no FiberSystem.  That fiber holds every
+    isotropic x with x.L = phi(L), all primitive, in lexicographic order,
+    so the filter keeps exactly the classes, in the order, that
+    ``FiberSystem(form, [L, E_1, ..., E_{j-1}]).primitive_isotropic``
+    yields at those values.  A class whose floor is not yet stored gets
+    phi's search, and its checks, first.
+
     Deterministic; raises SearchExhaustedError once DECOMPOSE_MAX_NODES
     slots have been filled.
     """
@@ -446,21 +485,28 @@ def decompose_isotropic(L: DivisorClass) -> IsotropicDecomposition:
 
     target = L.num
     form = target.form
-    lift = polarization(target).lift
+    pol = polarization(target)
+    floor, floor_fiber = pol.isotropic_floor
     budget = DECOMPOSE_MAX_NODES
-    systems = {(): lift}  # the FiberSystem of [L] + gens, by gens' coordinates
+    systems = {(): pol.lift}  # the FiberSystem of [L] + gens, by gens' coordinates
 
     def fill(p, alike, a, delta, gens):
         """Every realization of the shape (p, a) that extends gens."""
         nonlocal budget
         j = len(gens)
         if j < p.n - 1:
-            key = tuple(e.coords for e in gens)
-            source = systems.get(key)
-            if source is None:
-                source = systems[key] = FiberSystem(form, [target] + gens)
             column = [delta[j]] + [p.gram_sub[i][j] for i in range(j)]
-            candidates = source.primitive_isotropic(column)
+            if delta[j] == floor:
+                pairings = column[1:]
+                candidates = (
+                    x for x in floor_fiber if [e.dot(x) for e in gens] == pairings
+                )
+            else:
+                key = tuple(e.coords for e in gens)
+                source = systems.get(key)
+                if source is None:
+                    source = systems[key] = FiberSystem(form, [target] + gens)
+                candidates = source.primitive_isotropic(column)
         else:
             rest = target.coords
             for c, e in zip(a, gens):
@@ -485,6 +531,8 @@ def decompose_isotropic(L: DivisorClass) -> IsotropicDecomposition:
     for level in _levels(L.square):
         best = None
         for p, alike, a, delta in level:
+            if min(delta) < floor:
+                continue
             for gens in fill(p, alike, a, delta, []):
                 key = sorted(zip(delta, (e.coords for e in gens)))
                 if best is None or key < best[0]:

@@ -34,7 +34,9 @@ afterwards, where the library stops at the first hit or prunes the search.
 ``destab_unpruned`` also decides the splitting conditions from the
 cohomology of M and N, where the library decides them by arithmetic.
 ``mu_whole_pool`` builds mu's isotropic pool for the cap before the scan,
-where the library grows it with the degree.
+where the library grows it with the degree.  ``mu_searched_pool`` grows it
+with the degree but searches every fiber of the pool, where the library
+starts at phi's stored fiber.
 
 No oracle uses a ``_``-prefixed name of ``enriques_bn``
 (``tests/test_tooling.py`` checks it): an oracle that calls the code under
@@ -569,6 +571,34 @@ def mu_whole_pool(L, cap: int):
         return x != L.num and all(e.dot(x) != 1 for e in iso_pool)
 
     for t in range(1, cap + 1):
+        x = lift.first(t, 4, admissible)
+        if x is not None:
+            return MuResult(MU_EXACT, cap, t - 2, DivisorClass(x, 0))
+    return MuResult(MU_NOT_FOUND, cap)
+
+
+def mu_searched_pool(L, cap: int):
+    """``mu(L, cap)`` as it ran before the pool started at phi's stored
+    fiber: each pool degree s = 1, 2, ... is searched with ``fiber(s, 0)``
+    on a lift of its own, phi's degree and those below it included."""
+    from enriques_bn.invariants import MU_EXACT, MU_NOT_FOUND, MuResult
+    from enriques_bn.lattice import DivisorClass
+    from enriques_bn.shortvec import ComplementLift
+
+    lift = ComplementLift(L.num.form, L.num)
+    iso_pool: list = []
+    pool_degree = 0
+
+    def admissible(x) -> bool:
+        return x != L.num and all(e.dot(x) != 1 for e in iso_pool)
+
+    for t in range(1, cap + 1):
+        disc = t * t - 4 * L.square
+        if disc < 0:
+            continue
+        for s in range(pool_degree + 1, (t + math.isqrt(disc)) // 4 + 1):
+            iso_pool.extend(lift.fiber(s, 0))
+            pool_degree = s
         x = lift.first(t, 4, admissible)
         if x is not None:
             return MuResult(MU_EXACT, cap, t - 2, DivisorClass(x, 0))

@@ -58,6 +58,7 @@ from oracles import (
     box_isotropic_minimum,
     decompose_subset_search,
     mu_full_scan,
+    mu_searched_pool,
     mu_whole_pool,
 )
 
@@ -545,7 +546,9 @@ class TestSolveCoefficients:
         # slots after the first drawn at their degree but only with pairings
         # the pattern forbids: the last slot's division still goes through
         # at coefficient 1, and the recheck of the rebuilt sum and the
-        # pattern Gram raises on the realization a level would return
+        # pattern Gram raises on the realization a level would return.
+        # A slot at degree phi reads phi's fiber and no FiberSystem, so the
+        # class is 2 E1 + E2 + E3 (phi 4), whose middle slot has degree 5
         class WrongPairings:
             def __init__(self, form, classes):
                 self.classes = classes
@@ -559,8 +562,10 @@ class TestSolveCoefficients:
 
         monkeypatch.setattr(invariants, "FiberSystem", WrongPairings)
         e1, e2, e3 = triple_iii
+        L = DivisorClass(2 * e1 + e2 + e3, 0)
+        assert phi(L).value == 4
         with pytest.raises(CertificateError, match="needs"):
-            decompose_isotropic(DivisorClass(e1 + e2 + e3, 0))
+            decompose_isotropic(L)
 
 
 class TestDecomposeBudgets:
@@ -699,6 +704,89 @@ class TestDecomposeCuts:
         assert dec.coefficients == (3, 2, 1)
         a, b, c = (g.num for g in dec.generators)
         assert 3 * a + 2 * b + c == L.num
+
+
+def floor_classes():
+    """The 89 structured-sweep classes with L^2 <= 30 and the 36 classes of
+    the benchmark's ``sweep`` workload."""
+    from test_golden import GOLDEN, workloads
+
+    classes = [L for _, _, L in structured_sweep(30)]
+    classes += [item.payload for item in workloads.build_items("sweep", GOLDEN)]
+    assert len(classes) == 89 + 36
+    return classes
+
+
+class TestIsotropicFloor:
+    """phi's fiber is searched once per class
+    (``Polarization.isotropic_floor``): mu's pool starts from it, and
+    decompose skips the shapes below phi and draws every slot at degree phi
+    from it."""
+
+    def test_nothing_below_phi_and_all_primitive_at_it(self):
+        for L in floor_classes():
+            lift = ComplementLift(L.num.form, L.num)
+            value = phi(L).value
+            assert not any(lift.fiber(t, 0) for t in range(1, value))
+            at_phi = lift.fiber(value, 0)
+            assert at_phi and all(is_primitive(x) for x in at_phi)
+            assert invariants.polarization(L.num).isotropic_floor == (
+                value, tuple(at_phi)
+            )
+
+    def test_mu_against_the_searched_pool(self):
+        found = not_found = 0
+        for L in floor_classes():
+            cap = 2 * phi(L).value + 2
+            for c in (cap, cap + 4):
+                res = mu(L, c)
+                assert res == mu_searched_pool(L, c), (L.num.coords, c)
+                found += res.exact
+                not_found += not res.exact
+        assert found and not_found
+
+    def test_mu_searches_no_degree_phi_has_settled(self, monkeypatch):
+        degrees = []
+        real = ComplementLift.fiber
+
+        def recording(self, t, square):
+            degrees.append(t)
+            return real(self, t, square)
+
+        monkeypatch.setattr(ComplementLift, "fiber", recording)
+        above = 0
+        for L in floor_classes():
+            value = phi(L).value
+            degrees.clear()
+            mu(L, 2 * value + 6)
+            assert all(t > value for t in degrees), (L.num.coords, value, degrees)
+            above += len(degrees)
+        assert above  # the pool still searches the degrees above phi
+
+    def test_decompose_searches_no_slot_at_degree_phi(self, monkeypatch):
+        # iii:7 with all a_i = 1 needs 355 FiberSystems when every slot is
+        # searched, 55 when the shapes below phi are skipped and the slots
+        # at degree phi read phi's fiber
+        L = DivisorClass(combine([1] * 7, embed_configuration(config_iii(7))), 0)
+        value = phi(L).value
+        builds, searched = [], []
+        real = FiberSystem.primitive_isotropic
+
+        def recording(self, values):
+            searched.append(values[0])
+            return real(self, values)
+
+        class Counting(FiberSystem):
+            def __init__(self, form, classes):
+                builds.append(len(classes))
+                super().__init__(form, classes)
+
+        monkeypatch.setattr(FiberSystem, "primitive_isotropic", recording)
+        monkeypatch.setattr(invariants, "FiberSystem", Counting)
+        dec = decompose_isotropic(L)
+        check_decomposition(L, dec)
+        assert searched and value not in searched
+        assert 0 < len(builds) <= 55
 
 
 def cached_answers(L):
