@@ -24,7 +24,9 @@ fiber x.L = phi(L), x^2 = 0) and gonality report are computed at most once.
 All three are fixed by L alone.  phi, mu and decompose_isotropic read the
 floor instead of searching the degrees it settles, and each caller runs its
 own search on the lift above it, so a reused answer keeps its certificates
-and threads may share them.
+and threads may share them.  decompose_isotropic draws every searched
+generator from the lift's fibers, each degree searched at most once per
+call.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from .lattice import (
     is_primitive,
 )
 from .positivity import classify_positivity, reference_ample
-from .shortvec import ComplementLift, FiberSystem
+from .shortvec import ComplementLift
 
 #: (L^2, phi) pairs where the gonality drops to floor(L^2/4) + 2 = 2 phi - 1.
 EXCEPTIONAL_SQUARE_PHI_PAIRS = frozenset(
@@ -442,10 +444,19 @@ def decompose_isotropic(L: DivisorClass) -> IsotropicDecomposition:
     Generators come in pattern order, alike slots (see :func:`_levels`) by
     increasing (E.L, coordinates).
 
-    Slot 1 is drawn from L's lift at degree delta_1, slot j < n from
-    ``FiberSystem(form, [L, E_1, ..., E_{j-1}])`` at values (delta_j, G_1j,
-    ..., G_{j-1,j}), primitive classes only; alike slots of equal
+    Every slot j < n is drawn from one source, the fiber x.L = delta_j,
+    x^2 = 0 of L's lift, kept to its primitive classes with E_i.x = G_ij
+    for i < j.  That fiber holds every isotropic x with x.L = delta_j, in
+    lexicographic order, so the filter yields exactly the candidates of
+    slot j, in that order.  Each degree is searched at most once per call,
+    and phi(L) not at all: every generator is isotropic with E_j.L =
+    delta_j > 0 (the last one too, by the division below) and no isotropic
+    class has 0 < x.L < phi(L), so a shape with min(G a) < phi(L) is
+    skipped, and the fiber at phi(L) is the stored one, all primitive
+    (:attr:`Polarization.isotropic_floor`; a class whose floor is not yet
+    stored gets phi's search, and its checks, first).  Alike slots of equal
     coefficient take increasing coordinates, so each set is found once.
+
     The last slot needs no search.  Let R = L - sum_{i<n} a_i E_i.  For
     j < n, R.E_j = delta_j - sum_{i<n} a_i G_ij = a_n G_nj; then
     R.L = a_n delta_n and R^2 = R.L - sum_{i<n} a_i R.E_i = a_n (delta_n -
@@ -454,22 +465,6 @@ def decompose_isotropic(L: DivisorClass) -> IsotropicDecomposition:
     when it is also primitive.  The rebuilt sum and the Gram of the
     realization returned are checked anyway, and a mismatch raises
     CertificateError.
-
-    Shapes share prefixes, so each constraint list [L, E_1, ..., E_{j-1}]
-    gets one FiberSystem per call.
-
-    No slot is searched at a degree phi has settled
-    (:attr:`Polarization.isotropic_floor`).  Every E_j is isotropic with
-    E_j.L = delta_j > 0 (the last one too, by the division above), and no
-    isotropic class has 0 < x.L < phi(L), so every generator has
-    E_j.L >= phi(L) and a shape with min(G a) < phi(L) is skipped.  A slot
-    with delta_j = phi(L) takes the stored fiber at phi(L), filtered on
-    E_i.x = G_ij for i < j, with no FiberSystem.  That fiber holds every
-    isotropic x with x.L = phi(L), all primitive, in lexicographic order,
-    so the filter keeps exactly the classes, in the order, that
-    ``FiberSystem(form, [L, E_1, ..., E_{j-1}]).primitive_isotropic``
-    yields at those values.  A class whose floor is not yet stored gets
-    phi's search, and its checks, first.
 
     Deterministic; raises SearchExhaustedError once DECOMPOSE_MAX_NODES
     slots have been filled.
@@ -488,25 +483,20 @@ def decompose_isotropic(L: DivisorClass) -> IsotropicDecomposition:
     pol = polarization(target)
     floor, floor_fiber = pol.isotropic_floor
     budget = DECOMPOSE_MAX_NODES
-    systems = {(): pol.lift}  # the FiberSystem of [L] + gens, by gens' coordinates
+    fibers = {floor: floor_fiber}  # t -> the primitive isotropic x with x.L = t
 
     def fill(p, alike, a, delta, gens):
         """Every realization of the shape (p, a) that extends gens."""
         nonlocal budget
         j = len(gens)
         if j < p.n - 1:
-            column = [delta[j]] + [p.gram_sub[i][j] for i in range(j)]
-            if delta[j] == floor:
-                pairings = column[1:]
-                candidates = (
-                    x for x in floor_fiber if [e.dot(x) for e in gens] == pairings
-                )
-            else:
-                key = tuple(e.coords for e in gens)
-                source = systems.get(key)
-                if source is None:
-                    source = systems[key] = FiberSystem(form, [target] + gens)
-                candidates = source.primitive_isotropic(column)
+            fiber = fibers.get(delta[j])
+            if fiber is None:
+                fiber = fibers[delta[j]] = [
+                    x for x in pol.lift.fiber(delta[j], 0) if is_primitive(x)
+                ]
+            pairings = [p.gram_sub[i][j] for i in range(j)]
+            candidates = (x for x in fiber if [e.dot(x) for e in gens] == pairings)
         else:
             rest = target.coords
             for c, e in zip(a, gens):

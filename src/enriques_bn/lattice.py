@@ -542,7 +542,10 @@ def embed_configuration(
         for height in range(1, max_height + 1):
             # lazily, in lexicographic order: the fiber is searched only as
             # far as the backtracking asks
-            yield from fiber.primitive_isotropic([height] + wanted)
+            yield from (
+                x for x in fiber.iter_solutions([height] + wanted, 0)
+                if is_primitive(x)
+            )
 
     chosen: list[NumClass] = []
 

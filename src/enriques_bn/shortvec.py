@@ -27,9 +27,9 @@ ascending order.  So the search itself emits the lattice points x in
 strictly increasing lexicographic order of their coordinates (the ordering
 certificate, argued at :meth:`FiberSystem._set_up`): no caller sorts a
 fiber, and a caller of ``FiberSystem.iter_solutions`` (``ComplementLift.first``,
-``lattice.embed_configuration``) stops the search at the first class it
-keeps.  Every class of an exact search is still square-checked
-before a caller sees it.
+``lattice.embed_configuration``, which keeps its primitive classes) stops
+the search at the first class it keeps.  Every class of an exact search is
+still square-checked before a caller sees it.
 
 One fiber class, :class:`FiberSystem`, runs every search on the kernel of
 its constraint classes.  One unimodular row reduction, run once at build,
@@ -40,7 +40,7 @@ forward substitution and no solve.  A :class:`ComplementLift` is the
 one-constraint case, with values (t,).  A lift is immutable data fixed by
 (form, L) alone and each call runs its own search on it, so callers may
 share one and keep every certificate; ``invariants.polarization`` keeps one
-per class.
+per class, and phi, mu and ``decompose_isotropic`` search only its fibers.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from .errors import (
     PositiveSquareRequiredError,
 )
 from .frozen import Frozen, set_field
-from .lattice import IntersectionForm, NumClass, _reduce, _substitute, is_primitive
+from .lattice import IntersectionForm, NumClass, _reduce, _substitute
 
 if TYPE_CHECKING:  # fractions is imported only where a rational is built
     from fractions import Fraction
@@ -412,13 +412,6 @@ class FiberSystem:
         lexicographic order, each square-checked before it is yielded.  A
         caller that stops early leaves the rest of the search unrun."""
         return self._enumerate(values, square, exact=True)
-
-    def primitive_isotropic(self, values: Sequence[int]) -> Iterator[NumClass]:
-        """The primitive x with x.u_j = values[j] and x^2 = 0, lazily, in
-        lexicographic order: the candidates of one slot of an isotropic
-        configuration (``lattice.embed_configuration``,
-        ``invariants.decompose_isotropic``)."""
-        return (x for x in self.iter_solutions(values, 0) if is_primitive(x))
 
     def solutions(self, values: Sequence[int], square: int) -> list[NumClass]:
         """All x with x.u_j = values[j] and x^2 == square, in lexicographic order."""

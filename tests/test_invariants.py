@@ -56,6 +56,7 @@ from enriques_bn.shortvec import ComplementLift, FiberSystem
 from oracles import (
     box_classes_with_square,
     box_isotropic_minimum,
+    decompose_prefix_systems,
     decompose_subset_search,
     mu_full_scan,
     mu_searched_pool,
@@ -543,27 +544,21 @@ class TestSolveCoefficients:
             assert integer_determinant(_pattern_gram(n, edges)) != 0
 
     def test_rebuilt_sum_is_checked(self, monkeypatch, triple_iii):
-        # slots after the first drawn at their degree but only with pairings
-        # the pattern forbids: the last slot's division still goes through
-        # at coefficient 1, and the recheck of the rebuilt sum and the
-        # pattern Gram raises on the realization a level would return.
-        # A slot at degree phi reads phi's fiber and no FiberSystem, so the
-        # class is 2 E1 + E2 + E3 (phi 4), whose middle slot has degree 5
-        class WrongPairings:
-            def __init__(self, form, classes):
-                self.classes = classes
-                self.lift = ComplementLift(form, classes[0])
+        # every searched slot drawn one degree up: the last slot's division
+        # still rebuilds L, but the generators' pairings break, and the
+        # recheck of the rebuilt sum and the pattern Gram raises on the
+        # realization a level would return.  A slot at degree phi reads
+        # phi's stored fiber, so phi is stored before the sabotage; on
+        # E1 + E2 + E3 (phi 3) the first slot has degree 4
+        real = ComplementLift.fiber
 
-            def primitive_isotropic(self, values):
-                return (
-                    x for x in self.lift.primitive_isotropic(values[:1])
-                    if [x.dot(u) for u in self.classes[1:]] != list(values[1:])
-                )
+        def one_degree_up(self, t, square):
+            return real(self, t + 1, square)
 
-        monkeypatch.setattr(invariants, "FiberSystem", WrongPairings)
         e1, e2, e3 = triple_iii
-        L = DivisorClass(2 * e1 + e2 + e3, 0)
-        assert phi(L).value == 4
+        L = DivisorClass(e1 + e2 + e3, 0)
+        assert phi(L).value == 3
+        monkeypatch.setattr(ComplementLift, "fiber", one_degree_up)
         with pytest.raises(CertificateError, match="needs"):
             decompose_isotropic(L)
 
@@ -677,20 +672,28 @@ class TestDecomposeCuts:
         dec = decompose_isotropic(L)
         check_decomposition(L, dec)
 
-    def test_one_fiber_system_per_constraint_list(self, monkeypatch):
-        # the shapes of iii:7 with all a_i = 1 share slot prefixes: without
-        # reuse, 81 of 436 builds repeat a constraint list of the same call
-        builds = []
-
-        class Counting(FiberSystem):
-            def __init__(self, form, classes):
-                builds.append(tuple(c.coords for c in classes))
-                super().__init__(form, classes)
-
-        monkeypatch.setattr(invariants, "FiberSystem", Counting)
+    def test_one_lift_search_per_degree(self, monkeypatch):
+        # the shapes of iii:7 with all a_i = 1 share slot degrees: every
+        # slot reads L's lift, searched at most once per degree in a call,
+        # and no FiberSystem is built
         L = DivisorClass(combine([1] * 7, embed_configuration(config_iii(7))), 0)
+        phi(L)  # the lift and phi's fiber are stored before counting
+        builds, degrees = [], []
+        real_set_up, real_fiber = FiberSystem._set_up, ComplementLift.fiber
+
+        def building(self, form, classes):
+            builds.append(len(classes))
+            real_set_up(self, form, classes)
+
+        def recording(self, t, square):
+            degrees.append(t)
+            return real_fiber(self, t, square)
+
+        monkeypatch.setattr(FiberSystem, "_set_up", building)
+        monkeypatch.setattr(ComplementLift, "fiber", recording)
         dec = decompose_isotropic(L)
-        assert len(builds) == len(set(builds)) > 0
+        assert builds == []
+        assert len(degrees) == len(set(degrees)) > 0
         check_decomposition(L, dec)
         assert dec == decompose_subset_search(L)
 
@@ -706,15 +709,33 @@ class TestDecomposeCuts:
         assert 3 * a + 2 * b + c == L.num
 
 
+def sweep_workload_classes():
+    """The 36 classes of the benchmark's ``sweep`` workload."""
+    from test_golden import GOLDEN, workloads
+
+    classes = [item.payload for item in workloads.build_items("sweep", GOLDEN)]
+    assert len(classes) == 36
+    return classes
+
+
 def floor_classes():
     """The 89 structured-sweep classes with L^2 <= 30 and the 36 classes of
     the benchmark's ``sweep`` workload."""
-    from test_golden import GOLDEN, workloads
-
     classes = [L for _, _, L in structured_sweep(30)]
-    classes += [item.payload for item in workloads.build_items("sweep", GOLDEN)]
-    assert len(classes) == 89 + 36
-    return classes
+    assert len(classes) == 89
+    return classes + sweep_workload_classes()
+
+
+class TestOneSlotSource:
+    """Every decompose slot reads L's lift fiber, filtered on primitivity
+    and the pattern pairings; it finds what the per-prefix FiberSystems
+    with phi's fiber at degree phi found (``oracles.decompose_prefix_systems``)."""
+
+    def test_against_the_prefix_systems(self):
+        classes = [L for _, _, L in structured_sweep(40)]
+        assert len(classes) == 166
+        for L in classes + sweep_workload_classes():
+            assert decompose_isotropic(L) == decompose_prefix_systems(L), L.num.coords
 
 
 class TestIsotropicFloor:
@@ -764,29 +785,24 @@ class TestIsotropicFloor:
         assert above  # the pool still searches the degrees above phi
 
     def test_decompose_searches_no_slot_at_degree_phi(self, monkeypatch):
-        # iii:7 with all a_i = 1 needs 355 FiberSystems when every slot is
-        # searched, 55 when the shapes below phi are skipped and the slots
-        # at degree phi read phi's fiber
+        # iii:7 with all a_i = 1 (phi 6): the slots at degree phi read
+        # phi's stored fiber, the shapes below phi are skipped, and the
+        # slots above it read L's lift, searched at most once per degree
         L = DivisorClass(combine([1] * 7, embed_configuration(config_iii(7))), 0)
         value = phi(L).value
-        builds, searched = [], []
-        real = FiberSystem.primitive_isotropic
+        assert value == 6
+        searched = []
+        real = ComplementLift.fiber
 
-        def recording(self, values):
-            searched.append(values[0])
-            return real(self, values)
+        def recording(self, t, square):
+            searched.append(t)
+            return real(self, t, square)
 
-        class Counting(FiberSystem):
-            def __init__(self, form, classes):
-                builds.append(len(classes))
-                super().__init__(form, classes)
-
-        monkeypatch.setattr(FiberSystem, "primitive_isotropic", recording)
-        monkeypatch.setattr(invariants, "FiberSystem", Counting)
+        monkeypatch.setattr(ComplementLift, "fiber", recording)
         dec = decompose_isotropic(L)
         check_decomposition(L, dec)
         assert searched and value not in searched
-        assert 0 < len(builds) <= 55
+        assert len(searched) <= 2
 
 
 def cached_answers(L):

@@ -499,9 +499,10 @@ class TestSparseBuild:
             self.check(form, classes, monkeypatch)
 
     def test_decompose_constraint_lists(self, form, triple_iii, monkeypatch):
-        # [L, E_1, ..., E_{j-1}] as decompose_isotropic builds them, from
-        # the realization of a pattern and from decompositions of sampled
-        # classes, whose kernel vectors reach four nonzero entries
+        # [L, E_1, ..., E_{j-1}], a class and its first isotropic
+        # generators, from the realization of a pattern and from
+        # decompositions of sampled classes, whose kernel vectors reach
+        # four nonzero entries
         lists = []
         for gens in (triple_iii, embed_configuration(config_i(3))):
             for a in ((1, 1, 1), (3, 2, 1)):

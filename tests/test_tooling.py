@@ -20,7 +20,8 @@ import sys
 from pathlib import Path
 
 import enriques_bn.cli  # noqa: F401  (the tracer resolves every traced module)
-from enriques_bn.lattice import num_class
+from enriques_bn import invariants
+from enriques_bn.lattice import DivisorClass, config_iii, embed_configuration, num_class
 from enriques_bn.shortvec import ComplementLift, FiberSystem
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -69,6 +70,22 @@ class TestTracerContract:
             assert t.calls["shortvec.fiber_min"] == 1
             assert t.points["shortvec.fiber_min"] == len(wide) > 0
         assert t.calls["shortvec.lift_init"] == 1
+
+
+    def test_decompose_draws_its_slots_through_the_traced_fiber(self):
+        # 2 E1 + 3 E2 + E3 on iii:3, the README's decompose class, on a cold
+        # cache: one lift, phi's search at degrees 1..phi, and the slots
+        # above phi drawn from the same lift's fibers
+        e1, e2, e3 = embed_configuration(config_iii(3))
+        L = DivisorClass(2 * e1 + 3 * e2 + e3, 0)
+        invariants.polarization.cache_clear()
+        t = tracer.Tracer()
+        with t.installed(), t.item():
+            invariants.decompose_isotropic(L)
+        value, floor_fiber = invariants.polarization(L.num).isotropic_floor
+        assert t.calls["shortvec.lift_init"] == 1
+        assert t.calls["shortvec.fiber"] > value
+        assert t.points["shortvec.fiber"] > len(floor_fiber)
 
 
 class TestNoAssert:
