@@ -19,20 +19,20 @@ reports "not found".
 
 Each class L of positive square has one :class:`Polarization`, kept by
 :func:`polarization` for the last POLARIZATION_CACHE_SIZE classes, keyed on
-L by value: its lift is built once, and its isotropic floor (phi(L) and the
-fiber x.L = phi(L), x^2 = 0) and gonality report are computed at most once.
-All three are fixed by L alone.  phi, mu and decompose_isotropic read the
-floor instead of searching the degrees it settles, and each caller runs its
-own search on the lift above it, so a reused answer keeps its certificates
-and threads may share them.  decompose_isotropic draws every searched
-generator from the lift's fibers, each degree searched at most once per
-call.
+L by value: its lift is built once, and its isotropic fibers (x.L = t,
+x^2 = 0), phi(L) and gonality report are computed at most once.  All are
+fixed by L alone.  phi's degree loop, mu's isotropic pool and every
+searched generator of decompose_isotropic read the fibers
+(:meth:`Polarization.isotropic`), so no isotropic fiber of L is searched
+twice, and each caller runs its own search on the lift for B^2 = 4, so a
+reused answer keeps its certificates and threads may share them.
 """
 
 from __future__ import annotations
 
 import math
 from functools import cached_property, lru_cache
+from operator import mul
 from typing import NamedTuple
 
 from .errors import (
@@ -138,13 +138,14 @@ def _require_effective_positive(L: DivisorClass, op: str) -> None:
 def phi(L: DivisorClass) -> PhiResult:
     """Exact minimum of L.E over primitive isotropic effective classes E.
 
-    The value and the fiber at it are searched once per class, by
+    The value is searched once per class, by
     :attr:`Polarization.isotropic_floor`.  The witness is the
-    lexicographically least class of that fiber.
+    lexicographically least class of the fiber at it.
     """
     _require_effective_positive(L, "phi")
-    value, fiber = polarization(L.num).isotropic_floor
-    return PhiResult(value, DivisorClass(fiber[0], 0))
+    pol = polarization(L.num)
+    value = pol.isotropic_floor
+    return PhiResult(value, DivisorClass(pol.isotropic(value)[0], 0))
 
 
 def mu(L: DivisorClass, cap: int | None = None) -> MuResult:
@@ -168,23 +169,20 @@ def mu(L: DivisorClass, cap: int | None = None) -> MuResult:
     need.  Degrees with t^2 < 4 L^2 are skipped: by the Hodge index
     theorem (B.L)^2 >= B^2 L^2 = 4 L^2, so no candidate lies there.
 
-    The pool searches no degree that phi has settled
-    (:attr:`Polarization.isotropic_floor`): no isotropic class has
-    0 < E.L < phi(L), and the fiber at phi(L) is stored.  So the pool
-    starts at degree phi(L) with that fiber, and holds at every degree what
-    a search of each fiber from degree 1 on would give.  A class whose floor
-    is not yet stored gets phi's search, and its checks, first.
+    The pool reads the stored fibers (:meth:`Polarization.isotropic`), so
+    no degree is searched that phi or an earlier call has searched.  It
+    starts at degree phi(L), as no isotropic class has 0 < E.L < phi(L);
+    a class whose phi is not yet stored gets phi's search, and its checks,
+    first.
     """
     _require_effective_positive(L, "mu")
     if cap is None:
         cap = 2 * phi(L).value + 2
     pol = polarization(L.num)
-    lift = pol.lift
-    floor, floor_fiber = pol.isotropic_floor
     num_L = L.num
     l_sq = L.square
     iso_pool: list[NumClass] = []
-    pool_degree = floor - 1  # iso_pool holds every isotropic E with E.L <= this
+    pool_degree = pol.isotropic_floor - 1  # iso_pool: every isotropic E.L <= this
 
     def admissible(x: NumClass) -> bool:
         # the definition excludes B numerically equal to L, and phi(x) = 1
@@ -196,11 +194,11 @@ def mu(L: DivisorClass, cap: int | None = None) -> MuResult:
         if disc < 0:
             continue
         for s in range(pool_degree + 1, (t + math.isqrt(disc)) // 4 + 1):
-            iso_pool.extend(floor_fiber if s == floor else lift.fiber(s, 0))
+            iso_pool.extend(pol.isotropic(s))
             pool_degree = s
         # fibers come in lexicographic order, so the first admissible
         # candidate at the minimal degree is the canonical witness
-        x = lift.first(t, 4, admissible)
+        x = pol.lift.first(t, 4, admissible)
         if x is not None:
             return MuResult(MU_EXACT, cap, t - 2, DivisorClass(x, 0))
     return MuResult(MU_NOT_FOUND, cap)
@@ -218,7 +216,7 @@ def _is_twice_d10(L: DivisorClass) -> bool:
 
 class Polarization:
     """The shared computations of one class L of positive square: its
-    :class:`ComplementLift`, built once, and its isotropic floor and
+    :class:`ComplementLift`, built once, and its isotropic fibers, phi and
     gonality report, each computed at most once.  Get one from
     :func:`polarization`.
     """
@@ -226,24 +224,33 @@ class Polarization:
     def __init__(self, L: NumClass):
         self.L = L
         self.lift = ComplementLift(L.form, L)
+        self._isotropic: dict[int, tuple[NumClass, ...]] = {}
+
+    def isotropic(self, t: int) -> tuple[NumClass, ...]:
+        """Every isotropic x with x.L = t in lexicographic order, the lift's
+        fiber, searched at most once per t.  It is fixed by L and t, so the
+        stored tuple is what a fresh search returns; two threads that miss
+        at once store equal tuples."""
+        fiber = self._isotropic.get(t)
+        if fiber is None:
+            fiber = self._isotropic[t] = tuple(self.lift.fiber(t, 0))
+        return fiber
 
     @cached_property
-    def isotropic_floor(self) -> tuple[int, tuple[NumClass, ...]]:
-        """(phi(L), every isotropic x with x.L = phi(L)), the fiber in
-        lexicographic order.  Its readers check first that L is effective.
+    def isotropic_floor(self) -> int:
+        """phi(L), the least t > 0 with an isotropic x, x.L = t.  Its
+        readers check first that L is effective.
 
         Complete by the bound phi(L) <= sqrt(L^2): for t = 1.. isqrt(L^2),
         the isotropic classes with x.L = t have complement norm exactly
         t^2/L^2, a finite ellipsoid search, and phi(L) is the first t with
         hits.  So no isotropic class has 0 < x.L < phi(L), and every class
-        of the fiber is primitive: x = cP with c >= 2 would put the
-        isotropic P at the degree phi(L) / c < phi(L).  :func:`mu` and
-        :func:`decompose_isotropic` read the fiber instead of searching it.
+        of the fiber at phi(L) is primitive: x = cP with c >= 2 would put
+        the isotropic P at the degree phi(L) / c < phi(L).
         """
-        lift = self.lift
         a0 = reference_ample(self.L.form)
         for t in range(1, math.isqrt(self.L.square) + 1):
-            hits = lift.fiber(t, 0)
+            hits = self.isotropic(t)
             if hits:
                 # effectivity is automatic: x.L > 0 puts x in the cone of L
                 bad = next((x for x in hits if x.dot(a0.num) <= 0), None)
@@ -252,7 +259,7 @@ class Polarization:
                         f"isotropic class {bad.coords} with x.L = {t} > 0 pairs "
                         f"to {bad.dot(a0.num)} with the reference ample class"
                     )
-                return t, tuple(hits)
+                return t
         raise SearchExhaustedError(
             f"no isotropic class with L.E <= isqrt(L^2) = {math.isqrt(self.L.square)}; "
             "input is outside the modeled cone"
@@ -444,18 +451,17 @@ def decompose_isotropic(L: DivisorClass) -> IsotropicDecomposition:
     Generators come in pattern order, alike slots (see :func:`_levels`) by
     increasing (E.L, coordinates).
 
-    Every slot j < n is drawn from one source, the fiber x.L = delta_j,
-    x^2 = 0 of L's lift, kept to its primitive classes with E_i.x = G_ij
-    for i < j.  That fiber holds every isotropic x with x.L = delta_j, in
-    lexicographic order, so the filter yields exactly the candidates of
-    slot j, in that order.  Each degree is searched at most once per call,
-    and phi(L) not at all: every generator is isotropic with E_j.L =
-    delta_j > 0 (the last one too, by the division below) and no isotropic
-    class has 0 < x.L < phi(L), so a shape with min(G a) < phi(L) is
-    skipped, and the fiber at phi(L) is the stored one, all primitive
-    (:attr:`Polarization.isotropic_floor`; a class whose floor is not yet
-    stored gets phi's search, and its checks, first).  Alike slots of equal
-    coefficient take increasing coordinates, so each set is found once.
+    Every slot j < n is drawn from one source, the isotropic fiber
+    x.L = delta_j of L (:meth:`Polarization.isotropic`), kept to the
+    classes with E_i.x = G_ij for i < j that are primitive.  That fiber
+    holds every isotropic x with x.L = delta_j, in lexicographic order, so
+    the filter yields exactly the candidates of slot j, in that order.
+    Every generator is isotropic with E_j.L = delta_j > 0 (the last one
+    too, by the division below) and no isotropic class has
+    0 < x.L < phi(L), so a shape with min(G a) < phi(L) is skipped (a class
+    whose phi is not yet stored gets phi's search, and its checks, first).
+    Alike slots of equal coefficient take increasing coordinates, so each
+    set is found once.
 
     The last slot needs no search.  Let R = L - sum_{i<n} a_i E_i.  For
     j < n, R.E_j = delta_j - sum_{i<n} a_i G_ij = a_n G_nj; then
@@ -481,22 +487,23 @@ def decompose_isotropic(L: DivisorClass) -> IsotropicDecomposition:
     target = L.num
     form = target.form
     pol = polarization(target)
-    floor, floor_fiber = pol.isotropic_floor
+    floor = pol.isotropic_floor
     budget = DECOMPOSE_MAX_NODES
-    fibers = {floor: floor_fiber}  # t -> the primitive isotropic x with x.L = t
 
-    def fill(p, alike, a, delta, gens):
-        """Every realization of the shape (p, a) that extends gens."""
+    def fill(p, alike, a, delta, gens, rows):
+        """Every realization of the shape (p, a) that extends gens; rows
+        holds the pairing row gram @ E_i of each generator but the last."""
         nonlocal budget
         j = len(gens)
         if j < p.n - 1:
-            fiber = fibers.get(delta[j])
-            if fiber is None:
-                fiber = fibers[delta[j]] = [
-                    x for x in pol.lift.fiber(delta[j], 0) if is_primitive(x)
-                ]
+            if gens:
+                rows = rows + [form.apply(gens[-1].coords)]
             pairings = [p.gram_sub[i][j] for i in range(j)]
-            candidates = (x for x in fiber if [e.dot(x) for e in gens] == pairings)
+            candidates = (
+                x for x in pol.isotropic(delta[j])
+                if [sum(map(mul, r, x.coords)) for r in rows] == pairings
+                and is_primitive(x)
+            )
         else:
             rest = target.coords
             for c, e in zip(a, gens):
@@ -514,7 +521,7 @@ def decompose_isotropic(L: DivisorClass) -> IsotropicDecomposition:
                     f"decomposition search exceeded {DECOMPOSE_MAX_NODES} nodes"
                 )
             if j < p.n - 1:
-                yield from fill(p, alike, a, delta, gens + [x])
+                yield from fill(p, alike, a, delta, gens + [x], rows)
             else:
                 yield gens + [x]
 
@@ -523,7 +530,7 @@ def decompose_isotropic(L: DivisorClass) -> IsotropicDecomposition:
         for p, alike, a, delta in level:
             if min(delta) < floor:
                 continue
-            for gens in fill(p, alike, a, delta, []):
+            for gens in fill(p, alike, a, delta, [], []):
                 key = sorted(zip(delta, (e.coords for e in gens)))
                 if best is None or key < best[0]:
                     best = key, gens, a, p

@@ -59,7 +59,6 @@ from .lattice import IntersectionForm, NumClass, _reduce, _substitute
 
 if TYPE_CHECKING:  # fractions is imported only where a rational is built
     from fractions import Fraction
-    Rational = int | Fraction
 
 
 class PosDefForm(Frozen):
@@ -81,10 +80,10 @@ class PosDefForm(Frozen):
         set_field(self, "denom", denom)
 
     def is_positive_definite(self) -> bool:
-        """Sylvester's criterion on the pivots of :class:`_ScaledLDL`, which
-        are the leading principal minors."""
+        """Sylvester's criterion on the pivots of :class:`_ScaledLDL` of numer,
+        its leading principal minors (a positive denom flips no sign)."""
         try:
-            _ScaledLDL(self.numer, self.denom)
+            _ScaledLDL(self.numer)
         except NotPositiveDefiniteError:
             return False
         return True
@@ -109,9 +108,8 @@ class ShortVectorResult(NamedTuple):
 
 
 class _ScaledLDL:
-    """The LDL^T factors of a positive-definite rational Gram matrix
-    G = numer / denom, scaled to integers so that every search runs on
-    Python ints alone.
+    """The LDL^T factors of a positive-definite integer Gram matrix G,
+    scaled to integers so that every search runs on Python ints alone.
 
     With d_i = dn_i / dd and r_ij = rows[i][j-i-1] / s (j > i),
 
@@ -124,7 +122,7 @@ class _ScaledLDL:
     lower triangular: row k of ``centre_map`` holds its k + 1 entries up to
     the diagonal, and the product reads b_0..b_k alone.
 
-    The factors come from fraction-free (Bareiss) elimination on [numer | I].
+    The factors come from fraction-free (Bareiss) elimination on [G | I].
     With p_0 = 1 and p_{k+1} the pivot of step k, the leading minor of size
     k + 1, step k replaces each later row a_i by (p_{k+1} a_i - a_ik a_k) / p_k.
     Before step k, each row i >= k is zero in the identity columns n + m,
@@ -132,11 +130,11 @@ class _ScaledLDL:
     as a_k is zero in those columns but n + k.  So the identity half starts
     at zero, and step k sets a_k's entry at n + k to p_k and computes
     columns k+1..n+k alone.  The pivot row a_k is then final: p_{k+1} r_kj
-    and, by Cramer's rule on the leading block, p_{k+1} (D^-1 R^-T)_km / denom,
+    and, by Cramer's rule on the leading block, p_{k+1} (D^-1 R^-T)_km,
     zero right of column n + k.
     """
 
-    def __init__(self, numer: Sequence[Sequence[int]], denom: int = 1):
+    def __init__(self, numer: Sequence[Sequence[int]]):
         n = len(numer)
         a = [list(row) + [0] * n for row in numer]
         p = [1]
@@ -147,7 +145,7 @@ class _ScaledLDL:
 
                 raise NotPositiveDefiniteError(
                     f"pivot {k + 1} of the LDL decomposition is "
-                    f"{Fraction(pk, prev * denom)}"
+                    f"{Fraction(pk, prev)}"
                 )
             row_k[n + k] = prev
             for row in a[k + 1:]:
@@ -155,41 +153,28 @@ class _ScaledLDL:
                 for j in range(k + 1, n + k + 1):
                     row[j] = (pk * row[j] - f * row_k[j]) // prev
             p.append(pk)
-        # d_k = p_k / (p_{k-1} denom)
-        self.dd = math.lcm(
-            *(p[k] * denom // math.gcd(p[k + 1], p[k] * denom) for k in range(n))
-        )
-        self.dn = [p[k + 1] * self.dd // (p[k] * denom) for k in range(n)]
+        # d_k = p_k / p_{k-1}
+        self.dd = math.lcm(*(p[k] // math.gcd(p[k + 1], p[k]) for k in range(n)))
+        self.dn = [p[k + 1] * self.dd // p[k] for k in range(n)]
         self.s = s = math.lcm(*(
-            p[k + 1] // math.gcd(p[k + 1], *a[k][k + 1:n], denom * math.gcd(*a[k][n:]))
-            for k in range(n)
+            p[k + 1] // math.gcd(p[k + 1], *a[k][k + 1:]) for k in range(n)
         ))
         self.rows = [[x * s // p[k + 1] for x in a[k][k + 1:n]] for k in range(n)]
         self.centre_map = [
-            [denom * x * s // p[k + 1] for x in a[k][n:n + k + 1]] for k in range(n)
+            [x * s // p[k + 1] for x in a[k][n:n + k + 1]] for k in range(n)
         ]
 
     def search(
-        self, b: Sequence[int], excess: Rational, exact: bool
+        self, b: Sequence[int], excess: int, exact: bool
     ) -> Iterator[tuple[int, ...]]:
         """All integer y with q(y - c) <= excess + b.c (== if exact), c = G^-1 b,
-        lazily, in the order of :func:`_scaled_search`.
-
-        The bound is scaled by dd * s^2 exactly, on ints: an int excess
-        (every fiber search) stays an int, and a rational one
-        (:func:`enumerate_short`) enters as numerator over denominator.
-        The interior search floors the scaled bound; a shell target that is
-        not an integer after scaling has no lattice point on it.
+        lazily, in the order of :func:`_scaled_search`.  The bound is scaled
+        by dd * s^2 exactly, on ints.
         """
         centre = [sum(map(mul, row, b)) for row in self.centre_map]
-        den = excess.denominator
-        rem = excess.numerator * self.dd * self.s * self.s + den * sum(
+        rem = excess * self.dd * self.s * self.s + sum(
             di * ci * ci for di, ci in zip(self.dn, centre)
         )
-        if den != 1:
-            rem, odd = divmod(rem, den)
-            if exact and odd:
-                return iter(())
         return _scaled_search(self.dn, self.s, self.rows, centre, rem, exact)
 
 
@@ -264,15 +249,16 @@ def _scaled_search(
         descend = True
 
 
-def enumerate_short(q: PosDefForm, bound: Rational) -> ShortVectorResult:
-    """Exactly the nonzero v with q(v) <= bound, complete and duplicate-free."""
+def enumerate_short(q: PosDefForm, bound: int | Fraction) -> ShortVectorResult:
+    """Exactly the nonzero v with q(v) <= bound, complete and duplicate-free:
+    numer(v) is an integer, so numer(v) <= floor(bound * denom) exactly."""
     from fractions import Fraction
 
     bound = Fraction(bound)
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     zero = (0,) * q.rank
-    pts = _ScaledLDL(q.numer, q.denom).search(zero, bound, exact=False)
+    pts = _ScaledLDL(q.numer).search(zero, math.floor(bound * q.denom), exact=False)
     vectors = tuple(sorted(p for p in pts if p != zero))
     return ShortVectorResult(bound=bound, vectors=vectors)
 

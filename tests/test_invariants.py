@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings
@@ -739,10 +740,10 @@ class TestOneSlotSource:
 
 
 class TestIsotropicFloor:
-    """phi's fiber is searched once per class
-    (``Polarization.isotropic_floor``): mu's pool starts from it, and
-    decompose skips the shapes below phi and draws every slot at degree phi
-    from it."""
+    """phi is searched once per class (``Polarization.isotropic_floor``),
+    and its fiber is the stored ``Polarization.isotropic(phi)``: mu's pool
+    starts from it, and decompose skips the shapes below phi and draws
+    every slot at degree phi from it."""
 
     def test_nothing_below_phi_and_all_primitive_at_it(self):
         for L in floor_classes():
@@ -751,9 +752,9 @@ class TestIsotropicFloor:
             assert not any(lift.fiber(t, 0) for t in range(1, value))
             at_phi = lift.fiber(value, 0)
             assert at_phi and all(is_primitive(x) for x in at_phi)
-            assert invariants.polarization(L.num).isotropic_floor == (
-                value, tuple(at_phi)
-            )
+            pol = invariants.polarization(L.num)
+            assert pol.isotropic_floor == value
+            assert pol.isotropic(value) == tuple(at_phi)
 
     def test_mu_against_the_searched_pool(self):
         found = not_found = 0
@@ -803,6 +804,52 @@ class TestIsotropicFloor:
         check_decomposition(L, dec)
         assert searched and value not in searched
         assert len(searched) <= 2
+
+
+class TestStoredIsotropicFibers:
+    """Every isotropic fiber of L's lift is searched at most once per class
+    and kept with its Polarization (``Polarization.isotropic``): phi's
+    degree loop, mu's pool and decompose's slots all read it."""
+
+    def test_each_degree_searched_once(self, monkeypatch):
+        # gonality, predict_w1d, decompose and a raised-cap mu on one class,
+        # from a cold cache; mu at cap + 8 extends its pool over degrees
+        # that decompose may have searched already
+        searched = Counter()
+        real = ComplementLift.fiber
+
+        def counting(self, t, square):
+            if square == 0:
+                searched[self.L.coords, t] += 1
+            return real(self, t, square)
+
+        monkeypatch.setattr(ComplementLift, "fiber", counting)
+        classes = [L for _, _, L in structured_sweep(40)]
+        assert len(classes) == 166
+        for L in classes + sweep_workload_classes():
+            invariants.polarization.cache_clear()
+            searched.clear()
+            rep = gonality(L)
+            predict_w1d(L)
+            decompose_isotropic(L)
+            mu(L, rep.mu.cap + 8)
+            assert searched and max(searched.values()) == 1, (L.num.coords, searched)
+
+    def test_stored_fibers_equal_fresh_searches(self):
+        classes = floor_classes()
+        held = 0
+        for L in classes:
+            value = phi(L).value
+            decompose_isotropic(L)
+            mu(L, 2 * value + 6)
+            pol = invariants.polarization(L.num)
+            assert not any(pol.isotropic(t) for t in range(1, value))
+            fresh = ComplementLift(L.num.form, L.num)
+            for t, fiber in pol._isotropic.items():
+                assert isinstance(fiber, tuple) and pol.isotropic(t) is fiber
+                assert fiber == tuple(fresh.fiber(t, 0)), (L.num.coords, t)
+            held += len(pol._isotropic)
+        assert held > 2 * len(classes)
 
 
 def cached_answers(L):

@@ -292,16 +292,17 @@ class TestScaledKernelAgainstFractionOracle:
 
     def test_random_centres_and_targets(self):
         rng = random.Random(33)
+        on_shell = 0
         for _ in range(40):
             q = random_posdef(rng)
-            q = PosDefForm(q.rank, q.numer, denom=rng.randint(1, 3))
-            gram = [[Fraction(x, q.denom) for x in row] for row in q.numer]
             b = [rng.randint(-9, 9) for _ in range(q.rank)]
-            excess = Fraction(rng.randint(-5, 30), rng.randint(1, 4))
-            ell = _ScaledLDL(q.numer, q.denom)
-            for exact in (False, True):
-                want = fraction_ellipsoid(gram, b, excess, exact)
-                assert set(ell.search(b, excess, exact)) == want
+            ell = _ScaledLDL(q.numer)
+            for excess in range(-5, 31, 5):
+                for exact in (False, True):
+                    got = list(ell.search(b, excess, exact))
+                    assert set(got) == fraction_ellipsoid(q.numer, b, excess, exact)
+                    on_shell += exact and len(got)
+        assert on_shell > 0
 
     def test_rank_zero(self):
         ell = _ScaledLDL([])
@@ -311,39 +312,32 @@ class TestScaledKernelAgainstFractionOracle:
         assert list(ell.search([], -1, False)) == [] and fraction_ellipsoid([], [], -1, False) == set()
 
     def test_negative_bound(self):
-        q = PosDefForm(3, ((2, 1, 0), (1, 2, 0), (0, 0, 4)))
-        ell = _ScaledLDL(q.numer, q.denom)
+        gram = ((2, 1, 0), (1, 2, 0), (0, 0, 4))
+        ell = _ScaledLDL(gram)
         b = [1, -2, 3]
-        # q(y - c) >= 0 > -1, whatever the centre
+        # b.c = 83/12, so q(y - c) >= 0 > -7 + 83/12, whatever the centre
         for exact in (False, True):
-            assert list(ell.search(b, -1 - Fraction(13, 2), exact)) == []
-            assert fraction_ellipsoid(q.numer, b, -1 - Fraction(13, 2), exact) == set()
-
-    def test_shell_target_not_integer_after_scaling(self):
-        q = PosDefForm(2, ((2, 0), (0, 2)))
-        ell = _ScaledLDL(q.numer, q.denom)
-        # q(y) = 2 y.y takes only even values, and 1/3 scales to 8/3
-        assert list(ell.search([0, 0], Fraction(1, 3), True)) == []
-        assert fraction_ellipsoid(q.numer, [0, 0], Fraction(1, 3), True) == set()
-        assert list(ell.search([0, 0], Fraction(1, 3), False)) == [(0, 0)]
+            assert list(ell.search(b, -7, exact)) == []
+            assert fraction_ellipsoid(gram, b, -7, exact) == set()
 
     def test_centre_with_large_denominator(self):
         gram = ((1009, 3, -7), (3, 997, 11), (-7, 11, 1013))
         q = PosDefForm(3, gram)
         assert integer_determinant(q.numer) > 10**9
-        ell = _ScaledLDL(q.numer, q.denom)
+        ell = _ScaledLDL(q.numer)
         rng = random.Random(34)
         inverse = fraction_inverse(gram)
         for _ in range(20):
             b = [rng.randint(-10**6, 10**6) for _ in range(3)]
             centre = [sum(m * bj for m, bj in zip(row, b)) for row in inverse]
             assert max(c.denominator for c in centre) > 10**6
-            # q(y - c) <= radius with the centre's own norm b.c cancelled
+            # q(y - c) <= excess + b.c, within 1 above radius
             b_dot_c = sum(bj * cj for bj, cj in zip(b, centre))
             for radius in (0, 2000, Fraction(4001, 2), 5000):
+                excess = math.ceil(radius - b_dot_c)
                 for exact in (False, True):
-                    want = fraction_ellipsoid(gram, b, radius - b_dot_c, exact)
-                    assert set(ell.search(b, radius - b_dot_c, exact)) == want
+                    want = fraction_ellipsoid(gram, b, excess, exact)
+                    assert set(ell.search(b, excess, exact)) == want
 
 
 def strictly_increasing(xs):
@@ -437,11 +431,11 @@ def random_constraints(rng, form, count):
     return [L] + rest
 
 
-def check_factors(ldl, numer, denom):
-    """dn/dd and rows/s are the Fraction LDL factors of numer/denom, and
+def check_factors(ldl, numer):
+    """dn/dd and rows/s are the Fraction LDL factors of numer, and
     centre_map/s is the lower-triangular part of D^-1 R^-T = R G^-1, whose
     entries above the diagonal are zero."""
-    gram = [[Fraction(x, denom) for x in row] for row in numer]
+    gram = [[Fraction(x) for x in row] for row in numer]
     d, r = fraction_ldl(gram)
     n = len(gram)
     assert [Fraction(x, ldl.dd) for x in ldl.dn] == d
@@ -468,9 +462,9 @@ class TestSparseBuild:
         grams = []
 
         class Recording(_ScaledLDL):
-            def __init__(self, numer, denom=1):
+            def __init__(self, numer):
                 grams.append(numer)
-                super().__init__(numer, denom)
+                super().__init__(numer)
 
         with monkeypatch.context() as m:
             m.setattr(shortvec, "_ScaledLDL", Recording)
@@ -487,7 +481,7 @@ class TestSparseBuild:
             list(w.coords) + [w.dot(v) for v in kernel] + [w.dot(z) for z in ws]
             for w in ws
         ]
-        check_factors(fib._ldl, gram, 1)
+        check_factors(fib._ldl, gram)
         return fib
 
     @pytest.mark.parametrize("make_form", [canonical_form, u2_e8_form], ids=["U", "U(2)"])
@@ -516,43 +510,6 @@ class TestSparseBuild:
             fib = self.check(form, classes, monkeypatch)
             widest = max(widest, *map(len, fib._entries))
         assert widest >= 4
-
-    def test_rational_forms(self):
-        rng = random.Random(37)
-        for _ in range(30):
-            q = random_posdef(rng)
-            denom = rng.randint(2, 6)
-            check_factors(_ScaledLDL(q.numer, denom), q.numer, denom)
-
-
-class TestIntegerBound:
-    """An int excess is scaled on ints and gives what its Fraction gives."""
-
-    def test_int_excess_equals_its_fraction(self):
-        rng = random.Random(38)
-        on_shell = 0
-        for _ in range(40):
-            q = random_posdef(rng)
-            ell = _ScaledLDL(q.numer, rng.randint(1, 3))
-            b = [rng.randint(-9, 9) for _ in range(q.rank)]
-            for excess in range(-3, 25, 3):
-                for exact in (False, True):
-                    got = list(ell.search(b, excess, exact))
-                    assert got == list(ell.search(b, Fraction(excess), exact))
-                    on_shell += exact and len(got)
-        assert on_shell > 0
-
-    def test_shell_target_off_the_integers_is_empty(self):
-        # on an integer Gram G with integer b, q(y - c) - b.c = y.G.y - 2 b.y
-        rng = random.Random(39)
-        for _ in range(40):
-            q = random_posdef(rng)
-            ell = _ScaledLDL(q.numer)
-            b = [rng.randint(-9, 9) for _ in range(q.rank)]
-            for den in (2, 3, 7):
-                excess = Fraction(rng.randint(-3, 20) * den + 1, den)
-                assert list(ell.search(b, excess, True)) == []
-                assert fraction_ellipsoid(q.numer, b, excess, True) == set()
 
 
 class FractionBuilt(Exception):

@@ -2,7 +2,9 @@
 
 ``perfbench/tracer.py`` wraps methods it finds by name in each class's own
 ``__dict__`` and counts one span per call; it is imported here read-only,
-the way ``tests/test_golden.py`` reads ``perfbench/golden.json``.  The
+the way ``tests/test_golden.py`` reads ``perfbench/golden.json``.  Traced
+passes over the benchmark's workloads repeat their counts and answers, as
+``perfbench/run.py --trace 1`` checks.  The
 library's checks are explicit errors, so none disappears under
 ``python -O``.  The test oracles reach the package through its public
 names only, so no oracle runs the code it is meant to check.  Importing
@@ -12,17 +14,22 @@ count modules, not time.
 """
 
 import ast
+import contextlib
 import importlib
 import importlib.util
+import io
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-import enriques_bn.cli  # noqa: F401  (the tracer resolves every traced module)
+import pytest
+
+import enriques_bn.cli  # the tracer resolves every traced module
 from enriques_bn import invariants
 from enriques_bn.lattice import DivisorClass, config_iii, embed_configuration, num_class
 from enriques_bn.shortvec import ComplementLift, FiberSystem
+from test_golden import GOLDEN, workloads  # perfbench/workloads.py, loaded by path
 
 ROOT = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location(
@@ -82,10 +89,61 @@ class TestTracerContract:
         t = tracer.Tracer()
         with t.installed(), t.item():
             invariants.decompose_isotropic(L)
-        value, floor_fiber = invariants.polarization(L.num).isotropic_floor
+        pol = invariants.polarization(L.num)
+        value = pol.isotropic_floor
         assert t.calls["shortvec.lift_init"] == 1
         assert t.calls["shortvec.fiber"] > value
-        assert t.points["shortvec.fiber"] > len(floor_fiber)
+        assert t.points["shortvec.fiber"] > len(pol.isotropic(value))
+
+
+class TestTracedPassesRepeat:
+    """What ``perfbench/run.py --trace 1`` checks apart from timing, in one
+    process from a cold cache: one untraced pass, then two traced passes
+    in the same order that count the same calls and points and give the
+    golden answers.  The polarization cache keeps state across calls, so a
+    pass that searched what an earlier pass left stored would count
+    differently."""
+
+    @staticmethod
+    def check_passes(workload, compute, matches):
+        items = next(workloads.passes(workloads.build_items(workload, GOLDEN), 7))
+        for item in items:
+            assert matches(item, compute(item)), item.key
+        counts = []
+        for _ in range(2):
+            t = tracer.Tracer()
+            with t.installed():
+                for item in items:
+                    with t.item():
+                        answer = compute(item)
+                    assert matches(item, answer), item.key
+            counts.append(t.counts())
+        assert counts[0] == counts[1]
+        assert counts[0]["items"] == len(items)
+
+    @pytest.mark.parametrize("workload", ["sweep", "destab"])
+    def test_library_workloads(self, workload):
+        golden = {rec["key"]: rec["answer"] for rec in GOLDEN[workload]}
+
+        def compute(item):
+            if workload == "sweep":
+                return workloads.sweep_answer(item.payload)
+            return workloads.destab_answer(*item.payload)
+
+        self.check_passes(
+            workload, compute, lambda item, got: workloads.canonical(got) == golden[item.key]
+        )
+
+    def test_readme_commands(self):
+        golden = {rec["key"]: (rec["exit"], rec["stdout"]) for rec in GOLDEN["cli"]}
+
+        def run_in_process(item):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = enriques_bn.cli.run(list(item.payload))
+            return code, out.getvalue()
+
+        self.check_passes("cli", run_in_process, lambda item, got: got == golden[item.key])
 
 
 class TestNoAssert:
