@@ -16,23 +16,11 @@ from __future__ import annotations
 from types import SimpleNamespace
 from typing import NamedTuple, Sequence
 
-from .errors import CertificateError, RangeError, SearchExhaustedError
+from .errors import CertificateError, RangeError
 from .frozen import Frozen, set_field
-from .invariants import (
-    CASE_MU_SQUARE,
-    IsotropicDecomposition,
-    decompose_isotropic,
-    gonality,
-    polarization,
-)
-from .lattice import (
-    CONFIG_II,
-    DivisorClass,
-    config_ii,
-    content,
-    embed_configuration,
-)
-from .positivity import classify_positivity
+from .invariants import CASE_MU_SQUARE, gonality, multiple_content, polarization
+from .lattice import DivisorClass, config_ii, content, embed_configuration
+from .positivity import _isotropic_h1, classify_positivity
 
 STATUS_APPLIES = "applies"
 STATUS_FAILS = "fails-hypothesis"
@@ -53,19 +41,11 @@ class BNPrediction(NamedTuple):
     rows: tuple[tuple[int, int, int], ...]  # (d, rho, predicted dim)
     reason: str | None = None
     infinite_pencil: bool = False
-    notes: tuple[str, ...] = ()
+    notes: tuple[str, ...] = ()  # always (); the CLI prints it
 
     @property
     def applies(self) -> bool:
         return self.status == STATUS_APPLIES
-
-
-def _looks_like_pencil_family(dec: IsotropicDecomposition) -> bool:
-    """L = n(E_1 + E_2) with E_1.E_2 = 2 and n >= 3."""
-    if dec.configuration != CONFIG_II or len(dec.generators) != 2:
-        return False
-    a, b = dec.coefficients
-    return a == b and a >= 3
 
 
 def predict_w1d(L: DivisorClass) -> BNPrediction:
@@ -75,27 +55,24 @@ def predict_w1d(L: DivisorClass) -> BNPrediction:
     predicted dimension d - k.  When k = mu(L) < 2 phi(L) the hypothesis
     fails, and if moreover L is n(E_1 + E_2) with E_1.E_2 = 2, n >= 3, the
     failure comes with the infinite-pencil phenomenon: a sub-linear system
-    of curves carrying infinitely many minimal pencils.
+    of curves carrying infinitely many minimal pencils.  That family is
+    decided by arithmetic, ``multiple_content(L, 4, 2) >= 3`` (the proof is
+    in :func:`~enriques_bn.invariants.multiple_content`), with no
+    decomposition search.
     """
     rep = gonality(L)
     g, k = rep.genus, rep.k
     mu_exceeds_2phi = (not rep.mu.exact) or rep.mu.value > 2 * rep.phi.value
-    notes: list[str] = []
     if rep.k == 2 * rep.phi.value and mu_exceeds_2phi:
         if 2 * k > g:
             return BNPrediction(g, k, STATUS_EMPTY, (), reason="k > g/2")
         rows = tuple((d, rho(g, 1, d), d - k) for d in range(k, g - k + 1))
         return BNPrediction(g, k, STATUS_APPLIES, rows)
     if rep.mu.exact and rep.mu.value == k and k < 2 * rep.phi.value:
-        reason = f"k = mu = {k} < 2 phi = {2 * rep.phi.value}"
-        infinite = False
-        try:
-            infinite = _looks_like_pencil_family(decompose_isotropic(L))
-        except SearchExhaustedError:
-            notes.append("decomposition search exhausted; pencil-family test skipped")
         return BNPrediction(
-            g, k, STATUS_FAILS, (), reason=reason,
-            infinite_pencil=infinite, notes=tuple(notes),
+            g, k, STATUS_FAILS, (),
+            reason=f"k = mu = {k} < 2 phi = {2 * rep.phi.value}",
+            infinite_pencil=multiple_content(L, 4, 2) >= 3,
         )
     return BNPrediction(
         g, k, STATUS_FAILS, (),
@@ -137,14 +114,15 @@ class DestabCandidate(Frozen):
 def _isotropic_twists(c: int, l_torsion: int) -> tuple[int, ...]:
     """The torsion bits of M listed for an isotropic N = cP at ell = 0.
 
-    N carries the torsion bit of L xor that of M.  (a) needs h1(N) >= 1,
-    and a second twist is listed only when it changes h1(N).
+    N carries the torsion bit of L xor that of M, and (a) needs h1(N) >= 1
+    on the ladder of ``positivity._isotropic_h1``.  The untwisted M is
+    listed when it passes, the twisted one when it passes with an h1(N)
+    that differs from the untwisted one's.
     """
-    if c == 2:
-        return (l_torsion,)  # only the untwisted 2P has h1 = 1
-    if c >= 3:
-        return (0, 1) if c % 2 == 0 else (0,)
-    return ()
+    h1 = _isotropic_h1(c, l_torsion)
+    h1_twisted = _isotropic_h1(c, l_torsion ^ 1)
+    twists = (0,) if h1 else ()
+    return twists + (1,) if h1_twisted and h1_twisted != h1 else twists
 
 
 def enumerate_destab(L: DivisorClass, d: int) -> list[DestabCandidate]:
@@ -179,10 +157,10 @@ def enumerate_destab(L: DivisorClass, d: int) -> list[DestabCandidate]:
       N, so only the untwisted M is listed.
     - If s = 0, then (e) needs ell = 0, that is t = d.  This is never the
       tie, as d <= g - k < L^2/2.  N = cP with P primitive isotropic has
-      h0(N) = 1 + h1(N), and h1(N) is floor(c/2) for c >= 2 untwisted and
-      floor((c-1)/2) for c >= 3 twisted, 0 otherwise.  So (a) needs c >= 2
-      for an untwisted N and c >= 3 for a twisted one.  The two twists give
-      different h1(N) only for even c >= 4, and only then are both listed.
+      h0(N) = 1 + h1(N), with h1(N) on the ladder of
+      ``positivity._isotropic_h1``, so (a) is h1(N) >= 1.
+      :func:`_isotropic_twists` lists the twists of M that pass it, both
+      only when their h1(N) differ.
 
     So the sweep asks for s >= max(t - d, 1) at every t != d, and for
     s >= 0 only at t = d; every splitting it keeps passes (a), (b), (c)

@@ -164,54 +164,75 @@ def mu(L: DivisorClass, cap: int | None = None) -> MuResult:
     determinant of <B, E, L> (which is >= 0 in signature (1,9)) forces
     E.L <= (B.L + sqrt((B.L)^2 - 4 L^2)) / 4, so at degree t = B.L one
     pool of isotropic classes with E.L below that bound decides the test
-    for every candidate.  The bound grows with t, so the pool is extended
-    degree by degree and never holds a class the current degree does not
-    need.  Degrees with t^2 < 4 L^2 are skipped: by the Hodge index
-    theorem (B.L)^2 >= B^2 L^2 = 4 L^2, so no candidate lies there.
+    for every candidate.  No degree with t^2 < 4 L^2 is scanned: by the
+    Hodge index theorem (B.L)^2 >= B^2 L^2 = 4 L^2, so no candidate lies
+    there.
 
-    The pool reads the stored fibers (:meth:`Polarization.isotropic`), so
-    no degree is searched that phi or an earlier call has searched.  It
-    starts at degree phi(L), as no isotropic class has 0 < E.L < phi(L);
-    a class whose phi is not yet stored gets phi's search, and its checks,
-    first.
+    The pool reads the stored fibers (:meth:`Polarization.isotropic`) from
+    degree phi(L) on, as no isotropic class has 0 < E.L < phi(L), so no
+    degree is searched that phi or an earlier call has searched; a class
+    whose phi is not yet stored gets phi's search, and its checks, first.
     """
     _require_effective_positive(L, "mu")
-    if cap is None:
-        cap = 2 * phi(L).value + 2
     pol = polarization(L.num)
-    num_L = L.num
+    floor = pol.isotropic_floor
+    if cap is None:
+        cap = 2 * floor + 2
     l_sq = L.square
-    iso_pool: list[NumClass] = []
-    pool_degree = pol.isotropic_floor - 1  # iso_pool: every isotropic E.L <= this
-
-    def admissible(x: NumClass) -> bool:
-        # the definition excludes B numerically equal to L, and phi(x) = 1
-        # fails it; B^2 = 4 admits no larger phi than 2
-        return x != num_L and all(e.dot(x) != 1 for e in iso_pool)
-
-    for t in range(1, cap + 1):
-        disc = t * t - 4 * l_sq
-        if disc < 0:
-            continue
-        for s in range(pool_degree + 1, (t + math.isqrt(disc)) // 4 + 1):
-            iso_pool.extend(pol.isotropic(s))
-            pool_degree = s
-        # fibers come in lexicographic order, so the first admissible
-        # candidate at the minimal degree is the canonical witness
-        x = pol.lift.first(t, 4, admissible)
+    for t in range(math.isqrt(4 * l_sq - 1) + 1, cap + 1):
+        top = (t + math.isqrt(t * t - 4 * l_sq)) // 4
+        pool = [e for s in range(floor, top + 1) for e in pol.isotropic(s)]
+        # the definition excludes B numerically equal to L, and phi(B) = 1
+        # fails it; B^2 = 4 admits no larger phi than 2.  Fibers come in
+        # lexicographic order, so the first admissible candidate at the
+        # minimal degree is the canonical witness
+        x = pol.lift.first(
+            t, 4, lambda b: b != L.num and all(e.dot(b) != 1 for e in pool)
+        )
         if x is not None:
             return MuResult(MU_EXACT, cap, t - 2, DivisorClass(x, 0))
     return MuResult(MU_NOT_FOUND, cap)
 
 
-def _is_twice_d10(L: DivisorClass) -> bool:
-    """Whether L = 2D numerically with D^2 = 10 and phi(D) = 3."""
-    if any(c % 2 for c in L.num.coords):
-        return False
-    half = NumClass(tuple(c // 2 for c in L.num.coords), L.num.form)
-    if half.square != 10:
-        return False
-    return phi(DivisorClass(half, 0)).value == 3
+def multiple_content(L: DivisorClass, square: int, phi_value: int) -> int:
+    """The content c of L when B = L/c has B^2 = square and
+    phi(B) = phi_value, else 0.  L is effective of positive square, and so
+    is B; torsion is ignored.
+
+    Two tests of the form L = c B read it.
+
+    - The square-plus exclusion L = 2D, D^2 = 10, phi(D) = 3, is
+      ``multiple_content(L, 10, 3) == 2``: D = mP with P^2 even needs
+      m^2 | 5, so D is primitive.
+    - The plane-cover family L = c(E_1 + E_2), E_1, E_2 primitive
+      isotropic with E_1.E_2 = 2 and c >= 3, is
+      ``multiple_content(L, 4, 2) >= 3``, by the two facts below.  They
+      use that two effective isotropic classes pair to >= 0, and to 0
+      only when they are proportional (Cossec-Dolgachev, *Enriques
+      Surfaces I*, ch. II).
+
+    B^2 = 4 and phi(B) = 2 exactly when B = E_1 + E_2 as above.  If
+    phi(B) = 2, let E be phi's primitive witness and F = B - E: then
+    F^2 = 4 - 2 E.B = 0, E.F = 2 and F.B = 2 > 0, so F is effective
+    isotropic, and F = mP with m >= 2 would give P.B = 2/m = 1 < phi(B),
+    so F is primitive.  Conversely B = E_1 + E_2 has B^2 = 4 and
+    E_1.B = 2; an isotropic E with E.B = 1 would pair to 0 with one E_i,
+    be a multiple of it, and so have E.B even.  B = mP with P^2 even needs
+    m^2 | 2, so B is primitive and c = content(L).
+
+    That is the answer of the decomposition search: L = c(E_1 + E_2) if
+    and only if ``decompose_isotropic(L)`` returns pattern (ii) with two
+    generators and coefficients (c, c).  phi(L) = c phi(B) = 2c bounds
+    every generator's degree from below, so no level comes before
+    (2c, 2).  At that level the shape (ii) with a = (c, c) is realized by
+    E_1, E_2, and the shape (i) with a = (2c, c) has a generator of degree
+    c < phi(L) (it would make L/c = 2E_1' + E_2', of phi 1).  Conversely a
+    returned L = c(E_1 + E_2) has content c and B = E_1 + E_2 as above.
+    """
+    c, b = content(L.num)
+    if b.square != square or phi(DivisorClass(b, 0)).value != phi_value:
+        return 0
+    return c
 
 
 class Polarization:
@@ -307,7 +328,7 @@ class Polarization:
                 L.square == p.value**2 + p.value - 2
                 and p.value >= 3
                 and k == (2 * p.value - 1 if p.value >= 5 else 2 * p.value - 2)
-                and not _is_twice_d10(L)
+                and multiple_content(L, 10, 3) != 2
             ):
                 label = CASE_MU_SQUARE_PLUS
                 notes.append(

@@ -39,9 +39,14 @@ afterwards, where the library stops at the first hit or prunes the search.
 ``destab_unpruned`` also decides the splitting conditions from the
 cohomology of M and N, where the library decides them by arithmetic.
 ``mu_whole_pool`` builds mu's isotropic pool for the cap before the scan,
-where the library grows it with the degree.  ``mu_searched_pool`` grows it
-with the degree but searches every fiber of the pool, where the library
-starts at phi's stored fiber.
+where the library reads each degree's pool up to that degree's bound.
+``mu_searched_pool`` extends one pool degree by degree and searches every
+fiber of it, where the library reads the stored fibers from phi on.
+
+``pencil_family_by_decomposition`` and ``twice_d10_by_parity`` are the
+tests ``multiple_content`` replaced: the plane-cover family read off a
+``decompose_isotropic`` answer, and L = 2D read off the parity of L's
+coordinates.
 
 No oracle uses a ``_``-prefixed name of ``enriques_bn``
 (``tests/test_tooling.py`` checks it): an oracle that calls the code under
@@ -923,3 +928,29 @@ def decompose_prefix_systems(L):
     raise SearchExhaustedError(
         f"no pattern (i)-(iii) decomposition of square {L.square} realizes L"
     )
+
+
+def pencil_family_by_decomposition(L) -> bool:
+    """Whether L = n(E_1 + E_2) with E_1.E_2 = 2 and n >= 3, as
+    ``predict_w1d`` decided it before: ``decompose_isotropic`` returns
+    pattern (ii) with two generators and coefficients a == b >= 3."""
+    from enriques_bn.invariants import decompose_isotropic
+    from enriques_bn.lattice import CONFIG_II
+
+    dec = decompose_isotropic(L)
+    if dec.configuration != CONFIG_II or len(dec.generators) != 2:
+        return False
+    a, b = dec.coefficients
+    return a == b and a >= 3
+
+
+def twice_d10_by_parity(L) -> bool:
+    """Whether L = 2D numerically with D^2 = 10 and phi(D) = 3: every
+    coordinate of L even, then D = L/2 checked."""
+    from enriques_bn.invariants import phi
+    from enriques_bn.lattice import DivisorClass
+
+    if any(c % 2 for c in L.num.coords):
+        return False
+    half = NumClass(tuple(c // 2 for c in L.num.coords), L.num.form)
+    return half.square == 10 and phi(DivisorClass(half, 0)).value == 3

@@ -15,7 +15,12 @@ from enriques_bn.brill_noether import (
     rho,
     stable_case_audit,
 )
-from enriques_bn.errors import CertificateError, NotAmpleError, RangeError
+from enriques_bn.errors import (
+    CertificateError,
+    NotAmpleError,
+    RangeError,
+    SearchExhaustedError,
+)
 from enriques_bn.invariants import CASE_GENERIC, gonality
 from enriques_bn.lattice import (
     DivisorClass,
@@ -65,6 +70,17 @@ class TestPredict:
         assert pred.status == STATUS_FAILS
         assert pred.infinite_pencil
         assert pred.rows == ()
+
+    def test_pencil_family_needs_no_decomposition(self, monkeypatch, pair_two):
+        def exhausted(L):
+            raise SearchExhaustedError("decomposition search disabled")
+
+        monkeypatch.setattr(invariants, "decompose_isotropic", exhausted)
+        monkeypatch.setattr(brill_noether, "decompose_isotropic", exhausted, raising=False)
+        e1, e2 = pair_two
+        pred = predict_w1d(DivisorClass(3 * (e1 + e2), 0))
+        assert pred.status == STATUS_FAILS and pred.reason == "k = mu = 10 < 2 phi = 12"
+        assert pred.infinite_pencil and pred.notes == ()
 
     def test_empty_range(self, pair_one):
         e1, e2 = pair_one
@@ -206,6 +222,21 @@ class TestDestabPruning:
         # an even content of at least 4 lists both twists, under both L
         assert {(4, 0, 0), (4, 1, 0), (4, 0, 1), (4, 1, 1)} <= isotropic
         assert (2, 1, 1) in isotropic  # 2P untwisted needs M twisted
+
+    def test_twists_follow_the_h1_ladder(self):
+        # the table the rule replaced: 2P passes only untwisted, and both
+        # twists differ in h1 only for even c >= 4
+        def table(c, l_torsion):
+            if c == 2:
+                return (l_torsion,)
+            if c >= 3:
+                return (0, 1) if c % 2 == 0 else (0,)
+            return ()
+
+        for c in range(1, 13):
+            for l_torsion in (0, 1):
+                got = brill_noether._isotropic_twists(c, l_torsion)
+                assert got == table(c, l_torsion), (c, l_torsion)
 
     def test_emitted_in_sorted_order(self, pair_one):
         for L, d in self.destab_inputs(pair_one):

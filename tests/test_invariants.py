@@ -31,6 +31,7 @@ from enriques_bn.invariants import (
     decompose_isotropic,
     gonality,
     mu,
+    multiple_content,
     phi,
 )
 from enriques_bn.lattice import (
@@ -62,6 +63,8 @@ from oracles import (
     mu_full_scan,
     mu_searched_pool,
     mu_whole_pool,
+    pencil_family_by_decomposition,
+    twice_d10_by_parity,
 )
 
 
@@ -850,6 +853,64 @@ class TestStoredIsotropicFibers:
                 assert fiber == tuple(fresh.fiber(t, 0)), (L.num.coords, t)
             held += len(pol._isotropic)
         assert held > 2 * len(classes)
+
+
+#: Isometries fixing f + g (see ``apply_isometry``) for the images below.
+FIXED_WORDS = [(0,), (1, 3), (2, 0, 5), (8, 7, 6, 0), (4, 1, 4, 2)]
+
+
+class TestMultipleContent:
+    """``multiple_content`` decides the plane-cover family and the L = 2D
+    exclusion by arithmetic; it agrees with the tests it replaced, the
+    ``decompose_isotropic`` answer and the coordinate parity
+    (``oracles.pencil_family_by_decomposition``, ``twice_d10_by_parity``)."""
+
+    @staticmethod
+    def check(L):
+        family = multiple_content(L, 4, 2) >= 3
+        assert family == pencil_family_by_decomposition(L), L.num.coords
+        twice = multiple_content(L, 10, 3) == 2
+        assert twice == twice_d10_by_parity(L), L.num.coords
+        return family, twice
+
+    def test_structured_sweep(self):
+        classes = [L for _, _, L in structured_sweep(40)]
+        assert len(classes) == 166
+        found = Counter(self.check(L) for L in classes)
+        # 3(E1 + E2) on ii:2, and 2(E1 + E2 + E3) on iii:3
+        assert found == {(False, False): 164, (True, False): 1, (False, True): 1}
+
+    def test_multiples_of_the_plane_cover_and_their_images(self, pair_two):
+        e1, e2 = pair_two
+        for n in range(1, 9):
+            for word in [()] + FIXED_WORDS:
+                L = DivisorClass(apply_isometry(word, n * (e1 + e2)), 0)
+                assert multiple_content(L, 4, 2) == n
+                assert self.check(L) == (n >= 3, False)
+
+    def test_negative_controls(self, pair_one, pair_two):
+        # B = 2E1' + E2' on i:2 has B^2 = 4 and phi(B) = 1
+        f1, f2 = pair_one
+        for c in range(1, 6):
+            L = DivisorClass(c * (2 * f1 + f2), 0)
+            assert multiple_content(L, 4, 2) == 0
+            assert self.check(L) == (False, False)
+        e1, e2 = pair_two
+        L = DivisorClass(2 * (e1 + e2), 0)
+        assert multiple_content(L, 4, 2) == 2
+        assert self.check(L) == (False, False)
+
+    def test_twice_a_square_ten_class(self):
+        halves = {
+            L.num: phi(L).value
+            for _, _, L in structured_sweep(10) if L.square == 10
+        }
+        assert sorted(halves.values()) == [1, 2, 3]
+        for D, value in halves.items():
+            for word in [()] + FIXED_WORDS:
+                L = DivisorClass(2 * apply_isometry(word, D), 0)
+                assert multiple_content(L, 10, value) == 2
+                assert self.check(L) == (False, value == 3)
 
 
 def cached_answers(L):
