@@ -3,8 +3,8 @@
 The numerical lattice of an Enriques surface is U + E8(-1), signature (1,9).
 Coordinates 1-2 span the hyperbolic plane U with Gram [[0,1],[1,0]];
 coordinates 3-10 carry the E8 root lattice with its form negated, basis in
-Bourbaki node order.  Everything below is exact integer (or Fraction)
-arithmetic; floats never appear.
+Bourbaki node order.  Everything below is exact integer arithmetic; floats
+never appear.
 
 Each :class:`IntersectionForm` computes the nonzero terms of its Gram
 matrix once and keeps them on the instance: the diagonal entries plus each
@@ -79,7 +79,7 @@ class IntersectionForm(Frozen):
         return integer_determinant(self.gram)
 
     def inertia(self) -> tuple[int, int, int]:
-        """(positive, negative, zero) counts of a rational diagonalization."""
+        """(positive, negative, zero) eigenvalue counts of gram, on ints."""
         return inertia(self.gram)
 
     def apply(self, coords: Sequence[int]) -> tuple[int, ...]:
@@ -270,67 +270,64 @@ def canonical_torsion_class(form: IntersectionForm | None = None) -> DivisorClas
 
 
 # ---------------------------------------------------------------------------
-# Exact linear algebra helpers (integers / Fractions only).
+# Exact linear algebra helpers (integers only).
 # ---------------------------------------------------------------------------
 
 
+def _congruence_pivots(gram: Sequence[Sequence[int]]) -> tuple[list[int], int]:
+    """The leading minors 1 = p_0, ..., p_r (all nonzero) of M = T^T G T, T an
+    integer matrix with det T = +-1, and the nullity n - r of G, by Bareiss
+    elimination by congruence (Bareiss, Math. Comp. 22, 1968).
+
+    After k steps, with P the pivot indices, the block ``a`` holds the minors
+    of M on rows P + {i} and columns P + {j}: integers, with a_00 = p_{k+1}.
+    By Sylvester's identity (a_00 a_ij - a_i0 a_0j) / p_k is the minor on
+    P + {0, i}, P + {0, j}, so each step divides exactly.  A zero pivot is
+    mended by a congruence of M that acts alike on the block: swap in a later
+    a_jj != 0; else add row and column c with a_0c != 0 (a minor bordering
+    P x P is bilinear in its last row and column), so the pivot is 2 a_0c;
+    else the row is zero: M x = 0 for a rational x on P and this index, which
+    no later step touches, so the index is dropped, null, and rank G = r.
+    """
+    a = [[int(x) for x in row] for row in gram]
+    if a != [list(column) for column in zip(*a)]:  # ragged rows fail too
+        raise ValueError("gram matrix must be square and symmetric")
+    pivots, nullity = [1], 0
+    while a:
+        if a[0][0] == 0:
+            j = next((j for j, row in enumerate(a) if row[j]), None)
+            if j is not None:
+                a[0], a[j] = a[j], a[0]
+                for row in a:
+                    row[0], row[j] = row[j], row[0]
+            else:
+                c = next((c for c, x in enumerate(a[0]) if x), None)
+                if c is None:
+                    nullity += 1
+                    a = [row[1:] for row in a[1:]]
+                    continue
+                a[0] = [x + y for x, y in zip(a[0], a[c])]
+                for row in a:
+                    row[0] += row[c]
+        pk, prev, top = a[0][0], pivots[-1], a[0][1:]
+        a = [[(pk * x - row[0] * y) // prev for x, y in zip(row[1:], top)]
+             for row in a[1:]]
+        pivots.append(pk)
+    return pivots, nullity
+
+
 def integer_determinant(gram: Sequence[Sequence[int]]) -> int:
-    """Determinant by fraction-free Bareiss elimination."""
-    n = len(gram)
-    m = [[int(x) for x in row] for row in gram]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            p = next((r for r in range(k + 1, n) if m[r][k]), None)
-            if p is None:
-                return 0
-            m[k], m[p] = m[p], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    """det G = det M of :func:`_congruence_pivots`, for a symmetric G."""
+    pivots, nullity = _congruence_pivots(gram)
+    return 0 if nullity else pivots[-1]
 
 
 def inertia(gram: Sequence[Sequence[int]]) -> tuple[int, int, int]:
-    """Signature of a symmetric matrix by congruence reduction over Q."""
-    from fractions import Fraction
-
-    n = len(gram)
-    a = [[Fraction(x) for x in row] for row in gram]
-    pos = neg = zero = 0
-    for i in range(n):
-        if a[i][i] == 0:
-            j = next((r for r in range(i + 1, n) if a[r][r] != 0), None)
-            if j is not None:
-                a[i], a[j] = a[j], a[i]
-                for row in a:
-                    row[i], row[j] = row[j], row[i]
-            else:
-                j = next((c for c in range(i + 1, n) if a[i][c] != 0), None)
-                if j is None:
-                    zero += 1
-                    continue
-                for c in range(n):
-                    a[i][c] += a[j][c]
-                for r in range(n):
-                    a[r][i] += a[r][j]
-        d = a[i][i]
-        if d > 0:
-            pos += 1
-        else:
-            neg += 1
-        for r in range(i + 1, n):
-            f = a[r][i] / d
-            for c in range(n):
-                a[r][c] -= f * a[i][c]
-        for c in range(i + 1, n):
-            f = a[i][c] / d
-            for r in range(n):
-                a[r][c] -= f * a[i][r]
-    return pos, neg, zero
+    """(positive, negative, zero) eigenvalue counts of a symmetric G: M's, by
+    Sylvester's law, with p_k / p_(k-1) < 0 at each sign change (Jacobi)."""
+    pivots, nullity = _congruence_pivots(gram)
+    neg = sum((p < 0) != (q < 0) for p, q in zip(pivots, pivots[1:]))
+    return len(pivots) - 1 - neg, neg, nullity
 
 
 def _echelon_basis(
@@ -528,11 +525,15 @@ def embed_configuration(
     deterministic.  Candidates are generated lazily, class by class, so a
     fiber is searched only up to the first class the backtracking keeps,
     and the (large) high-degree fibers only when a pattern is hard to
-    realize.  Raises NotRealizableError (exhausted=True) if no
-    solution shows up with every degree <= max_height.
+    realize.  Raises NotRealizableError, exhausted=True, if no solution shows
+    up with every degree <= max_height; exhausted=False, with no search, if
+    the sub-Gram, pulled back from Num of signature (1, 9), has more than
+    one positive eigenvalue.
     """
     from .shortvec import FiberSystem  # deferred: shortvec imports this module
 
+    if inertia(p.gram_sub)[0] > 1:
+        raise NotRealizableError("the sub-Gram has >1 positive eigenvalue; Num has 1")
     form = form or canonical_form()
     ample = basis_vector(0, form) + basis_vector(1, form)
 

@@ -55,7 +55,7 @@ from .errors import (
     PositiveSquareRequiredError,
 )
 from .frozen import Frozen, set_field
-from .lattice import IntersectionForm, NumClass, _reduce, _substitute
+from .lattice import IntersectionForm, NumClass, _reduce, _substitute, inertia
 
 if TYPE_CHECKING:  # fractions is imported only where a rational is built
     from fractions import Fraction
@@ -80,13 +80,8 @@ class PosDefForm(Frozen):
         set_field(self, "denom", denom)
 
     def is_positive_definite(self) -> bool:
-        """Sylvester's criterion on the pivots of :class:`_ScaledLDL` of numer,
-        its leading principal minors (a positive denom flips no sign)."""
-        try:
-            _ScaledLDL(self.numer)
-        except NotPositiveDefiniteError:
-            return False
-        return True
+        """Every eigenvalue of numer is positive (denom > 0 flips no sign)."""
+        return inertia(self.numer)[0] == self.rank
 
     def value(self, v: Sequence[int]) -> Fraction:
         from fractions import Fraction
@@ -131,7 +126,8 @@ class _ScaledLDL:
     at zero, and step k sets a_k's entry at n + k to p_k and computes
     columns k+1..n+k alone.  The pivot row a_k is then final: p_{k+1} r_kj
     and, by Cramer's rule on the leading block, p_{k+1} (D^-1 R^-T)_km,
-    zero right of column n + k.
+    zero right of column n + k.  This loop is not ``lattice.inertia``'s: it
+    emits the factors and centre map, never pivots, and runs on every build.
     """
 
     def __init__(self, numer: Sequence[Sequence[int]]):

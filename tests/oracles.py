@@ -11,6 +11,10 @@ the same LDL factors, but with the centre solved and every level bound
 computed in ``fractions.Fraction``.  They check the integer-scaled kernel
 point for point.
 
+``charpoly_inertia`` counts the signs of a symmetric matrix's eigenvalues
+from its characteristic polynomial (Faddeev-LeVerrier and Descartes' rule
+of signs), so it shares no elimination with ``lattice.inertia``.
+
 ``column_reduction_solve`` is the integer solver's earlier form: it
 reduces columns where the library reduces the rows of [rows^T | I], and
 its kernel basis is not in echelon form.  ``fraction_solutions`` solves
@@ -87,6 +91,47 @@ def fraction_det(m) -> Fraction:
             for c in range(i, n):
                 a[r][c] -= f * a[i][c]
     return det
+
+
+def charpoly_inertia(m) -> tuple[int, int, int]:
+    """(positive, negative, zero) eigenvalue counts of a symmetric integer
+    matrix, read off its characteristic polynomial with no elimination.
+
+    Faddeev-LeVerrier on ints gives the coefficients of det(x I - m):
+    c_n = 1, M_k = m M_(k-1) + c_(n-k+1) I, c_(n-k) = -tr(m M_k) / k, where
+    every division is exact.  The zero roots are the low coefficients that
+    vanish.  A symmetric matrix has only real eigenvalues, so Descartes'
+    rule of signs counts the positive roots exactly (the sign changes of
+    the coefficients) and the negative ones (those of p(-x)).
+    """
+    n = len(m)
+    coeffs = [1]  # c_n, c_(n-1), ..., c_0
+    mk = [[0] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        mk = [
+            [sum(m[i][l] * mk[l][j] for l in range(n)) + (coeffs[-1] if i == j else 0)
+             for j in range(n)]
+            for i in range(n)
+        ]
+        trace = sum(m[i][l] * mk[l][i] for i in range(n) for l in range(n))
+        if trace % k:
+            raise ArithmeticError("Faddeev-LeVerrier division is not exact")
+        coeffs.append(-trace // k)
+    zero = 0
+    while coeffs[-1] == 0 and len(coeffs) > 1:
+        coeffs.pop()
+        zero += 1
+
+    def sign_changes(cs):
+        signs = [c > 0 for c in cs if c]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    degree = len(coeffs) - 1  # coeffs[i] multiplies x^(degree - i)
+    pos = sign_changes(coeffs)
+    neg = sign_changes([c * (-1) ** (degree - i) for i, c in enumerate(coeffs)])
+    if pos + neg != degree:
+        raise ArithmeticError("the characteristic polynomial has a non-real root")
+    return pos, neg, zero
 
 
 def fraction_inverse(m) -> list[list[Fraction]]:

@@ -22,12 +22,14 @@ from enriques_bn.lattice import (
     custom_configuration,
     divisor_class,
     embed_configuration,
+    inertia,
+    integer_determinant,
     is_primitive,
     _echelon_basis,
     num_class,
     solve_integer_linear,
 )
-from oracles import column_reduction_solve, embed_eager, fraction_det
+from oracles import charpoly_inertia, column_reduction_solve, embed_eager, fraction_det
 
 
 def random_class(rng, form, spread=5):
@@ -53,6 +55,19 @@ class TestCanonicalForm:
 
     def test_signature(self, form):
         assert form.inertia() == (1, 9, 0)
+        u = IntersectionForm(2, ((0, 1), (1, 0)))
+        assert (u.inertia(), u.determinant()) == ((1, 1, 0), -1)
+        # Num with a null coordinate put first: signature (1, 9), nullity 1
+        gram = [(0,) * 11] + [(0,) + row for row in form.gram]
+        degenerate = IntersectionForm(11, tuple(gram))
+        assert (degenerate.inertia(), degenerate.determinant()) == ((1, 9, 1), 0)
+        # classes of Num pull its form back, so their Gram has at most one
+        # positive eigenvalue: eigenvalues 9, 5, -7, -7 are refused unsearched
+        cfg = custom_configuration([[0, 7, 1, 1], [7, 0, 1, 1], [1, 1, 0, 7], [1, 1, 7, 0]])
+        assert inertia(cfg.gram_sub) == (2, 2, 0)
+        with pytest.raises(NotRealizableError) as exc:
+            embed_configuration(cfg)
+        assert not exc.value.exhausted
 
     def test_gram_is_symmetric_with_documented_blocks(self, form):
         g = form.gram
@@ -60,6 +75,66 @@ class TestCanonicalForm:
         assert all(g[0][j] == 0 for j in range(2, 10))
         # the E8 block carries -2 on the diagonal
         assert all(g[i][i] == -2 for i in range(2, 10))
+
+
+def random_symmetric(rng, n):
+    """A symmetric integer matrix of size n; about half of them are X D X^T
+    with X of n x m, m < n, so singular."""
+    if n and rng.random() < 0.5:
+        m = rng.randrange(n)
+        x = [[rng.randint(-2, 2) for _ in range(m)] for _ in range(n)]
+        d = [[0] * m for _ in range(m)]
+        for i in range(m):
+            for j in range(i + 1):
+                d[i][j] = d[j][i] = rng.randint(-3, 3)
+        return [
+            [sum(x[i][k] * d[k][l] * x[j][l] for k in range(m) for l in range(m))
+             for j in range(n)]
+            for i in range(n)
+        ]
+    spread = rng.choice((1, 2, 9))
+    a = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            a[i][j] = a[j][i] = rng.randint(-spread, spread)
+    return a
+
+
+class TestInertia:
+    """``inertia`` and ``integer_determinant`` against the characteristic
+    polynomial and fraction elimination, which share no step with them."""
+
+    def test_against_the_oracles(self):
+        rng = random.Random(25)
+        singular = 0
+        for _ in range(2000):
+            a = random_symmetric(rng, rng.randint(0, 8))
+            want = charpoly_inertia(a)
+            assert inertia(a) == want
+            assert integer_determinant(a) == fraction_det(a)
+            singular += want[2] > 0
+        assert singular >= 600
+
+    @pytest.mark.parametrize("gram, want", [
+        ([[-1, -1, -1], [-1, 0, 0], [-1, 0, 1]], (2, 1, 0)),
+        ([[0, -2, 0], [-2, 0, -1], [0, -1, 0]], (1, 1, 1)),
+        ([[-1, -1, -1, -1], [-1, -1, -1, -1], [-1, -1, -1, -1], [-1, -1, -1, 0]],
+         (1, 1, 2)),
+    ])
+    def test_inputs_the_fraction_reduction_miscounted(self, gram, want):
+        assert inertia(gram) == want == charpoly_inertia(gram)
+        assert integer_determinant(gram) == fraction_det(gram)
+
+    def test_empty_matrix(self):
+        assert integer_determinant([]) == 1
+        assert inertia([]) == (0, 0, 0)
+
+    @pytest.mark.parametrize("gram", [[[1, 2]], [[1], [2]], [[1, 2], [3, 4]], [[0, 1], [1]]])
+    def test_not_square_or_not_symmetric_rejected(self, gram):
+        with pytest.raises(ValueError):
+            inertia(gram)
+        with pytest.raises(ValueError):
+            integer_determinant(gram)
 
 
 class TestPairing:

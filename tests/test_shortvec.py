@@ -35,6 +35,7 @@ from enriques_bn.shortvec import (
 from oracles import (
     box_classes_with_square,
     box_short_vectors,
+    fraction_det,
     fraction_ellipsoid,
     fraction_inverse,
     fraction_ldl,
@@ -91,8 +92,19 @@ class TestEnumerateShort:
                 for j in range(i + 1):
                     gram[i][j] = gram[j][i] = rng.randint(-3, 6 if i == j else 3)
             q = PosDefForm(n, tuple(map(tuple, gram)), denom=rng.randint(1, 3))
-            minors = [integer_determinant([r[:k] for r in gram[:k]]) for k in range(1, n + 1)]
+            minors = [fraction_det([r[:k] for r in gram[:k]]) for k in range(1, n + 1)]
             assert q.is_positive_definite() == all(m > 0 for m in minors)
+
+    @pytest.mark.parametrize("numer, definite", [
+        (((1, 0, 1), (0, 1, 1), (1, 1, 2)), False),  # minors 1, 1, 0: semidefinite
+        (((0, 0, 0), (0, 1, 0), (0, 0, 1)), False),  # minors 0, 0, 0: semidefinite
+        (((1, 0, 2), (0, 1, 0), (2, 0, 1)), False),  # minors 1, 1, -3: indefinite
+        (((2, 1, 0), (1, 2, 1), (0, 1, 2)), True),  # minors 2, 3, 4
+    ])
+    def test_semidefinite_and_indefinite_forms(self, numer, definite):
+        q = PosDefForm(3, numer, denom=2)
+        minors = [fraction_det([r[:k] for r in numer[:k]]) for k in (1, 2, 3)]
+        assert q.is_positive_definite() == definite == all(m > 0 for m in minors)
 
     def test_oracle_equivalence_random(self):
         rng = random.Random(21)

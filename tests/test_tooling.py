@@ -251,6 +251,14 @@ class TestStartUp:
     def test_cli_import_loads_no_heavy_module(self):
         assert heavy_modules_after("import enriques_bn.cli", ROOT / "src") == []
 
+    def test_lattice_command_loads_no_heavy_module(self):
+        # the signature is computed on ints; stdout is discarded
+        statement = (
+            "import io, sys; from enriques_bn.cli import run; sys.stdout = io.StringIO(); "
+            "run(['lattice']); sys.stdout = sys.__stdout__"
+        )
+        assert heavy_modules_after(statement, ROOT / "src") == []
+
     def test_the_check_sees_a_heavy_import(self, tmp_path):
         (tmp_path / "scratch_startup.py").write_text("import dataclasses\n")
         loaded = heavy_modules_after("import scratch_startup", tmp_path)
