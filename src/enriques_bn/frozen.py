@@ -10,12 +10,14 @@ set_field = object.__setattr__  # how a Frozen value sets its fields, once
 class Frozen:
     """``__init__`` sets each field with ``set_field``, and any later
     assignment raises AttributeError.  Repr, equality, hashing and pickling
-    read the fields named in ``_fields`` (two or more)."""
+    read the fields named in ``_fields``, two or more, else TypeError."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls):
+        if len(cls._fields) < 2:  # of one, attrgetter returns the bare value
+            raise TypeError(f"{cls.__name__} needs two or more fields")
         cls._getter = attrgetter(*cls._fields)  # the field values, in C
 
     def __setattr__(self, name, value=None):

@@ -17,15 +17,16 @@ minimum is certified: phi candidates satisfy phi <= sqrt(L^2), and a mu
 search capped at L.B <= 2 phi + 2 decides the gonality minimum even when it
 reports "not found".
 
-Each class L of positive square has one :class:`Polarization`, kept by
-:func:`polarization` for the last POLARIZATION_CACHE_SIZE classes, keyed on
-L by value: its lift is built once, and its isotropic fibers (x.L = t,
-x^2 = 0), phi(L) and gonality report are computed at most once.  All are
-fixed by L alone.  phi's degree loop, mu's isotropic pool and every
-searched generator of decompose_isotropic read the fibers
-(:meth:`Polarization.isotropic`), so no isotropic fiber of L is searched
-twice, and each caller runs its own search on the lift for B^2 = 4, so a
-reused answer keeps its certificates and threads may share them.
+Each effective class L of positive square has one :class:`Polarization`,
+kept by :func:`polarization` for the last POLARIZATION_CACHE_SIZE classes,
+keyed on L by value: its constructor is the one check of L, its lift is
+built once, and its isotropic fibers (x.L = t, x^2 = 0), phi(L) and
+gonality report are computed at most once.  All are fixed by L alone.
+phi's degree loop, mu's isotropic pool and every searched generator of
+decompose_isotropic read the fibers (:meth:`Polarization.isotropic`), so
+no isotropic fiber of L is searched twice, and each caller runs its own
+search on the lift for B^2 = 4, so a reused answer keeps its
+certificates and threads may share them.
 """
 
 from __future__ import annotations
@@ -126,15 +127,6 @@ class IsotropicDecomposition(NamedTuple):
     configuration: str
 
 
-def _require_effective_positive(L: DivisorClass, op: str) -> None:
-    st = classify_positivity(L)
-    if not (st.is_effective and L.square > 0):
-        raise NotAmpleEnoughError(
-            f"{op} needs an effective class of positive square; got "
-            f"square {L.square}, status {st.witness}"
-        )
-
-
 def phi(L: DivisorClass) -> PhiResult:
     """Exact minimum of L.E over primitive isotropic effective classes E.
 
@@ -142,7 +134,6 @@ def phi(L: DivisorClass) -> PhiResult:
     :attr:`Polarization.isotropic_floor`.  The witness is the
     lexicographically least class of the fiber at it.
     """
-    _require_effective_positive(L, "phi")
     pol = polarization(L.num)
     value = pol.isotropic_floor
     return PhiResult(value, DivisorClass(pol.isotropic(value)[0], 0))
@@ -170,10 +161,8 @@ def mu(L: DivisorClass, cap: int | None = None) -> MuResult:
 
     The pool reads the stored fibers (:meth:`Polarization.isotropic`) from
     degree phi(L) on, as no isotropic class has 0 < E.L < phi(L), so no
-    degree is searched that phi or an earlier call has searched; a class
-    whose phi is not yet stored gets phi's search, and its checks, first.
+    degree is searched that phi or an earlier call has searched.
     """
-    _require_effective_positive(L, "mu")
     pol = polarization(L.num)
     floor = pol.isotropic_floor
     if cap is None:
@@ -196,8 +185,11 @@ def mu(L: DivisorClass, cap: int | None = None) -> MuResult:
 
 def multiple_content(L: DivisorClass, square: int, phi_value: int) -> int:
     """The content c of L when B = L/c has B^2 = square and
-    phi(B) = phi_value, else 0.  L is effective of positive square, and so
-    is B; torsion is ignored.
+    phi(B) = phi_value, else 0; torsion is ignored.  Both are read off L's
+    stored invariants, so no class but L gets a lift or a search:
+    B^2 = square is L^2 = c^2 square, and phi(B) = phi_value is
+    phi(L) = c phi_value, as phi is homogeneous: every isotropic E has
+    E.L = c E.B, so the same classes have positive degree on L and on B.
 
     Two tests of the form L = c B read it.
 
@@ -229,20 +221,28 @@ def multiple_content(L: DivisorClass, square: int, phi_value: int) -> int:
     c < phi(L) (it would make L/c = 2E_1' + E_2', of phi 1).  Conversely a
     returned L = c(E_1 + E_2) has content c and B = E_1 + E_2 as above.
     """
-    c, b = content(L.num)
-    if b.square != square or phi(DivisorClass(b, 0)).value != phi_value:
+    c = content(L.num)[0]
+    if L.square != c * c * square:
         return 0
-    return c
+    return c if polarization(L.num).isotropic_floor == c * phi_value else 0
 
 
 class Polarization:
-    """The shared computations of one class L of positive square: its
-    :class:`ComplementLift`, built once, and its isotropic fibers, phi and
-    gonality report, each computed at most once.  Get one from
-    :func:`polarization`.
+    """The shared computations of one class L, effective of positive
+    square: its :class:`ComplementLift`, built once, and its isotropic
+    fibers, phi and gonality report, each computed at most once.  Get one
+    from :func:`polarization`.  The constructor is the one check of L: it
+    raises NotAmpleEnoughError, and builds nothing, unless L is effective
+    with L^2 > 0, so every reader may take that as given.
     """
 
     def __init__(self, L: NumClass):
+        st = classify_positivity(DivisorClass(L, 0))
+        if not (st.is_effective and L.square > 0):
+            raise NotAmpleEnoughError(
+                "a polarization needs an effective class of positive square; "
+                f"got square {L.square}, status {st.witness}"
+            )
         self.L = L
         self.lift = ComplementLift(L.form, L)
         self._isotropic: dict[int, tuple[NumClass, ...]] = {}
@@ -259,8 +259,7 @@ class Polarization:
 
     @cached_property
     def isotropic_floor(self) -> int:
-        """phi(L), the least t > 0 with an isotropic x, x.L = t.  Its
-        readers check first that L is effective.
+        """phi(L), the least t > 0 with an isotropic x, x.L = t.
 
         Complete by the bound phi(L) <= sqrt(L^2): for t = 1.. isqrt(L^2),
         the isotropic classes with x.L = t have complement norm exactly
@@ -479,10 +478,9 @@ def decompose_isotropic(L: DivisorClass) -> IsotropicDecomposition:
     the filter yields exactly the candidates of slot j, in that order.
     Every generator is isotropic with E_j.L = delta_j > 0 (the last one
     too, by the division below) and no isotropic class has
-    0 < x.L < phi(L), so a shape with min(G a) < phi(L) is skipped (a class
-    whose phi is not yet stored gets phi's search, and its checks, first).
-    Alike slots of equal coefficient take increasing coordinates, so each
-    set is found once.
+    0 < x.L < phi(L), so a shape with min(G a) < phi(L) is skipped.  Alike
+    slots of equal coefficient take increasing coordinates, so each set is
+    found once.
 
     The last slot needs no search.  Let R = L - sum_{i<n} a_i E_i.  For
     j < n, R.E_j = delta_j - sum_{i<n} a_i G_ij = a_n G_nj; then
@@ -496,18 +494,17 @@ def decompose_isotropic(L: DivisorClass) -> IsotropicDecomposition:
     Deterministic; raises SearchExhaustedError once DECOMPOSE_MAX_NODES
     slots have been filled.
     """
-    st = classify_positivity(L)
-    if not st.is_effective or L.square < 0:
-        raise NotAmpleEnoughError(
-            "decompose_isotropic needs an effective class of nonnegative square"
-        )
-    if L.square == 0:
+    if L.square <= 0:
+        if not classify_positivity(L).is_effective:  # never at L^2 < 0
+            raise NotAmpleEnoughError(
+                "decompose_isotropic needs an effective class of nonnegative square"
+            )
         c, prim = content(L.num)
         return IsotropicDecomposition((DivisorClass(prim, 0),), (c,), CONFIG_I)
 
     target = L.num
     form = target.form
-    pol = polarization(target)
+    pol = polarization(target)  # which checks that L is effective
     floor = pol.isotropic_floor
     budget = DECOMPOSE_MAX_NODES
 

@@ -50,7 +50,9 @@ fiber of it, where the library reads the stored fibers from phi on.
 ``pencil_family_by_decomposition`` and ``twice_d10_by_parity`` are the
 tests ``multiple_content`` replaced: the plane-cover family read off a
 ``decompose_isotropic`` answer, and L = 2D read off the parity of L's
-coordinates.
+coordinates.  ``multiple_content_of_primitive_part`` is
+``multiple_content`` by its definition: phi is searched on the primitive
+part B = L/c, where the library reads phi(L) = c phi(B).
 
 No oracle uses a ``_``-prefixed name of ``enriques_bn``
 (``tests/test_tooling.py`` checks it): an oracle that calls the code under
@@ -999,3 +1001,16 @@ def twice_d10_by_parity(L) -> bool:
         return False
     half = NumClass(tuple(c // 2 for c in L.num.coords), L.num.form)
     return half.square == 10 and phi(DivisorClass(half, 0)).value == 3
+
+
+def multiple_content_of_primitive_part(L, square: int, phi_value: int) -> int:
+    """The content c of L when the primitive part B = L/c has
+    B^2 = square and phi(B) = phi_value, else 0; B gets its own phi
+    search."""
+    from enriques_bn.invariants import phi
+    from enriques_bn.lattice import DivisorClass, content
+
+    c, b = content(L.num)
+    if b.square != square or phi(DivisorClass(b, 0)).value != phi_value:
+        return 0
+    return c

@@ -47,6 +47,7 @@ from enriques_bn.lattice import (
     config_i,
     config_ii,
     config_iii,
+    content,
     divisor_class,
     embed_configuration,
     integer_determinant,
@@ -63,6 +64,7 @@ from oracles import (
     mu_full_scan,
     mu_searched_pool,
     mu_whole_pool,
+    multiple_content_of_primitive_part,
     pencil_family_by_decomposition,
     twice_d10_by_parity,
 )
@@ -900,6 +902,27 @@ class TestMultipleContent:
         assert multiple_content(L, 4, 2) == 2
         assert self.check(L) == (False, False)
 
+    def test_primitive_part_oracle_on_the_sweep_and_its_images(self):
+        # each class of L^2 <= 100 and its images, at both pairs the
+        # library asks for; a class of content c >= 2 also at the pair of
+        # its primitive part B, where the answer is c, and at B^2 with
+        # phi(B) + 1, where it is 0
+        answers = Counter()
+        for _, _, L0 in structured_sweep(100):
+            for word in [()] + FIXED_WORDS:
+                L = DivisorClass(apply_isometry(word, L0.num), 0)
+                pairs = [(4, 2), (10, 3)]
+                c, b = content(L.num)
+                if c > 1:
+                    value = phi(DivisorClass(b, 0)).value
+                    pairs += [(b.square, value), (b.square, value + 1)]
+                for square, value in pairs:
+                    got = multiple_content(L, square, value)
+                    assert got == multiple_content_of_primitive_part(L, square, value), (
+                        L.num.coords, square, value)
+                    answers[got] += 1
+        assert answers == {0: 16632, 1: 12, 2: 342, 3: 90, 4: 36, 5: 24, 6: 6, 7: 6}
+
     def test_twice_a_square_ten_class(self):
         halves = {
             L.num: phi(L).value
@@ -937,6 +960,26 @@ class TestPolarizationCache:
         assert invariants.polarization(num_class([2, 4] + [0] * 8)) is pol
         assert gonality(L) is pol.report
         assert gonality(divisor_class([2, 4] + [0] * 8)) is pol.report
+
+    def test_plane_cover_test_builds_no_polarization_but_l(self, pair_two):
+        # the plane-cover test reads phi(L) = 3 phi(E1 + E2); no
+        # Polarization of E1 + E2 is built
+        e1, e2 = pair_two
+        pred = predict_w1d(DivisorClass(3 * (e1 + e2), 0))
+        assert pred.infinite_pencil
+        assert invariants.polarization.cache_info().currsize == 1
+
+    def test_constructor_refuses_before_it_builds(self, monkeypatch):
+        # -(f + g) has positive square and f has square 0; neither gets a
+        # lift, and neither is kept
+        built = []
+        monkeypatch.setattr(invariants, "ComplementLift", lambda *a: built.append(a))
+        f, g = basis_vector(0), basis_vector(1)
+        for bad in (-(f + g), f):
+            with pytest.raises(NotAmpleEnoughError):
+                invariants.polarization(bad)
+        assert built == []
+        assert invariants.polarization.cache_info().currsize == 0
 
     def test_torsion_twist_shares_it(self):
         L = divisor_class([2, 4] + [0] * 8)

@@ -17,8 +17,10 @@ from enriques_bn.brill_noether import (
     param_count,
     plane_cover_family_report,
     predict_w1d,
+    stable_case_audit,
 )
 from enriques_bn.errors import NotRealizableError
+from enriques_bn.frozen import Frozen
 from enriques_bn.invariants import decompose_isotropic, gonality
 from enriques_bn.lattice import (
     ConfigurationPresentation,
@@ -33,7 +35,7 @@ from enriques_bn.shortvec import PosDefForm, enumerate_short
 
 
 def sample_records():
-    """One instance of each of the 16 record types, by type name."""
+    """One instance of each of the 17 record types, by type name."""
     form = canonical_form()
     num = NumClass((1, 6, 0, 0, 0, 0, 0, 0, 0, 0), form)  # f + 6g
     L = DivisorClass(num, 0)
@@ -53,6 +55,7 @@ def sample_records():
         "DestabCandidate": enumerate_destab(L, rep.k)[0],
         "ParamCountAudit": param_count(13, 5, 5, 0, 0, 0, 0, k=2),
         "PlaneCoverFamilyReport": plane_cover_family_report(3),
+        "StableCaseAudit": stable_case_audit(13, 5),
         "ShortVectorResult": enumerate_short(posdef, 2),
         "PositivityStatus": classify_positivity(L),
         "CohomologyProfile": cohomology(L),
@@ -68,9 +71,17 @@ def fields(record):
 
 
 def test_every_type_is_covered():
-    assert len(RECORDS) == 16
+    assert len(RECORDS) == 17
     assert sorted(type(r).__name__ for r in RECORDS.values()) == sorted(RECORDS)
-    assert len(REPORTS) == 10
+    assert len(REPORTS) == 11
+
+
+@pytest.mark.parametrize("names", [(), ("x",)])
+def test_slotted_types_need_two_fields(names):
+    # one field would make the field getter return the bare value, which
+    # breaks pickling and splats a tuple-valued field into __init__
+    with pytest.raises(TypeError, match="two or more fields"):
+        type("Single", (Frozen,), {"__slots__": names, "_fields": names})
 
 
 @pytest.mark.parametrize("name", RECORDS)
