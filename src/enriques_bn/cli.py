@@ -19,7 +19,6 @@ from .errors import (
     ClassParseError,
     EnriquesBNError,
     GenusTooSmallError,
-    NotRealizableError,
     SearchExhaustedError,
 )
 from .lattice import (
@@ -416,9 +415,6 @@ def run(argv: list[str] | None = None) -> int:
     except SearchExhaustedError as ex:
         sys.stderr.write(f"error: {ex}\n")
         return EXIT_EXHAUSTED
-    except NotRealizableError as ex:
-        sys.stderr.write(f"error: {ex}\n")
-        return EXIT_EXHAUSTED if ex.exhausted else EXIT_DOMAIN
     except EnriquesBNError as ex:
         sys.stderr.write(f"error: {ex}\n")
         return EXIT_DOMAIN

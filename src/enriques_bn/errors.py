@@ -22,15 +22,8 @@ class PositiveSquareRequiredError(EnriquesBNError):
 
 
 class NotRealizableError(EnriquesBNError):
-    """A requested intersection configuration cannot be embedded.
-
-    ``exhausted`` distinguishes "the bounded search ran out" (retry with a
-    larger bound may help) from structural rejection (it never will).
-    """
-
-    def __init__(self, message: str, *, exhausted: bool = False):
-        super().__init__(message)
-        self.exhausted = exhausted
+    """A requested intersection configuration can never be embedded; a
+    bounded search that runs out raises SearchExhaustedError instead."""
 
 
 class SearchExhaustedError(EnriquesBNError):

@@ -151,25 +151,21 @@ def mu(L: DivisorClass, cap: int | None = None) -> MuResult:
     admissible class, so no fiber of B^2 = 4 is built in full.
 
     The phi(B) = 2 test never rebuilds lattice machinery per candidate:
-    phi(B) = 1 would need an isotropic E with E.B = 1, and the Gram
-    determinant of <B, E, L> (which is >= 0 in signature (1,9)) forces
-    E.L <= (B.L + sqrt((B.L)^2 - 4 L^2)) / 4, so at degree t = B.L one
-    pool of isotropic classes with E.L below that bound decides the test
-    for every candidate.  No degree with t^2 < 4 L^2 is scanned: by the
-    Hodge index theorem (B.L)^2 >= B^2 L^2 = 4 L^2, so no candidate lies
-    there.
-
-    The pool reads the stored fibers (:meth:`Polarization.isotropic`) from
-    degree phi(L) on, as no isotropic class has 0 < E.L < phi(L), so no
-    degree is searched that phi or an earlier call has searched.
+    phi(B) = 1 makes B = 2E + F with E.B = 1 and E, F effective isotropic
+    (the lemma in :func:`multiple_content`), so t >= 2 E.L + phi(L).  At
+    degree t one pool, the stored fibers (:meth:`Polarization.isotropic`)
+    of degrees phi(L) .. (t - phi(L)) / 2, decides the test for every
+    candidate; it is empty below t = 3 phi(L), no isotropic class has
+    0 < E.L < phi(L), and no fiber is searched that phi or an earlier call
+    has searched.  No degree with t^2 < 4 L^2 is scanned: by the Hodge
+    index theorem (B.L)^2 >= B^2 L^2 = 4 L^2, so no candidate lies there.
     """
     pol = polarization(L.num)
     floor = pol.isotropic_floor
     if cap is None:
         cap = 2 * floor + 2
-    l_sq = L.square
-    for t in range(math.isqrt(4 * l_sq - 1) + 1, cap + 1):
-        top = (t + math.isqrt(t * t - 4 * l_sq)) // 4
+    for t in range(math.isqrt(4 * L.square - 1) + 1, cap + 1):
+        top = (t - floor) // 2
         pool = [e for s in range(floor, top + 1) for e in pol.isotropic(s)]
         # the definition excludes B numerically equal to L, and phi(B) = 1
         # fails it; B^2 = 4 admits no larger phi than 2.  Fibers come in
@@ -198,19 +194,24 @@ def multiple_content(L: DivisorClass, square: int, phi_value: int) -> int:
       m^2 | 5, so D is primitive.
     - The plane-cover family L = c(E_1 + E_2), E_1, E_2 primitive
       isotropic with E_1.E_2 = 2 and c >= 3, is
-      ``multiple_content(L, 4, 2) >= 3``, by the two facts below.  They
-      use that two effective isotropic classes pair to >= 0, and to 0
-      only when they are proportional (Cossec-Dolgachev, *Enriques
-      Surfaces I*, ch. II).
+      ``multiple_content(L, 4, 2) >= 3``, by the lemma and the fact
+      below.  They use that two effective isotropic classes pair to >= 0,
+      and to 0 only when they are proportional (Cossec-Dolgachev,
+      *Enriques Surfaces I*, ch. II).
 
-    B^2 = 4 and phi(B) = 2 exactly when B = E_1 + E_2 as above.  If
-    phi(B) = 2, let E be phi's primitive witness and F = B - E: then
+    Lemma: an effective B with B^2 = 4 has phi(B) <= isqrt(4) = 2, and it
+    is E_1 + E_2 as above when phi(B) = 2, and 2E + F with E.B = 1 and E,
+    F effective isotropic when phi(B) = 1.  Let E be phi's primitive
+    witness, of E.B = phi(B).  If phi(B) = 2, F = B - E has
     F^2 = 4 - 2 E.B = 0, E.F = 2 and F.B = 2 > 0, so F is effective
     isotropic, and F = mP with m >= 2 would give P.B = 2/m = 1 < phi(B),
-    so F is primitive.  Conversely B = E_1 + E_2 has B^2 = 4 and
-    E_1.B = 2; an isotropic E with E.B = 1 would pair to 0 with one E_i,
-    be a multiple of it, and so have E.B even.  B = mP with P^2 even needs
-    m^2 | 2, so B is primitive and c = content(L).
+    so F is primitive.  If phi(B) = 1, F = B - 2E has F^2 = 4 - 4 E.B = 0
+    and F.B = 2 > 0, so F is effective isotropic, and F.L >= phi(L) for
+    every polarization L (F.L > 0 by the Hodge index theorem).
+    Conversely B = E_1 + E_2 has B^2 = 4 and E_1.B = 2; an isotropic E
+    with E.B = 1 would pair to 0 with one E_i, be a multiple of it, and so
+    have E.B even.  B = mP with P^2 even needs m^2 | 2, so B is primitive
+    and c = content(L).
 
     That is the answer of the decomposition search: L = c(E_1 + E_2) if
     and only if ``decompose_isotropic(L)`` returns pattern (ii) with two

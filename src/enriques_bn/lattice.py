@@ -24,7 +24,12 @@ from bisect import bisect_left
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .errors import FormMismatchError, NotRealizableError, ZeroClassError
+from .errors import (
+    FormMismatchError,
+    NotRealizableError,
+    SearchExhaustedError,
+    ZeroClassError,
+)
 from .frozen import Frozen, set_field
 
 RANK = 10
@@ -510,12 +515,14 @@ def custom_configuration(gram_sub: Sequence[Sequence[int]]) -> ConfigurationPres
     return ConfigurationPresentation(len(g), g, CONFIG_CUSTOM)
 
 
-def embed_configuration(
-    p: ConfigurationPresentation,
-    form: IntersectionForm | None = None,
-    *,
-    max_height: int = 6,
-) -> list[NumClass]:
+#: The largest (f+g)-degree embed_configuration tries.  Each named pattern
+#: (i) 2..10, (ii) 2..10, (iii) 3..10 has a realization of degrees <= 2 (the
+#: search, least degree first, returns degrees <= 3); a custom pair two:k
+#: needs ceil(sqrt(k)) for k = 1..15, so 6 leaves room for custom sub-Grams.
+EMBED_MAX_HEIGHT = 6
+
+
+def embed_configuration(p: ConfigurationPresentation) -> list[NumClass]:
     """Find primitive isotropic classes E_1..E_n realizing the sub-Gram.
 
     Every returned class pairs positively with the reference class f+g, so
@@ -525,22 +532,22 @@ def embed_configuration(
     deterministic.  Candidates are generated lazily, class by class, so a
     fiber is searched only up to the first class the backtracking keeps,
     and the (large) high-degree fibers only when a pattern is hard to
-    realize.  Raises NotRealizableError, exhausted=True, if no solution shows
-    up with every degree <= max_height; exhausted=False, with no search, if
-    the sub-Gram, pulled back from Num of signature (1, 9), has more than
-    one positive eigenvalue.
+    realize.  Raises SearchExhaustedError if no solution shows up with
+    every degree <= EMBED_MAX_HEIGHT, and NotRealizableError, with no
+    search, if the sub-Gram, pulled back from Num of signature (1, 9), has
+    more than one positive eigenvalue.
     """
     from .shortvec import FiberSystem  # deferred: shortvec imports this module
 
     if inertia(p.gram_sub)[0] > 1:
         raise NotRealizableError("the sub-Gram has >1 positive eigenvalue; Num has 1")
-    form = form or canonical_form()
+    form = canonical_form()
     ample = basis_vector(0, form) + basis_vector(1, form)
 
     def candidates(chosen: list[NumClass], idx: int):
         fiber = FiberSystem(form, [ample] + chosen)
         wanted = [p.gram_sub[k][idx] for k in range(len(chosen))]
-        for height in range(1, max_height + 1):
+        for height in range(1, EMBED_MAX_HEIGHT + 1):
             # lazily, in lexicographic order: the fiber is searched only as
             # far as the backtracking asks
             yield from (
@@ -561,9 +568,8 @@ def embed_configuration(
         return False
 
     if not search(0):
-        raise NotRealizableError(
-            f"no embedding of the requested configuration with all degrees "
-            f"<= {max_height}",
-            exhausted=True,
+        raise SearchExhaustedError(
+            "no embedding of the requested configuration with all degrees "
+            f"<= EMBED_MAX_HEIGHT = {EMBED_MAX_HEIGHT}"
         )
     return chosen

@@ -555,9 +555,10 @@ def fraction_coefficients(gens: list, target) -> list[int] | None:
 
 
 def embed_eager(p, max_height: int = 6) -> list:
-    """``embed_configuration(p, max_height=max_height)`` with every fiber
-    built in full by ``FiberSystem.solutions``; same order, same errors."""
-    from enriques_bn.errors import NotRealizableError
+    """``embed_configuration(p)`` at ``EMBED_MAX_HEIGHT = max_height`` with
+    every fiber built in full by ``FiberSystem.solutions``; same order, same
+    errors."""
+    from enriques_bn.errors import SearchExhaustedError
     from enriques_bn.lattice import basis_vector, is_primitive
     from enriques_bn.shortvec import FiberSystem
 
@@ -585,8 +586,7 @@ def embed_eager(p, max_height: int = 6) -> list:
         return False
 
     if not search(0):
-        raise NotRealizableError(f"no embedding with degrees <= {max_height}",
-                                 exhausted=True)
+        raise SearchExhaustedError(f"no embedding with degrees <= {max_height}")
     return chosen
 
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from enriques_bn import errors, lattice
 from enriques_bn.cli import (
     EXIT_DOMAIN,
     EXIT_EXHAUSTED,
@@ -252,6 +253,45 @@ class TestExitCodes:
         )
         assert code == EXIT_EXHAUSTED
 
+    def test_each_error_class_has_one_exit_code(self, capsys, monkeypatch):
+        import enriques_bn.cli as cli_mod
+
+        raised = [
+            errors.ClassParseError("bad literal", 3),
+            errors.SearchExhaustedError("bound 1 hit"),
+            errors.NotRealizableError("refused"),
+            errors.FormMismatchError("two forms"),
+            errors.ZeroClassError("zero"),
+            errors.NotPositiveDefiniteError("indefinite"),
+            errors.PositiveSquareRequiredError("square 0"),
+            errors.NotAmpleEnoughError("not effective"),
+            errors.NotAmpleError("not ample"),
+            errors.GenusTooSmallError(3, 1, "non-hyperelliptic"),
+            errors.RangeError("d out of range"),
+            errors.CertificateError("recheck failed"),
+        ]
+        assert {type(ex) for ex in raised} == set(errors.EnriquesBNError.__subclasses__())
+        for ex in raised:
+            def explode(L, ex=ex):
+                raise ex
+
+            monkeypatch.setattr(cli_mod.inv, "decompose_isotropic", explode)
+            code, out = invoke(
+                capsys, "decompose", "--class", "2*E1+4*E2", "--config", "i:2"
+            )
+            want = {
+                errors.ClassParseError: EXIT_USAGE,
+                errors.SearchExhaustedError: EXIT_EXHAUSTED,
+            }.get(type(ex), EXIT_DOMAIN)
+            assert (code, out) == (want, ""), type(ex).__name__
+
+    def test_embedding_exhaustion_is_three(self, capsys, monkeypatch):
+        # E1.E2 = 2 needs a class of (f+g)-degree 2
+        monkeypatch.setattr(lattice, "EMBED_MAX_HEIGHT", 1)
+        code, out = invoke(
+            capsys, "invariants", "--class", "E1+E2", "--config", "two:2"
+        )
+        assert (code, out) == (EXIT_EXHAUSTED, "")
 
     def test_certificate_error_is_two(self, capsys, monkeypatch):
         import enriques_bn.invariants as inv_mod

@@ -260,6 +260,24 @@ class TestMuPoolGrowth:
                 base.status, base.value, base.witness
             )
 
+    def test_phi_one_candidates_start_at_three_phi(self):
+        """The lemma in multiple_content: B^2 = 4 with phi(B) = 1 is 2E + F,
+        E phi's witness and F effective isotropic, so F.L >= phi(L) and
+        B.L >= 3 phi(L), where mu's pool starts to fill."""
+        seen = Counter()
+        for _, _, L in structured_sweep(20):
+            floor = phi(L).value
+            lift = ComplementLift(L.num.form, L.num)
+            for t in range(1, 2 * floor + 3):
+                for b in lift.fiber(t, 4):
+                    r = phi(DivisorClass(b, 0))
+                    seen[r.value] += 1
+                    if r.value == 1:
+                        f = b - 2 * r.witness.num
+                        assert f.square == 0 and f.dot(L.num) >= floor
+                        assert t >= 3 * floor, (L.num.coords, b.coords)
+        assert seen == {1: 779, 2: 7131}
+
 
 class TestCertificateChecks:
     def test_phi_witness_off_the_positive_cone(self, monkeypatch):

@@ -4,9 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from enriques_bn import lattice
 from enriques_bn.errors import (
     FormMismatchError,
     NotRealizableError,
+    SearchExhaustedError,
     ZeroClassError,
 )
 from enriques_bn.lattice import (
@@ -65,9 +67,8 @@ class TestCanonicalForm:
         # positive eigenvalue: eigenvalues 9, 5, -7, -7 are refused unsearched
         cfg = custom_configuration([[0, 7, 1, 1], [7, 0, 1, 1], [1, 1, 0, 7], [1, 1, 7, 0]])
         assert inertia(cfg.gram_sub) == (2, 2, 0)
-        with pytest.raises(NotRealizableError) as exc:
+        with pytest.raises(NotRealizableError):
             embed_configuration(cfg)
-        assert not exc.value.exhausted
 
     def test_gram_is_symmetric_with_documented_blocks(self, form):
         g = form.gram
@@ -426,20 +427,22 @@ class TestEmbedConfiguration:
         with pytest.raises(NotRealizableError):
             custom_configuration([[0, 0], [0, 0]])
 
-    def test_search_exhaustion_reported(self):
+    def test_search_exhaustion_reported(self, monkeypatch):
+        # two:7 needs degree 3 = ceil(sqrt(7)); a run-out search names its bound
+        monkeypatch.setattr(lattice, "EMBED_MAX_HEIGHT", 1)
         cfg = custom_configuration([[0, 7], [7, 0]])
-        with pytest.raises(NotRealizableError) as exc:
-            embed_configuration(cfg, max_height=1)
-        assert exc.value.exhausted
+        with pytest.raises(SearchExhaustedError, match="EMBED_MAX_HEIGHT = 1"):
+            embed_configuration(cfg)
 
     @pytest.mark.parametrize("max_height", [1, 2, 6])
-    def test_lazy_candidates_against_the_eager_oracle(self, max_height):
+    def test_lazy_candidates_against_the_eager_oracle(self, max_height, monkeypatch):
         # every pattern (i) 2..10, (ii) 2..10, (iii) 3..10
+        monkeypatch.setattr(lattice, "EMBED_MAX_HEIGHT", max_height)
+
         def outcome(embed, cfg):
             try:
-                return [x.coords for x in embed(cfg, max_height=max_height)]
-            except NotRealizableError as exc:
-                assert exc.exhausted
+                return [x.coords for x in embed(cfg)]
+            except SearchExhaustedError:
                 return "exhausted"
 
         got = {}
@@ -447,7 +450,8 @@ class TestEmbedConfiguration:
             for n in range(smallest, 11):
                 cfg = make(n)
                 got[make.__name__, n] = outcome(embed_configuration, cfg)
-                assert got[make.__name__, n] == outcome(embed_eager, cfg)
+                eager = outcome(lambda p: embed_eager(p, max_height), cfg)
+                assert got[make.__name__, n] == eager
         assert len(got) == 26
         if max_height == 1:
             assert got["config_ii", 2] == "exhausted"
