@@ -15,7 +15,7 @@ from enriques_bn import (
 from enriques_bn.lattice import solve_integer_linear
 
 print("Short vectors of the square form x^2 + y^2 (Gram diag(2, 2)):")
-q = PosDefForm(2, ((2, 0), (0, 2)))
+q = PosDefForm(((2, 0), (0, 2)))
 for bound in (2, 4, 8):
     res = enumerate_short(q, bound)
     print(f"  bound {bound}: {len(res.vectors)} vectors: {list(res.vectors)}")
@@ -23,11 +23,11 @@ for bound in (2, 4, 8):
 print("\nProjection along a class L of positive square:")
 form = canonical_form()
 L = num_class([2, 4] + [0] * 8)
-lift = ComplementLift(form, L)
+lift = ComplementLift(L)
 # the complement of L: the integer kernel of x -> x.L, with the negated Gram
 _, kernel = solve_integer_linear([form.apply(L.coords)], [0])
 gram = tuple(tuple(-num_class(u).dot(num_class(v)) for v in kernel) for u in kernel)
-q_perp = PosDefForm(len(kernel), gram)
+q_perp = PosDefForm(gram)
 print(f"  L = {L.coords},  L^2 = {L.square}")
 print(f"  complement form has rank {q_perp.rank};"
       f" positive definite: {q_perp.is_positive_definite()}")

@@ -40,7 +40,7 @@ for d in range(rep.k, rep.genus - rep.k + 1):
 print("\nParameter-count chain on the d = 5 splittings:")
 for c in enumerate_destab(L, 5):
     diff = cohomology(c.M - c.N)
-    audit = param_count(rep.genus, 5, c.mn, 0, c.ell, diff.h1, diff.h2, k=rep.k)
+    audit = param_count(rep.genus, 5, c.mn, 0, diff.h1, diff.h2, k=rep.k)
     print(f"  M.N = {c.mn}: extensions <= {audit.ext_dim},"
           f" family <= {audit.p_dim}, sections Gr: {audit.gr_dim},"
           f" total {audit.total_bound} <= {audit.theorem_bound}")

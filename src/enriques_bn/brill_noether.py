@@ -41,7 +41,7 @@ class BNPrediction(NamedTuple):
     rows: tuple[tuple[int, int, int], ...]  # (d, rho, predicted dim)
     reason: str | None = None
     infinite_pencil: bool = False
-    notes: tuple[str, ...] = ()  # always (); the CLI prints it
+    notes = ()  # a class constant, not a field: the CLI prints it
 
     @property
     def applies(self) -> bool:
@@ -100,15 +100,16 @@ class DestabCandidate(Frozen):
     NamedTuple: callers read its fields per splitting, and on CPython 3.11 a
     slot read costs half a NamedTuple field read."""
 
-    __slots__ = _fields = ("M", "N", "d", "mn", "ell")
+    __slots__ = ("M", "N", "d", "mn", "ell")
+    _fields = ("M", "N", "d", "mn")  # ell, a slot, is set from d and mn
     checklist = _CHECKLIST  # the same for every splitting
 
-    def __init__(self, M: DivisorClass, N: DivisorClass, d: int, mn: int, ell: int):
+    def __init__(self, M: DivisorClass, N: DivisorClass, d: int, mn: int):
         set_field(self, "M", M)
         set_field(self, "N", N)
         set_field(self, "d", d)
         set_field(self, "mn", mn)
-        set_field(self, "ell", ell)
+        set_field(self, "ell", d - mn)
 
 
 def _isotropic_twists(c: int, l_torsion: int) -> tuple[int, ...]:
@@ -189,7 +190,7 @@ def enumerate_destab(L: DivisorClass, d: int) -> list[DestabCandidate]:
             for torsion_m in twists:
                 M = DivisorClass(m_num, torsion_m)
                 N = DivisorClass(n_num, L.torsion ^ torsion_m)
-                out.append(DestabCandidate(M, N, d, mn, d - mn))
+                out.append(DestabCandidate(M, N, d, mn))
     return out
 
 
@@ -256,7 +257,6 @@ def param_count(
     d: int,
     mn: int,
     i: int,
-    ell: int,
     h1_mn: int,
     h2_mn: int,
     *,
@@ -264,8 +264,8 @@ def param_count(
 ) -> ParamCountAudit:
     """Evaluate the parameter-count chain at one invariant vector.
 
-    i is the h^1 of the rank-2 bundle and can only be 0, 1 or 2; ell must
-    equal d - mn and be nonnegative.  The chain:
+    i is the h^1 of the rank-2 bundle and can only be 0, 1 or 2; the
+    length ell = d - mn must be nonnegative.  The chain:
 
         ext_dim   = ell + h1(M-N) - h2(M-N) - 1
         p_dim    <= 3d - 3 mn - 2i + h1(M-N) - h2(M-N) - 1
@@ -276,8 +276,9 @@ def param_count(
     """
     if i not in (0, 1, 2):
         raise ValueError(f"i must be 0, 1 or 2, got {i}")
-    if ell != d - mn or ell < 0:
-        raise ValueError(f"ell must equal d - mn >= 0, got ell={ell}, d-mn={d - mn}")
+    ell = d - mn
+    if ell < 0:
+        raise ValueError(f"ell = d - mn must be nonnegative, got {ell}")
     ext_dim = ell + h1_mn - h2_mn - 1
     p_dim = 3 * d - 3 * mn - 2 * i + h1_mn - h2_mn - 1
     e = g + 1 - d + i
@@ -339,7 +340,7 @@ class PlaneCoverFamilyReport(NamedTuple):
     plane_genus: int
     cs_bound: int
     cs_holds: bool
-    pencil_family_dim: int = 1
+    pencil_family_dim = 1  # a class constant, not a field
 
     def as_dict(self) -> dict:
         return {

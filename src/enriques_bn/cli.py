@@ -249,7 +249,7 @@ def _cmd_destab(config: dict, args) -> int:
             prof = cohomology(m_minus_n)
             row["audits"] = [
                 bn.param_count(
-                    rep.genus, args.d, c.mn, i, c.ell, prof.h1, prof.h2, k=rep.k
+                    rep.genus, args.d, c.mn, i, prof.h1, prof.h2, k=rep.k
                 )._asdict()
                 for i in (0, 1, 2)
             ]
@@ -326,7 +326,7 @@ def _cmd_selftest(config: dict, args) -> int:
         a = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
         gram = [[sum(a[r][i] * a[r][j] for r in range(n)) + (2 if i == j else 0)
                  for j in range(n)] for i in range(n)]
-        q = PosDefForm(n, tuple(tuple(row) for row in gram))
+        q = PosDefForm(tuple(tuple(row) for row in gram))
         res = enumerate_short(q, 6)
         ok &= all(0 < q.value(v) <= 6 for v in res.vectors)
         ok &= all(tuple(-c for c in v) in set(res.vectors) for v in res.vectors)

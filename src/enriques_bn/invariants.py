@@ -245,7 +245,7 @@ class Polarization:
                 f"got square {L.square}, status {st.witness}"
             )
         self.L = L
-        self.lift = ComplementLift(L.form, L)
+        self.lift = ComplementLift(L)
         self._isotropic: dict[int, tuple[NumClass, ...]] = {}
 
     def isotropic(self, t: int) -> tuple[NumClass, ...]:

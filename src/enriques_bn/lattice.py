@@ -460,14 +460,15 @@ class ConfigurationPresentation(Frozen):
     and third in 2, all remaining pairs meet in 1.
     """
 
-    __slots__ = _fields = ("n", "gram_sub", "label")
+    __slots__ = ("n", "gram_sub", "label")
+    _fields = ("gram_sub", "label")  # n, a slot, is read from gram_sub
 
-    def __init__(self, n: int, gram_sub: tuple, label: str = CONFIG_CUSTOM):
+    def __init__(self, gram_sub: tuple, label: str):
+        g, n = gram_sub, len(gram_sub)
         if not 1 <= n <= 10:
             raise NotRealizableError(f"need 1 <= n <= 10, got {n}")
-        g = gram_sub
-        if len(g) != n or any(len(row) != n for row in g):
-            raise NotRealizableError("sub-Gram size does not match n")
+        if any(len(row) != n for row in g):
+            raise NotRealizableError(f"sub-Gram size: every row needs n = {n} entries")
         for i in range(n):
             if g[i][i] != 0:
                 raise NotRealizableError(
@@ -495,24 +496,24 @@ def _pattern_gram(n: int, two_pairs: Sequence[tuple[int, int]]) -> tuple:
 
 
 def config_i(n: int) -> ConfigurationPresentation:
-    return ConfigurationPresentation(n, _pattern_gram(n, ()), CONFIG_I)
+    return ConfigurationPresentation(_pattern_gram(n, ()), CONFIG_I)
 
 
 def config_ii(n: int) -> ConfigurationPresentation:
     if n < 2:
         raise NotRealizableError("pattern (ii) needs n >= 2")
-    return ConfigurationPresentation(n, _pattern_gram(n, ((0, 1),)), CONFIG_II)
+    return ConfigurationPresentation(_pattern_gram(n, ((0, 1),)), CONFIG_II)
 
 
 def config_iii(n: int) -> ConfigurationPresentation:
     if n < 3:
         raise NotRealizableError("pattern (iii) needs n >= 3")
-    return ConfigurationPresentation(n, _pattern_gram(n, ((0, 1), (0, 2))), CONFIG_III)
+    return ConfigurationPresentation(_pattern_gram(n, ((0, 1), (0, 2))), CONFIG_III)
 
 
 def custom_configuration(gram_sub: Sequence[Sequence[int]]) -> ConfigurationPresentation:
     g = tuple(tuple(int(x) for x in row) for row in gram_sub)
-    return ConfigurationPresentation(len(g), g, CONFIG_CUSTOM)
+    return ConfigurationPresentation(g, CONFIG_CUSTOM)
 
 
 #: The largest (f+g)-degree embed_configuration tries.  Each named pattern
@@ -541,11 +542,10 @@ def embed_configuration(p: ConfigurationPresentation) -> list[NumClass]:
 
     if inertia(p.gram_sub)[0] > 1:
         raise NotRealizableError("the sub-Gram has >1 positive eigenvalue; Num has 1")
-    form = canonical_form()
-    ample = basis_vector(0, form) + basis_vector(1, form)
+    ample = basis_vector(0) + basis_vector(1)
 
     def candidates(chosen: list[NumClass], idx: int):
-        fiber = FiberSystem(form, [ample] + chosen)
+        fiber = FiberSystem([ample] + chosen)
         wanted = [p.gram_sub[k][idx] for k in range(len(chosen))]
         for height in range(1, EMBED_MAX_HEIGHT + 1):
             # lazily, in lexicographic order: the fiber is searched only as

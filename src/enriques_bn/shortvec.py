@@ -32,30 +32,34 @@ the search at the first class it keeps.  Every class of an exact search is
 still square-checked before a caller sees it.
 
 One fiber class, :class:`FiberSystem`, runs every search on the kernel of
-its constraint classes.  One unimodular row reduction, run once at build,
-gives that kernel in echelon form and the pivot classes whose integer
-combinations are the particular solutions; the pivot classes' pairings with
-the kernel and with each other are stored too, so a value vector costs a
-forward substitution and no solve.  A :class:`ComplementLift` is the
-one-constraint case, with values (t,).  A lift is immutable data fixed by
-(form, L) alone and each call runs its own search on it, so callers may
-share one and keep every certificate; ``invariants.polarization`` keeps one
-per class, and phi, mu and ``decompose_isotropic`` search only its fibers.
+its constraint classes, in their form.  One unimodular row reduction, run
+once at build, gives that kernel in echelon form and the pivot classes whose
+integer combinations are the particular solutions; the pivot classes'
+pairings with the kernel and with each other are stored too, so a value
+vector costs a forward substitution and no solve.  Each search is two
+routines: :meth:`FiberSystem._enumerate` lifts and square-checks the points
+that the Fincke-Pohst loop :meth:`_ScaledLDL.search` yields.  A
+:class:`ComplementLift` is the one-constraint case, with values (t,).  A
+lift is immutable data fixed by L alone and each call runs its own search on
+it, so callers may share one and keep every certificate;
+``invariants.polarization`` keeps one per class, and phi, mu and
+``decompose_isotropic`` search only its fibers.
 """
 
 from __future__ import annotations
 
 import math
 from operator import mul
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     CertificateError,
+    FormMismatchError,
     NotPositiveDefiniteError,
     PositiveSquareRequiredError,
 )
 from .frozen import Frozen, set_field
-from .lattice import IntersectionForm, NumClass, _reduce, _substitute, inertia
+from .lattice import NumClass, _reduce, _substitute, inertia
 
 if TYPE_CHECKING:  # fractions is imported only where a rational is built
     from fractions import Fraction
@@ -64,13 +68,15 @@ if TYPE_CHECKING:  # fractions is imported only where a rational is built
 class PosDefForm(Frozen):
     """A positive-definite rational quadratic form, stored as numer/denom."""
 
-    __slots__ = _fields = ("rank", "numer", "denom")
+    __slots__ = ("rank", "numer", "denom")
+    _fields = ("numer", "denom")  # rank, a slot, is read from numer
 
-    def __init__(self, rank: int, numer: tuple[tuple[int, ...], ...], denom: int = 1):
+    def __init__(self, numer: tuple[tuple[int, ...], ...], denom: int = 1):
         if denom <= 0:
             raise ValueError("denominator must be positive")
-        if len(numer) != rank or any(len(r) != rank for r in numer):
-            raise ValueError("matrix size does not match rank")
+        rank = len(numer)
+        if any(len(r) != rank for r in numer):
+            raise ValueError(f"matrix size: every row needs {rank} entries")
         for i in range(rank):
             for j in range(i):
                 if numer[i][j] != numer[j][i]:
@@ -103,8 +109,8 @@ class ShortVectorResult(NamedTuple):
 
 
 class _ScaledLDL:
-    """The LDL^T factors of a positive-definite integer Gram matrix G,
-    scaled to integers so that every search runs on Python ints alone.
+    """The LDL^T factors of a positive-definite integer Gram matrix G, scaled
+    to integers, and the Fincke-Pohst search on them (:meth:`search`), on ints.
 
     With d_i = dn_i / dd and r_ij = rows[i][j-i-1] / s (j > i),
 
@@ -164,85 +170,71 @@ class _ScaledLDL:
         self, b: Sequence[int], excess: int, exact: bool
     ) -> Iterator[tuple[int, ...]]:
         """All integer y with q(y - c) <= excess + b.c (== if exact), c = G^-1 b,
-        lazily, in the order of :func:`_scaled_search`.  The bound is scaled
-        by dd * s^2 exactly, on ints.
+        lazily.  Scaled by dd * s^2 with e = centre_map @ b, that is
+        sum_i dn_i (s*y_i - c_i)^2 <= rem = excess * dd * s^2 + sum_i dn_i e_i^2,
+        where c_i = e_i - sum_{j>i} rows[i][j-i-1] * y_j.
+
+        Fincke-Pohst on ints: at level i the admissible s*y_i lie within
+        isqrt(rem // dn_i) of c_i, and every y_i in that range fits, so nothing
+        is rechecked.  The shell solves the last coordinate from a perfect-square
+        test and a divisibility test by s instead of scanning it.
+
+        Depth first from level n - 1 down to level 0, each level in ascending
+        order (the shell's (c - h)/s before (c + h)/s), on an explicit stack.
         """
+        dn, s, rows = self.dn, self.s, self.rows
         centre = [sum(map(mul, row, b)) for row in self.centre_map]
-        rem = excess * self.dd * self.s * self.s + sum(
-            di * ci * ci for di, ci in zip(self.dn, centre)
-        )
-        return _scaled_search(self.dn, self.s, self.rows, centre, rem, exact)
-
-
-def _scaled_search(
-    dn: Sequence[int],
-    s: int,
-    rows: Sequence[Sequence[int]],
-    centre: Sequence[int],
-    rem: int,
-    exact: bool,
-) -> Iterator[tuple[int, ...]]:
-    """All integer y with sum_i dn_i (s*y_i - c_i)^2 <= rem (== rem if exact),
-    where c_i = centre_i - sum_{j>i} rows[i][j-i-1] * y_j, lazily.
-
-    Fincke-Pohst on ints: at level i the admissible s*y_i lie within
-    isqrt(rem // dn_i) of c_i, and every y_i in that range fits, so nothing
-    is rechecked.  The shell solves the last coordinate from a perfect-square
-    test and a divisibility test by s instead of scanning it.
-
-    Depth first from level n - 1 down to level 0, each level in ascending
-    order (the shell's (c - h)/s before (c + h)/s), on an explicit stack.
-    """
-    if rem < 0:
-        return
-    n = len(dn)
-    if n == 0:
-        if rem == 0 or not exact:
-            yield ()
-        return
-    y = [0] * n
-    c = [0] * n  # the centre of each open level
-    hi = [0] * n  # the last y_i of each open level
-    rems = [0] * n + [rem]  # rems[i + 1]: the bound left for level i
-    i = n - 1
-    descend = True
-    while True:
-        if descend:
-            ci = centre[i] - sum(map(mul, rows[i], y[i + 1:]))
-            r, di = rems[i + 1], dn[i]
-            if i == 0:
-                tail = tuple(y[1:])
-                if exact:
-                    q, odd = divmod(r, di)
-                    h = math.isqrt(q)
-                    if not odd and h * h == q:
-                        for z in (ci - h, ci + h) if h else (ci,):
-                            if z % s == 0:
-                                yield (z // s,) + tail
+        rem = excess * self.dd * s * s + sum(di * ci * ci for di, ci in zip(dn, centre))
+        if rem < 0:
+            return
+        n = len(dn)
+        if n == 0:
+            if rem == 0 or not exact:
+                yield ()
+            return
+        y = [0] * n
+        c = [0] * n  # the centre of each open level
+        hi = [0] * n  # the last y_i of each open level
+        rems = [0] * n + [rem]  # rems[i + 1]: the bound left for level i
+        i = n - 1
+        descend = True
+        while True:
+            if descend:
+                ci = centre[i] - sum(map(mul, rows[i], y[i + 1:]))
+                r, di = rems[i + 1], dn[i]
+                if i == 0:
+                    tail = tuple(y[1:])
+                    if exact:
+                        q, odd = divmod(r, di)
+                        h = math.isqrt(q)
+                        if not odd and h * h == q:
+                            for z in (ci - h, ci + h) if h else (ci,):
+                                if z % s == 0:
+                                    yield (z // s,) + tail
+                    else:
+                        h = math.isqrt(r // di)
+                        for y0 in range(-((h - ci) // s), (ci + h) // s + 1):
+                            yield (y0,) + tail
+                    if n == 1:
+                        return
+                    i = 1
                 else:
                     h = math.isqrt(r // di)
-                    for y0 in range(-((h - ci) // s), (ci + h) // s + 1):
-                        yield (y0,) + tail
-                if n == 1:
+                    c[i] = ci
+                    y[i] = -((h - ci) // s) - 1
+                    hi[i] = (ci + h) // s
+            yi = y[i] + 1
+            if yi > hi[i]:
+                i += 1
+                if i == n:
                     return
-                i = 1
-            else:
-                h = math.isqrt(r // di)
-                c[i] = ci
-                y[i] = -((h - ci) // s) - 1
-                hi[i] = (ci + h) // s
-        yi = y[i] + 1
-        if yi > hi[i]:
-            i += 1
-            if i == n:
-                return
-            descend = False
-            continue
-        y[i] = yi
-        z = s * yi - c[i]
-        rems[i] = rems[i + 1] - dn[i] * z * z
-        i -= 1
-        descend = True
+                descend = False
+                continue
+            y[i] = yi
+            z = s * yi - c[i]
+            rems[i] = rems[i + 1] - dn[i] * z * z
+            i -= 1
+            descend = True
 
 
 def enumerate_short(q: PosDefForm, bound: int | Fraction) -> ShortVectorResult:
@@ -259,28 +251,6 @@ def enumerate_short(q: PosDefForm, bound: int | Fraction) -> ShortVectorResult:
     return ShortVectorResult(bound=bound, vectors=vectors)
 
 
-def _lift_points(
-    form: IntersectionForm,
-    base: Sequence[int],
-    entries: Sequence[Sequence[tuple[int, int]]],
-    pts: Iterable[tuple[int, ...]],
-) -> Iterator[NumClass]:
-    """x0 + sum y_i * kernel_i for every point, lazily, in the order of pts,
-    where ``base`` holds the coordinates of x0.
-
-    ``entries`` holds the nonzero (column, value) pairs of each kernel
-    vector, built once per basis by :meth:`FiberSystem._set_up`; the
-    echelon vectors of U + E8(-1) complements have two or three.
-    """
-    for y in pts:
-        acc = list(base)
-        for yi, vector in zip(y, entries):
-            if yi:
-                for j, a in vector:
-                    acc[j] += yi * a
-        yield NumClass(tuple(acc), form)
-
-
 class FiberSystem:
     """Integer classes with prescribed pairings against fixed classes.
 
@@ -293,12 +263,12 @@ class FiberSystem:
     substitution and linear combinations of pairings stored at build.
     """
 
-    def __init__(self, form: IntersectionForm, classes: Sequence[NumClass]):
-        self._set_up(form, classes)
+    def __init__(self, classes: Sequence[NumClass]):
+        self._set_up(classes)
 
-    def _set_up(self, form: IntersectionForm, classes: Sequence[NumClass]) -> None:
+    def _set_up(self, classes: Sequence[NumClass]) -> None:
         """Reduce the pairing rows of ``classes`` once (:func:`lattice._reduce`)
-        and keep what every search needs.
+        and keep what every search needs.  The classes must share one form.
 
         The pivot classes w_i (the ``units`` of the reduction) carry their
         pairings with the constraint classes, with the kernel and with each
@@ -314,7 +284,9 @@ class FiberSystem:
         B_r[p_r] > 0.  The search scans every level in ascending order, so it
         emits the classes x in strictly increasing lexicographic order.
         """
-        self.form = form
+        self.form = form = classes[0].form
+        if any(u.form is not form and u.form != form for u in classes):
+            raise FormMismatchError("constraint classes live in different forms")
         rows = [form.apply(u.coords) for u in classes]
         pivots, heads, units, kernel = _reduce(rows)
         vectors = kernel[::-1]
@@ -342,45 +314,39 @@ class FiberSystem:
         ]
         self._split = (form.rank, form.rank + k)
 
-    def _particular(
-        self, values: Sequence[int]
-    ) -> tuple[list[int], list[int], int] | None:
-        """The coordinates of a class x0 = sum c_i w_i with x0.u_j = values[j],
-        its pairings b with the kernel and x0^2; None when no integer class
-        has these pairings.
-
-        One linear combination of the pivot rows gives x0, b and every x0.w_j,
-        and x0^2 = sum_j c_j (x0.w_j).  The span of the constraint classes
-        holds a class of positive square, so there is at least one w_i.
-        """
-        c = _substitute(self._pivots, self._heads, values)
-        if c is None:
-            return None
-        rows = self._pivot_rows
-        acc = [c[0] * a for a in rows[0]]
-        for i in range(1, len(c)):
-            ci = c[i]
-            acc = [a + ci * e for a, e in zip(acc, rows[i])]
-        rank, end = self._split
-        return acc[:rank], acc[rank:end], sum(map(mul, c, acc[end:]))
-
     def _enumerate(
         self, values: Sequence[int], square: int, exact: bool
     ) -> Iterator[NumClass]:
         """All x with x.u_j = values[j] and x^2 == square (>= square unless
         exact), lazily, in lexicographic order (see :meth:`_set_up`).
 
-        With x = x0 + sum y_i k_i and b_i = x0.k_i, x^2 = x0^2 + b.c - q(y - c)
-        for c = G^-1 b, an ellipsoid bound on y.  An exact search rechecks the
-        square of every class it yields and raises CertificateError on a
-        mismatch.
+        A forward substitution gives x0 = sum c_i w_i with x0.u_j = values[j]
+        (none: no integer class has these pairings).  One linear combination
+        of the pivot rows gives x0, its pairings b with the kernel and every
+        x0.w_j, and x0^2 = sum_j c_j (x0.w_j); the span of the constraint
+        classes holds a class of positive square, so there is a w_i.  With
+        x = x0 + sum y_i k_i, x^2 = x0^2 + b.c - q(y - c) for c = G^-1 b, an
+        ellipsoid bound on y.  Each y is lifted through the kernel's nonzero
+        entries, and an exact search rechecks the square of every class it
+        yields, raising CertificateError on a mismatch.
         """
-        particular = self._particular(values)
-        if particular is None:
+        c = _substitute(self._pivots, self._heads, values)
+        if c is None:
             return
-        x0, b, x0_square = particular
-        pts = self._ldl.search(b, x0_square - square, exact)
-        for x in _lift_points(self.form, x0, self._entries, pts):
+        rows = self._pivot_rows
+        acc = [c[0] * a for a in rows[0]]
+        for ci, row in zip(c[1:], rows[1:]):
+            acc = [a + ci * e for a, e in zip(acc, row)]
+        rank, end = self._split
+        excess = sum(map(mul, c, acc[end:])) - square
+        form, entries = self.form, self._entries
+        for y in self._ldl.search(acc[rank:end], excess, exact):
+            coords = acc[:rank]
+            for yi, vector in zip(y, entries):
+                if yi:
+                    for j, a in vector:
+                        coords[j] += yi * a
+            x = NumClass(tuple(coords), form)
             if exact and x.square != square:
                 raise CertificateError(
                     f"enumerated class {x.coords} has square {x.square}, not {square}"
@@ -414,7 +380,7 @@ class ComplementLift(FiberSystem):
     vector, so the fiber at t = m * degree_step starts from m * w.
     """
 
-    def __init__(self, form: IntersectionForm, L: NumClass):
+    def __init__(self, L: NumClass):
         # not FiberSystem.__init__: perfbench/tracer.py counts each
         # __init__ as one build
         if L.square <= 0:
@@ -422,7 +388,7 @@ class ComplementLift(FiberSystem):
                 f"projection needs L^2 > 0, got {L.square}"
             )
         self.L = L
-        self._set_up(form, [L])
+        self._set_up([L])
         self.degree_step = self._heads[0][0]  # x.L always lies in its multiples
 
     def fiber(self, t: int, square: int) -> list[NumClass]:

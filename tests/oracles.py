@@ -566,7 +566,7 @@ def embed_eager(p, max_height: int = 6) -> list:
     ample = basis_vector(0, form) + basis_vector(1, form)
 
     def candidates(chosen, idx):
-        fiber = FiberSystem(form, [ample] + chosen)
+        fiber = FiberSystem([ample] + chosen)
         wanted = [p.gram_sub[k][idx] for k in range(len(chosen))]
         for height in range(1, max_height + 1):
             yield from (
@@ -619,7 +619,7 @@ def mu_whole_pool(L, cap: int):
     from enriques_bn.lattice import DivisorClass
     from enriques_bn.shortvec import ComplementLift
 
-    lift = ComplementLift(L.num.form, L.num)
+    lift = ComplementLift(L.num)
     disc = cap * cap - 4 * L.square
     pool_bound = (cap + math.isqrt(disc)) // 4 if disc >= 0 else 0
     iso_pool = [e for s in range(1, pool_bound + 1) for e in lift.fiber(s, 0)]
@@ -642,7 +642,7 @@ def mu_searched_pool(L, cap: int):
     from enriques_bn.lattice import DivisorClass
     from enriques_bn.shortvec import ComplementLift
 
-    lift = ComplementLift(L.num.form, L.num)
+    lift = ComplementLift(L.num)
     iso_pool: list = []
     pool_degree = 0
 
@@ -673,7 +673,7 @@ def destab_unpruned(L, d: int) -> list:
     from enriques_bn.positivity import cohomology
     from enriques_bn.shortvec import ComplementLift
 
-    lift = ComplementLift(L.num.form, L.num)
+    lift = ComplementLift(L.num)
     out = []
     for t in range(1, L.square // 2 + 1):
         for n_num in lift.fiber_min_square(t, 0):
@@ -702,7 +702,7 @@ def destab_unpruned(L, d: int) -> list:
                 if profile in seen_profiles:
                     continue
                 seen_profiles.append(profile)
-                out.append(DestabCandidate(M, N, d, mn, ell))
+                out.append(DestabCandidate(M, N, d, mn))
     out.sort(key=lambda c: (c.N.dot(L), c.N.num.coords, c.M.torsion))
     return out
 
@@ -779,7 +779,7 @@ def decompose_subset_search(L):
     if L.square == 0:
         c, prim = content(L.num)
         return IsotropicDecomposition((DivisorClass(prim, 0),), (c,), CONFIG_I)
-    lift = ComplementLift(L.num.form, L.num)
+    lift = ComplementLift(L.num)
     a0 = reference_ample(L.num.form).num
     l_sq = L.square
     cands, deg_l, deg_a0 = [], [], []
@@ -913,7 +913,7 @@ def decompose_prefix_systems(L):
         return IsotropicDecomposition((DivisorClass(prim, 0),), (c,), CONFIG_I)
     target = L.num
     form = target.form
-    lift = ComplementLift(form, target)
+    lift = ComplementLift(target)
     floor = phi(L).value
     floor_fiber = lift.fiber(floor, 0)
     budget = DECOMPOSE_MAX_NODES
@@ -933,7 +933,7 @@ def decompose_prefix_systems(L):
                 key = tuple(e.coords for e in gens)
                 source = systems.get(key)
                 if source is None:
-                    source = systems[key] = FiberSystem(form, [target] + gens)
+                    source = systems[key] = FiberSystem([target] + gens)
                 candidates = (
                     x for x in source.iter_solutions(column, 0) if is_primitive(x)
                 )

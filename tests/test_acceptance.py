@@ -103,7 +103,7 @@ def test_04_short_vector_oracle_equivalence():
                 )
                 for i in range(n)
             )
-            q = PosDefForm(n, gram)
+            q = PosDefForm(gram)
             bound = rng.randint(1, 20)
             got = set(enumerate_short(q, bound).vectors)
             assert got == box_short_vectors(gram, 1, bound)
@@ -147,7 +147,7 @@ def test_07_parameter_count_chain():
             for d in range(1, g + 1):
                 for mn in range(0, d + 1):
                     for i in (0, 1, 2):
-                        a = param_count(g, d, mn, i, d - mn, 0, 0, k=mn + 1)
+                        a = param_count(g, d, mn, i, 0, 0, k=mn + 1)
                         assert a.total_bound == g - 2 + d - mn
                         for k in range(1, mn + 2):  # all k with mn >= k - 1
                             assert a.total_bound <= g - 1 + d - k

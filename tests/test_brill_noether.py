@@ -132,8 +132,9 @@ class TestEnumerateDestab:
         assert list(got) == ["a", "b", "c", "d", "e"] and got == PASSED
         got["a"] = False  # a new dict on each call
         assert second.checklist.as_dict() == PASSED
-        twin = DestabCandidate(first.M, first.N, first.d, first.mn, first.ell)
+        twin = DestabCandidate(first.M, first.N, first.d, first.mn)
         assert twin == first and hash(twin) == hash(first)
+        assert twin.ell == first.ell == first.d - first.mn
         assert twin != second
 
     def test_low_section_splittings_are_excluded(self, polarization):
@@ -190,12 +191,14 @@ class TestEnumerateDestab:
 class TestDestabPruning:
     @staticmethod
     def destab_inputs(pair_one):
-        """The benchmark's six destab classes, plus f + 6g with torsion 1."""
+        """The benchmark's six destab classes, plus f + 6g with torsion 1 and
+        6E1 + 2E2 (L^2 = 24, k = 4), whose lists hold M.L = N.L ties."""
         e1, e2 = pair_one
         f_g = ((1, 6), (1, 8), (1, 10), (2, 5), (3, 4))
         classes = [divisor_class([a, b] + [0] * 8) for a, b in f_g]
         classes.append(DivisorClass(2 * e1 + 4 * e2, 0))
         classes.append(divisor_class([1, 6] + [0] * 8, torsion=1))
+        classes.append(DivisorClass(6 * e1 + 2 * e2, 0))
         for L in classes:
             rep = gonality(L)
             for d in range(rep.k, rep.genus - rep.k + 1):
@@ -205,18 +208,19 @@ class TestDestabPruning:
         """The arithmetic conditions and the pruned sweep give the list that
         the cohomology of every splitting gives, order and twists
         included."""
-        total = 0
+        total = ties = 0
         isotropic = set()  # (content of N, torsion of M, torsion of L)
         for L, d in self.destab_inputs(pair_one):
             cands = enumerate_destab(L, d)
             assert cands == destab_unpruned(L, d)
             total += len(cands)
+            ties += sum(2 * c.N.dot(L) == L.square for c in cands)
             isotropic |= {
                 (content(c.N.num)[0], c.M.torsion, L.torsion)
                 for c in cands
                 if c.N.square == 0
             }
-        assert total > 0
+        assert total > 0 and ties > 0  # the tie dedup runs
         contents = {c for c, _, _ in isotropic}
         assert 2 in contents and {3, 5} & contents
         # an even content of at least 4 lists both twists, under both L
@@ -278,26 +282,24 @@ class TestCliffChainBound:
 
 class TestParamCount:
     def test_interior_case(self):
-        audit = param_count(9, 5, 4, 0, 1, 0, 0, k=4)
+        audit = param_count(9, 5, 4, 0, 0, 0, k=4)
         assert audit.total_bound == 8
         assert audit.theorem_bound == 9
         assert audit.total_bound <= audit.theorem_bound
 
     def test_saturating_case(self):
-        audit = param_count(9, 5, 3, 0, 2, 0, 0, k=4)
+        audit = param_count(9, 5, 3, 0, 0, 0, k=4)
         assert audit.total_bound == 9 == audit.theorem_bound
 
     def test_no_extensions_without_points(self):
-        audit = param_count(9, 4, 4, 0, 0, 0, 0, k=4)
+        audit = param_count(9, 4, 4, 0, 0, 0, k=4)
         assert audit.ext_dim == -1
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
-            param_count(9, 5, 4, 3, 1, 0, 0, k=4)
+            param_count(9, 5, 4, 3, 0, 0, k=4)
         with pytest.raises(ValueError):
-            param_count(9, 5, 4, 0, 2, 0, 0, k=4)  # ell != d - mn
-        with pytest.raises(ValueError):
-            param_count(9, 5, 6, 0, -1, 0, 0, k=4)  # negative ell
+            param_count(9, 5, 6, 0, 0, 0, k=4)  # negative ell = d - mn
 
     def test_grid(self):
         for g in range(2, 41):
@@ -305,7 +307,7 @@ class TestParamCount:
                 for mn in range(0, d + 1):
                     for i in (0, 1, 2):
                         for h1, h2 in ((0, 0), (1, 0), (2, 1)):
-                            a = param_count(g, d, mn, i, d - mn, h1, h2, k=mn + 1)
+                            a = param_count(g, d, mn, i, h1, h2, k=mn + 1)
                             assert a.total_bound == g - 2 + d - mn
                             # mn >= k - 1 by construction here
                             assert a.total_bound <= a.theorem_bound
@@ -325,6 +327,10 @@ class TestStableCase:
     def test_negative_dimensions_not_clamped(self):
         audit = stable_case_audit(2, 1)
         assert audit.moduli_dim == -1
+
+    def test_input_validation(self):
+        with pytest.raises(ValueError):
+            stable_case_audit(1, 0)
 
     def test_bound_monotone_in_d(self):
         for g in range(4, 20):

@@ -213,7 +213,7 @@ class TestMuFirstHit:
                 not_found += 1
                 continue
             assert res.exact and (res.value, res.witness.num.coords) == want
-            fiber = ComplementLift(L.num.form, L.num).fiber(res.value + 2, 4)
+            fiber = ComplementLift(L.num).fiber(res.value + 2, 4)
             first_rejected += fiber[0].coords != want[1]
         assert first_rejected and not_found  # both paths of the search ran
 
@@ -267,7 +267,7 @@ class TestMuPoolGrowth:
         seen = Counter()
         for _, _, L in structured_sweep(20):
             floor = phi(L).value
-            lift = ComplementLift(L.num.form, L.num)
+            lift = ComplementLift(L.num)
             for t in range(1, 2 * floor + 3):
                 for b in lift.fiber(t, 4):
                     r = phi(DivisorClass(b, 0))
@@ -511,6 +511,10 @@ class TestDecompose:
         assert dec.coefficients == (1,)
         assert dec.configuration == "config-i"
 
+    def test_refuses_a_class_that_is_not_effective(self):
+        with pytest.raises(NotAmpleEnoughError):
+            decompose_isotropic(DivisorClass(-basis_vector(0), 0))
+
     def test_isotropic_multiple(self, pair_one):
         e1, _ = pair_one
         dec = decompose_isotropic(DivisorClass(2 * e1, 0))
@@ -705,9 +709,9 @@ class TestDecomposeCuts:
         builds, degrees = [], []
         real_set_up, real_fiber = FiberSystem._set_up, ComplementLift.fiber
 
-        def building(self, form, classes):
+        def building(self, classes):
             builds.append(len(classes))
-            real_set_up(self, form, classes)
+            real_set_up(self, classes)
 
         def recording(self, t, square):
             degrees.append(t)
@@ -770,7 +774,7 @@ class TestIsotropicFloor:
 
     def test_nothing_below_phi_and_all_primitive_at_it(self):
         for L in floor_classes():
-            lift = ComplementLift(L.num.form, L.num)
+            lift = ComplementLift(L.num)
             value = phi(L).value
             assert not any(lift.fiber(t, 0) for t in range(1, value))
             at_phi = lift.fiber(value, 0)
@@ -867,7 +871,7 @@ class TestStoredIsotropicFibers:
             mu(L, 2 * value + 6)
             pol = invariants.polarization(L.num)
             assert not any(pol.isotropic(t) for t in range(1, value))
-            fresh = ComplementLift(L.num.form, L.num)
+            fresh = ComplementLift(L.num)
             for t, fiber in pol._isotropic.items():
                 assert isinstance(fiber, tuple) and pol.isotropic(t) is fiber
                 assert fiber == tuple(fresh.fiber(t, 0)), (L.num.coords, t)
@@ -1026,7 +1030,7 @@ class TestPolarizationCache:
         for pol in pols:
             M, lift = pol.L, pol.lift
             assert lift.L == M and lift.form == M.form
-            assert lift._entries == ComplementLift(M.form, M)._entries
+            assert lift._entries == ComplementLift(M)._entries
             t = lift.degree_step
             assert all(x.form == M.form and x.dot(M) == t for x in lift.fiber(t, 0))
 

@@ -264,6 +264,13 @@ class TestDivisorClass:
         b = DivisorClass(e2, 1)
         assert a.dot(b) == e1.dot(e2)
 
+    def test_integer_multiples(self):
+        d = divisor_class([1, 2, 0, 0, 0, 1, 0, 0, 0, 0], 1)
+        assert (3 * d).torsion == 1 and (2 * d).torsion == 0  # 2K_S ~ 0
+        assert d * 3 == 3 * d and (3 * d).num == 3 * d.num
+        with pytest.raises(TypeError):
+            d * 1.5
+
     def test_bool_torsion_rejected(self, pair_one):
         # True == 1, but a bool bit would print as the non-JSON `True`
         for bit in (True, False):
@@ -413,6 +420,12 @@ class TestEmbedConfiguration:
     def test_deterministic(self, pair_two):
         again = embed_configuration(config_ii(2))
         assert again == list(pair_two)
+
+    def test_named_patterns_need_enough_classes(self):
+        with pytest.raises(NotRealizableError, match="n >= 2"):
+            config_ii(1)
+        with pytest.raises(NotRealizableError, match="n >= 3"):
+            config_iii(2)
 
     def test_nonzero_diagonal_rejected(self):
         with pytest.raises(NotRealizableError):

@@ -5,6 +5,11 @@ validate their input or keep derived state (and the destab record, read
 once per splitting) are slotted immutable classes.  Every one refuses
 assignment with AttributeError, compares and hashes by value, survives a
 pickle round trip, and rejects invalid input with the package's errors.
+
+A value that the other fields fix is not a field: ``PosDefForm.rank``,
+``ConfigurationPresentation.n`` and ``DestabCandidate.ell`` are slots set
+in ``__init__``, and ``BNPrediction.notes`` and
+``PlaneCoverFamilyReport.pencil_family_dim`` are class constants.
 """
 
 import pickle
@@ -23,6 +28,7 @@ from enriques_bn.errors import NotRealizableError
 from enriques_bn.frozen import Frozen
 from enriques_bn.invariants import decompose_isotropic, gonality
 from enriques_bn.lattice import (
+    CONFIG_CUSTOM,
     ConfigurationPresentation,
     DivisorClass,
     IntersectionForm,
@@ -40,7 +46,7 @@ def sample_records():
     num = NumClass((1, 6, 0, 0, 0, 0, 0, 0, 0, 0), form)  # f + 6g
     L = DivisorClass(num, 0)
     rep = gonality(L)
-    posdef = PosDefForm(2, ((2, 1), (1, 2)))
+    posdef = PosDefForm(((2, 1), (1, 2)))
     return {
         "IntersectionForm": form,
         "NumClass": num,
@@ -53,7 +59,7 @@ def sample_records():
         "IsotropicDecomposition": decompose_isotropic(L),
         "BNPrediction": predict_w1d(L),
         "DestabCandidate": enumerate_destab(L, rep.k)[0],
-        "ParamCountAudit": param_count(13, 5, 5, 0, 0, 0, 0, k=2),
+        "ParamCountAudit": param_count(13, 5, 5, 0, 0, 0, k=2),
         "PlaneCoverFamilyReport": plane_cover_family_report(3),
         "StableCaseAudit": stable_case_audit(13, 5),
         "ShortVectorResult": enumerate_short(posdef, 2),
@@ -173,23 +179,36 @@ class TestValidation:
 
     def test_posdef_form(self):
         with pytest.raises(ValueError, match="denominator"):
-            PosDefForm(1, ((1,),), 0)
+            PosDefForm(((1,),), 0)
         with pytest.raises(ValueError, match="size"):
-            PosDefForm(2, ((1, 0),))
+            PosDefForm(((1, 0),))
         with pytest.raises(ValueError, match="symmetric"):
-            PosDefForm(2, ((2, 1), (0, 2)))
-        assert PosDefForm(1, ((3,),), 2).value((1,)) == Fraction(3, 2)
+            PosDefForm(((2, 1), (0, 2)))
+        q = PosDefForm(((3,),), 2)
+        assert q.rank == 1 and q.value((1,)) == Fraction(3, 2)
 
     @pytest.mark.parametrize(
         "n, gram, match",
         [
             (0, (), "1 <= n <= 10"),
-            (2, ((0, 1),), "size"),
+            (2, ((0, 1), (1,)), "size"),
             (2, ((1, 1), (1, 0)), "zero diagonal"),
             (2, ((0, 1), (2, 0)), "symmetric"),
             (2, ((0, 0), (0, 0)), "pair positively"),
         ],
     )
     def test_configuration(self, n, gram, match):
+        assert len(gram) == n  # the presentation reads n from the rows
         with pytest.raises(NotRealizableError, match=match):
-            ConfigurationPresentation(n, gram)
+            ConfigurationPresentation(gram, CONFIG_CUSTOM)
+
+    def test_derived_values_are_not_fields(self):
+        p = RECORDS["ConfigurationPresentation"]
+        assert p.n == 3 and "n" not in p._fields
+        assert "rank" not in RECORDS["PosDefForm"]._fields
+        assert "ell" not in RECORDS["DestabCandidate"]._fields
+        assert "notes" not in RECORDS["BNPrediction"]._fields
+        assert RECORDS["BNPrediction"].notes == ()
+        report = RECORDS["PlaneCoverFamilyReport"]
+        assert "pencil_family_dim" not in report._fields
+        assert report.pencil_family_dim == 1

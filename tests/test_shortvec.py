@@ -10,6 +10,7 @@ from enriques_bn import invariants, shortvec
 from enriques_bn.brill_noether import enumerate_destab, predict_w1d
 from enriques_bn.errors import (
     CertificateError,
+    FormMismatchError,
     NotPositiveDefiniteError,
     PositiveSquareRequiredError,
 )
@@ -54,33 +55,35 @@ def random_posdef(rng, max_rank=4, spread=3):
         )
         for i in range(n)
     )
-    return PosDefForm(n, gram)
+    return PosDefForm(gram)
 
 
 class TestEnumerateShort:
     def test_square_form_bound_two(self):
-        q = PosDefForm(2, ((2, 0), (0, 2)))
+        q = PosDefForm(((2, 0), (0, 2)))
         res = enumerate_short(q, 2)
         assert set(res.vectors) == {(1, 0), (-1, 0), (0, 1), (0, -1)}
         assert set(res.vectors) == box_short_vectors(q.numer, q.denom, 2)
 
     def test_square_form_bound_four(self):
-        q = PosDefForm(2, ((2, 0), (0, 2)))
+        q = PosDefForm(((2, 0), (0, 2)))
         res = enumerate_short(q, 4)
         assert len(res.vectors) == 8
         assert set(res.vectors) == box_short_vectors(q.numer, q.denom, 4)
 
     def test_bound_zero_empty(self):
-        q = PosDefForm(3, ((2, 1, 0), (1, 2, 0), (0, 0, 4)))
+        q = PosDefForm(((2, 1, 0), (1, 2, 0), (0, 0, 4)))
         assert enumerate_short(q, 0).vectors == ()
+        with pytest.raises(ValueError, match="nonnegative"):
+            enumerate_short(q, -1)
 
     def test_not_positive_definite(self):
         with pytest.raises(NotPositiveDefiniteError):
-            enumerate_short(PosDefForm(2, ((1, 2), (2, 1))), 3)
+            enumerate_short(PosDefForm(((1, 2), (2, 1))), 3)
 
     def test_leading_minors_detect_the_same(self):
-        good = PosDefForm(2, ((2, 1), (1, 2)))
-        bad = PosDefForm(2, ((1, 2), (2, 1)))
+        good = PosDefForm(((2, 1), (1, 2)))
+        bad = PosDefForm(((1, 2), (2, 1)))
         assert good.is_positive_definite()
         assert not bad.is_positive_definite()
         # Sylvester's criterion against determinants computed one by one
@@ -91,7 +94,7 @@ class TestEnumerateShort:
             for i in range(n):
                 for j in range(i + 1):
                     gram[i][j] = gram[j][i] = rng.randint(-3, 6 if i == j else 3)
-            q = PosDefForm(n, tuple(map(tuple, gram)), denom=rng.randint(1, 3))
+            q = PosDefForm(tuple(map(tuple, gram)), denom=rng.randint(1, 3))
             minors = [fraction_det([r[:k] for r in gram[:k]]) for k in range(1, n + 1)]
             assert q.is_positive_definite() == all(m > 0 for m in minors)
 
@@ -102,7 +105,7 @@ class TestEnumerateShort:
         (((2, 1, 0), (1, 2, 1), (0, 1, 2)), True),  # minors 2, 3, 4
     ])
     def test_semidefinite_and_indefinite_forms(self, numer, definite):
-        q = PosDefForm(3, numer, denom=2)
+        q = PosDefForm(numer, denom=2)
         minors = [fraction_det([r[:k] for r in numer[:k]]) for k in (1, 2, 3)]
         assert q.is_positive_definite() == definite == all(m > 0 for m in minors)
 
@@ -131,7 +134,7 @@ class TestEnumerateShort:
             assert small <= large
 
     def test_rational_entries(self):
-        q = PosDefForm(2, ((2, 1), (1, 2)), denom=2)  # halves
+        q = PosDefForm(((2, 1), (1, 2)), denom=2)  # halves
         res = enumerate_short(q, 1)
         assert set(res.vectors) == box_short_vectors(q.numer, q.denom, 1)
         assert all(0 < q.value(v) <= 1 for v in res.vectors)
@@ -140,24 +143,24 @@ class TestEnumerateShort:
 class TestProjectComplement:
     def test_needs_positive_square(self):
         with pytest.raises(PositiveSquareRequiredError):
-            ComplementLift(basis_vector(0).form, basis_vector(0))
+            ComplementLift(basis_vector(0))
 
-    def test_identity_on_hyperbolic_pair(self, form):
+    def test_identity_on_hyperbolic_pair(self):
         f, g = basis_vector(0), basis_vector(1)
         L = f + g
-        lift = ComplementLift(form, L)
+        lift = ComplementLift(L)
         # -(f_perp)^2 = (f.L)^2 / L^2 - f^2
         assert Fraction(f.dot(L) ** 2, L.square) - f.square == Fraction(1, 2)
 
-    def test_isotropic_norm_is_t_squared_over_l_squared(self, form):
+    def test_isotropic_norm_is_t_squared_over_l_squared(self):
         rng = random.Random(24)
         L = num_class([2, 4] + [0] * 8)
-        lift = ComplementLift(form, L)
+        lift = ComplementLift(L)
         for t in (2, 4, 6):
             for x in lift.fiber(t, 0):
                 assert Fraction(x.dot(L) ** 2, L.square) - x.square == Fraction(t * t, L.square)
 
-    def test_qperp_positive_definite_for_random_positive_classes(self, form):
+    def test_qperp_positive_definite_for_random_positive_classes(self):
         rng = random.Random(25)
         found = 0
         while found < 20:
@@ -166,12 +169,12 @@ class TestProjectComplement:
             if L.square <= 0:
                 continue
             # building the lift raises NotPositiveDefiniteError otherwise
-            assert len(ComplementLift(form, L)._entries) == 9
+            assert len(ComplementLift(L)._entries) == 9
             found += 1
 
-    def test_fiber_lift_consistency(self, form):
+    def test_fiber_lift_consistency(self):
         L = num_class([2, 4] + [0] * 8)
-        lift = ComplementLift(form, L)
+        lift = ComplementLift(L)
         for t in (2, 4, 6, 8):
             for sq in (0, 2, 4):
                 for x in lift.fiber(t, sq):
@@ -182,7 +185,7 @@ class TestProjectComplement:
         # L = 4f + 2g: every isotropic class of degree <= 8 has a small
         # E8 block, so the box scan sees the full fibers
         L = num_class([4, 2] + [0] * 8)
-        lift = ComplementLift(form, L)
+        lift = ComplementLift(L)
         box = box_classes_with_square(L.coords, 0, 8)
         for t in (1, 2, 3, 4):
             got = {x.coords for x in lift.fiber(t, 0)}
@@ -190,19 +193,19 @@ class TestProjectComplement:
                 ci * wi for ci, wi in zip(c, form.apply(L.coords))) == t}
             assert got == want, f"fiber mismatch at degree {t}"
 
-    def test_degree_step_matches_content(self, form):
+    def test_degree_step_matches_content(self):
         L = num_class([3, 6] + [0] * 8)  # content 3
-        lift = ComplementLift(form, L)
+        lift = ComplementLift(L)
         assert lift.degree_step == 3
         assert lift.fiber(2, 0) == []
 
-    def test_scaled_pairings_match_a_fresh_solve(self, form):
+    def test_scaled_pairings_match_a_fresh_solve(self):
         # the lift's methods against the general FiberSystem on the same
         # one constraint, off the degree step's multiples too
         for coords in ([2, 4] + [0] * 8, [3, 3, 1, 0, 1, 0, 0, 0, 0, 0], [3, 6] + [0] * 8):
             L = num_class(coords)
-            lift = ComplementLift(form, L)
-            fib = FiberSystem(form, [L])
+            lift = ComplementLift(L)
+            fib = FiberSystem([L])
             for t in range(-2 * lift.degree_step, 4 * lift.degree_step + 1):
                 for sq in (0, 2, 4):
                     assert lift.fiber(t, sq) == fib.solutions([t], sq)
@@ -210,29 +213,36 @@ class TestProjectComplement:
 
 
 class TestFiberSystem:
-    def test_multi_constraint_solutions(self, form, pair_two):
+    def test_multi_constraint_solutions(self, pair_two):
         e1, e2 = pair_two
         a0 = basis_vector(0) + basis_vector(1)
-        fib = FiberSystem(form, [a0, e1])
+        fib = FiberSystem([a0, e1])
         sols = fib.solutions([3, 2], 0)
         for x in sols:
             assert x.dot(a0) == 3 and x.dot(e1) == 2 and x.square == 0
         assert e2 in sols
 
-    def test_inconsistent_values_empty(self, form, pair_one):
+    def test_inconsistent_values_empty(self, pair_one):
         e1, e2 = pair_one
         a0 = basis_vector(0) + basis_vector(1)
         # x.(f+g) is determined by x.f and x.g; ask for a contradiction
-        fib = FiberSystem(form, [a0, e1, e2])
+        fib = FiberSystem([a0, e1, e2])
         assert fib.solutions([5, 1, 1], 0) == []
 
-    def test_full_rank_point_fiber(self, form):
+    def test_full_rank_point_fiber(self):
         # ten independent constraints pin the class completely
         classes = [basis_vector(i) for i in range(10)]
         target = num_class([1, 2, 0, 0, 1, 0, 0, 0, 0, 0])
         values = [target.dot(c) for c in classes]
-        fib = FiberSystem(form, classes)
+        fib = FiberSystem(classes)
         assert fib.solutions(values, target.square) == [target]
+
+    def test_classes_in_two_forms_are_refused(self, form):
+        L = num_class([2, 4] + [0] * 8)
+        twin = IntersectionForm(form.rank, form.gram)  # equal, not the same
+        assert FiberSystem([L, NumClass(L.coords, twin)]).form is form
+        with pytest.raises(FormMismatchError):
+            FiberSystem([L, NumClass(L.coords, u2_e8_form())])
 
 
 def sample_ample(rng, count, max_square=16):
@@ -250,7 +260,7 @@ class TestScaledKernelAgainstFractionOracle:
 
     def test_fibers_of_sampled_ample_classes(self, form):
         for L in sample_ample(random.Random(31), 30):
-            lift = ComplementLift(form, L)
+            lift = ComplementLift(L)
             for t in range(1, math.isqrt(L.square) + 2):  # past phi(L) <= sqrt(L^2)
                 for sq in (0, 2, 4):
                     got = [x.coords for x in lift.fiber(t, sq)]
@@ -261,7 +271,7 @@ class TestScaledKernelAgainstFractionOracle:
     def test_fiber_system_solutions(self, form, pair_two, triple_iii):
         a0 = basis_vector(0) + basis_vector(1)
         for classes in ([a0], [a0, pair_two[0]], [a0] + list(triple_iii[:2])):
-            fib = FiberSystem(form, classes)
+            fib = FiberSystem(classes)
             rests = [r for r in ([], [1], [2], [1, 2], [2, 1]) if len(r) == len(classes) - 1]
             for height in range(1, 4):
                 for rest in rests:
@@ -278,7 +288,7 @@ class TestScaledKernelAgainstFractionOracle:
         a0 = basis_vector(0) + basis_vector(1)
         v, w = basis_vector(2), basis_vector(3)
         for classes in ([a0, a0 + 2 * v], [a0, a0 + 2 * v, a0 + 3 * w]):
-            fib = FiberSystem(form, classes)
+            fib = FiberSystem(classes)
             found = 0
             for a, b, *c in product(range(1, 4), *[range(-2, 4)] * (len(classes) - 1)):
                 values = [a, b, *c]
@@ -334,7 +344,7 @@ class TestScaledKernelAgainstFractionOracle:
 
     def test_centre_with_large_denominator(self):
         gram = ((1009, 3, -7), (3, 997, 11), (-7, 11, 1013))
-        q = PosDefForm(3, gram)
+        q = PosDefForm(gram)
         assert integer_determinant(q.numer) > 10**9
         ell = _ScaledLDL(q.numer)
         rng = random.Random(34)
@@ -364,7 +374,7 @@ class TestLexicographicOrder:
         rng = random.Random(61)
         classes = sample_ample(rng, 10, max_square=24) + [num_class([2, 4] + [0] * 8)]
         for L in classes:
-            lift = ComplementLift(form, L)
+            lift = ComplementLift(L)
             for t in range(1, math.isqrt(L.square) + 2):
                 for sq, exact in ((0, True), (4, True), (2, False)):
                     if exact:
@@ -385,7 +395,7 @@ class TestLexicographicOrder:
             u = num_class([rng.randint(-2, 2) for _ in range(10)])
             if u.is_zero():
                 continue
-            fib = FiberSystem(form, [a0, u])
+            fib = FiberSystem([a0, u])
             for height in range(1, 4):
                 values = [height, rng.randint(-2, 2)]
                 for sq in (0, 2):
@@ -395,8 +405,8 @@ class TestLexicographicOrder:
 
 
 class TestEchelonBasis:
-    def test_first_pivot_is_the_outermost_level(self, form):
-        lift = ComplementLift(form, num_class([3, 3, 1, 0, 3, 1, 2, 2, 1, 2]))
+    def test_first_pivot_is_the_outermost_level(self):
+        lift = ComplementLift(num_class([3, 3, 1, 0, 3, 1, 2, 2, 1, 2]))
         pivots = [entries[0][0] for entries in lift._entries]
         assert strictly_increasing(pivots[::-1])
 
@@ -405,18 +415,21 @@ class TestCertificateErrors:
     """The post-checks raise even when the kernel is wrong."""
 
     @staticmethod
-    def _one_bad_point(form, x0, kernel, pts):
-        return [NumClass((1, 1) + (0,) * 8, form)]  # square 2, asked for 0
+    def _off_shell_points(ldl, b, excess, exact):
+        # x = x0 + y k_0: x^2 is quadratic in y with leading term k_0^2 < 0,
+        # so at most two of these three points lie on any shell
+        zeros = (0,) * (len(ldl.dn) - 1)
+        return iter([(y,) + zeros for y in range(3)])
 
-    def test_fiber_post_check(self, form, monkeypatch):
-        lift = ComplementLift(form, num_class([2, 4] + [0] * 8))
-        monkeypatch.setattr(shortvec, "_lift_points", self._one_bad_point)
+    def test_fiber_post_check(self, monkeypatch):
+        lift = ComplementLift(num_class([2, 4] + [0] * 8))
+        monkeypatch.setattr(_ScaledLDL, "search", self._off_shell_points)
         with pytest.raises(CertificateError):
             lift.fiber(2, 0)
 
-    def test_solutions_post_check(self, form, monkeypatch):
-        fib = FiberSystem(form, [basis_vector(0) + basis_vector(1)])
-        monkeypatch.setattr(shortvec, "_lift_points", self._one_bad_point)
+    def test_solutions_post_check(self, monkeypatch):
+        fib = FiberSystem([basis_vector(0) + basis_vector(1)])
+        monkeypatch.setattr(_ScaledLDL, "search", self._off_shell_points)
         with pytest.raises(CertificateError):
             fib.solutions([2], 0)
 
@@ -480,7 +493,7 @@ class TestSparseBuild:
 
         with monkeypatch.context() as m:
             m.setattr(shortvec, "_ScaledLDL", Recording)
-            fib = FiberSystem(form, classes)
+            fib = FiberSystem(classes)
         (gram,) = grams
         kernel = [  # the sparse (column, value) lists as classes
             NumClass(tuple(dict(entries).get(j, 0) for j in range(form.rank)), form)
@@ -566,6 +579,6 @@ class TestNoFractionOnTheIntegerPath:
         with pytest.raises(FractionBuilt):
             Fraction(1, 3)
         with pytest.raises(FractionBuilt):
-            enumerate_short(PosDefForm(1, ((2,),)), 4)
+            enumerate_short(PosDefForm(((2,),)), 4)
         monkeypatch.undo()
         assert Fraction(2, 4) == Fraction(1, 2)

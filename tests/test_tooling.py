@@ -50,11 +50,11 @@ class TestTracerContract:
                 else:
                     assert callable(getattr(owner, path)), path
 
-    def test_a_lift_counts_one_build_and_one_fiber_per_call(self, form):
+    def test_a_lift_counts_one_build_and_one_fiber_per_call(self):
         t = tracer.Tracer()
         L = num_class([2, 4] + [0] * 8)
         with t.installed(), t.item():
-            lift = ComplementLift(form, L)
+            lift = ComplementLift(L)
             assert t.calls["shortvec.lift_init"] == 1
             fib = lift.fiber(4, 0)
             assert t.calls["shortvec.fiber"] == 1
@@ -64,11 +64,11 @@ class TestTracerContract:
             assert t.points["shortvec.fiber_min"] == len(wide) > 0
         assert t.calls["shortvec.lift_init"] == 1
 
-    def test_a_fiber_system_counts_the_same_way(self, form):
+    def test_a_fiber_system_counts_the_same_way(self):
         t = tracer.Tracer()
         L = num_class([2, 4] + [0] * 8)
         with t.installed(), t.item():
-            fib = FiberSystem(form, [L])
+            fib = FiberSystem([L])
             assert t.calls["shortvec.lift_init"] == 1
             sols = fib.solutions([4], 0)
             assert t.calls["shortvec.fiber"] == 1
@@ -201,13 +201,13 @@ class TestOraclesStandAlone:
             "from enriques_bn import invariants as inv\n"
             "import enriques_bn.shortvec\n"
             "inv._levels(4)\n"
-            "enriques_bn.shortvec._scaled_search\n"
+            "enriques_bn.shortvec._ScaledLDL\n"
             "inv.phi\n"
         )
         assert private_package_names(source) == [
             "1: enriques_bn.lattice._reduce",
             "4: inv._levels",
-            "5: enriques_bn.shortvec._scaled_search",
+            "5: enriques_bn.shortvec._ScaledLDL",
         ]
 
 
