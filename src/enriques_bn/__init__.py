@@ -14,81 +14,66 @@ exact.  The main entry points:
 - :func:`predict_w1d`, :func:`enumerate_destab`, :func:`param_count`,
   :func:`stable_case_audit`, :func:`plane_cover_family_report` --
   Brill-Noether arithmetic.
+
+``import enriques_bn`` compiles no layer: the first public name read
+imports every layer at once and binds all the names below (PEP 562).  A
+library caller pays for every layer once, where it first reads a name,
+and never inside a later call; the CLI imports its layers directly and
+pays only for the ones a command runs.
 """
 
-from .brill_noether import (
-    BNPrediction,
-    DestabCandidate,
-    ParamCountAudit,
-    PlaneCoverFamilyReport,
-    StableCaseAudit,
-    check_mn_bound,
-    cliff_chain_bound,
-    enumerate_destab,
-    param_count,
-    plane_cover_family_report,
-    predict_w1d,
-    rho,
-    stable_case_audit,
-)
-from .errors import (
-    CertificateError,
-    ClassParseError,
-    EnriquesBNError,
-    FormMismatchError,
-    GenusTooSmallError,
-    NotAmpleEnoughError,
-    NotAmpleError,
-    NotPositiveDefiniteError,
-    NotRealizableError,
-    PositiveSquareRequiredError,
-    RangeError,
-    SearchExhaustedError,
-    ZeroClassError,
-)
-from .invariants import (
-    EXCEPTIONAL_SQUARE_PHI_PAIRS,
-    GonalityReport,
-    IsotropicDecomposition,
-    MuResult,
-    PhiResult,
-    clifford_generic,
-    decompose_isotropic,
-    gonality,
-    mu,
-    phi,
-)
-from .lattice import (
-    ConfigurationPresentation,
-    DivisorClass,
-    IntersectionForm,
-    NumClass,
-    basis_vector,
-    canonical_form,
-    canonical_torsion_class,
-    config_i,
-    config_ii,
-    config_iii,
-    content,
-    custom_configuration,
-    divisor_class,
-    embed_configuration,
-    is_primitive,
-    num_class,
-)
-from .positivity import (
-    CohomologyProfile,
-    PositivityStatus,
-    classify_positivity,
-    cohomology,
-    reference_ample,
-)
-from .shortvec import (
-    ComplementLift,
-    FiberSystem,
-    PosDefForm,
-    ShortVectorResult,
-    enumerate_short,
-)
+import importlib
 
 __version__ = "0.1.0"
+
+#: the public names of each layer, in the order the layers are imported
+_LAYER_NAMES = {
+    "brill_noether": (
+        "BNPrediction", "DestabCandidate", "ParamCountAudit",
+        "PlaneCoverFamilyReport", "StableCaseAudit", "check_mn_bound",
+        "cliff_chain_bound", "enumerate_destab", "param_count",
+        "plane_cover_family_report", "predict_w1d", "rho", "stable_case_audit",
+    ),
+    "errors": (
+        "CertificateError", "ClassParseError", "EnriquesBNError",
+        "FormMismatchError", "GenusTooSmallError", "NotAmpleEnoughError",
+        "NotAmpleError", "NotPositiveDefiniteError", "NotRealizableError",
+        "PositiveSquareRequiredError", "RangeError", "SearchExhaustedError",
+        "ZeroClassError",
+    ),
+    "invariants": (
+        "EXCEPTIONAL_SQUARE_PHI_PAIRS", "GonalityReport",
+        "IsotropicDecomposition", "MuResult", "PhiResult", "clifford_generic",
+        "decompose_isotropic", "gonality", "mu", "phi",
+    ),
+    "lattice": (
+        "ConfigurationPresentation", "DivisorClass", "IntersectionForm",
+        "NumClass", "basis_vector", "canonical_form",
+        "canonical_torsion_class", "config_i", "config_ii", "config_iii",
+        "content", "custom_configuration", "divisor_class",
+        "embed_configuration", "is_primitive", "num_class",
+    ),
+    "positivity": (
+        "CohomologyProfile", "PositivityStatus", "classify_positivity",
+        "cohomology", "reference_ample",
+    ),
+    "shortvec": (
+        "ComplementLift", "FiberSystem", "PosDefForm", "ShortVectorResult",
+        "enumerate_short",
+    ),
+}
+
+__all__ = [name for names in _LAYER_NAMES.values() for name in names]
+
+
+def __getattr__(name: str):
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    for layer, names in _LAYER_NAMES.items():
+        module = importlib.import_module(f"{__name__}.{layer}")
+        globals().update((n, getattr(module, n)) for n in names)
+    return globals()[name]
+
+
+def __dir__():
+    return list(__all__)

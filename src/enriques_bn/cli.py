@@ -4,6 +4,11 @@ Output is JSON (deterministic field order) on stdout; the `predict` and
 `destab` tables can also be printed as TSV.  Exit codes: 0 success, 1 usage
 or parse errors, 2 domain errors (e.g. a class that is not ample), 3
 search-bound exhaustion.
+
+Each command runs in a fresh process that compiles every module it
+imports, so this module imports only `lattice` and `errors` at the top and
+each handler imports the layers it runs; the package namespace, which
+library callers use, loads every layer on first use.
 """
 
 from __future__ import annotations
@@ -12,9 +17,8 @@ import argparse
 import json
 import re
 import sys
+from typing import TYPE_CHECKING
 
-from . import brill_noether as bn
-from . import invariants as inv
 from .errors import (
     ClassParseError,
     EnriquesBNError,
@@ -31,7 +35,9 @@ from .lattice import (
     config_iii,
     embed_configuration,
 )
-from .positivity import classify_positivity, cohomology, reference_ample
+
+if TYPE_CHECKING:
+    from .invariants import MuResult
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -135,7 +141,7 @@ def _dump(config: dict, result: dict) -> None:
     sys.stdout.write(json.dumps(payload, indent=2) + "\n")
 
 
-def _mu_dict(m: inv.MuResult) -> dict:
+def _mu_dict(m: MuResult) -> dict:
     return {
         "status": m.status,
         "value": m.value,
@@ -145,6 +151,8 @@ def _mu_dict(m: inv.MuResult) -> dict:
 
 
 def _cmd_lattice(config: dict, args) -> int:
+    from .positivity import reference_ample
+
     form = canonical_form()
     if args.print_gram:
         # bit-exact contract: the matrix and nothing else, row-major
@@ -172,6 +180,8 @@ def _resolve_class(args) -> DivisorClass:
 
 
 def _cmd_cohomology(config: dict, args) -> int:
+    from .positivity import classify_positivity, cohomology
+
     d = _resolve_class(args)
     prof = cohomology(d)
     status = classify_positivity(d)
@@ -182,6 +192,8 @@ def _cmd_cohomology(config: dict, args) -> int:
 
 
 def _cmd_invariants(config: dict, args) -> int:
+    from . import invariants as inv
+
     d = _resolve_class(args)
     rep = inv.gonality(d)
     if args.mu_cap is not None and args.mu_cap > rep.mu.cap:
@@ -210,6 +222,8 @@ def _cmd_invariants(config: dict, args) -> int:
 
 
 def _cmd_predict(config: dict, args) -> int:
+    from . import brill_noether as bn
+
     d = _resolve_class(args)
     pred = bn.predict_w1d(d)
     if args.tsv:
@@ -231,6 +245,10 @@ def _cmd_predict(config: dict, args) -> int:
 
 
 def _cmd_destab(config: dict, args) -> int:
+    from . import brill_noether as bn
+    from . import invariants as inv
+    from .positivity import cohomology
+
     d = _resolve_class(args)
     cands = bn.enumerate_destab(d, args.d)
     rep = inv.gonality(d)
@@ -268,12 +286,16 @@ def _cmd_destab(config: dict, args) -> int:
 
 
 def _cmd_example51(config: dict, args) -> int:
+    from . import brill_noether as bn
+
     report = bn.plane_cover_family_report(args.n)
     _dump(config, report.as_dict())
     return EXIT_OK
 
 
 def _cmd_decompose(config: dict, args) -> int:
+    from . import invariants as inv
+
     d = _resolve_class(args)
     dec = inv.decompose_isotropic(d)
     result = {
@@ -289,6 +311,7 @@ def _cmd_decompose(config: dict, args) -> int:
 def _cmd_selftest(config: dict, args) -> int:
     import random
 
+    from .positivity import cohomology
     from .shortvec import PosDefForm, enumerate_short
 
     rng = random.Random(args.seed if args.seed is not None else 0)
@@ -344,7 +367,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="enriques-bn", description=__doc__)
+    # the last paragraph of the docstring is about imports, not usage
+    parser = _Parser(prog="enriques-bn", description=__doc__.rsplit("\n\n", 1)[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_class_args(p):

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -9,6 +10,7 @@ from enriques_bn.cli import (
     EXIT_OK,
     EXIT_USAGE,
     format_class,
+    main,
     parse_class,
     parse_configuration,
     run,
@@ -123,6 +125,10 @@ class TestCommands:
         assert default["mu"]["cap"] == 14  # 2 phi + 2
         for cap in ("14", "5"):
             assert result_of(capsys, *args, "--mu-cap", cap) == default
+
+    def test_genus_two_clifford_is_the_convention(self, capsys):
+        r = result_of(capsys, "invariants", "--class", "E1+E2", "--config", "i:2")
+        assert (r["genus"], r["clifford"], r["cliffordConvention"]) == (2, 0, True)
 
     def test_cohomology(self, capsys):
         r = result_of(
@@ -240,21 +246,46 @@ class TestExitCodes:
         )
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("invariants", "--class", "E1", "--config", "bogus:7"),
+             "cannot parse configuration 'bogus:7'"),
+            (("cohomology", "--class", '{"coords": [1,'), "bad JSON literal"),
+            (("invariants", "--class", "3*E1+*E2", "--config", "two:2"),
+             "expected a term like '3*E1' or 'K' (at position 4)"),
+        ],
+        ids=["configuration", "json", "term"],
+    )
+    def test_parse_errors_go_to_stderr(self, capsys, argv, message):
+        code = run(list(argv))
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (EXIT_USAGE, "")
+        assert captured.err.startswith(f"error: {message}")
+
+    def test_main_exits_with_the_code_of_run(self, capsys, monkeypatch):
+        argv = ["predict", "--class", '{"coords":[0,0,1,0,0,0,0,0,0,0],"torsion":0}']
+        monkeypatch.setattr(sys, "argv", ["enriques-bn", *argv])
+        with pytest.raises(SystemExit) as exc:
+            main()
+        assert exc.value.code == run(argv) == EXIT_DOMAIN
+        capsys.readouterr()
+
     def test_exhaustion_is_three(self, capsys, monkeypatch):
-        import enriques_bn.cli as cli_mod
+        import enriques_bn.invariants as inv_mod
         from enriques_bn.errors import SearchExhaustedError
 
         def explode(cls):
             raise SearchExhaustedError("bound 1 hit")
 
-        monkeypatch.setattr(cli_mod.inv, "decompose_isotropic", explode)
+        monkeypatch.setattr(inv_mod, "decompose_isotropic", explode)
         code, _ = invoke(
             capsys, "decompose", "--class", "2*E1+4*E2", "--config", "i:2"
         )
         assert code == EXIT_EXHAUSTED
 
     def test_each_error_class_has_one_exit_code(self, capsys, monkeypatch):
-        import enriques_bn.cli as cli_mod
+        import enriques_bn.invariants as inv_mod
 
         raised = [
             errors.ClassParseError("bad literal", 3),
@@ -275,7 +306,7 @@ class TestExitCodes:
             def explode(L, ex=ex):
                 raise ex
 
-            monkeypatch.setattr(cli_mod.inv, "decompose_isotropic", explode)
+            monkeypatch.setattr(inv_mod, "decompose_isotropic", explode)
             code, out = invoke(
                 capsys, "decompose", "--class", "2*E1+4*E2", "--config", "i:2"
             )

@@ -211,6 +211,16 @@ class TestPairingDifferential:
         assert (k * x).square == k * k * x.square
 
 
+class TestNumClassOperands:
+    def test_foreign_operands_are_refused(self):
+        x = num_class([1, 2] + [0] * 8)
+        assert x.__eq__(x.coords) is NotImplemented and x != x.coords
+        assert x.__rmul__(1.5) is NotImplemented
+        for product in (lambda: 1.5 * x, lambda: x * 1.5):
+            with pytest.raises(TypeError):
+                product()
+
+
 class TestContent:
     def test_gcd_example(self):
         c, prim = content(num_class([2, 4] + [0] * 8))

@@ -9,8 +9,10 @@ library's checks are explicit errors, so none disappears under
 ``python -O``.  The test oracles reach the package through its public
 names only, so no oracle runs the code it is meant to check.  Importing
 the CLI loads none of the modules that made up most of its start-up
-(``dataclasses`` and what it imports) and not ``fractions``; the checks
-count modules, not time.
+(``dataclasses`` and what it imports) and not ``fractions``; ``import
+enriques_bn`` loads no layer, the first public name loads them all, and
+each README command loads only the layers it runs.  The checks count
+modules, not time.
 """
 
 import ast
@@ -25,7 +27,10 @@ from pathlib import Path
 
 import pytest
 
-import enriques_bn.cli  # the tracer resolves every traced module
+# the tracer wraps only modules already loaded: brill_noether imports every
+# traced layer below it, and the CLI imports none of them at the top
+import enriques_bn.brill_noether
+import enriques_bn.cli
 from enriques_bn import invariants
 from enriques_bn.lattice import DivisorClass, config_iii, embed_configuration, num_class
 from enriques_bn.shortvec import ComplementLift, FiberSystem
@@ -218,11 +223,13 @@ HEAVY_MODULES = ("dataclasses", "inspect", "ast", "dis", "fractions", "decimal")
 
 
 def heavy_modules_after(statement: str, path: Path) -> list[str]:
-    """The HEAVY_MODULES in ``sys.modules`` of a fresh interpreter that ran
-    ``statement`` with PYTHONPATH=path."""
+    """The HEAVY_MODULES, then the ``enriques_bn`` modules in sorted order,
+    in ``sys.modules`` of a fresh interpreter that ran ``statement`` (one or
+    more lines) with PYTHONPATH=path."""
     code = (
-        f"{statement}; import sys; "
-        f"print(*[m for m in {HEAVY_MODULES!r} if m in sys.modules])"
+        f"{statement}\nimport sys\n"
+        f"print(*[m for m in {HEAVY_MODULES!r} if m in sys.modules], "
+        f"*sorted(m for m in sys.modules if m.split('.')[0] == 'enriques_bn'))"
     )
     env = dict(os.environ, PYTHONPATH=str(path))
     out = subprocess.run(
@@ -249,7 +256,10 @@ def dataclasses_imports(source: str) -> list[int]:
 
 class TestStartUp:
     def test_cli_import_loads_no_heavy_module(self):
-        assert heavy_modules_after("import enriques_bn.cli", ROOT / "src") == []
+        assert heavy_modules_after("import enriques_bn.cli", ROOT / "src") == [
+            "enriques_bn", "enriques_bn.cli", "enriques_bn.errors",
+            "enriques_bn.frozen", "enriques_bn.lattice",
+        ]
 
     def test_lattice_command_loads_no_heavy_module(self):
         # the signature is computed on ints; stdout is discarded
@@ -257,7 +267,8 @@ class TestStartUp:
             "import io, sys; from enriques_bn.cli import run; sys.stdout = io.StringIO(); "
             "run(['lattice']); sys.stdout = sys.__stdout__"
         )
-        assert heavy_modules_after(statement, ROOT / "src") == []
+        loaded = heavy_modules_after(statement, ROOT / "src")
+        assert not set(HEAVY_MODULES) & set(loaded)
 
     def test_the_check_sees_a_heavy_import(self, tmp_path):
         (tmp_path / "scratch_startup.py").write_text("import dataclasses\n")
@@ -280,3 +291,102 @@ class TestStartUp:
             "from .dataclasses_free import x\n"
         )
         assert dataclasses_imports(source) == [2, 3, 4]
+
+
+#: ``enriques_bn.__all__``: the 62 names the package imported from its
+#: layers before it bound them on first use
+PUBLIC_NAMES = [
+    "BNPrediction", "DestabCandidate", "ParamCountAudit", "PlaneCoverFamilyReport",
+    "StableCaseAudit", "check_mn_bound", "cliff_chain_bound", "enumerate_destab",
+    "param_count", "plane_cover_family_report", "predict_w1d", "rho",
+    "stable_case_audit",
+    "CertificateError", "ClassParseError", "EnriquesBNError", "FormMismatchError",
+    "GenusTooSmallError", "NotAmpleEnoughError", "NotAmpleError",
+    "NotPositiveDefiniteError", "NotRealizableError", "PositiveSquareRequiredError",
+    "RangeError", "SearchExhaustedError", "ZeroClassError",
+    "EXCEPTIONAL_SQUARE_PHI_PAIRS", "GonalityReport", "IsotropicDecomposition",
+    "MuResult", "PhiResult", "clifford_generic", "decompose_isotropic", "gonality",
+    "mu", "phi",
+    "ConfigurationPresentation", "DivisorClass", "IntersectionForm", "NumClass",
+    "basis_vector", "canonical_form", "canonical_torsion_class", "config_i",
+    "config_ii", "config_iii", "content", "custom_configuration", "divisor_class",
+    "embed_configuration", "is_primitive", "num_class",
+    "CohomologyProfile", "PositivityStatus", "classify_positivity", "cohomology",
+    "reference_ample",
+    "ComplementLift", "FiberSystem", "PosDefForm", "ShortVectorResult",
+    "enumerate_short",
+]
+
+#: the package and every module it imports on first use
+ALL_LAYERS = [
+    "enriques_bn", "enriques_bn.brill_noether", "enriques_bn.errors",
+    "enriques_bn.frozen", "enriques_bn.invariants", "enriques_bn.lattice",
+    "enriques_bn.positivity", "enriques_bn.shortvec",
+]
+
+
+class TestNamespace:
+    """``enriques_bn`` binds its public names on first use, each check in a
+    fresh interpreter."""
+
+    def test_import_and_version_load_no_layer(self):
+        statement = "import enriques_bn\nversion = enriques_bn.__version__"
+        assert heavy_modules_after(statement, ROOT / "src") == ["enriques_bn"]
+
+    def test_the_first_public_name_loads_every_layer(self):
+        statement = "import enriques_bn\nenriques_bn.rho"
+        assert heavy_modules_after(statement, ROOT / "src") == ALL_LAYERS
+
+    def test_all_dir_and_star_import_list_the_public_names(self):
+        statement = (
+            "import enriques_bn\n"
+            f"if enriques_bn.__all__ != {PUBLIC_NAMES!r}: raise SystemExit('__all__')\n"
+            f"if dir(enriques_bn) != {sorted(PUBLIC_NAMES)!r}: raise SystemExit('dir')\n"
+            "from enriques_bn import *\n"
+            "missing = [n for n in enriques_bn.__all__ if globals()[n] is not "
+            "getattr(enriques_bn, n)]\n"
+            "if missing: raise SystemExit(missing)"
+        )
+        assert heavy_modules_after(statement, ROOT / "src") == ALL_LAYERS
+
+    def test_a_misspelt_or_private_name_raises_and_loads_nothing(self):
+        statement = (
+            "import enriques_bn\n"
+            "for name in ('canonical_from', '_reduce', '_LAYER'):\n"
+            "    try:\n"
+            "        getattr(enriques_bn, name)\n"
+            "    except AttributeError:\n"
+            "        continue\n"
+            "    raise SystemExit(name)"
+        )
+        assert heavy_modules_after(statement, ROOT / "src") == ["enriques_bn"]
+
+
+#: the layers each README command must not load, by command
+NOT_LOADED = {
+    "lattice": ("shortvec", "invariants", "brill_noether"),
+    "cohomology": ("shortvec", "invariants", "brill_noether"),
+    "selftest": ("invariants", "brill_noether"),
+    "invariants": ("brill_noether",),
+    "decompose": ("brill_noether",),
+}
+
+
+@pytest.mark.parametrize("record", GOLDEN["cli"], ids=[r["key"] for r in GOLDEN["cli"]])
+def test_each_readme_command_loads_only_its_layers(record):
+    # run as ``python -m enriques_bn.cli`` runs it; stdout is discarded
+    statement = (
+        "import io, runpy, sys\n"
+        f"sys.argv = ['enriques-bn', *{record['argv']!r}]\n"
+        "sys.stdout = io.StringIO()\n"
+        "try:\n"
+        "    runpy.run_module('enriques_bn.cli', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as ex:\n"
+        "    code = ex.code\n"
+        "sys.stdout = sys.__stdout__\n"
+        f"if code != {record['exit']}: raise SystemExit(code)"
+    )
+    loaded = heavy_modules_after(statement, ROOT / "src")
+    assert "enriques_bn.lattice" in loaded
+    command = record["argv"][0]
+    assert [m for m in NOT_LOADED.get(command, ()) if f"enriques_bn.{m}" in loaded] == []
