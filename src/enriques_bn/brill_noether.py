@@ -13,8 +13,9 @@ pencils.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from types import SimpleNamespace
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .errors import CertificateError, RangeError
 from .frozen import Frozen, set_field
@@ -34,13 +35,18 @@ def rho(g: int, r: int, d: int) -> int:
     return g - (r + 1) * (g - d + r)
 
 
-class BNPrediction(NamedTuple):
-    genus: int
-    k: int
-    status: str
-    rows: tuple[tuple[int, int, int], ...]  # (d, rho, predicted dim)
-    reason: str | None = None
-    infinite_pencil: bool = False
+class BNPrediction(
+    namedtuple(
+        "BNPrediction",
+        "genus k status rows reason infinite_pencil",
+        defaults=(None, False),
+    )
+):
+    """genus: int, k: int, status: str,
+    rows: tuple[tuple[int, int, int], ...] of (d, rho, predicted dim),
+    reason: str | None = None, infinite_pencil: bool = False."""
+
+    __slots__ = ()
     notes = ()  # a class constant, not a field: the CLI prints it
 
     @property
@@ -228,7 +234,12 @@ def cliff_chain_bound(M: DivisorClass, N: DivisorClass, E: DivisorClass) -> int:
 # ---------------------------------------------------------------------------
 
 
-class ParamCountAudit(NamedTuple):
+class ParamCountAudit(
+    namedtuple(
+        "ParamCountAudit",
+        "g d mn i ell h1_mn h2_mn ext_dim p_dim gr_dim total_bound theorem_bound",
+    )
+):
     """Dimension bookkeeping for the family of splittings with invariants
     (g, d, M.N, i = h1 of the bundle, ell = d - M.N).
 
@@ -236,20 +247,10 @@ class ParamCountAudit(NamedTuple):
     adding the point choices, gr_dim the Grassmannian of section planes;
     total_bound is the resulting bound g - 2 + d - M.N on the whole family,
     and theorem_bound = g - 1 + d - k is what the dimension theorem needs.
+    Every field is an int.
     """
 
-    g: int
-    d: int
-    mn: int
-    i: int
-    ell: int
-    h1_mn: int
-    h2_mn: int
-    ext_dim: int
-    p_dim: int
-    gr_dim: int
-    total_bound: int
-    theorem_bound: int
+    __slots__ = ()
 
 
 def param_count(
@@ -297,9 +298,10 @@ def param_count(
     )
 
 
-class StableCaseAudit(NamedTuple):
-    moduli_dim: int
-    w_bound: int
+class StableCaseAudit(namedtuple("StableCaseAudit", "moduli_dim w_bound")):
+    """moduli_dim: int, w_bound: int."""
+
+    __slots__ = ()
 
 
 def stable_case_audit(g: int, d: int) -> StableCaseAudit:
@@ -319,7 +321,12 @@ def stable_case_audit(g: int, d: int) -> StableCaseAudit:
 # ---------------------------------------------------------------------------
 
 
-class PlaneCoverFamilyReport(NamedTuple):
+class PlaneCoverFamilyReport(
+    namedtuple(
+        "PlaneCoverFamilyReport",
+        "n l_square genus phi k gon_special plane_genus cs_bound cs_holds",
+    )
+):
     """Invariants of L = n(E_1 + E_2) with E_1.E_2 = 2 (n >= 3).
 
     B = E_1 + E_2 maps the surface 4:1 onto the plane; pulling back the
@@ -328,18 +335,11 @@ class PlaneCoverFamilyReport(NamedTuple):
     pulled-back system, two less than the generic gonality.  cs_bound is
     the Castelnuovo-Severi threshold 4 g(C') + 3 (gon - 1); cs_holds
     records that the genus stays below it, i.e. the covering construction
-    is not forced by the inequality.
+    is not forced by the inequality.  cs_holds is a bool, every other
+    field an int.
     """
 
-    n: int
-    l_square: int
-    genus: int
-    phi: int
-    k: int
-    gon_special: int
-    plane_genus: int
-    cs_bound: int
-    cs_holds: bool
+    __slots__ = ()
     pencil_family_dim = 1  # a class constant, not a field
 
     def as_dict(self) -> dict:

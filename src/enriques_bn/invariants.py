@@ -32,9 +32,9 @@ certificates and threads may share them.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from functools import cached_property, lru_cache
 from operator import mul
-from typing import NamedTuple
 
 from .errors import (
     CertificateError,
@@ -78,30 +78,36 @@ DECOMPOSE_MAX_NODES = 200_000
 POLARIZATION_CACHE_SIZE = 32
 
 
-class PhiResult(NamedTuple):
-    value: int
-    witness: DivisorClass
+class PhiResult(namedtuple("PhiResult", "value witness")):
+    """value: int, witness: DivisorClass."""
+
+    __slots__ = ()
 
 
-class MuResult(NamedTuple):
-    status: str
-    cap: int
-    value: int | None = None
-    witness: DivisorClass | None = None
+class MuResult(
+    namedtuple("MuResult", "status cap value witness", defaults=(None, None))
+):
+    """status: str, cap: int, value: int | None = None,
+    witness: DivisorClass | None = None."""
+
+    __slots__ = ()
 
     @property
     def exact(self) -> bool:
         return self.status == MU_EXACT
 
 
-class GonalityReport(NamedTuple):
-    k: int
-    phi: PhiResult
-    mu: MuResult
-    floor_term: int
-    case_label: str
-    genus: int
-    notes: tuple[str, ...] = ()
+class GonalityReport(
+    namedtuple(
+        "GonalityReport",
+        "k phi mu floor_term case_label genus notes",
+        defaults=((),),
+    )
+):
+    """k: int, phi: PhiResult, mu: MuResult, floor_term: int,
+    case_label: str, genus: int, notes: tuple[str, ...] = ()."""
+
+    __slots__ = ()
 
     def clifford(self) -> int:
         """Generic Clifford index: k - 2 for genus >= 4.
@@ -121,10 +127,13 @@ class GonalityReport(NamedTuple):
         raise GenusTooSmallError(self.genus, value, reason)
 
 
-class IsotropicDecomposition(NamedTuple):
-    generators: tuple[DivisorClass, ...]
-    coefficients: tuple[int, ...]
-    configuration: str
+class IsotropicDecomposition(
+    namedtuple("IsotropicDecomposition", "generators coefficients configuration")
+):
+    """generators: tuple[DivisorClass, ...], coefficients: tuple[int, ...],
+    configuration: str."""
+
+    __slots__ = ()
 
 
 def phi(L: DivisorClass) -> PhiResult:

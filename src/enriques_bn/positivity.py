@@ -14,8 +14,8 @@ in :func:`cohomology`.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
-from typing import NamedTuple
 
 from .lattice import (
     DivisorClass,
@@ -26,13 +26,16 @@ from .lattice import (
 )
 
 
-class PositivityStatus(NamedTuple):
-    is_zero: bool
-    is_effective: bool
-    is_anti_effective: bool
-    is_nef: bool
-    is_ample: bool
-    witness: str
+class PositivityStatus(
+    namedtuple(
+        "PositivityStatus",
+        "is_zero is_effective is_anti_effective is_nef is_ample witness",
+    )
+):
+    """is_zero, is_effective, is_anti_effective, is_nef, is_ample: bool,
+    witness: str."""
+
+    __slots__ = ()
 
     def as_dict(self) -> dict:
         return {
@@ -45,11 +48,10 @@ class PositivityStatus(NamedTuple):
         }
 
 
-class CohomologyProfile(NamedTuple):
-    h0: int
-    h1: int
-    h2: int
-    chi: int
+class CohomologyProfile(namedtuple("CohomologyProfile", "h0 h1 h2 chi")):
+    """h0, h1, h2, chi: int."""
+
+    __slots__ = ()
 
     def as_dict(self) -> dict:
         return {"h0": self.h0, "h1": self.h1, "h2": self.h2, "chi": self.chi}

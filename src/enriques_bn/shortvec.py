@@ -49,8 +49,9 @@ it, so callers may share one and keep every certificate;
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from operator import mul
-from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from .errors import (
     CertificateError,
@@ -101,11 +102,12 @@ class PosDefForm(Frozen):
         return Fraction(acc, self.denom)
 
 
-class ShortVectorResult(NamedTuple):
-    """All nonzero vectors v with 0 < q(v) <= bound, lexicographically sorted."""
+class ShortVectorResult(namedtuple("ShortVectorResult", "bound vectors")):
+    """All nonzero vectors v with 0 < q(v) <= bound, lexicographically sorted.
 
-    bound: Fraction
-    vectors: tuple[tuple[int, ...], ...]
+    bound: Fraction, vectors: tuple[tuple[int, ...], ...]."""
+
+    __slots__ = ()
 
 
 class _ScaledLDL:

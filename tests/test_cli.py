@@ -2,6 +2,7 @@ import json
 import sys
 
 import pytest
+from test_golden import GOLDEN
 
 from enriques_bn import errors, lattice
 from enriques_bn.cli import (
@@ -9,6 +10,7 @@ from enriques_bn.cli import (
     EXIT_EXHAUSTED,
     EXIT_OK,
     EXIT_USAGE,
+    build_parser,
     format_class,
     main,
     parse_class,
@@ -353,3 +355,51 @@ class TestDeterminism:
         assert header["command"] == "invariants"
         assert header["class"] == "2*E1+4*E2"
         assert header["configuration"] == "i:2"
+
+
+COMMANDS = [
+    "lattice", "cohomology", "invariants", "predict", "destab", "example51",
+    "decompose", "selftest",
+]
+
+#: top-level help and errors, each command's help and usage errors (a bogus
+#: flag, an extra positional, no options: a required one missing where the
+#: command has one), and the README commands
+PARSER_ARGVS = (
+    [[], ["-h"], ["--help"], ["bogus"]]
+    + [[c, *tail] for c in COMMANDS for tail in (["-h"], ["--bogus"], ["extra"], [])]
+    + [record["argv"] for record in GOLDEN["cli"]]
+)
+
+
+def parse_outcome(capsys, parser, argv):
+    """(exit code or None, stdout, stderr, namespace without ``func``)."""
+    try:
+        namespace = vars(parser.parse_args(argv))
+        code = None
+        del namespace["func"]
+    except SystemExit as ex:
+        namespace, code = None, ex.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err, namespace
+
+
+class TestOneCommandParser:
+    """``run`` builds the subparser of ``argv[0]`` alone when it names a
+    command; that parser must parse, print and fail as the full one does."""
+
+    @pytest.mark.parametrize("argv", PARSER_ARGVS, ids=lambda a: " ".join(a) or "-")
+    def test_parses_as_the_full_parser(self, capsys, argv):
+        one = parse_outcome(capsys, build_parser(argv[0] if argv else None), argv)
+        full = parse_outcome(capsys, build_parser(), argv)
+        assert one == full
+        assert (one[0] is None) == (one[3] is not None)
+
+    def test_a_missing_command_is_named_command(self, capsys):
+        code, out, err, _ = parse_outcome(capsys, build_parser(), [])
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.endswith("error: the following arguments are required: command\n")
+
+    def test_builds_only_the_named_command(self, capsys):
+        code, _, err, _ = parse_outcome(capsys, build_parser("lattice"), ["selftest"])
+        assert code == EXIT_USAGE and "invalid choice: 'selftest'" in err

@@ -598,6 +598,15 @@ class TestDecomposeBudgets:
         with pytest.raises(SearchExhaustedError, match="nodes"):
             decompose_isotropic(DivisorClass(3 * (e1 + e2), 0))
 
+    def test_no_pattern_realizes_the_class(self):
+        # in U(3) the isotropic classes are the multiples of f and g, which
+        # pair to 3, and patterns (i)-(iii) pair their classes to 1 or 2; in
+        # U + E8(-1) every polarization has a decomposition
+        L = NumClass((1, 2), IntersectionForm(2, ((0, 3), (3, 0))))
+        assert invariants.polarization(L).isotropic_floor == 3
+        with pytest.raises(SearchExhaustedError, match="no pattern"):
+            decompose_isotropic(DivisorClass(L, 0))
+
 
 def combine(coeffs, gens):
     num = coeffs[0] * gens[0]
@@ -782,6 +791,13 @@ class TestIsotropicFloor:
             pol = invariants.polarization(L.num)
             assert pol.isotropic_floor == value
             assert pol.isotropic(value) == tuple(at_phi)
+
+    def test_a_form_with_no_isotropic_class_low_enough(self):
+        # f + g in U(3): every isotropic class pairs with it to a multiple of
+        # 3 > isqrt(L^2) = 2; in U + E8(-1), phi(L) <= sqrt(L^2) always
+        L = NumClass((1, 1), IntersectionForm(2, ((0, 3), (3, 0))))
+        with pytest.raises(SearchExhaustedError, match="isqrt"):
+            invariants.polarization(L).isotropic_floor
 
     def test_mu_against_the_searched_pool(self):
         found = not_found = 0

@@ -1,6 +1,9 @@
 """Contracts of the package's record types.
 
-Plain result records are ``typing.NamedTuple``s.  The value types that
+Plain result records are ``collections.namedtuple`` subclasses with
+``__slots__ = ()``, each with its field types in its docstring; not
+``typing.NamedTuple``s, whose every field annotation typing compiles when
+the class is made.  The value types that
 validate their input or keep derived state (and the destab record, read
 once per splitting) are slotted immutable classes.  Every one refuses
 assignment with AttributeError, compares and hashes by value, survives a
@@ -109,7 +112,8 @@ class TestContract:
 
     def test_pickle_round_trip(self, name):
         record = RECORDS[name]
-        assert pickle.loads(pickle.dumps(record)) == record
+        copy = pickle.loads(pickle.dumps(record))
+        assert type(copy) is type(record) and copy == record
 
     def test_repr_names_every_field(self, name):
         record = RECORDS[name]
@@ -117,6 +121,75 @@ class TestContract:
         assert text.startswith(f"{name}(")
         for field in record._fields:
             assert f"{field}=" in text
+
+
+#: each report's ``_fields`` and ``_field_defaults`` when the reports were
+#: ``typing.NamedTuple``s
+REPORT_FIELDS = {
+    "PhiResult": (("value", "witness"), {}),
+    "MuResult": (("status", "cap", "value", "witness"), {"value": None, "witness": None}),
+    "GonalityReport": (
+        ("k", "phi", "mu", "floor_term", "case_label", "genus", "notes"), {"notes": ()},
+    ),
+    "IsotropicDecomposition": (("generators", "coefficients", "configuration"), {}),
+    "BNPrediction": (
+        ("genus", "k", "status", "rows", "reason", "infinite_pencil"),
+        {"reason": None, "infinite_pencil": False},
+    ),
+    "ParamCountAudit": (
+        ("g", "d", "mn", "i", "ell", "h1_mn", "h2_mn", "ext_dim", "p_dim", "gr_dim",
+         "total_bound", "theorem_bound"),
+        {},
+    ),
+    "PlaneCoverFamilyReport": (
+        ("n", "l_square", "genus", "phi", "k", "gon_special", "plane_genus",
+         "cs_bound", "cs_holds"),
+        {},
+    ),
+    "StableCaseAudit": (("moduli_dim", "w_bound"), {}),
+    "ShortVectorResult": (("bound", "vectors"), {}),
+    "PositivityStatus": (
+        ("is_zero", "is_effective", "is_anti_effective", "is_nef", "is_ample", "witness"),
+        {},
+    ),
+    "CohomologyProfile": (("h0", "h1", "h2", "chi"), {}),
+}
+
+
+@pytest.mark.parametrize("name", REPORTS)
+class TestReportContract:
+    def test_fields_and_defaults(self, name):
+        cls = type(RECORDS[name])
+        assert (cls._fields, cls._field_defaults) == REPORT_FIELDS[name]
+
+    def test_defaults_fill_the_trailing_fields(self, name):
+        cls = type(RECORDS[name])
+        fields, defaults = REPORT_FIELDS[name]
+        required = fields[: len(fields) - len(defaults)]
+        record = cls(*required)
+        assert record == (*required, *defaults.values())
+
+    def test_an_instance_equals_the_tuple_of_its_fields(self, name):
+        record = RECORDS[name]
+        assert record == tuple(fields(record)) and tuple(record) == tuple(fields(record))
+        assert isinstance(record, tuple) and not hasattr(record, "__dict__")
+
+    def test_asdict(self, name):
+        record = RECORDS[name]
+        assert record._asdict() == dict(zip(record._fields, fields(record)))
+
+
+def test_class_constants_are_not_fields():
+    prediction, report = RECORDS["BNPrediction"], RECORDS["PlaneCoverFamilyReport"]
+    assert type(prediction).notes == prediction.notes == ()
+    assert "notes" not in prediction._asdict()
+    assert type(report).pencil_family_dim == report.pencil_family_dim == 1
+    assert "pencil_family_dim" not in report._asdict()
+    assert report.as_dict()["pencilFamilyDim"] == 1
+    # a replaced or unpickled record keeps them
+    for record in (prediction._replace(k=0), pickle.loads(pickle.dumps(prediction))):
+        assert record.notes == ()
+    assert pickle.loads(pickle.dumps(report)).pencil_family_dim == 1
 
 
 @pytest.mark.parametrize("name", REPORTS)
