@@ -8,18 +8,19 @@ search-bound exhaustion.
 Each command runs in a fresh process that compiles every module it
 imports, so a command pays only for what it runs: this module imports
 only `lattice` and `errors` at the top, each handler imports the layers it
-runs, `json` is imported where JSON is read or written (2-3 ms), the
-selftest checks live in `selftest.py`, and `run` builds the subparser of
-the command it is given alone (2.0-2.7 ms, against 2.9-3.9 ms for all
-eight).  The package namespace, which library callers use, loads every
-layer on first use.
+runs, `json` is imported where JSON is read or written (2-3 ms), and the
+selftest checks live in `selftest.py`.  `run` reads a plain argv, such
+as every README command, straight from the `_COMMANDS` table; argparse,
+whose import, first parser and parse take about 4 ms, loads only for
+help, usage errors and any other argv.  The package namespace, which
+library callers use, loads every layer on first use.
 """
 
 from __future__ import annotations
 
-import argparse
 import re
 import sys
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from .errors import (
@@ -40,6 +41,8 @@ from .lattice import (
 )
 
 if TYPE_CHECKING:
+    import argparse
+
     from .invariants import MuResult
 
 EXIT_OK = 0
@@ -323,12 +326,6 @@ def _cmd_selftest(config: dict, args) -> int:
     return EXIT_OK if passed else EXIT_DOMAIN
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # usage errors exit 1, not argparse's 2
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
 _CLASS_ARGS = (
     ("--class", {"dest": "class_literal", "required": True,
                  "help": "class literal: JSON coords or symbolic (with --config)"}),
@@ -365,20 +362,20 @@ _COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every command or, when `command` names one, of that
-    command alone, which parses its argv as the full parser does."""
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, which prints help and usage errors and
+    parses the argv that `_plain_parse` declines."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):  # usage errors exit 1, not argparse's 2
+            self.print_usage(sys.stderr)
+            self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
     # the last paragraph of the docstring is about start-up, not usage
     parser = _Parser(prog="enriques-bn", description=__doc__.rsplit("\n\n", 1)[0])
-    if command in _COMMANDS:
-        # the full parser's usage line, which a top-level error prints
-        names, metavar = (command,), "{" + ",".join(_COMMANDS) + "}"
-    else:
-        # with a metavar, a missing command would be named by it, not "command"
-        names, metavar = _COMMANDS, None
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in names:
-        help_text, func, options = _COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, func, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         for flag, keywords in options:
             p.add_argument(flag, **keywords)
@@ -386,10 +383,45 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+def _plain_parse(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace the parser gives a plain argv: a command, then exact
+    flags of that command, each once, every value converted and none
+    starting with '-', every required flag given.  None for any other argv,
+    which is left to the parser."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, func, options = _COMMANDS[argv[0]]
+    flags, given = dict(options), {}
+    words = iter(argv[1:])
+    for flag in words:
+        keywords = flags.get(flag)
+        if keywords is None or flag in given:
+            return None
+        if keywords.get("action") == "store_true":
+            given[flag] = True
+            continue
+        value = next(words, "-")
+        if value.startswith("-"):
+            return None
+        try:
+            given[flag] = keywords.get("type", str)(value)
+        except ValueError:
+            return None
+    args = SimpleNamespace(command=argv[0], func=func)
+    for flag, keywords in options:
+        if keywords.get("required") and flag not in given:
+            return None
+        store_true = keywords.get("action") == "store_true"
+        default = False if store_true else keywords.get("default")
+        dest = keywords.get("dest", flag[2:].replace("-", "_"))
+        setattr(args, dest, given.get(flag, default))
+    return args
+
+
 def run(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    args = _plain_parse(argv) or build_parser().parse_args(argv)
     config = {  # echoed as the "config" header of every JSON result
         "command": args.command,
         "class": getattr(args, "class_literal", None),

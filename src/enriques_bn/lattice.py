@@ -465,8 +465,7 @@ class ConfigurationPresentation(Frozen):
 
     def __init__(self, gram_sub: tuple, label: str):
         g, n = gram_sub, len(gram_sub)
-        if not 1 <= n <= 10:
-            raise NotRealizableError(f"need 1 <= n <= 10, got {n}")
+        _check_size(n)
         if any(len(row) != n for row in g):
             raise NotRealizableError(f"sub-Gram size: every row needs n = {n} entries")
         for i in range(n):
@@ -488,6 +487,18 @@ class ConfigurationPresentation(Frozen):
         set_field(self, "label", label)
 
 
+def _check_size(n: int) -> None:
+    if not 1 <= n <= 10:
+        raise NotRealizableError(f"need 1 <= n <= 10, got {n}")
+
+
+def _pattern(
+    n: int, two_pairs: Sequence[tuple[int, int]], label: str
+) -> ConfigurationPresentation:
+    _check_size(n)  # before the n x n Gram, which a large n cannot fit in memory
+    return ConfigurationPresentation(_pattern_gram(n, two_pairs), label)
+
+
 def _pattern_gram(n: int, two_pairs: Sequence[tuple[int, int]]) -> tuple:
     g = [[0 if i == j else 1 for j in range(n)] for i in range(n)]
     for a, b in two_pairs:
@@ -496,19 +507,19 @@ def _pattern_gram(n: int, two_pairs: Sequence[tuple[int, int]]) -> tuple:
 
 
 def config_i(n: int) -> ConfigurationPresentation:
-    return ConfigurationPresentation(_pattern_gram(n, ()), CONFIG_I)
+    return _pattern(n, (), CONFIG_I)
 
 
 def config_ii(n: int) -> ConfigurationPresentation:
     if n < 2:
         raise NotRealizableError("pattern (ii) needs n >= 2")
-    return ConfigurationPresentation(_pattern_gram(n, ((0, 1),)), CONFIG_II)
+    return _pattern(n, ((0, 1),), CONFIG_II)
 
 
 def config_iii(n: int) -> ConfigurationPresentation:
     if n < 3:
         raise NotRealizableError("pattern (iii) needs n >= 3")
-    return ConfigurationPresentation(_pattern_gram(n, ((0, 1), (0, 2))), CONFIG_III)
+    return _pattern(n, ((0, 1), (0, 2)), CONFIG_III)
 
 
 def custom_configuration(gram_sub: Sequence[Sequence[int]]) -> ConfigurationPresentation:

@@ -1,4 +1,5 @@
 import json
+import random
 import sys
 
 import pytest
@@ -10,6 +11,8 @@ from enriques_bn.cli import (
     EXIT_EXHAUSTED,
     EXIT_OK,
     EXIT_USAGE,
+    _COMMANDS,
+    _plain_parse,
     build_parser,
     format_class,
     main,
@@ -265,6 +268,18 @@ class TestExitCodes:
         assert (code, captured.out) == (EXIT_USAGE, "")
         assert captured.err.startswith(f"error: {message}")
 
+    @pytest.mark.parametrize("spec", ["i:100000", "iii:11", "30000:2"])
+    def test_configuration_size_is_a_domain_error(self, capsys, monkeypatch, spec):
+        # refused before the n x n Gram, which i:100000 could not fit in memory
+        def gram(size, two_pairs):
+            raise AssertionError(f"built a {size} x {size} Gram")
+
+        monkeypatch.setattr(lattice, "_pattern_gram", gram)
+        code = run(["invariants", "--class", "E1", "--config", spec])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (EXIT_DOMAIN, "")
+        assert captured.err.startswith("error: need 1 <= n <= 10, got ")
+
     def test_main_exits_with_the_code_of_run(self, capsys, monkeypatch):
         argv = ["predict", "--class", '{"coords":[0,0,1,0,0,0,0,0,0,0],"torsion":0}']
         monkeypatch.setattr(sys, "argv", ["enriques-bn", *argv])
@@ -365,11 +380,51 @@ COMMANDS = [
 #: top-level help and errors, each command's help and usage errors (a bogus
 #: flag, an extra positional, no options: a required one missing where the
 #: command has one), and the README commands
+README_ARGVS = [record["argv"] for record in GOLDEN["cli"]]
 PARSER_ARGVS = (
     [[], ["-h"], ["--help"], ["bogus"]]
     + [[c, *tail] for c in COMMANDS for tail in (["-h"], ["--bogus"], ["extra"], [])]
-    + [record["argv"] for record in GOLDEN["cli"]]
+    + README_ARGVS
 )
+
+#: words no command takes as a flag: abbreviations, inline values, the end
+#: of options, help, an empty word, an extra positional
+ODD_WORDS = (
+    "--cl", "--conf", "--mu", "--print", "--class=x", "--d=5", "--", "-h",
+    "--help", "", "extra",
+)
+#: values: plain, empty, signed, padded, with an underscore, in non-ASCII
+#: digits, fractional, option-like
+VALUES = (
+    "3*E1+3*E2", "two:2", "x", "", "5", "12", "-5", "+5", " 7", " -5", "1_0",
+    "\u0663", "1.5", "-E1", "--tsv", "-",
+)
+
+
+def seeded_argvs(seed: int, count: int) -> list[list[str]]:
+    """Argvs of random commands: each flag of the command given or not, in
+    random order, a value after most valued flags and a few others, and now
+    and then an odd word, a flag given twice, or a flag of another command."""
+    rng = random.Random(seed)
+    all_flags = [flag for _, _, options in _COMMANDS.values() for flag, _ in options]
+    argvs = []
+    for _ in range(count):
+        command = rng.choice(COMMANDS)
+        options = list(_COMMANDS[command][2])
+        rng.shuffle(options)
+        words = [command]
+        for flag, keywords in options:
+            if rng.random() < 0.3:
+                continue
+            words.append(flag)
+            valued = keywords.get("action") != "store_true"
+            if valued == (rng.random() < 0.9):
+                words.append(rng.choice(VALUES))
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            word = rng.choice(ODD_WORDS + tuple(all_flags))
+            words.insert(rng.randint(0, len(words)), word)
+        argvs.append(words)
+    return argvs
 
 
 def parse_outcome(capsys, parser, argv):
@@ -385,21 +440,51 @@ def parse_outcome(capsys, parser, argv):
 
 
 class TestOneCommandParser:
-    """``run`` builds the subparser of ``argv[0]`` alone when it names a
-    command; that parser must parse, print and fail as the full one does."""
+    """``run`` reads the argv of one command straight from the command table
+    (``_plain_parse``) and leaves help, usage errors and every argv it does
+    not read to the full parser; wherever it reads one, it must give the
+    full parser's namespace."""
+
+    @staticmethod
+    def parses_as_the_full_parser(capsys, parser, argv) -> bool:
+        """Whether the plain parse reads ``argv``, after checking it against
+        the full parser."""
+        code, _, _, namespace = parse_outcome(capsys, parser, argv)
+        plain = _plain_parse(argv)
+        if plain is None:
+            return False
+        assert code is None  # it never reads help or a usage error
+        plain = vars(plain)
+        assert plain.pop("func") is _COMMANDS[argv[0]][1]
+        assert plain == namespace
+        return True
 
     @pytest.mark.parametrize("argv", PARSER_ARGVS, ids=lambda a: " ".join(a) or "-")
     def test_parses_as_the_full_parser(self, capsys, argv):
-        one = parse_outcome(capsys, build_parser(argv[0] if argv else None), argv)
-        full = parse_outcome(capsys, build_parser(), argv)
-        assert one == full
-        assert (one[0] is None) == (one[3] is not None)
+        read = self.parses_as_the_full_parser(capsys, build_parser(), argv)
+        # the README commands are what it is for
+        assert read or argv not in README_ARGVS
+
+    def test_seeded_argvs_parse_as_the_full_parser(self, capsys):
+        parser = build_parser()
+        argvs = seeded_argvs(39, 2000)
+        read = [self.parses_as_the_full_parser(capsys, parser, a) for a in argvs]
+        # both the plain parse and the fall-back are exercised
+        assert 200 <= sum(read) <= 1800
 
     def test_a_missing_command_is_named_command(self, capsys):
         code, out, err, _ = parse_outcome(capsys, build_parser(), [])
         assert (code, out) == (EXIT_USAGE, "")
         assert err.endswith("error: the following arguments are required: command\n")
 
-    def test_builds_only_the_named_command(self, capsys):
-        code, _, err, _ = parse_outcome(capsys, build_parser("lattice"), ["selftest"])
-        assert code == EXIT_USAGE and "invalid choice: 'selftest'" in err
+    def test_builds_only_the_named_command(self):
+        # the options of the named command alone, at their defaults unless given
+        assert vars(_plain_parse(["lattice"])) == {
+            "command": "lattice", "func": _COMMANDS["lattice"][1], "print_gram": False,
+        }
+        assert vars(_plain_parse(["selftest", "--seed", "7"])) == {
+            "command": "selftest", "func": _COMMANDS["selftest"][1], "seed": 7,
+        }
+        # a flag of another command is left to the full parser
+        assert _plain_parse(["lattice", "--seed", "7"]) is None
+        assert _plain_parse(["selftest", "--print-gram"]) is None

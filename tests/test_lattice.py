@@ -437,6 +437,17 @@ class TestEmbedConfiguration:
         with pytest.raises(NotRealizableError, match="n >= 3"):
             config_iii(2)
 
+    @pytest.mark.parametrize("make", [config_i, config_ii, config_iii])
+    @pytest.mark.parametrize("n", [11, 30_000, 100_000])
+    def test_size_is_checked_before_the_gram_is_built(self, monkeypatch, make, n):
+        # an n x n Gram of a large n would not fit in memory
+        def gram(size, two_pairs):
+            raise AssertionError(f"built a {size} x {size} Gram")
+
+        monkeypatch.setattr(lattice, "_pattern_gram", gram)
+        with pytest.raises(NotRealizableError, match=f"need 1 <= n <= 10, got {n}"):
+            make(n)
+
     def test_nonzero_diagonal_rejected(self):
         with pytest.raises(NotRealizableError):
             custom_configuration([[0, 1], [1, 1]])

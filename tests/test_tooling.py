@@ -218,9 +218,13 @@ class TestOraclesStandAlone:
 
 
 #: ``dataclasses`` and the modules it pulls in, whose import cost every CLI
-#: process more start-up than most commands spend computing; and
-#: ``fractions`` with its ``decimal``, which no fiber search needs.
-HEAVY_MODULES = ("dataclasses", "inspect", "ast", "dis", "fractions", "decimal")
+#: process more start-up than most commands spend computing; ``fractions``
+#: with its ``decimal``, which no fiber search needs; and ``argparse`` with
+#: its ``gettext``, which a CLI call needs only for help and usage errors.
+HEAVY_MODULES = (
+    "dataclasses", "inspect", "ast", "dis", "fractions", "decimal",
+    "argparse", "gettext",
+)
 
 
 def heavy_modules_after(
@@ -295,6 +299,11 @@ class TestStartUp:
         (tmp_path / "scratch_startup.py").write_text("import dataclasses\n")
         loaded = heavy_modules_after("import scratch_startup", tmp_path)
         assert "dataclasses" in loaded and "inspect" in loaded
+
+    def test_the_check_sees_argparse(self, tmp_path):
+        (tmp_path / "scratch_startup.py").write_text("import argparse\n")
+        loaded = heavy_modules_after("import scratch_startup", tmp_path)
+        assert "argparse" in loaded and "gettext" in loaded
 
     def test_library_code_does_not_import_dataclasses(self):
         found = {
@@ -444,8 +453,11 @@ def test_each_readme_command_loads_only_its_layers(record):
         "sys.stdout = sys.__stdout__\n"
         f"if code != {record['exit']}: raise SystemExit(code)"
     )
-    loaded = heavy_modules_after(statement, ROOT / "src", ("json",))
+    watched = ("json", "argparse", "gettext")
+    loaded = heavy_modules_after(statement, ROOT / "src", watched)
     assert "enriques_bn.lattice" in loaded
+    # the command table parses every README argv; argparse is for help and errors
+    assert "argparse" not in loaded and "gettext" not in loaded
     assert [m for m in not_loaded(record["argv"]) if m in loaded] == []
     if record["argv"][0] == "selftest":
         assert "enriques_bn.selftest" in loaded
