@@ -27,6 +27,7 @@ from .errors import (
     ClassParseError,
     EnriquesBNError,
     GenusTooSmallError,
+    NotRealizableError,
     SearchExhaustedError,
 )
 from .lattice import (
@@ -56,6 +57,16 @@ _WORD_NUMBERS = {
 }
 
 
+def _size(digits: str) -> int:
+    """The configuration size a digit run names.  int() refuses a run past
+    the interpreter's digit limit (4,300 by default), and such a run names
+    a size past 10, so it gets the size check's domain error."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise NotRealizableError(f"need 1 <= n <= 10, got {digits}") from None
+
+
 def parse_configuration(spec: str) -> ConfigurationPresentation:
     """Configuration names: 'i:N', 'ii:N', 'iii:N' (or 'config-i:N' forms),
     or '<count>:<p>' where count is a number or number word and p in {1, 2}
@@ -63,13 +74,13 @@ def parse_configuration(spec: str) -> ConfigurationPresentation:
     spec = spec.strip().lower()
     m = re.fullmatch(r"(?:config-)?(i{1,3}):(\d+)", spec)
     if m:
-        pattern, n = m.group(1), int(m.group(2))
+        pattern, n = m.group(1), _size(m.group(2))
         maker = {"i": config_i, "ii": config_ii, "iii": config_iii}[pattern]
         return maker(n)
     m = re.fullmatch(r"([a-z]+|\d+)(?::([12]))?", spec)
     if m:
         word, p = m.group(1), m.group(2)
-        n = _WORD_NUMBERS.get(word) if not word.isdigit() else int(word)
+        n = _WORD_NUMBERS.get(word) if not word.isdigit() else _size(word)
         if n is not None:
             if p == "2":
                 return config_ii(n)
@@ -121,19 +132,26 @@ def parse_class(
         if not m or (pos > 0 and m.group(1) == ""):
             raise ClassParseError("expected a term like '3*E1' or 'K'", pos)
         sign = -1 if m.group(1) == "-" else 1
-        coeff = sign * (int(m.group(2)) if m.group(2) else 1)
+        try:
+            coeff = sign * (int(m.group(2)) if m.group(2) else 1)
+        except ValueError:  # past int()'s digit limit, 4,300 by default
+            raise ClassParseError(
+                f"a coefficient of {len(m.group(2))} digits is too long", pos
+            ) from None
         symbol = m.group(3).upper()
         if symbol == "K":
             torsion ^= coeff % 2
         else:
-            index = int(m.group(4))
-            if not 1 <= index <= configuration.n:
+            # more than two significant digits name no generator, and int()
+            # refuses a run past its digit limit
+            index = m.group(4).lstrip("0") or "0"
+            if len(index) > 2 or not 1 <= int(index) <= configuration.n:
                 raise ClassParseError(
                     f"unknown symbol E{index}: the configuration has "
                     f"{configuration.n} generators",
                     pos,
                 )
-            total = total + coeff * gens[index - 1]
+            total = total + coeff * gens[int(index) - 1]
         pos = m.end()
     return DivisorClass(total, torsion)
 

@@ -37,26 +37,36 @@ degree phi.  It walks the shapes with a plain enumeration of its own.
 came lazily: each height's whole fiber is listed before the first class is
 tried.
 
+The chamber oracles read phi and mu with no search, from ints and
+``canonical_form().gram`` alone.  ``chamber_reduce`` takes x in the
+positive cone to x_red, the one class of its W(E10) orbit in the closed
+fundamental chamber of the T_{2,3,7} simple roots (CHAMBER_ROOTS), by the
+reflections x <- x + (x.r) r while some x.r < 0.  Then phi(x) = x_red.f
+and mu(x) = x_red.B0 - 2 (3 on B0's orbit).  phi rests on Vinberg's
+theorem: W(E10) = O^+(E10) with this chamber as its fundamental domain
+(Vinberg, Math. USSR Sb. 16 (1972); Cossec-Dolgachev, *Enriques Surfaces
+I* (1989), ch. II), so the primitive isotropic classes are the orbit of
+f, and x.w(y) >= x.y for x, y in the closed chamber.  mu rests on that
+and on a measured claim: the classes B with B^2 = 4 and phi(B) = 2 are
+the orbit of B0.  A mismatch flags either that claim or the library.
+
 ``mu_full_scan`` and ``destab_unpruned`` are the whole-fiber forms of
 ``mu`` and ``enumerate_destab``: they build every fiber in full and filter
 afterwards, where the library stops at the first hit or prunes the search.
-``destab_unpruned`` also decides the splitting conditions from the
-cohomology of M and N, where the library decides them by arithmetic.
-``mu_whole_pool`` builds mu's isotropic pool for the cap before the scan,
-where the library reads each degree's pool up to that degree's bound.
-``mu_searched_pool`` extends one pool degree by degree and searches every
-fiber of it, where the library reads the stored fibers from phi on.
+``mu_full_scan`` tests phi(B) = 2 by the chamber, where the library reads
+an isotropic pool.  ``destab_unpruned`` also decides the splitting
+conditions from the cohomology of M and N, where the library decides them
+by arithmetic.
 
-``pencil_family_by_decomposition`` and ``twice_d10_by_parity`` are the
-tests ``multiple_content`` replaced: the plane-cover family read off a
-``decompose_isotropic`` answer, and L = 2D read off the parity of L's
-coordinates.  ``multiple_content_of_primitive_part`` is
-``multiple_content`` by its definition: phi is searched on the primitive
-part B = L/c, where the library reads phi(L) = c phi(B).
+``multiple_content_of_primitive_part`` is ``multiple_content`` by its
+definition: phi is read off the chamber reduction of the primitive part
+B = L/c, where the library reads phi(L) = c phi(B).
 
 No oracle uses a ``_``-prefixed name of ``enriques_bn``
 (``tests/test_tooling.py`` checks it): an oracle that calls the code under
-test cannot catch its bugs.
+test cannot catch its bugs.  Every public function here is read by a test
+module, or by an oracle that one reads (checked there too), so a retired
+oracle leaves with its tests.
 """
 
 from __future__ import annotations
@@ -65,6 +75,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from operator import mul
 from typing import Sequence
 
 import numpy as np
@@ -253,6 +264,74 @@ def box_classes_with_square(l_coords, square: int, degree_cap: int) -> set:
             if 0 < deg <= degree_cap:
                 out.add((x1, x2) + tuple(int(c) for c in v))
     return out
+
+
+#: f, and B0, the fundamental weight of alpha_1, in the repository basis.
+F = (1, 0, 0, 0, 0, 0, 0, 0, 0, 0)
+B0 = (2, 2, -4, -5, -7, -10, -8, -6, -4, -2)
+
+#: The simple roots of W(E10) in the order the reduction tries them:
+#: alpha_{-1} = g - f, alpha_0 = f - theta (theta the highest root of the
+#: E8(-1) block), then alpha_8 down to alpha_1, the basis vectors of
+#: coordinates 10 down to 3.
+CHAMBER_ROOTS = ((-1, 1) + (0,) * 8, (1, 0, -2, -3, -4, -6, -5, -4, -3, -2)) + tuple(
+    tuple(int(i == k) for i in range(10)) for k in range(9, 1, -1)
+)
+
+
+@lru_cache(maxsize=64)
+def _gram_column(y: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """The nonzero (i, (G y)_i), G the Gram matrix; four at most for a root."""
+    gram = canonical_form().gram
+    return tuple((i, v) for i, row in enumerate(gram) if (v := sum(map(mul, row, y))))
+
+
+def chamber_dot(x, y) -> int:
+    """x.y under the repository's Gram matrix."""
+    return sum(x[i] * v for i, v in _gram_column(tuple(y)))
+
+
+def chamber_path(coords):
+    """x, then each class that x <- x + (x.r) r reaches, r the first simple
+    root with x.r < 0, ending at x_red, where there is none.  Raises
+    ValueError unless x^2 > 0 and x.(f + g) > 0.  There the path is finite:
+    the Weyl vector rho (rho.r = 1 for each simple r, rho^2 = 1240,
+    rho.(f + g) = 61) lies in that cone, so x.rho is a positive integer,
+    and each step lowers it by -x.r."""
+    x = tuple(coords)
+    if chamber_dot(x, x) <= 0 or chamber_dot(x, (1, 1) + (0,) * 8) <= 0:
+        raise ValueError(f"{x} is not in the positive cone")
+    yield x
+    k = 0
+    while k < len(CHAMBER_ROOTS):
+        p = chamber_dot(x, CHAMBER_ROOTS[k])
+        if p < 0:
+            x = tuple(a + p * c for a, c in zip(x, CHAMBER_ROOTS[k]))
+            yield x
+        k = 0 if p < 0 else k + 1
+
+
+def chamber_reduce(coords) -> tuple[int, ...]:
+    """x_red, the one class of x's W(E10) orbit in the closed chamber."""
+    *_, x_red = chamber_path(coords)
+    return x_red
+
+
+def chamber_phi(coords) -> int:
+    """phi(x) = x_red.f.  Only alpha_{-1} moves x.f, and it lowers it; as
+    x.f >= 1 on the positive cone, the path stops where x.f is 1."""
+    for x in chamber_path(coords):
+        if chamber_dot(x, F) == 1:
+            return 1
+    return chamber_dot(x, F)
+
+
+def chamber_mu(coords) -> int:
+    """mu(x) = x_red.B0 - 2, or 3 when x_red = B0: there B = x has the
+    least degree 4 of the orbit, which mu excludes, every other B has
+    B.x > sqrt(B^2 x^2) = 4 (Hodge index), and w^-1(s_1 B0) has 5."""
+    x_red = chamber_reduce(coords)
+    return 3 if x_red == B0 else chamber_dot(x_red, B0) - 2
 
 
 def fraction_ldl(gram) -> tuple[list[Fraction], list[list[Fraction]]]:
@@ -595,71 +674,15 @@ def mu_full_scan(L, cap: int):
 
     Every fiber x.L = t, x^2 = 4 for t <= cap comes in full from the
     Fraction kernel and is sorted; the first class that is not numerically
-    L and has phi = 2 (phi itself, not the isotropic pool of ``mu``) is the
+    L and has chamber phi 2 (not the isotropic pool of ``mu``) is the
     witness at the smallest such t.
     """
-    from enriques_bn.invariants import phi
-    from enriques_bn.lattice import DivisorClass
-
     form = L.num.form
     for t in range(1, cap + 1):
         for coords in sorted(fraction_solutions(form, [L.num], [t], 4, True)):
-            b = NumClass(coords, form)
-            if b != L.num and phi(DivisorClass(b, 0)).value == 2:
+            if NumClass(coords, form) != L.num and chamber_phi(coords) == 2:
                 return t - 2, coords
     return None
-
-
-def mu_whole_pool(L, cap: int):
-    """``mu(L, cap)`` as it ran before its isotropic pool grew with the
-    degree: the pool of every isotropic E with E.L <= (cap + sqrt(cap^2 -
-    4 L^2)) / 4 is built before degree 1 is scanned, and no degree is
-    skipped."""
-    from enriques_bn.invariants import MU_EXACT, MU_NOT_FOUND, MuResult
-    from enriques_bn.lattice import DivisorClass
-    from enriques_bn.shortvec import ComplementLift
-
-    lift = ComplementLift(L.num)
-    disc = cap * cap - 4 * L.square
-    pool_bound = (cap + math.isqrt(disc)) // 4 if disc >= 0 else 0
-    iso_pool = [e for s in range(1, pool_bound + 1) for e in lift.fiber(s, 0)]
-
-    def admissible(x) -> bool:
-        return x != L.num and all(e.dot(x) != 1 for e in iso_pool)
-
-    for t in range(1, cap + 1):
-        x = lift.first(t, 4, admissible)
-        if x is not None:
-            return MuResult(MU_EXACT, cap, t - 2, DivisorClass(x, 0))
-    return MuResult(MU_NOT_FOUND, cap)
-
-
-def mu_searched_pool(L, cap: int):
-    """``mu(L, cap)`` as it ran before the pool started at phi's stored
-    fiber: each pool degree s = 1, 2, ... is searched with ``fiber(s, 0)``
-    on a lift of its own, phi's degree and those below it included."""
-    from enriques_bn.invariants import MU_EXACT, MU_NOT_FOUND, MuResult
-    from enriques_bn.lattice import DivisorClass
-    from enriques_bn.shortvec import ComplementLift
-
-    lift = ComplementLift(L.num)
-    iso_pool: list = []
-    pool_degree = 0
-
-    def admissible(x) -> bool:
-        return x != L.num and all(e.dot(x) != 1 for e in iso_pool)
-
-    for t in range(1, cap + 1):
-        disc = t * t - 4 * L.square
-        if disc < 0:
-            continue
-        for s in range(pool_degree + 1, (t + math.isqrt(disc)) // 4 + 1):
-            iso_pool.extend(lift.fiber(s, 0))
-            pool_degree = s
-        x = lift.first(t, 4, admissible)
-        if x is not None:
-            return MuResult(MU_EXACT, cap, t - 2, DivisorClass(x, 0))
-    return MuResult(MU_NOT_FOUND, cap)
 
 
 def destab_unpruned(L, d: int) -> list:
@@ -977,40 +1000,13 @@ def decompose_prefix_systems(L):
     )
 
 
-def pencil_family_by_decomposition(L) -> bool:
-    """Whether L = n(E_1 + E_2) with E_1.E_2 = 2 and n >= 3, as
-    ``predict_w1d`` decided it before: ``decompose_isotropic`` returns
-    pattern (ii) with two generators and coefficients a == b >= 3."""
-    from enriques_bn.invariants import decompose_isotropic
-    from enriques_bn.lattice import CONFIG_II
-
-    dec = decompose_isotropic(L)
-    if dec.configuration != CONFIG_II or len(dec.generators) != 2:
-        return False
-    a, b = dec.coefficients
-    return a == b and a >= 3
-
-
-def twice_d10_by_parity(L) -> bool:
-    """Whether L = 2D numerically with D^2 = 10 and phi(D) = 3: every
-    coordinate of L even, then D = L/2 checked."""
-    from enriques_bn.invariants import phi
-    from enriques_bn.lattice import DivisorClass
-
-    if any(c % 2 for c in L.num.coords):
-        return False
-    half = NumClass(tuple(c // 2 for c in L.num.coords), L.num.form)
-    return half.square == 10 and phi(DivisorClass(half, 0)).value == 3
-
-
 def multiple_content_of_primitive_part(L, square: int, phi_value: int) -> int:
     """The content c of L when the primitive part B = L/c has
-    B^2 = square and phi(B) = phi_value, else 0; B gets its own phi
-    search."""
-    from enriques_bn.invariants import phi
-    from enriques_bn.lattice import DivisorClass, content
+    B^2 = square and phi(B) = phi_value, else 0; phi(B) is read off B's
+    own chamber reduction."""
+    from enriques_bn.lattice import content
 
     c, b = content(L.num)
-    if b.square != square or phi(DivisorClass(b, 0)).value != phi_value:
+    if b.square != square or chamber_phi(b.coords) != phi_value:
         return 0
     return c

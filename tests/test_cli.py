@@ -259,8 +259,13 @@ class TestExitCodes:
             (("cohomology", "--class", '{"coords": [1,'), "bad JSON literal"),
             (("invariants", "--class", "3*E1+*E2", "--config", "two:2"),
              "expected a term like '3*E1' or 'K' (at position 4)"),
+            # digit runs past int()'s limit of 4,300 digits
+            (("invariants", "--class", "1" * 5000 + "*E1", "--config", "i:2"),
+             "a coefficient of 5000 digits is too long (at position 0)"),
+            (("invariants", "--class", "E1+E" + "1" * 5000, "--config", "i:2"),
+             "unknown symbol E111"),
         ],
-        ids=["configuration", "json", "term"],
+        ids=["configuration", "json", "term", "long-coefficient", "long-index"],
     )
     def test_parse_errors_go_to_stderr(self, capsys, argv, message):
         code = run(list(argv))
@@ -268,7 +273,10 @@ class TestExitCodes:
         assert (code, captured.out) == (EXIT_USAGE, "")
         assert captured.err.startswith(f"error: {message}")
 
-    @pytest.mark.parametrize("spec", ["i:100000", "iii:11", "30000:2"])
+    @pytest.mark.parametrize(
+        "spec", ["i:100000", "iii:11", "30000:2", "i:" + "1" * 5000, "1" * 5000 + ":2"],
+        ids=["i:100000", "iii:11", "30000:2", "i:5000-digits", "5000-digits:2"],
+    )
     def test_configuration_size_is_a_domain_error(self, capsys, monkeypatch, spec):
         # refused before the n x n Gram, which i:100000 could not fit in memory
         def gram(size, two_pairs):

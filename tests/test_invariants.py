@@ -24,6 +24,7 @@ from enriques_bn.invariants import (
     CASE_MU_SQUARE_PLUS,
     EXCEPTIONAL_SQUARE_PHI_PAIRS,
     MU_EXACT,
+    MU_NOT_FOUND,
     POLARIZATION_CACHE_SIZE,
     MuResult,
     PhiResult,
@@ -57,16 +58,19 @@ from enriques_bn.lattice import (
 from enriques_bn.positivity import classify_positivity, cohomology, reference_ample
 from enriques_bn.shortvec import ComplementLift, FiberSystem
 from oracles import (
+    B0,
+    CHAMBER_ROOTS,
+    F,
     box_classes_with_square,
     box_isotropic_minimum,
+    chamber_dot,
+    chamber_mu,
+    chamber_phi,
+    chamber_reduce,
     decompose_prefix_systems,
     decompose_subset_search,
     mu_full_scan,
-    mu_searched_pool,
-    mu_whole_pool,
     multiple_content_of_primitive_part,
-    pencil_family_by_decomposition,
-    twice_d10_by_parity,
 )
 
 
@@ -145,7 +149,7 @@ class TestMu:
         assert res.exact and res.value == 10  # B = E1 + E2 of degree 12
         w = res.witness
         assert w.square == 4
-        assert phi(w).value == 2
+        assert chamber_phi(w.num.coords) == 2
         assert w.num == e1 + e2
 
     def test_not_found_below_cap(self, pair_one):
@@ -163,16 +167,15 @@ class TestMu:
             assert res.value >= 3  # degree 4 would force B numerically equal to L
 
     def _box_minimum(self, L, cap):
-        """Smallest L.B - 2 over box-scanned B with B^2 = 4 and phi(B) = 2,
-        walking degrees upward so only the low strata need phi checks."""
+        """Smallest L.B - 2 over box-scanned B != L with B^2 = 4 and chamber
+        phi(B) = 2, walking degrees upward so only the low strata are
+        reduced."""
         by_degree = {}
         for coords in box_classes_with_square(L.num.coords, 4, cap):
-            b = divisor_class(coords)
-            by_degree.setdefault(L.dot(b), []).append(b)
+            by_degree.setdefault(L.num.dot(num_class(coords)), []).append(coords)
         for deg in sorted(by_degree):
-            for b in by_degree[deg]:
-                if b.num != L.num and phi(b).value == 2:
-                    return deg - 2
+            if any(b != L.num.coords and chamber_phi(b) == 2 for b in by_degree[deg]):
+                return deg - 2
         return None
 
     def test_minimality_against_box_scan(self):
@@ -181,7 +184,8 @@ class TestMu:
         assert res.exact
         assert self._box_minimum(L, 12) == res.value
         w = res.witness
-        assert w.square == 4 and phi(w).value == 2 and L.dot(w) == res.value + 2
+        assert w.square == 4 and L.dot(w) == res.value + 2
+        assert chamber_phi(w.num.coords) == 2
 
     def test_not_found_matches_empty_box_scan(self):
         L = divisor_class([3, 1] + [0] * 8)
@@ -193,7 +197,7 @@ class TestMu:
 class TestMuFirstHit:
     def test_against_full_fiber_scan(self):
         """mu stops at its first admissible class; the full scan sorts whole
-        fibers and tests phi(B) = 2 directly."""
+        fibers and tests chamber phi(B) = 2."""
         rng = random.Random(51)
         classes = []
         while len(classes) < 6:
@@ -220,25 +224,8 @@ class TestMuFirstHit:
 
 class TestMuPoolGrowth:
     """mu extends its isotropic pool with the degree it scans and skips the
-    degrees below the Hodge bound; the oracles build the cap's whole pool
-    first, or test phi(B) = 2 on whole fibers."""
-
-    def test_against_whole_pool(self):
-        rng = random.Random(52)
-        cases = []
-        for i in range(24):
-            L = random_ample(rng, max_square=24)
-            cases.append((L, 2 * phi(L).value + (6 if i % 2 else 2)))
-        # mu(3f + g) = 6 at degree 8: not found below caps 4 and 7
-        three_f_g = divisor_class([3, 1] + [0] * 8)
-        cases += [(three_f_g, 4), (three_f_g, 7), (three_f_g, 8)]
-        found = not_found = 0
-        for L, cap in cases:
-            res = mu(L, cap)
-            assert res == mu_whole_pool(L, cap)
-            found += res.exact
-            not_found += not res.exact
-        assert found and not_found
+    degrees below the Hodge bound; the oracle tests chamber phi(B) = 2 on
+    whole fibers."""
 
     def test_against_full_fiber_scan_at_raised_caps(self):
         rng = random.Random(53)
@@ -262,20 +249,21 @@ class TestMuPoolGrowth:
 
     def test_phi_one_candidates_start_at_three_phi(self):
         """The lemma in multiple_content: B^2 = 4 with phi(B) = 1 is 2E + F,
-        E phi's witness and F effective isotropic, so F.L >= phi(L) and
-        B.L >= 3 phi(L), where mu's pool starts to fill."""
+        E.B = 1 and E, F effective isotropic, so F.L >= phi(L), E.L <=
+        (B.L - phi(L)) / 2 and B.L >= 3 phi(L), where mu's pool starts to
+        fill."""
         seen = Counter()
         for _, _, L in structured_sweep(20):
             floor = phi(L).value
             lift = ComplementLift(L.num)
             for t in range(1, 2 * floor + 3):
+                pool = [e for s in range(floor, (t - floor) // 2 + 1) for e in lift.fiber(s, 0)]
                 for b in lift.fiber(t, 4):
-                    r = phi(DivisorClass(b, 0))
-                    seen[r.value] += 1
-                    if r.value == 1:
-                        f = b - 2 * r.witness.num
-                        assert f.square == 0 and f.dot(L.num) >= floor
+                    value = chamber_phi(b.coords)
+                    seen[value] += 1
+                    if value == 1:
                         assert t >= 3 * floor, (L.num.coords, b.coords)
+                        assert any(e.dot(b) == 1 for e in pool), (L.num.coords, b.coords)
         assert seen == {1: 779, 2: 7131}
 
 
@@ -445,7 +433,7 @@ class TestIsometryInvariance:
                 assert b.square == 4 and b != target.num
                 assert classify_positivity(DivisorClass(b, 0)).is_effective
                 assert target.num.dot(b) - 2 == target_rep.mu.value
-                assert phi(DivisorClass(b, 0)).value == 2
+                assert chamber_phi(b.coords) == 2
 
 
 class TestClifford:
@@ -799,17 +787,6 @@ class TestIsotropicFloor:
         with pytest.raises(SearchExhaustedError, match="isqrt"):
             invariants.polarization(L).isotropic_floor
 
-    def test_mu_against_the_searched_pool(self):
-        found = not_found = 0
-        for L in floor_classes():
-            cap = 2 * phi(L).value + 2
-            for c in (cap, cap + 4):
-                res = mu(L, c)
-                assert res == mu_searched_pool(L, c), (L.num.coords, c)
-                found += res.exact
-                not_found += not res.exact
-        assert found and not_found
-
     def test_mu_searches_no_degree_phi_has_settled(self, monkeypatch):
         degrees = []
         real = ComplementLift.fiber
@@ -901,17 +878,14 @@ FIXED_WORDS = [(0,), (1, 3), (2, 0, 5), (8, 7, 6, 0), (4, 1, 4, 2)]
 
 class TestMultipleContent:
     """``multiple_content`` decides the plane-cover family and the L = 2D
-    exclusion by arithmetic; it agrees with the tests it replaced, the
-    ``decompose_isotropic`` answer and the coordinate parity
-    (``oracles.pencil_family_by_decomposition``, ``twice_d10_by_parity``)."""
+    exclusion by arithmetic, from L's own phi; it equals its definition,
+    with phi read off the primitive part's chamber reduction
+    (``oracles.multiple_content_of_primitive_part``)."""
 
     @staticmethod
     def check(L):
-        family = multiple_content(L, 4, 2) >= 3
-        assert family == pencil_family_by_decomposition(L), L.num.coords
-        twice = multiple_content(L, 10, 3) == 2
-        assert twice == twice_d10_by_parity(L), L.num.coords
-        return family, twice
+        """(plane-cover family, L = 2D with D^2 = 10 and phi(D) = 3)."""
+        return multiple_content(L, 4, 2) >= 3, multiple_content(L, 10, 3) == 2
 
     def test_structured_sweep(self):
         classes = [L for _, _, L in structured_sweep(40)]
@@ -952,7 +926,7 @@ class TestMultipleContent:
                 pairs = [(4, 2), (10, 3)]
                 c, b = content(L.num)
                 if c > 1:
-                    value = phi(DivisorClass(b, 0)).value
+                    value = chamber_phi(b.coords)
                     pairs += [(b.square, value), (b.square, value + 1)]
                 for square, value in pairs:
                     got = multiple_content(L, square, value)
@@ -972,6 +946,91 @@ class TestMultipleContent:
                 L = DivisorClass(2 * apply_isometry(word, D), 0)
                 assert multiple_content(L, 10, value) == 2
                 assert self.check(L) == (False, value == 3)
+
+
+#: The T_{2,3,7} edges on CHAMBER_ROOTS (alpha_{-1}, alpha_0, alpha_8, ...,
+#: alpha_1): arms of six, two and one nodes joined to alpha_4 (index 6).
+T237_EDGES = {(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 9), (6, 8)}
+
+
+class TestChamberOracle:
+    """phi(L) = x_red.f and mu(L) = x_red.B0 - 2 (3 on B0's orbit), read
+    off the reduction of L to the closed fundamental chamber of W(E10)
+    (``oracles.chamber_reduce``), with no search."""
+
+    def test_roots_and_b0(self):
+        # the negated Cartan matrix of T_{2,3,7}; B0 is the weight of alpha_1
+        gram = [[chamber_dot(r, s) for s in CHAMBER_ROOTS] for r in CHAMBER_ROOTS]
+        assert gram == [
+            [-2 if i == j else int((i, j) in T237_EDGES or (j, i) in T237_EDGES)
+             for j in range(10)] for i in range(10)
+        ]
+        assert (chamber_dot(B0, B0), chamber_dot(B0, F)) == (4, 2)
+        assert [chamber_dot(B0, r) for r in CHAMBER_ROOTS] == [0] * 9 + [1]
+        assert chamber_reduce(B0) == B0
+
+    def test_reduced_classes_lie_in_the_chamber_and_ignore_isometries(self):
+        for _, _, L in structured_sweep(100):
+            x_red = chamber_reduce(L.num.coords)
+            assert all(chamber_dot(x_red, r) >= 0 for r in CHAMBER_ROOTS)
+            for word in FIXED_WORDS:
+                image = apply_isometry(word, L.num).coords
+                assert chamber_reduce(image) == x_red, (L.num.coords, word)
+
+    @pytest.mark.parametrize(
+        "coords", [(-3, -1) + (0,) * 8, F, CHAMBER_ROOTS[2], tuple(-c for c in B0)]
+    )
+    def test_refuses_a_class_outside_the_positive_cone(self, coords):
+        # before its first reflection, so it cannot loop
+        for oracle in (chamber_reduce, chamber_phi, chamber_mu):
+            with pytest.raises(ValueError, match="positive cone"):
+                oracle(coords)
+
+    @staticmethod
+    def check_mu(L, cap, witnessed):
+        """mu(L, cap) has the chamber's status and value; its witness w != L
+        has w^2 = 4, degree mu + 2 and chamber phi 2, and every class before
+        w in its fiber is L or has chamber phi 1 (once per class)."""
+        value, res = chamber_mu(L.num.coords), mu(L, cap)
+        if value + 2 > cap:
+            assert res == MuResult(MU_NOT_FOUND, cap), (L.num.coords, cap)
+            return False
+        assert res[:3] == (MU_EXACT, cap, value), (L.num.coords, cap)
+        w = res.witness.num
+        assert w != L.num and w.square == 4 and L.num.dot(w) == value + 2
+        assert chamber_phi(w.coords) == 2
+        if L.num not in witnessed:
+            witnessed.add(L.num)
+            admissible = lambda b: b != L.num and chamber_phi(b.coords) != 1
+            assert ComplementLift(L.num).first(value + 2, 4, admissible) == w
+        return True
+
+    def test_phi_and_mu_on_the_sweep(self):
+        # caps 2 phi + 2 and 2 phi + 10 on every class of L^2 <= 100
+        witnessed, found = set(), Counter()
+        for _, _, L in structured_sweep(100):
+            value = chamber_phi(L.num.coords)
+            assert phi(L).value == value, L.num.coords
+            for cap in (2 * value + 2, 2 * value + 10):
+                found[self.check_mu(L, cap, witnessed)] += 1
+        assert found == {True: 943, False: 1761}
+
+    def test_mu_on_the_pairs_of_the_pool_tests(self):
+        # the pairs that checked mu against its earlier pool searches:
+        # sampled classes at 2 phi + 2 or + 6, 3f + g (mu = 6) at caps 4, 7
+        # and 8, and the floor classes at 2 phi + 2 and + 6
+        three_f_g = divisor_class([3, 1] + [0] * 8)
+        pairs = [(three_f_g, cap) for cap in (4, 7, 8)]
+        rng = random.Random(52)
+        for i in range(24):
+            L = random_ample(rng, max_square=24)
+            pairs.append((L, 2 * chamber_phi(L.num.coords) + (6 if i % 2 else 2)))
+        for L in floor_classes():
+            cap = 2 * chamber_phi(L.num.coords) + 2
+            pairs += [(L, cap), (L, cap + 4)]
+        witnessed = set()
+        found = Counter(self.check_mu(L, cap, witnessed) for L, cap in pairs)
+        assert found == {True: 155, False: 122}
 
 
 def cached_answers(L):

@@ -7,7 +7,8 @@ passes over the benchmark's workloads repeat their counts and answers, as
 ``perfbench/run.py --trace 1`` checks.  The
 library's checks are explicit errors, so none disappears under
 ``python -O``.  The test oracles reach the package through its public
-names only, so no oracle runs the code it is meant to check.  Importing
+names only, so no oracle runs the code it is meant to check, and a test
+reads every oracle.  Importing
 the CLI loads none of the modules that made up most of its start-up
 (``dataclasses`` and what it imports) and not ``fractions``; ``import
 enriques_bn`` loads no layer, the first public name loads them all, and
@@ -215,6 +216,45 @@ class TestOraclesStandAlone:
             "4: inv._levels",
             "5: enriques_bn.shortvec._ScaledLDL",
         ]
+
+
+def unread_oracles(oracles: str, tests: list[str]) -> list[str]:
+    """The public functions of the ``oracles`` source that no ``tests``
+    source reads, itself or through other functions of ``oracles``; an
+    import alone is no read."""
+    def read(tree):
+        return {node.id if isinstance(node, ast.Name) else node.attr
+                for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))}
+
+    functions = {
+        node.name: node for node in ast.parse(oracles).body if isinstance(node, ast.FunctionDef)
+    }
+    todo = set().union(*(read(ast.parse(source)) for source in tests)) & functions.keys()
+    reached = set()
+    while todo:
+        reached.add(name := todo.pop())
+        todo |= (read(functions[name]) & functions.keys()) - reached
+    return sorted(name for name in functions.keys() - reached if not name.startswith("_"))
+
+
+class TestNoDeadOracle:
+    def test_every_oracle_is_read_by_a_test(self):
+        tests = [path.read_text() for path in (ROOT / "tests").glob("test_*.py")]
+        assert unread_oracles((ROOT / "tests" / "oracles.py").read_text(), tests) == []
+
+    def test_the_check_follows_reads_through_oracles(self):
+        oracles = (
+            "def used():\n    return _helper()\n"
+            "def _helper():\n    return shared()\n"
+            "def shared():\n    return 1\n"
+            "def imported_only():\n    return 2\n"
+            "def retired():\n    return shared()\n"
+        )
+        tests = [
+            "from oracles import imported_only, used\nassert used() == 1\n",
+            "import oracles\nassert oracles.shared() == 1\n",
+        ]
+        assert unread_oracles(oracles, tests) == ["imported_only", "retired"]
 
 
 #: ``dataclasses`` and the modules it pulls in, whose import cost every CLI
