@@ -12,21 +12,14 @@ EXCEPTIONAL_SQUARE_PHI_PAIRS (and then equals 2 phi - 1), and mu wins
 exactly when L^2 = phi^2 (phi even) or L^2 = phi^2 + phi - 2.  The generic
 Clifford index is k - 2.
 
-All searches run through the complement projection, so every reported
-minimum is certified: phi candidates satisfy phi <= sqrt(L^2), and a mu
-search capped at L.B <= 2 phi + 2 decides the gonality minimum even when it
-reports "not found".
+phi and mu are read off one reduction of L to the W(E10) chamber
+(``lattice.chamber_reduce``).  Their witnesses come from certified
+searches on the complement projection, at phi and at mu + 2 when it is
+at most mu's cap (default 2 phi + 2, which decides the gonality minimum).
 
 Each effective class L of positive square has one :class:`Polarization`,
-kept by :func:`polarization` for the last POLARIZATION_CACHE_SIZE classes,
-keyed on L by value: its constructor is the one check of L, its lift is
-built once, and its isotropic fibers (x.L = t, x^2 = 0), phi(L) and
-gonality report are computed at most once.  All are fixed by L alone.
-phi's degree loop, mu's isotropic pool and every searched generator of
-decompose_isotropic read the fibers (:meth:`Polarization.isotropic`), so
-no isotropic fiber of L is searched twice, and each caller runs its own
-search on the lift for B^2 = 4, so a reused answer keeps its
-certificates and threads may share them.
+kept by :func:`polarization`, which computes the reduction, the isotropic
+fibers, phi and the gonality report of L at most once.
 """
 
 from __future__ import annotations
@@ -48,6 +41,8 @@ from .lattice import (
     ConfigurationPresentation,
     DivisorClass,
     NumClass,
+    basis_vector,
+    chamber_reduce,
     config_i,
     config_ii,
     config_iii,
@@ -139,53 +134,75 @@ class IsotropicDecomposition(
 def phi(L: DivisorClass) -> PhiResult:
     """Exact minimum of L.E over primitive isotropic effective classes E.
 
-    The value is searched once per class, by
-    :attr:`Polarization.isotropic_floor`.  The witness is the
-    lexicographically least class of the fiber at it.
+    The value is x_red.f (:attr:`Polarization.isotropic_floor`, proved at
+    ``lattice.chamber_reduce``).  The witness is the lexicographically
+    least class of the fiber at it, the one fiber phi searches.
     """
     pol = polarization(L.num)
     value = pol.isotropic_floor
     return PhiResult(value, DivisorClass(pol.isotropic(value)[0], 0))
 
 
+#: B0 = 2f + 2g + v0 (v0^2 = -4), the weight of alpha_1: B0.r = 0 for the
+#: other simple roots of ``lattice.CHAMBER_ROOTS``, and B0.alpha_1 = 1.
+B0 = (2, 2, -4, -5, -7, -10, -8, -6, -4, -2)
+
+
 def mu(L: DivisorClass, cap: int | None = None) -> MuResult:
     """Exact minimum of L.B - 2 over effective B, B^2 = 4, phi(B) = 2, B != L.
 
-    The search considers all B with L.B <= cap (default 2 phi(L) + 2, which
-    suffices to decide the gonality minimum) and reports "not found below
-    cap" otherwise; that report certifies mu(L) > cap - 2.
+    mu(L) = x_red.B0 - 2, or 3 when x_red = B0 (x_red =
+    ``lattice.chamber_reduce(L)``).  Only B with L.B <= cap count (default
+    2 phi(L) + 2): above it the answer is "not found below cap", with no
+    search, which certifies mu(L) > cap - 2.  Otherwise
+    ``ComplementLift.first`` at the degree t = mu + 2 gives the witness,
+    the lexicographically least admissible class, and CertificateError if
+    it finds none.
 
-    Each degree's candidates come from ``ComplementLift.first``, which
-    walks the fiber in lexicographic order and stops at the first
-    admissible class, so no fiber of B^2 = 4 is built in full.
+    The classes B with B^2 = 4 and phi(B) = 2 are the W-orbit of B0
+    (Cossec-Dolgachev, *Enriques Surfaces I*, ch. II).  By the lemma in
+    :func:`multiple_content`, B = E1 + E2 with E_i primitive isotropic and
+    E1.E2 = 2.  Move E1 to f (one orbit, see ``chamber_reduce``); then
+    E2 = a f + 2g + v with v in E8(-1) and v^2 = -4a.  The Eichler
+    transformations that fix f lie in O^+ = W and move v by any vector of
+    2E8.  v in 2E8 makes a even and E2 imprimitive, and v congruent to a
+    root r gives v^2 = r^2 = 2 mod 4.  So v lies in one of the 135 classes
+    of norm-4 vectors in E8/2E8, on which W(E8) (alpha_1..alpha_8, fixing
+    f) is transitive (Conway-Sloane, *SPLAG*, ch. 4): B is in the orbit of
+    one class, B0.  Conversely phi(B0) = B0.f = 2.
 
-    The phi(B) = 2 test never rebuilds lattice machinery per candidate:
+    W keeps the positive cone, so every B of the orbit is effective.  B0
+    lies in the closed chamber, so with L = u(x_red) every B = w(B0) has
+    L.B >= x_red.B0 (``chamber_reduce``), with equality at u(B0), which is
+    not L unless x_red = B0.  Then B = L is the one class of degree 4, as
+    (B.L)^2 >= B^2 L^2 = 16 (Hodge index) holds with equality only for B
+    proportional to L, and u(s_1 B0) = u(B0 + alpha_1) has degree 5.
+
+    The search tests phi(B) = 2 with no lattice machinery per candidate:
     phi(B) = 1 makes B = 2E + F with E.B = 1 and E, F effective isotropic
-    (the lemma in :func:`multiple_content`), so t >= 2 E.L + phi(L).  At
-    degree t one pool, the stored fibers (:meth:`Polarization.isotropic`)
-    of degrees phi(L) .. (t - phi(L)) / 2, decides the test for every
-    candidate; it is empty below t = 3 phi(L), no isotropic class has
-    0 < E.L < phi(L), and no fiber is searched that phi or an earlier call
-    has searched.  No degree with t^2 < 4 L^2 is scanned: by the Hodge
-    index theorem (B.L)^2 >= B^2 L^2 = 4 L^2, so no candidate lies there.
+    (the lemma), so t >= 2 E.L + phi(L), and the stored fibers
+    (:meth:`Polarization.isotropic`) of degrees phi(L) .. (t - phi(L)) / 2
+    hold every such E.
     """
     pol = polarization(L.num)
     floor = pol.isotropic_floor
     if cap is None:
         cap = 2 * floor + 2
-    for t in range(math.isqrt(4 * L.square - 1) + 1, cap + 1):
-        top = (t - floor) // 2
-        pool = [e for s in range(floor, top + 1) for e in pol.isotropic(s)]
-        # the definition excludes B numerically equal to L, and phi(B) = 1
-        # fails it; B^2 = 4 admits no larger phi than 2.  Fibers come in
-        # lexicographic order, so the first admissible candidate at the
-        # minimal degree is the canonical witness
-        x = pol.lift.first(
-            t, 4, lambda b: b != L.num and all(e.dot(b) != 1 for e in pool)
+    x_red = pol.reduced
+    t = 5 if x_red.coords == B0 else x_red.dot(NumClass(B0, x_red.form))
+    if t > cap:
+        return MuResult(MU_NOT_FOUND, cap)
+    pool = [e for s in range(floor, (t - floor) // 2 + 1) for e in pol.isotropic(s)]
+    # phi(B) = 1 fails the test, and B^2 = 4 admits no larger phi than 2;
+    # L itself, excluded by the definition, is never at t: L.L = 4 only on
+    # B0's orbit, where t = 5
+    x = pol.lift.first(t, 4, lambda b: all(e.dot(b) != 1 for e in pool))
+    if x is None:
+        raise CertificateError(
+            f"no class B != L with B^2 = 4 and phi(B) = 2 has L.B = {t}, "
+            f"the degree the chamber gives for L = {L.num.coords}"
         )
-        if x is not None:
-            return MuResult(MU_EXACT, cap, t - 2, DivisorClass(x, 0))
-    return MuResult(MU_NOT_FOUND, cap)
+    return MuResult(MU_EXACT, cap, t - 2, DivisorClass(x, 0))
 
 
 def multiple_content(L: DivisorClass, square: int, phi_value: int) -> int:
@@ -239,9 +256,14 @@ def multiple_content(L: DivisorClass, square: int, phi_value: int) -> int:
 
 class Polarization:
     """The shared computations of one class L, effective of positive
-    square: its :class:`ComplementLift`, built once, and its isotropic
-    fibers, phi and gonality report, each computed at most once.  Get one
-    from :func:`polarization`.  The constructor is the one check of L: it
+    square: its :class:`ComplementLift`, built once, and its chamber
+    reduction, isotropic fibers (x.L = t, x^2 = 0), phi and gonality
+    report, each computed at most once and fixed by L alone.  phi, mu's
+    pool and every searched generator of decompose_isotropic read the
+    fibers, so no isotropic fiber of L is searched twice, and each caller
+    runs its own search on the lift for B^2 = 4, so a reused answer keeps
+    its certificates and threads may share them.  Get one from
+    :func:`polarization`.  The constructor is the one check of L: it
     raises NotAmpleEnoughError, and builds nothing, unless L is effective
     with L^2 > 0, so every reader may take that as given.
     """
@@ -268,32 +290,36 @@ class Polarization:
         return fiber
 
     @cached_property
-    def isotropic_floor(self) -> int:
-        """phi(L), the least t > 0 with an isotropic x, x.L = t.
+    def reduced(self) -> NumClass:
+        """x_red, the reduction of L to the closed W(E10) chamber
+        (``lattice.chamber_reduce``), computed on first read."""
+        return chamber_reduce(self.L)
 
-        Complete by the bound phi(L) <= sqrt(L^2): for t = 1.. isqrt(L^2),
-        the isotropic classes with x.L = t have complement norm exactly
-        t^2/L^2, a finite ellipsoid search, and phi(L) is the first t with
-        hits.  So no isotropic class has 0 < x.L < phi(L), and every class
-        of the fiber at phi(L) is primitive: x = cP with c >= 2 would put
+    @cached_property
+    def isotropic_floor(self) -> int:
+        """phi(L) = x_red.f, certified on its fiber: a class of the fiber at
+        phi(L) is the witness, every class of it must pair positively with
+        the reference ample class, and an empty fiber raises
+        CertificateError.  No isotropic class has 0 < x.L < phi(L), so
+        every class of the fiber is primitive: x = cP with c >= 2 would put
         the isotropic P at the degree phi(L) / c < phi(L).
         """
+        t = self.reduced.dot(basis_vector(0, self.L.form))
+        hits = self.isotropic(t)
+        if not hits:
+            raise CertificateError(
+                f"no isotropic class x has x.L = {t}, the degree the chamber "
+                f"gives for L = {self.L.coords}"
+            )
+        # effectivity is automatic: x.L > 0 puts x in the cone of L
         a0 = reference_ample(self.L.form)
-        for t in range(1, math.isqrt(self.L.square) + 1):
-            hits = self.isotropic(t)
-            if hits:
-                # effectivity is automatic: x.L > 0 puts x in the cone of L
-                bad = next((x for x in hits if x.dot(a0.num) <= 0), None)
-                if bad is not None:
-                    raise CertificateError(
-                        f"isotropic class {bad.coords} with x.L = {t} > 0 pairs "
-                        f"to {bad.dot(a0.num)} with the reference ample class"
-                    )
-                return t
-        raise SearchExhaustedError(
-            f"no isotropic class with L.E <= isqrt(L^2) = {math.isqrt(self.L.square)}; "
-            "input is outside the modeled cone"
-        )
+        bad = next((x for x in hits if x.dot(a0.num) <= 0), None)
+        if bad is not None:
+            raise CertificateError(
+                f"isotropic class {bad.coords} with x.L = {t} > 0 pairs "
+                f"to {bad.dot(a0.num)} with the reference ample class"
+            )
+        return t
 
     @cached_property
     def report(self) -> GonalityReport:

@@ -22,10 +22,12 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from functools import lru_cache
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import (
     FormMismatchError,
+    NotAmpleEnoughError,
     NotRealizableError,
     SearchExhaustedError,
     ZeroClassError,
@@ -272,6 +274,86 @@ def canonical_torsion_class(form: IntersectionForm | None = None) -> DivisorClas
     """K_S: numerically trivial, 2K_S ~ 0, K_S itself nontrivial."""
     form = form or canonical_form()
     return DivisorClass(NumClass((0,) * form.rank, form), 1)
+
+
+#: The simple roots of W(E10): alpha_{-1} = g - f, alpha_0 = f - theta
+#: (theta the highest root of the E8(-1) block), then alpha_8 down to
+#: alpha_1, the basis vectors of coordinates 10 down to 3.  Each has square
+#: -2 and pairs to 1 with its neighbours in the T_{2,3,7} diagram (_T237),
+#: to 0 with the rest.
+CHAMBER_ROOTS = ((-1, 1) + (0,) * 8, (1, 0, -2, -3, -4, -6, -5, -4, -3, -2)) + tuple(
+    tuple(int(i == k) for i in range(RANK)) for k in range(RANK - 1, 1, -1)
+)
+_T237 = ((1,), (0, 2), (1, 3), (2, 4), (3, 5), (4, 6), (5, 7, 8), (6, 9), (6,), (7,))
+
+
+@lru_cache(maxsize=1)
+def _chamber_roots() -> tuple:
+    """Each simple root r as its nonzero (i, r_i) and the nonzero
+    (i, (G r)_i), G the Gram matrix."""
+    gram = canonical_form().gram
+    return tuple(
+        (tuple((i, v) for i, v in enumerate(r) if v),
+         tuple((i, v) for i, row in enumerate(gram) if (v := sum(map(mul, row, r)))))
+        for r in CHAMBER_ROOTS
+    )
+
+
+def chamber_reduce(x: NumClass) -> NumClass:
+    """x_red, the one class of the W(E10) orbit of x in the closed chamber
+    {y : y.r >= 0 for every r in CHAMBER_ROOTS}.  x must lie in the
+    positive cone (x^2 > 0, x.(f + g) > 0) of ``canonical_form()``: another
+    form raises FormMismatchError, a class outside the cone
+    NotAmpleEnoughError, before the first reflection.
+
+    The numbers game: y_r = x.r is kept for the ten simple roots, and
+    while some y_r < 0 one such r reflects x <- x + y_r r.  That sets y_r
+    to -y_r and adds y_r to y_s for each neighbour s of r; no other y_s
+    moves, so only a neighbour joins the roots left to try.  x_red is x
+    plus the sum of every step's y_r r.
+
+    It ends: the Weyl vector rho (rho.r = 1 for every simple r,
+    rho^2 = 1240, rho.(f + g) = 61) lies in the positive cone, so x.rho is
+    a positive integer, and each step lowers it by -y_r >= 1.
+
+    W(E10) = O^+(E10), with this chamber as a fundamental domain (Vinberg,
+    Math. USSR Sb. 16, 1972), so x_red depends on the orbit of x alone.
+    For x, y in the closed chamber and w in W, x.w(y) >= x.y: w(y) - y is
+    a nonnegative combination of simple roots, by induction on the length
+    of w = w's_r, l(w) = l(w') + 1, as w(y) = w'(y) + (y.r) w'(r) with
+    y.r >= 0 and w'(r) a positive root (Humphreys, *Reflection Groups and
+    Coxeter Groups*, 5.4-5.7), and x.r >= 0 for every simple r.
+
+    So phi(x) = x_red.f.  The primitive isotropic classes in the closure
+    of the cone are one O^+-orbit, that of f (Cossec-Dolgachev, *Enriques
+    Surfaces I*, ch. II), and f, the weight of alpha_{-1}, lies in the
+    closed chamber.  With x = u(x_red), an E = w(f) has
+    x.E = x_red.(u^-1 w)(f) >= x_red.f, with equality at E = u(f).
+    """
+    form = canonical_form()
+    if x.form is not form and x.form != form:
+        raise FormMismatchError("the W(E10) chamber is given in canonical_form() only")
+    if x.square <= 0 or x.coords[0] + x.coords[1] <= 0:  # x.(f + g) = x_1 + x_2
+        raise NotAmpleEnoughError(f"{x.coords} is not in the positive cone")
+    roots = _chamber_roots()
+    coords = list(x.coords)
+    y = [sum(coords[i] * v for i, v in column) for _, column in roots]
+    steps = [0] * RANK
+    todo = [k for k in range(RANK - 1, -1, -1) if y[k] < 0]
+    while todo:
+        k = todo.pop()
+        p = y[k]
+        if p < 0:
+            y[k] = -p
+            steps[k] += p
+            for j in _T237[k]:
+                y[j] += p
+                if y[j] < 0:
+                    todo.append(j)
+    for c, (entries, _) in zip(steps, roots):
+        for i, v in entries:
+            coords[i] += c * v
+    return NumClass(tuple(coords), form)
 
 
 # ---------------------------------------------------------------------------

@@ -37,30 +37,24 @@ degree phi.  It walks the shapes with a plain enumeration of its own.
 came lazily: each height's whole fiber is listed before the first class is
 tried.
 
-The chamber oracles read phi and mu with no search, from ints and
-``canonical_form().gram`` alone.  ``chamber_reduce`` takes x in the
-positive cone to x_red, the one class of its W(E10) orbit in the closed
-fundamental chamber of the T_{2,3,7} simple roots (CHAMBER_ROOTS), by the
-reflections x <- x + (x.r) r while some x.r < 0.  Then phi(x) = x_red.f
-and mu(x) = x_red.B0 - 2 (3 on B0's orbit).  phi rests on Vinberg's
-theorem: W(E10) = O^+(E10) with this chamber as its fundamental domain
-(Vinberg, Math. USSR Sb. 16 (1972); Cossec-Dolgachev, *Enriques Surfaces
-I* (1989), ch. II), so the primitive isotropic classes are the orbit of
-f, and x.w(y) >= x.y for x, y in the closed chamber.  mu rests on that
-and on a measured claim: the classes B with B^2 = 4 and phi(B) = 2 are
-the orbit of B0.  A mismatch flags either that claim or the library.
+``phi_degree_walk`` and ``mu_degree_walk`` are ``phi`` and ``mu`` as they
+ran before both read the W(E10) chamber reduction: phi is the least
+degree t with an isotropic class x.L = t, and mu walks the degrees from
+the Hodge bound (B.L)^2 >= 4 L^2 up to the cap, testing phi(B) = 2 on the
+isotropic fibers of degrees phi .. (t - phi) / 2.  They search fibers of
+their own lift and never reduce a class.
 
 ``mu_full_scan`` and ``destab_unpruned`` are the whole-fiber forms of
 ``mu`` and ``enumerate_destab``: they build every fiber in full and filter
 afterwards, where the library stops at the first hit or prunes the search.
-``mu_full_scan`` tests phi(B) = 2 by the chamber, where the library reads
-an isotropic pool.  ``destab_unpruned`` also decides the splitting
-conditions from the cohomology of M and N, where the library decides them
-by arithmetic.
+``mu_full_scan`` tests phi(B) = 2 with the library's ``phi`` of B, where
+the library reads an isotropic pool.  ``destab_unpruned`` also decides the
+splitting conditions from the cohomology of M and N, where the library
+decides them by arithmetic.
 
 ``multiple_content_of_primitive_part`` is ``multiple_content`` by its
-definition: phi is read off the chamber reduction of the primitive part
-B = L/c, where the library reads phi(L) = c phi(B).
+definition: phi is the library's ``phi`` of the primitive part B = L/c,
+where the library reads phi(L) = c phi(B).
 
 No oracle uses a ``_``-prefixed name of ``enriques_bn``
 (``tests/test_tooling.py`` checks it): an oracle that calls the code under
@@ -75,7 +69,6 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from operator import mul
 from typing import Sequence
 
 import numpy as np
@@ -266,74 +259,6 @@ def box_classes_with_square(l_coords, square: int, degree_cap: int) -> set:
     return out
 
 
-#: f, and B0, the fundamental weight of alpha_1, in the repository basis.
-F = (1, 0, 0, 0, 0, 0, 0, 0, 0, 0)
-B0 = (2, 2, -4, -5, -7, -10, -8, -6, -4, -2)
-
-#: The simple roots of W(E10) in the order the reduction tries them:
-#: alpha_{-1} = g - f, alpha_0 = f - theta (theta the highest root of the
-#: E8(-1) block), then alpha_8 down to alpha_1, the basis vectors of
-#: coordinates 10 down to 3.
-CHAMBER_ROOTS = ((-1, 1) + (0,) * 8, (1, 0, -2, -3, -4, -6, -5, -4, -3, -2)) + tuple(
-    tuple(int(i == k) for i in range(10)) for k in range(9, 1, -1)
-)
-
-
-@lru_cache(maxsize=64)
-def _gram_column(y: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
-    """The nonzero (i, (G y)_i), G the Gram matrix; four at most for a root."""
-    gram = canonical_form().gram
-    return tuple((i, v) for i, row in enumerate(gram) if (v := sum(map(mul, row, y))))
-
-
-def chamber_dot(x, y) -> int:
-    """x.y under the repository's Gram matrix."""
-    return sum(x[i] * v for i, v in _gram_column(tuple(y)))
-
-
-def chamber_path(coords):
-    """x, then each class that x <- x + (x.r) r reaches, r the first simple
-    root with x.r < 0, ending at x_red, where there is none.  Raises
-    ValueError unless x^2 > 0 and x.(f + g) > 0.  There the path is finite:
-    the Weyl vector rho (rho.r = 1 for each simple r, rho^2 = 1240,
-    rho.(f + g) = 61) lies in that cone, so x.rho is a positive integer,
-    and each step lowers it by -x.r."""
-    x = tuple(coords)
-    if chamber_dot(x, x) <= 0 or chamber_dot(x, (1, 1) + (0,) * 8) <= 0:
-        raise ValueError(f"{x} is not in the positive cone")
-    yield x
-    k = 0
-    while k < len(CHAMBER_ROOTS):
-        p = chamber_dot(x, CHAMBER_ROOTS[k])
-        if p < 0:
-            x = tuple(a + p * c for a, c in zip(x, CHAMBER_ROOTS[k]))
-            yield x
-        k = 0 if p < 0 else k + 1
-
-
-def chamber_reduce(coords) -> tuple[int, ...]:
-    """x_red, the one class of x's W(E10) orbit in the closed chamber."""
-    *_, x_red = chamber_path(coords)
-    return x_red
-
-
-def chamber_phi(coords) -> int:
-    """phi(x) = x_red.f.  Only alpha_{-1} moves x.f, and it lowers it; as
-    x.f >= 1 on the positive cone, the path stops where x.f is 1."""
-    for x in chamber_path(coords):
-        if chamber_dot(x, F) == 1:
-            return 1
-    return chamber_dot(x, F)
-
-
-def chamber_mu(coords) -> int:
-    """mu(x) = x_red.B0 - 2, or 3 when x_red = B0: there B = x has the
-    least degree 4 of the orbit, which mu excludes, every other B has
-    B.x > sqrt(B^2 x^2) = 4 (Hodge index), and w^-1(s_1 B0) has 5."""
-    x_red = chamber_reduce(coords)
-    return 3 if x_red == B0 else chamber_dot(x_red, B0) - 2
-
-
 def fraction_ldl(gram) -> tuple[list[Fraction], list[list[Fraction]]]:
     """q(y) = sum_i d_i (y_i + sum_{j>i} r_ij y_j)^2; fails unless q > 0."""
     n = len(gram)
@@ -369,21 +294,26 @@ def _solve_spd(
     return y
 
 
-def _ellipsoid_points(
+def _ellipsoid(
     d: list[Fraction],
     r: list[list[Fraction]],
     center,
     bound: Fraction,
+    exact: bool,
 ) -> list[tuple[int, ...]]:
-    """All integer y with q(y - center) <= bound, q given by its LDL factors.
+    """All integer y with q(y - center) <= bound (== bound if exact), q
+    given by its LDL factors.
 
     Integer loop bounds come from integer square roots with one unit of
     slack; the exact inequality is rechecked before descending, so the
-    output is complete and contains no spurious points.
+    output is complete and contains no spurious points.  When exact, the
+    innermost coordinate is solved from the equality (a perfect-square
+    test) instead of scanned, which avoids walking the interior of large
+    ellipsoids.
     """
-    if bound < 0:
-        return []
     n = len(d)
+    if bound < 0 or (n == 0 and exact and bound != 0):
+        return []
     if n == 0:
         return [()]
     out: list[tuple[int, ...]] = []
@@ -396,6 +326,17 @@ def _ellipsoid_points(
         )
         ci = center[i] - u
         tau = rem / d[i]
+        if i == 0 and exact:
+            num_root = math.isqrt(tau.numerator)
+            den_root = math.isqrt(tau.denominator)
+            if num_root**2 == tau.numerator and den_root**2 == tau.denominator:
+                root = Fraction(num_root, den_root)
+                for cand in {ci + root, ci - root}:
+                    if cand.denominator == 1:
+                        y[0] = int(cand)
+                        out.append(tuple(y))
+            y[0] = 0
+            return
         root_hi = Fraction(math.isqrt(tau.numerator * tau.denominator) + 1, tau.denominator)
         lo = math.ceil(ci - root_hi)
         hi = math.floor(ci + root_hi)
@@ -413,79 +354,13 @@ def _ellipsoid_points(
     return out
 
 
-def _ellipsoid_shell(
-    d: list[Fraction],
-    r: list[list[Fraction]],
-    center,
-    target: Fraction,
-) -> list[tuple[int, ...]]:
-    """All integer y with q(y - center) == target exactly.
-
-    Same recursion as the interior enumeration, but the innermost
-    coordinate is solved from the equality (a perfect-square test) instead
-    of scanned, which avoids walking the interior of large ellipsoids.
-    """
-    if target < 0:
-        return []
-    n = len(d)
-    if n == 0:
-        return [()] if target == 0 else []
-    out: list[tuple[int, ...]] = []
-    y = [0] * n
-
-    def solve_last(rem: Fraction) -> list[int]:
-        u = sum(
-            (r[0][j] * (y[j] - center[j]) for j in range(1, n)),
-            start=Fraction(0),
-        )
-        c0 = center[0] - u
-        tau = rem / d[0]
-        num_root = math.isqrt(tau.numerator)
-        den_root = math.isqrt(tau.denominator)
-        if num_root * num_root != tau.numerator or den_root * den_root != tau.denominator:
-            return []
-        root = Fraction(num_root, den_root)
-        vals = []
-        for cand in {c0 + root, c0 - root}:
-            if cand.denominator == 1:
-                vals.append(int(cand))
-        return vals
-
-    def rec(i: int, rem: Fraction) -> None:
-        if i == 0:
-            for y0 in solve_last(rem):
-                y[0] = y0
-                out.append(tuple(y))
-            y[0] = 0
-            return
-        u = sum(
-            (r[i][j] * (y[j] - center[j]) for j in range(i + 1, n)),
-            start=Fraction(0),
-        )
-        ci = center[i] - u
-        tau = rem / d[i]
-        root_hi = Fraction(math.isqrt(tau.numerator * tau.denominator) + 1, tau.denominator)
-        lo = math.ceil(ci - root_hi)
-        hi = math.floor(ci + root_hi)
-        for yi in range(lo, hi + 1):
-            t = d[i] * (yi - ci) ** 2
-            if t <= rem:
-                y[i] = yi
-                rec(i - 1, rem - t)
-        y[i] = 0
-
-    rec(n - 1, target)
-    return out
-
-
 def fraction_ellipsoid(gram, b, excess, exact: bool) -> set[tuple[int, ...]]:
     """Integer y with q(y - c) <= excess + b.c (== if exact), c = G^-1 b,
     for the positive-definite integer Gram matrix G of q."""
     d, r = fraction_ldl([[Fraction(x) for x in row] for row in gram])
     center = _solve_spd(d, r, b)
     bound = Fraction(excess) + sum(Fraction(bi) * ci for bi, ci in zip(b, center))
-    enum = _ellipsoid_shell if exact else _ellipsoid_points
-    return set(enum(d, r, center, bound))
+    return set(_ellipsoid(d, r, center, bound, exact))
 
 
 def column_reduction_solve(
@@ -669,18 +544,54 @@ def embed_eager(p, max_height: int = 6) -> list:
     return chosen
 
 
+def phi_degree_walk(L):
+    """(phi(L), witness coordinates): the least t with a nonempty isotropic
+    fiber x.L = t of L's lift, and that fiber's first class."""
+    from enriques_bn.shortvec import ComplementLift
+
+    lift = ComplementLift(L.num)
+    t = 1
+    while not (fiber := lift.fiber(t, 0)):
+        t += 1
+    return t, fiber[0].coords
+
+
+def mu_degree_walk(L, cap: int):
+    """(mu(L), witness coordinates) below cap, or None, by the degree walk:
+    from the first t with t^2 >= 4 L^2, the first class at t that is not
+    numerically L and pairs to 1 with no isotropic class of degree
+    phi .. (t - phi) / 2."""
+    from enriques_bn.shortvec import ComplementLift
+
+    lift = ComplementLift(L.num)
+    floor = phi_degree_walk(L)[0]
+    pool, s = [], floor
+    for t in range(math.isqrt(4 * L.square - 1) + 1, cap + 1):
+        while s <= (t - floor) // 2:
+            pool += lift.fiber(s, 0)
+            s += 1
+        x = lift.first(t, 4, lambda b: b != L.num and all(e.dot(b) != 1 for e in pool))
+        if x is not None:
+            return t - 2, x.coords
+    return None
+
+
 def mu_full_scan(L, cap: int):
     """(mu(L), witness coordinates) below cap, or None, from whole fibers.
 
     Every fiber x.L = t, x^2 = 4 for t <= cap comes in full from the
     Fraction kernel and is sorted; the first class that is not numerically
-    L and has chamber phi 2 (not the isotropic pool of ``mu``) is the
-    witness at the smallest such t.
+    L and has phi 2 (the library's ``phi`` of it, not the isotropic pool
+    of ``mu``) is the witness at the smallest such t.
     """
+    from enriques_bn.invariants import phi
+    from enriques_bn.lattice import DivisorClass
+
     form = L.num.form
     for t in range(1, cap + 1):
         for coords in sorted(fraction_solutions(form, [L.num], [t], 4, True)):
-            if NumClass(coords, form) != L.num and chamber_phi(coords) == 2:
+            b = NumClass(coords, form)
+            if b != L.num and phi(DivisorClass(b, 0)).value == 2:
                 return t - 2, coords
     return None
 
@@ -1002,11 +913,12 @@ def decompose_prefix_systems(L):
 
 def multiple_content_of_primitive_part(L, square: int, phi_value: int) -> int:
     """The content c of L when the primitive part B = L/c has
-    B^2 = square and phi(B) = phi_value, else 0; phi(B) is read off B's
-    own chamber reduction."""
-    from enriques_bn.lattice import content
+    B^2 = square and phi(B) = phi_value, else 0; phi(B) is the library's
+    ``phi`` of B itself."""
+    from enriques_bn.invariants import phi
+    from enriques_bn.lattice import DivisorClass, content
 
     c, b = content(L.num)
-    if b.square != square or chamber_phi(b.coords) != phi_value:
+    if b.square != square or phi(DivisorClass(b, 0)).value != phi_value:
         return 0
     return c

@@ -11,6 +11,7 @@ from enriques_bn import invariants
 from enriques_bn.brill_noether import enumerate_destab, predict_w1d
 from enriques_bn.errors import (
     CertificateError,
+    FormMismatchError,
     GenusTooSmallError,
     NotAmpleEnoughError,
     NotAmpleError,
@@ -26,6 +27,7 @@ from enriques_bn.invariants import (
     MU_EXACT,
     MU_NOT_FOUND,
     POLARIZATION_CACHE_SIZE,
+    B0,
     MuResult,
     PhiResult,
     clifford_generic,
@@ -36,6 +38,7 @@ from enriques_bn.invariants import (
     phi,
 )
 from enriques_bn.lattice import (
+    CHAMBER_ROOTS,
     CONFIG_I,
     CONFIG_II,
     CONFIG_III,
@@ -45,6 +48,7 @@ from enriques_bn.lattice import (
     _pattern_gram,
     basis_vector,
     canonical_form,
+    chamber_reduce,
     config_i,
     config_ii,
     config_iii,
@@ -54,24 +58,27 @@ from enriques_bn.lattice import (
     integer_determinant,
     is_primitive,
     num_class,
+    solve_integer_linear,
 )
 from enriques_bn.positivity import classify_positivity, cohomology, reference_ample
 from enriques_bn.shortvec import ComplementLift, FiberSystem
 from oracles import (
-    B0,
-    CHAMBER_ROOTS,
-    F,
     box_classes_with_square,
     box_isotropic_minimum,
-    chamber_dot,
-    chamber_mu,
-    chamber_phi,
-    chamber_reduce,
     decompose_prefix_systems,
     decompose_subset_search,
+    mu_degree_walk,
     mu_full_scan,
     multiple_content_of_primitive_part,
+    phi_degree_walk,
 )
+
+F = basis_vector(0)
+
+
+def chamber_phi(x: NumClass) -> int:
+    """phi(x) = x_red.f, read off the library's chamber reduction."""
+    return chamber_reduce(x).dot(F)
 
 
 def random_ample(rng, spread=3, max_square=60):
@@ -149,7 +156,7 @@ class TestMu:
         assert res.exact and res.value == 10  # B = E1 + E2 of degree 12
         w = res.witness
         assert w.square == 4
-        assert chamber_phi(w.num.coords) == 2
+        assert chamber_phi(w.num) == 2
         assert w.num == e1 + e2
 
     def test_not_found_below_cap(self, pair_one):
@@ -174,7 +181,7 @@ class TestMu:
         for coords in box_classes_with_square(L.num.coords, 4, cap):
             by_degree.setdefault(L.num.dot(num_class(coords)), []).append(coords)
         for deg in sorted(by_degree):
-            if any(b != L.num.coords and chamber_phi(b) == 2 for b in by_degree[deg]):
+            if any(b != L.num.coords and chamber_phi(num_class(b)) == 2 for b in by_degree[deg]):
                 return deg - 2
         return None
 
@@ -185,7 +192,7 @@ class TestMu:
         assert self._box_minimum(L, 12) == res.value
         w = res.witness
         assert w.square == 4 and L.dot(w) == res.value + 2
-        assert chamber_phi(w.num.coords) == 2
+        assert chamber_phi(w.num) == 2
 
     def test_not_found_matches_empty_box_scan(self):
         L = divisor_class([3, 1] + [0] * 8)
@@ -223,29 +230,8 @@ class TestMuFirstHit:
 
 
 class TestMuPoolGrowth:
-    """mu extends its isotropic pool with the degree it scans and skips the
-    degrees below the Hodge bound; the oracle tests chamber phi(B) = 2 on
-    whole fibers."""
-
-    def test_against_full_fiber_scan_at_raised_caps(self):
-        rng = random.Random(53)
-        for _ in range(6):
-            L = random_ample(rng, max_square=12)
-            res = mu(L, 2 * phi(L).value + 6)
-            want = mu_full_scan(L, res.cap)
-            assert res.exact == (want is not None)
-            if want is not None:
-                assert (res.value, res.witness.num.coords) == want
-
-    def test_raised_caps_keep_the_value_and_witness(self):
-        L = divisor_class([3, 1] + [0] * 8)
-        base = mu(L, 12)
-        assert base.exact and base.value == 6
-        for cap in (28, 40):
-            res = mu(L, cap)
-            assert (res.status, res.value, res.witness) == (
-                base.status, base.value, base.witness
-            )
+    """mu tests phi(B) = 2 on the pool of isotropic fibers of degrees
+    phi .. (t - phi) / 2."""
 
     def test_phi_one_candidates_start_at_three_phi(self):
         """The lemma in multiple_content: B^2 = 4 with phi(B) = 1 is 2E + F,
@@ -259,7 +245,7 @@ class TestMuPoolGrowth:
             for t in range(1, 2 * floor + 3):
                 pool = [e for s in range(floor, (t - floor) // 2 + 1) for e in lift.fiber(s, 0)]
                 for b in lift.fiber(t, 4):
-                    value = chamber_phi(b.coords)
+                    value = chamber_phi(b)
                     seen[value] += 1
                     if value == 1:
                         assert t >= 3 * floor, (L.num.coords, b.coords)
@@ -273,6 +259,17 @@ class TestCertificateChecks:
         monkeypatch.setattr(invariants, "reference_ample", flipped)
         with pytest.raises(CertificateError):
             phi(divisor_class([1, 2] + [0] * 8))
+
+    def test_no_witness_at_the_chamber_degree(self, monkeypatch):
+        # 3f + g: phi 1, mu 6; the kernel searches find nothing there
+        L = divisor_class([3, 1] + [0] * 8)
+        monkeypatch.setattr(ComplementLift, "first", lambda *a: None)
+        with pytest.raises(CertificateError, match=r"L.B = 8, .* \(3, 1, "):
+            mu(L, 12)
+        monkeypatch.setattr(ComplementLift, "fiber", lambda *a: [])
+        invariants.polarization.cache_clear()
+        with pytest.raises(CertificateError, match=r"x.L = 1, .* \(3, 1, "):
+            phi(L)
 
     def test_exceptional_pair_with_a_smaller_mu(self, monkeypatch, triple_one):
         # (L^2, phi) = (6, 2) is exceptional; mu = 2 would undercut the floor
@@ -433,7 +430,7 @@ class TestIsometryInvariance:
                 assert b.square == 4 and b != target.num
                 assert classify_positivity(DivisorClass(b, 0)).is_effective
                 assert target.num.dot(b) - 2 == target_rep.mu.value
-                assert chamber_phi(b.coords) == 2
+                assert chamber_phi(b) == 2
 
 
 class TestClifford:
@@ -586,14 +583,14 @@ class TestDecomposeBudgets:
         with pytest.raises(SearchExhaustedError, match="nodes"):
             decompose_isotropic(DivisorClass(3 * (e1 + e2), 0))
 
-    def test_no_pattern_realizes_the_class(self):
-        # in U(3) the isotropic classes are the multiples of f and g, which
-        # pair to 3, and patterns (i)-(iii) pair their classes to 1 or 2; in
-        # U + E8(-1) every polarization has a decomposition
-        L = NumClass((1, 2), IntersectionForm(2, ((0, 3), (3, 0))))
-        assert invariants.polarization(L).isotropic_floor == 3
+    def test_no_pattern_realizes_the_class(self, monkeypatch, pair_two):
+        # every polarization of U + E8(-1) has a decomposition, so here no
+        # candidate counts as primitive: every level is walked, no slot is
+        # filled, and the search ends with its own error
+        monkeypatch.setattr(invariants, "is_primitive", lambda x: False)
+        e1, e2 = pair_two
         with pytest.raises(SearchExhaustedError, match="no pattern"):
-            decompose_isotropic(DivisorClass(L, 0))
+            decompose_isotropic(DivisorClass(3 * (e1 + e2), 0))
 
 
 def combine(coeffs, gens):
@@ -764,10 +761,10 @@ class TestOneSlotSource:
 
 
 class TestIsotropicFloor:
-    """phi is searched once per class (``Polarization.isotropic_floor``),
-    and its fiber is the stored ``Polarization.isotropic(phi)``: mu's pool
-    starts from it, and decompose skips the shapes below phi and draws
-    every slot at degree phi from it."""
+    """phi is x_red.f (``Polarization.isotropic_floor``), and its one fiber
+    is the stored ``Polarization.isotropic(phi)``: mu's pool starts from
+    it, and decompose skips the shapes below phi and draws every slot at
+    degree phi from it."""
 
     def test_nothing_below_phi_and_all_primitive_at_it(self):
         for L in floor_classes():
@@ -779,13 +776,6 @@ class TestIsotropicFloor:
             pol = invariants.polarization(L.num)
             assert pol.isotropic_floor == value
             assert pol.isotropic(value) == tuple(at_phi)
-
-    def test_a_form_with_no_isotropic_class_low_enough(self):
-        # f + g in U(3): every isotropic class pairs with it to a multiple of
-        # 3 > isqrt(L^2) = 2; in U + E8(-1), phi(L) <= sqrt(L^2) always
-        L = NumClass((1, 1), IntersectionForm(2, ((0, 3), (3, 0))))
-        with pytest.raises(SearchExhaustedError, match="isqrt"):
-            invariants.polarization(L).isotropic_floor
 
     def test_mu_searches_no_degree_phi_has_settled(self, monkeypatch):
         degrees = []
@@ -829,11 +819,11 @@ class TestIsotropicFloor:
 class TestStoredIsotropicFibers:
     """Every isotropic fiber of L's lift is searched at most once per class
     and kept with its Polarization (``Polarization.isotropic``): phi's
-    degree loop, mu's pool and decompose's slots all read it."""
+    fiber, mu's pool and decompose's slots all read it."""
 
     def test_each_degree_searched_once(self, monkeypatch):
         # gonality, predict_w1d, decompose and a raised-cap mu on one class,
-        # from a cold cache; mu at cap + 8 extends its pool over degrees
+        # from a cold cache; mu at cap + 8 reads its pool from degrees
         # that decompose may have searched already
         searched = Counter()
         real = ComplementLift.fiber
@@ -926,7 +916,7 @@ class TestMultipleContent:
                 pairs = [(4, 2), (10, 3)]
                 c, b = content(L.num)
                 if c > 1:
-                    value = chamber_phi(b.coords)
+                    value = chamber_phi(b)
                     pairs += [(b.square, value), (b.square, value + 1)]
                 for square, value in pairs:
                     got = multiple_content(L, square, value)
@@ -955,82 +945,109 @@ T237_EDGES = {(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 9), (6
 
 class TestChamberOracle:
     """phi(L) = x_red.f and mu(L) = x_red.B0 - 2 (3 on B0's orbit), read
-    off the reduction of L to the closed fundamental chamber of W(E10)
-    (``oracles.chamber_reduce``), with no search."""
+    off ``lattice.chamber_reduce``, against searches that never reduce a
+    class: the least degree with an isotropic class (``phi_degree_walk``)
+    and mu's earlier degree walk (``mu_degree_walk``)."""
 
     def test_roots_and_b0(self):
-        # the negated Cartan matrix of T_{2,3,7}; B0 is the weight of alpha_1
-        gram = [[chamber_dot(r, s) for s in CHAMBER_ROOTS] for r in CHAMBER_ROOTS]
-        assert gram == [
+        # the negated Cartan matrix of T_{2,3,7}; B0 is the weight of
+        # alpha_1; the Weyl vector of chamber_reduce's termination proof
+        roots = [num_class(r) for r in CHAMBER_ROOTS]
+        assert [[r.dot(s) for s in roots] for r in roots] == [
             [-2 if i == j else int((i, j) in T237_EDGES or (j, i) in T237_EDGES)
              for j in range(10)] for i in range(10)
         ]
-        assert (chamber_dot(B0, B0), chamber_dot(B0, F)) == (4, 2)
-        assert [chamber_dot(B0, r) for r in CHAMBER_ROOTS] == [0] * 9 + [1]
-        assert chamber_reduce(B0) == B0
+        b0 = num_class(B0)
+        assert (b0.square, b0.dot(F)) == (4, 2)
+        assert [b0.dot(r) for r in roots] == [0] * 9 + [1]
+        assert chamber_reduce(b0) == b0
+        rho, kernel = solve_integer_linear([r.form.apply(r.coords) for r in roots], [1] * 10)
+        rho = num_class(rho)
+        assert kernel == [] and (rho.square, rho.dot(F + basis_vector(1))) == (1240, 61)
 
     def test_reduced_classes_lie_in_the_chamber_and_ignore_isometries(self):
+        roots = [num_class(r) for r in CHAMBER_ROOTS]
         for _, _, L in structured_sweep(100):
-            x_red = chamber_reduce(L.num.coords)
-            assert all(chamber_dot(x_red, r) >= 0 for r in CHAMBER_ROOTS)
+            x_red = chamber_reduce(L.num)
+            assert all(x_red.dot(r) >= 0 for r in roots)
             for word in FIXED_WORDS:
-                image = apply_isometry(word, L.num).coords
+                image = apply_isometry(word, L.num)
                 assert chamber_reduce(image) == x_red, (L.num.coords, word)
 
     @pytest.mark.parametrize(
-        "coords", [(-3, -1) + (0,) * 8, F, CHAMBER_ROOTS[2], tuple(-c for c in B0)]
+        "coords", [(-3, -1) + (0,) * 8, F.coords, CHAMBER_ROOTS[2], tuple(-c for c in B0)]
     )
     def test_refuses_a_class_outside_the_positive_cone(self, coords):
         # before its first reflection, so it cannot loop
-        for oracle in (chamber_reduce, chamber_phi, chamber_mu):
-            with pytest.raises(ValueError, match="positive cone"):
-                oracle(coords)
+        with pytest.raises(NotAmpleEnoughError, match="positive cone"):
+            chamber_reduce(num_class(coords))
+
+    def test_refuses_another_form(self, monkeypatch):
+        # B0's coordinates in U(2) + E8(-1), of square 12, and f + g in
+        # U(3): the reduction, and phi, mu and decompose, which read it,
+        # refuse before any fiber is searched
+        gram = [list(row) for row in canonical_form().gram]
+        gram[0][1] = gram[1][0] = 2
+        u2 = IntersectionForm(10, tuple(map(tuple, gram)))
+        u3 = IntersectionForm(2, ((0, 3), (3, 0)))
+        monkeypatch.setattr(ComplementLift, "fiber", lambda *a: pytest.fail("searched"))
+        for x in (NumClass(B0, u2), NumClass((1, 1), u3)):
+            assert x.square > 0
+            for call in (chamber_reduce, phi, mu, decompose_isotropic):
+                with pytest.raises(FormMismatchError, match="canonical_form"):
+                    call(x if call is chamber_reduce else DivisorClass(x, 0))
 
     @staticmethod
-    def check_mu(L, cap, witnessed):
-        """mu(L, cap) has the chamber's status and value; its witness w != L
-        has w^2 = 4, degree mu + 2 and chamber phi 2, and every class before
-        w in its fiber is L or has chamber phi 1 (once per class)."""
-        value, res = chamber_mu(L.num.coords), mu(L, cap)
-        if value + 2 > cap:
+    def check(L, cap):
+        """mu(L, cap) has the degree walk's status, value and witness; True
+        when it is exact."""
+        want, res = mu_degree_walk(L, cap), mu(L, cap)
+        if want is None:
             assert res == MuResult(MU_NOT_FOUND, cap), (L.num.coords, cap)
             return False
-        assert res[:3] == (MU_EXACT, cap, value), (L.num.coords, cap)
-        w = res.witness.num
-        assert w != L.num and w.square == 4 and L.num.dot(w) == value + 2
-        assert chamber_phi(w.coords) == 2
-        if L.num not in witnessed:
-            witnessed.add(L.num)
-            admissible = lambda b: b != L.num and chamber_phi(b.coords) != 1
-            assert ComplementLift(L.num).first(value + 2, 4, admissible) == w
+        assert res == MuResult(MU_EXACT, cap, want[0], divisor_class(want[1])), (
+            L.num.coords, cap)
         return True
 
     def test_phi_and_mu_on_the_sweep(self):
-        # caps 2 phi + 2 and 2 phi + 10 on every class of L^2 <= 100
-        witnessed, found = set(), Counter()
+        # caps 2 phi + 2, 2 phi + 10 and 3 on every class of L^2 <= 100
+        found = Counter()
         for _, _, L in structured_sweep(100):
-            value = chamber_phi(L.num.coords)
-            assert phi(L).value == value, L.num.coords
-            for cap in (2 * value + 2, 2 * value + 10):
-                found[self.check_mu(L, cap, witnessed)] += 1
-        assert found == {True: 943, False: 1761}
+            value, witness = phi_degree_walk(L)
+            assert phi(L) == PhiResult(value, divisor_class(witness)), L.num.coords
+            for cap in (2 * value + 2, 2 * value + 10, 3):
+                found[self.check(L, cap)] += 1
+        assert found == {True: 943, False: 3113}
 
     def test_mu_on_the_pairs_of_the_pool_tests(self):
         # the pairs that checked mu against its earlier pool searches:
         # sampled classes at 2 phi + 2 or + 6, 3f + g (mu = 6) at caps 4, 7
-        # and 8, and the floor classes at 2 phi + 2 and + 6
+        # and 8, and the floor classes (B0 among them) at 2 phi + 2 and + 6
         three_f_g = divisor_class([3, 1] + [0] * 8)
         pairs = [(three_f_g, cap) for cap in (4, 7, 8)]
         rng = random.Random(52)
         for i in range(24):
             L = random_ample(rng, max_square=24)
-            pairs.append((L, 2 * chamber_phi(L.num.coords) + (6 if i % 2 else 2)))
+            pairs.append((L, 2 * chamber_phi(L.num) + (6 if i % 2 else 2)))
         for L in floor_classes():
-            cap = 2 * chamber_phi(L.num.coords) + 2
+            cap = 2 * chamber_phi(L.num) + 2
             pairs += [(L, cap), (L, cap + 4)]
-        witnessed = set()
-        found = Counter(self.check_mu(L, cap, witnessed) for L, cap in pairs)
+        found = Counter(self.check(L, cap) for L, cap in pairs)
         assert found == {True: 155, False: 122}
+
+
+class TestDecomposeShape:
+    def test_an_orbit_invariant(self):
+        # (max E.L, n, configuration, sorted coefficients) is one value on
+        # each W(E10)-orbit, grouped by x_red
+        shapes = {}
+        classes = [L for _, _, L in structured_sweep(60)]
+        for L in classes:
+            dec = decompose_isotropic(L)
+            shape = (max(e.dot(L) for e in dec.generators), len(dec.generators),
+                     dec.configuration, sorted(dec.coefficients))
+            assert shapes.setdefault(chamber_reduce(L.num), shape) == shape, L.num.coords
+        assert (len(classes), len(shapes)) == (399, 242)
 
 
 def cached_answers(L):
