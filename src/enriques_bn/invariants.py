@@ -18,8 +18,8 @@ searches on the complement projection, at phi and at mu + 2 when it is
 at most mu's cap (default 2 phi + 2, which decides the gonality minimum).
 
 Each effective class L of positive square has one :class:`Polarization`,
-kept by :func:`polarization`, which computes the reduction, the isotropic
-fibers, phi and the gonality report of L at most once.
+kept by :func:`polarization`, which computes the reduction, phi, the
+isotropic fibers and the gonality report of L at most once.
 """
 
 from __future__ import annotations
@@ -134,13 +134,11 @@ class IsotropicDecomposition(
 def phi(L: DivisorClass) -> PhiResult:
     """Exact minimum of L.E over primitive isotropic effective classes E.
 
-    The value is x_red.f (:attr:`Polarization.isotropic_floor`, proved at
-    ``lattice.chamber_reduce``).  The witness is the lexicographically
-    least class of the fiber at it, the one fiber phi searches.
+    The value is x_red.f (proved at ``lattice.chamber_reduce``), and the
+    witness is the lexicographically least class of the fiber at it,
+    both certified when :class:`Polarization` is built.
     """
-    pol = polarization(L.num)
-    value = pol.isotropic_floor
-    return PhiResult(value, DivisorClass(pol.isotropic(value)[0], 0))
+    return polarization(L.num).phi
 
 
 #: B0 = 2f + 2g + v0 (v0^2 = -4), the weight of alpha_1: B0.r = 0 for the
@@ -154,10 +152,10 @@ def mu(L: DivisorClass, cap: int | None = None) -> MuResult:
     mu(L) = x_red.B0 - 2, or 3 when x_red = B0 (x_red =
     ``lattice.chamber_reduce(L)``).  Only B with L.B <= cap count (default
     2 phi(L) + 2): above it the answer is "not found below cap", with no
-    search, which certifies mu(L) > cap - 2.  Otherwise
-    ``ComplementLift.first`` at the degree t = mu + 2 gives the witness,
-    the lexicographically least admissible class, and CertificateError if
-    it finds none.
+    search, which certifies mu(L) > cap - 2.  Otherwise the first
+    admissible class of the lift's fiber x.L = t, x^2 = 4 at t = mu + 2
+    is the witness, the lexicographically least one, and the walk stops
+    there; CertificateError if it finds none.
 
     The classes B with B^2 = 4 and phi(B) = 2 are the W-orbit of B0
     (Cossec-Dolgachev, *Enriques Surfaces I*, ch. II).  By the lemma in
@@ -185,10 +183,10 @@ def mu(L: DivisorClass, cap: int | None = None) -> MuResult:
     hold every such E.
     """
     pol = polarization(L.num)
-    floor = pol.isotropic_floor
+    floor = pol.phi.value
     if cap is None:
         cap = 2 * floor + 2
-    x_red = pol.reduced
+    x_red = pol.x_red
     t = 5 if x_red.coords == B0 else x_red.dot(NumClass(B0, x_red.form))
     if t > cap:
         return MuResult(MU_NOT_FOUND, cap)
@@ -196,7 +194,8 @@ def mu(L: DivisorClass, cap: int | None = None) -> MuResult:
     # phi(B) = 1 fails the test, and B^2 = 4 admits no larger phi than 2;
     # L itself, excluded by the definition, is never at t: L.L = 4 only on
     # B0's orbit, where t = 5
-    x = pol.lift.first(t, 4, lambda b: all(e.dot(b) != 1 for e in pool))
+    hits = pol.lift.iter_solutions((t,), 4)
+    x = next((b for b in hits if all(e.dot(b) != 1 for e in pool)), None)
     if x is None:
         raise CertificateError(
             f"no class B != L with B^2 = 4 and phi(B) = 2 has L.B = {t}, "
@@ -251,33 +250,55 @@ def multiple_content(L: DivisorClass, square: int, phi_value: int) -> int:
     c = content(L.num)[0]
     if L.square != c * c * square:
         return 0
-    return c if polarization(L.num).isotropic_floor == c * phi_value else 0
+    return c if polarization(L.num).phi.value == c * phi_value else 0
 
 
 class Polarization:
-    """The shared computations of one class L, effective of positive
-    square: its :class:`ComplementLift`, built once, and its chamber
-    reduction, isotropic fibers (x.L = t, x^2 = 0), phi and gonality
-    report, each computed at most once and fixed by L alone.  phi, mu's
-    pool and every searched generator of decompose_isotropic read the
-    fibers, so no isotropic fiber of L is searched twice, and each caller
-    runs its own search on the lift for B^2 = 4, so a reused answer keeps
-    its certificates and threads may share them.  Get one from
-    :func:`polarization`.  The constructor is the one check of L: it
-    raises NotAmpleEnoughError, and builds nothing, unless L is effective
-    with L^2 > 0, so every reader may take that as given.
+    """The shared computations of one class L in the positive cone of
+    ``canonical_form()``: its chamber reduction x_red, its
+    :class:`ComplementLift`, phi and its isotropic fibers (x.L = t,
+    x^2 = 0), each fixed by L alone, and the gonality report, computed on
+    first read.  phi, mu's pool and every searched generator of
+    decompose_isotropic read the fibers, so no isotropic fiber of L is
+    searched twice, and each caller runs its own search on the lift for
+    B^2 = 4, so a reused answer keeps its certificates and threads may
+    share them.  Get one from :func:`polarization`, which keeps the last
+    POLARIZATION_CACHE_SIZE classes asked for by value; the form is part
+    of the key, and two threads that miss at once build equal objects.
+
+    ``chamber_reduce(L)`` is the one check of L: it raises
+    FormMismatchError for another form and NotAmpleEnoughError outside
+    the positive cone (L^2 > 0, L.(f + g) > 0, which is "effective with
+    L^2 > 0" on an unnodal surface), before anything is built, so every
+    reader may take both as given.  Then phi = x_red.f is certified on its
+    fiber: its first class is the witness, every class of it must pair
+    positively with the reference ample class, and an empty fiber raises
+    CertificateError.  No isotropic class has 0 < x.L < phi(L), so every
+    class of the fiber is primitive: x = cP with c >= 2 would put the
+    isotropic P at the degree phi(L) / c < phi(L).
     """
 
     def __init__(self, L: NumClass):
-        st = classify_positivity(DivisorClass(L, 0))
-        if not (st.is_effective and L.square > 0):
-            raise NotAmpleEnoughError(
-                "a polarization needs an effective class of positive square; "
-                f"got square {L.square}, status {st.witness}"
-            )
+        self.x_red = chamber_reduce(L)
         self.L = L
         self.lift = ComplementLift(L)
         self._isotropic: dict[int, tuple[NumClass, ...]] = {}
+        t = self.x_red.dot(basis_vector(0, L.form))
+        hits = self.isotropic(t)
+        if not hits:
+            raise CertificateError(
+                f"no isotropic class x has x.L = {t}, the degree the chamber "
+                f"gives for L = {L.coords}"
+            )
+        # effectivity is automatic: x.L > 0 puts x in the cone of L
+        a0 = reference_ample(L.form)
+        bad = next((x for x in hits if x.dot(a0.num) <= 0), None)
+        if bad is not None:
+            raise CertificateError(
+                f"isotropic class {bad.coords} with x.L = {t} > 0 pairs "
+                f"to {bad.dot(a0.num)} with the reference ample class"
+            )
+        self.phi = PhiResult(t, DivisorClass(hits[0], 0))
 
     def isotropic(self, t: int) -> tuple[NumClass, ...]:
         """Every isotropic x with x.L = t in lexicographic order, the lift's
@@ -288,38 +309,6 @@ class Polarization:
         if fiber is None:
             fiber = self._isotropic[t] = tuple(self.lift.fiber(t, 0))
         return fiber
-
-    @cached_property
-    def reduced(self) -> NumClass:
-        """x_red, the reduction of L to the closed W(E10) chamber
-        (``lattice.chamber_reduce``), computed on first read."""
-        return chamber_reduce(self.L)
-
-    @cached_property
-    def isotropic_floor(self) -> int:
-        """phi(L) = x_red.f, certified on its fiber: a class of the fiber at
-        phi(L) is the witness, every class of it must pair positively with
-        the reference ample class, and an empty fiber raises
-        CertificateError.  No isotropic class has 0 < x.L < phi(L), so
-        every class of the fiber is primitive: x = cP with c >= 2 would put
-        the isotropic P at the degree phi(L) / c < phi(L).
-        """
-        t = self.reduced.dot(basis_vector(0, self.L.form))
-        hits = self.isotropic(t)
-        if not hits:
-            raise CertificateError(
-                f"no isotropic class x has x.L = {t}, the degree the chamber "
-                f"gives for L = {self.L.coords}"
-            )
-        # effectivity is automatic: x.L > 0 puts x in the cone of L
-        a0 = reference_ample(self.L.form)
-        bad = next((x for x in hits if x.dot(a0.num) <= 0), None)
-        if bad is not None:
-            raise CertificateError(
-                f"isotropic class {bad.coords} with x.L = {t} > 0 pairs "
-                f"to {bad.dot(a0.num)} with the reference ample class"
-            )
-        return t
 
     @cached_property
     def report(self) -> GonalityReport:
@@ -387,16 +376,7 @@ class Polarization:
         return GonalityReport(k, p, m, floor_term, label, genus, tuple(notes))
 
 
-@lru_cache(maxsize=POLARIZATION_CACHE_SIZE)
-def polarization(L: NumClass) -> Polarization:
-    """The :class:`Polarization` of L, kept for the last
-    POLARIZATION_CACHE_SIZE classes asked for.
-
-    The key is L by value; its equality and hash include the form, so equal
-    coordinates in another form get their own object.  Two threads that
-    miss at once may each build one; both are equal.
-    """
-    return Polarization(L)
+polarization = lru_cache(maxsize=POLARIZATION_CACHE_SIZE)(Polarization)
 
 
 def gonality(L: DivisorClass) -> GonalityReport:
@@ -541,7 +521,7 @@ def decompose_isotropic(L: DivisorClass) -> IsotropicDecomposition:
     target = L.num
     form = target.form
     pol = polarization(target)  # which checks that L is effective
-    floor = pol.isotropic_floor
+    floor = pol.phi.value
     budget = DECOMPOSE_MAX_NODES
 
     def fill(p, alike, a, delta, gens, rows):

@@ -26,10 +26,11 @@ pivot at the outermost search level, and every level is scanned in
 ascending order.  So the search itself emits the lattice points x in
 strictly increasing lexicographic order of their coordinates (the ordering
 certificate, argued at :meth:`FiberSystem._set_up`): no caller sorts a
-fiber, and a caller of ``FiberSystem.iter_solutions`` (``ComplementLift.first``,
-``lattice.embed_configuration``, which keeps its primitive classes) stops
-the search at the first class it keeps.  Every class of an exact search is
-still square-checked before a caller sees it.
+fiber, and a caller of ``FiberSystem.iter_solutions`` (``invariants.mu``,
+which keeps its first admissible class, and ``lattice.embed_configuration``,
+which keeps its primitive classes) stops the search at the first class it
+keeps.  Every class of an exact search is still square-checked before a
+caller sees it.
 
 One fiber class, :class:`FiberSystem`, runs every search on the kernel of
 its constraint classes, in their form.  One unimodular row reduction, run
@@ -51,7 +52,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from operator import mul
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .errors import (
     CertificateError,
@@ -376,11 +377,7 @@ class FiberSystem:
 
 class ComplementLift(FiberSystem):
     """Fibers x.L = t of a fixed class L of positive square: the
-    :class:`FiberSystem` of the one constraint class L, with values (t,).
-
-    Its one pivot class w has w.L = degree_step, the content of L's pairing
-    vector, so the fiber at t = m * degree_step starts from m * w.
-    """
+    :class:`FiberSystem` of the one constraint class L, with values (t,)."""
 
     def __init__(self, L: NumClass):
         # not FiberSystem.__init__: perfbench/tracer.py counts each
@@ -391,7 +388,6 @@ class ComplementLift(FiberSystem):
             )
         self.L = L
         self._set_up([L])
-        self.degree_step = self._heads[0][0]  # x.L always lies in its multiples
 
     def fiber(self, t: int, square: int) -> list[NumClass]:
         """All x with x.L = t and x^2 = square, in lexicographic order."""
@@ -400,11 +396,3 @@ class ComplementLift(FiberSystem):
     def fiber_min_square(self, t: int, min_square: int) -> list[NumClass]:
         """All x with x.L = t and x^2 >= min_square, in lexicographic order."""
         return list(self._enumerate((t,), min_square, exact=False))
-
-    def first(
-        self, t: int, square: int, accept: Callable[[NumClass], bool]
-    ) -> NumClass | None:
-        """The lexicographically first x with x.L = t, x^2 = square and
-        accept(x), or None.  The search stops at that class."""
-        return next((x for x in self.iter_solutions((t,), square) if accept(x)), None)
-

@@ -37,12 +37,14 @@ degree phi.  It walks the shapes with a plain enumeration of its own.
 came lazily: each height's whole fiber is listed before the first class is
 tried.
 
-``phi_degree_walk`` and ``mu_degree_walk`` are ``phi`` and ``mu`` as they
-ran before both read the W(E10) chamber reduction: phi is the least
-degree t with an isotropic class x.L = t, and mu walks the degrees from
-the Hodge bound (B.L)^2 >= 4 L^2 up to the cap, testing phi(B) = 2 on the
-isotropic fibers of degrees phi .. (t - phi) / 2.  They search fibers of
-their own lift and never reduce a class.
+``degree_walks`` is ``phi`` and ``mu`` as they ran before both read the
+W(E10) chamber reduction: phi is the least degree t with an isotropic
+class x.L = t, and mu walks the degrees from the Hodge bound
+(B.L)^2 >= 4 L^2 up to the largest cap asked for, testing phi(B) = 2 on
+the isotropic fibers of degrees phi .. (t - phi) / 2, and answers every
+smaller cap from that one walk.  It searches fibers of its own lift, with
+``FiberSystem.iter_solutions`` where mu stops at a first hit, and never
+reduces a class.
 
 ``mu_full_scan`` and ``destab_unpruned`` are the whole-fiber forms of
 ``mu`` and ``enumerate_destab``: they build every fiber in full and filter
@@ -544,36 +546,38 @@ def embed_eager(p, max_height: int = 6) -> list:
     return chosen
 
 
-def phi_degree_walk(L):
-    """(phi(L), witness coordinates): the least t with a nonempty isotropic
-    fiber x.L = t of L's lift, and that fiber's first class."""
+def degree_walks(L, caps):
+    """phi(L) and mu(L) at every cap of ``caps(phi)`` by the degree walks,
+    on one lift of L: ((phi, witness coordinates), [(cap, (mu, witness
+    coordinates) or None) for each cap]).
+
+    phi is the least t with a nonempty isotropic fiber x.L = t, and its
+    witness that fiber's first class.  mu's walk runs once, up to the
+    largest cap: from the first t with t^2 >= 4 L^2, the first class at t
+    that is not numerically L and pairs to 1 with no isotropic class of
+    degree phi .. (t - phi) / 2.  A first hit at t <= cap answers cap, and
+    no hit up to cap is "not found".
+    """
     from enriques_bn.shortvec import ComplementLift
 
     lift = ComplementLift(L.num)
-    t = 1
-    while not (fiber := lift.fiber(t, 0)):
-        t += 1
-    return t, fiber[0].coords
-
-
-def mu_degree_walk(L, cap: int):
-    """(mu(L), witness coordinates) below cap, or None, by the degree walk:
-    from the first t with t^2 >= 4 L^2, the first class at t that is not
-    numerically L and pairs to 1 with no isotropic class of degree
-    phi .. (t - phi) / 2."""
-    from enriques_bn.shortvec import ComplementLift
-
-    lift = ComplementLift(L.num)
-    floor = phi_degree_walk(L)[0]
-    pool, s = [], floor
-    for t in range(math.isqrt(4 * L.square - 1) + 1, cap + 1):
+    floor = 1
+    while not (fiber := lift.fiber(floor, 0)):
+        floor += 1
+    wanted = caps(floor)
+    hit, pool, s = None, list(fiber), floor + 1
+    for t in range(math.isqrt(4 * L.square - 1) + 1, max(wanted) + 1):
         while s <= (t - floor) // 2:
             pool += lift.fiber(s, 0)
             s += 1
-        x = lift.first(t, 4, lambda b: b != L.num and all(e.dot(b) != 1 for e in pool))
-        if x is not None:
-            return t - 2, x.coords
-    return None
+        hit = next((
+            (t - 2, b.coords) for b in lift.iter_solutions((t,), 4)
+            if b != L.num and all(e.dot(b) != 1 for e in pool)
+        ), None)
+        if hit is not None:
+            break
+    mus = [(cap, hit if hit and hit[0] + 2 <= cap else None) for cap in wanted]
+    return (floor, fiber[0].coords), mus
 
 
 def mu_full_scan(L, cap: int):

@@ -228,6 +228,15 @@ class TestExitCodes:
         )
         assert code == EXIT_DOMAIN
 
+    def test_decompose_of_an_anti_effective_class_is_two(self, capsys):
+        # -(f + g) has square 2; the polarization's one check refuses it
+        code = run(["decompose", "--class", '{"coords":[-1,-1,0,0,0,0,0,0,0,0],"torsion":0}'])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (EXIT_DOMAIN, "")
+        assert captured.err == (
+            "error: (-1, -1, 0, 0, 0, 0, 0, 0, 0, 0) is not in the positive cone\n"
+        )
+
     def test_usage_error_is_one(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run(["invariants", "--class", "x", "--bogus-flag"])

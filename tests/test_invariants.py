@@ -67,10 +67,9 @@ from oracles import (
     box_isotropic_minimum,
     decompose_prefix_systems,
     decompose_subset_search,
-    mu_degree_walk,
+    degree_walks,
     mu_full_scan,
     multiple_content_of_primitive_part,
-    phi_degree_walk,
 )
 
 F = basis_vector(0)
@@ -261,12 +260,14 @@ class TestCertificateChecks:
             phi(divisor_class([1, 2] + [0] * 8))
 
     def test_no_witness_at_the_chamber_degree(self, monkeypatch):
-        # 3f + g: phi 1, mu 6; the kernel searches find nothing there
+        # 3f + g: phi 1, mu 6; the kernel searches find nothing there.
+        # phi is certified when the polarization is built, so mu's walk
+        # meets the empty search on a warm class, and phi on a cold one
         L = divisor_class([3, 1] + [0] * 8)
-        monkeypatch.setattr(ComplementLift, "first", lambda *a: None)
+        phi(L)
+        monkeypatch.setattr(FiberSystem, "iter_solutions", lambda *a: iter(()))
         with pytest.raises(CertificateError, match=r"L.B = 8, .* \(3, 1, "):
             mu(L, 12)
-        monkeypatch.setattr(ComplementLift, "fiber", lambda *a: [])
         invariants.polarization.cache_clear()
         with pytest.raises(CertificateError, match=r"x.L = 1, .* \(3, 1, "):
             phi(L)
@@ -761,21 +762,10 @@ class TestOneSlotSource:
 
 
 class TestIsotropicFloor:
-    """phi is x_red.f (``Polarization.isotropic_floor``), and its one fiber
-    is the stored ``Polarization.isotropic(phi)``: mu's pool starts from
-    it, and decompose skips the shapes below phi and draws every slot at
-    degree phi from it."""
-
-    def test_nothing_below_phi_and_all_primitive_at_it(self):
-        for L in floor_classes():
-            lift = ComplementLift(L.num)
-            value = phi(L).value
-            assert not any(lift.fiber(t, 0) for t in range(1, value))
-            at_phi = lift.fiber(value, 0)
-            assert at_phi and all(is_primitive(x) for x in at_phi)
-            pol = invariants.polarization(L.num)
-            assert pol.isotropic_floor == value
-            assert pol.isotropic(value) == tuple(at_phi)
+    """phi is x_red.f, certified on its one fiber, the stored
+    ``Polarization.isotropic(phi)``: mu's pool starts from it, and
+    decompose skips the shapes below phi and draws every slot at degree
+    phi from it."""
 
     def test_mu_searches_no_degree_phi_has_settled(self, monkeypatch):
         degrees = []
@@ -854,6 +844,7 @@ class TestStoredIsotropicFibers:
             mu(L, 2 * value + 6)
             pol = invariants.polarization(L.num)
             assert not any(pol.isotropic(t) for t in range(1, value))
+            assert all(is_primitive(x) for x in pol.isotropic(value))
             fresh = ComplementLift(L.num)
             for t, fiber in pol._isotropic.items():
                 assert isinstance(fiber, tuple) and pol.isotropic(t) is fiber
@@ -946,8 +937,8 @@ T237_EDGES = {(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 9), (6
 class TestChamberOracle:
     """phi(L) = x_red.f and mu(L) = x_red.B0 - 2 (3 on B0's orbit), read
     off ``lattice.chamber_reduce``, against searches that never reduce a
-    class: the least degree with an isotropic class (``phi_degree_walk``)
-    and mu's earlier degree walk (``mu_degree_walk``)."""
+    class: the least degree with an isotropic class and mu's earlier
+    degree walk (``degree_walks``), one walk each per class."""
 
     def test_roots_and_b0(self):
         # the negated Cartan matrix of T_{2,3,7}; B0 is the weight of
@@ -998,41 +989,45 @@ class TestChamberOracle:
                     call(x if call is chamber_reduce else DivisorClass(x, 0))
 
     @staticmethod
-    def check(L, cap):
-        """mu(L, cap) has the degree walk's status, value and witness; True
-        when it is exact."""
-        want, res = mu_degree_walk(L, cap), mu(L, cap)
-        if want is None:
-            assert res == MuResult(MU_NOT_FOUND, cap), (L.num.coords, cap)
-            return False
-        assert res == MuResult(MU_EXACT, cap, want[0], divisor_class(want[1])), (
-            L.num.coords, cap)
-        return True
+    def check(L, caps):
+        """phi(L), and mu(L, cap) for each cap of ``caps(phi)``, have the
+        degree walks' status, value and witness; the Counter of exact
+        answers."""
+        (value, witness), walked = degree_walks(L, caps)
+        assert phi(L) == PhiResult(value, divisor_class(witness)), L.num.coords
+        found = Counter()
+        for cap, want in walked:
+            res = mu(L, cap)
+            if want is None:
+                assert res == MuResult(MU_NOT_FOUND, cap), (L.num.coords, cap)
+            else:
+                assert res == MuResult(MU_EXACT, cap, want[0], divisor_class(want[1])), (
+                    L.num.coords, cap)
+            found[want is not None] += 1
+        return found
 
     def test_phi_and_mu_on_the_sweep(self):
         # caps 2 phi + 2, 2 phi + 10 and 3 on every class of L^2 <= 100
         found = Counter()
         for _, _, L in structured_sweep(100):
-            value, witness = phi_degree_walk(L)
-            assert phi(L) == PhiResult(value, divisor_class(witness)), L.num.coords
-            for cap in (2 * value + 2, 2 * value + 10, 3):
-                found[self.check(L, cap)] += 1
+            found += self.check(L, lambda value: (2 * value + 2, 2 * value + 10, 3))
         assert found == {True: 943, False: 3113}
 
     def test_mu_on_the_pairs_of_the_pool_tests(self):
         # the pairs that checked mu against its earlier pool searches:
         # sampled classes at 2 phi + 2 or + 6, 3f + g (mu = 6) at caps 4, 7
         # and 8, and the floor classes (B0 among them) at 2 phi + 2 and + 6
-        three_f_g = divisor_class([3, 1] + [0] * 8)
-        pairs = [(three_f_g, cap) for cap in (4, 7, 8)]
+        caps = {divisor_class([3, 1] + [0] * 8): [4, 7, 8]}
         rng = random.Random(52)
         for i in range(24):
             L = random_ample(rng, max_square=24)
-            pairs.append((L, 2 * chamber_phi(L.num) + (6 if i % 2 else 2)))
+            caps.setdefault(L, []).append(2 * chamber_phi(L.num) + (6 if i % 2 else 2))
         for L in floor_classes():
             cap = 2 * chamber_phi(L.num) + 2
-            pairs += [(L, cap), (L, cap + 4)]
-        found = Counter(self.check(L, cap) for L, cap in pairs)
+            caps.setdefault(L, []).extend((cap, cap + 4))
+        found = Counter()
+        for L, wanted in caps.items():
+            found += self.check(L, lambda _: wanted)
         assert found == {True: 155, False: 122}
 
 
@@ -1103,28 +1098,20 @@ class TestPolarizationCache:
         after = invariants.polarization.cache_info()
         assert (after.misses, after.currsize) == (before.misses, before.currsize)
 
-    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-    @given(
-        st.integers(1, 3),
-        st.integers(1, 3),
-        st.lists(st.integers(-1, 1), min_size=8, max_size=8),
-    )
-    def test_equal_coordinates_in_another_form_get_their_own_object(self, a, b, rest):
-        canonical = canonical_form()
-        gram = [list(row) for row in canonical.gram]
+    def test_another_form_is_refused_before_it_builds(self, monkeypatch):
+        # f + g's coordinates in U(2) + E8(-1), of square 4: no lift is
+        # built, and nothing is kept
+        built = []
+        monkeypatch.setattr(invariants, "ComplementLift", lambda *a: built.append(a))
+        gram = [list(row) for row in canonical_form().gram]
         gram[0][1] = gram[1][0] = 2
-        other = IntersectionForm(10, tuple(map(tuple, gram)))  # U(2) + E8(-1)
-        coords = (a, b, *rest)
-        L = NumClass(coords, canonical)
-        assume(L.square > 0)  # then the square in U(2) + E8(-1) is L^2 + 2ab
-        pols = [invariants.polarization(M) for M in (L, NumClass(coords, other), L)]
-        assert pols[0] is pols[2] and pols[1] is not pols[0]
-        for pol in pols:
-            M, lift = pol.L, pol.lift
-            assert lift.L == M and lift.form == M.form
-            assert lift._entries == ComplementLift(M)._entries
-            t = lift.degree_step
-            assert all(x.form == M.form and x.dot(M) == t for x in lift.fiber(t, 0))
+        other = IntersectionForm(10, tuple(map(tuple, gram)))
+        L = NumClass((1, 1) + (0,) * 8, other)
+        assert L.square == 4
+        with pytest.raises(FormMismatchError, match="canonical_form"):
+            invariants.polarization(L)
+        assert built == []
+        assert invariants.polarization.cache_info().currsize == 0
 
     def test_bound_plus_one_classes_rebuild_the_first(self):
         classes = [num_class([1, b] + [0] * 8) for b in range(1, POLARIZATION_CACHE_SIZE + 2)]

@@ -22,6 +22,7 @@ from enriques_bn.lattice import (
     basis_vector,
     canonical_form,
     config_i,
+    content,
     embed_configuration,
     integer_determinant,
     num_class,
@@ -194,19 +195,22 @@ class TestProjectComplement:
             assert got == want, f"fiber mismatch at degree {t}"
 
     def test_degree_step_matches_content(self):
-        L = num_class([3, 6] + [0] * 8)  # content 3
+        # x.L lies in the multiples of L's content
+        L = num_class([3, 6] + [0] * 8)
+        assert content(L)[0] == 3
         lift = ComplementLift(L)
-        assert lift.degree_step == 3
-        assert lift.fiber(2, 0) == []
+        assert lift.fiber(3, 0)
+        assert not any(lift.fiber(t, 0) for t in (1, 2, 4, 5))
 
     def test_scaled_pairings_match_a_fresh_solve(self):
         # the lift's methods against the general FiberSystem on the same
-        # one constraint, off the degree step's multiples too
+        # one constraint, off the multiples of L's content too
         for coords in ([2, 4] + [0] * 8, [3, 3, 1, 0, 1, 0, 0, 0, 0, 0], [3, 6] + [0] * 8):
             L = num_class(coords)
             lift = ComplementLift(L)
             fib = FiberSystem([L])
-            for t in range(-2 * lift.degree_step, 4 * lift.degree_step + 1):
+            step = content(L)[0]
+            for t in range(-2 * step, 4 * step + 1):
                 for sq in (0, 2, 4):
                     assert lift.fiber(t, sq) == fib.solutions([t], sq)
                 assert lift.fiber_min_square(t, 0) == fib.solutions_min_square([t], 0)
@@ -383,10 +387,12 @@ class TestLexicographicOrder:
                         got = [x.coords for x in lift.fiber_min_square(t, sq)]
                     assert strictly_increasing(got)
                     assert set(got) == fraction_solutions(form, [L], [t], sq, exact)
+                # a caller that stops at its first accepted class, as mu
+                # does, gets the listed fiber's first one
                 fib = lift.fiber(t, 4)
                 for accept in (lambda x: x.coords[2] > 0, lambda x: False):
                     want = next((x for x in fib if accept(x)), None)
-                    assert lift.first(t, 4, accept) == want
+                    assert next(filter(accept, lift.iter_solutions((t,), 4)), None) == want
 
     def test_fiber_system_solutions(self, form):
         rng = random.Random(62)
