@@ -17,7 +17,7 @@ from collections import namedtuple
 from types import SimpleNamespace
 from typing import Sequence
 
-from .errors import CertificateError, RangeError
+from .errors import CertificateError, RangeError, SearchExhaustedError
 from .frozen import Frozen, set_field
 from .invariants import CASE_MU_SQUARE, gonality, multiple_content, polarization
 from .lattice import DivisorClass, config_ii, content, embed_configuration
@@ -26,6 +26,9 @@ from .positivity import _isotropic_h1, classify_positivity
 STATUS_APPLIES = "applies"
 STATUS_FAILS = "fails-hypothesis"
 STATUS_EMPTY = "empty-range"
+
+#: Budget of ``enumerate_destab``: splittings listed.
+DESTAB_MAX_CANDIDATES = 500_000
 
 
 def rho(g: int, r: int, d: int) -> int:
@@ -176,6 +179,8 @@ def enumerate_destab(L: DivisorClass, d: int) -> list[DestabCandidate]:
     the torsion bit of L under both twists, so they cannot tell the twists
     apart.)  ``tests/oracles.destab_unpruned`` computes the same list from
     the cohomology of every splitting.
+
+    Past DESTAB_MAX_CANDIDATES splittings it raises SearchExhaustedError.
     """
     rep = gonality(L)
     g, k = rep.genus, rep.k
@@ -197,6 +202,9 @@ def enumerate_destab(L: DivisorClass, d: int) -> list[DestabCandidate]:
                 M = DivisorClass(m_num, torsion_m)
                 N = DivisorClass(n_num, L.torsion ^ torsion_m)
                 out.append(DestabCandidate(M, N, d, mn))
+                if len(out) > DESTAB_MAX_CANDIDATES:
+                    raise SearchExhaustedError(f"destab listing passed {DESTAB_MAX_CANDIDATES} "
+                                               f"candidates for L = {L.num.coords} at d = {d}")
     return out
 
 

@@ -27,7 +27,8 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from functools import cached_property, lru_cache
-from operator import mul
+from heapq import heappop, heappush
+from operator import add, mul
 
 from .errors import (
     CertificateError,
@@ -66,7 +67,7 @@ CASE_FLOOR_PLAIN = "floor-plain"
 MU_EXACT = "exact"
 MU_NOT_FOUND = "not-found-below-cap"
 
-#: Budget of ``decompose_isotropic``: slots filled.
+#: Budget of ``decompose_isotropic``: level-walk steps and slots filled.
 DECOMPOSE_MAX_NODES = 200_000
 
 #: How many classes :func:`polarization` keeps.
@@ -403,56 +404,100 @@ def clifford_generic(L: DivisorClass) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _levels(l_sq: int) -> list[list[tuple]]:
-    """The decomposition shapes of square l_sq, grouped by level (D, n) in
-    increasing order: (pattern, alike, a, delta) for every pattern (i)
-    n = 2..10, (ii) n = 2..10, (iii) n = 3..10 with Gram G, every a >= 1
-    with a^T G a = l_sq, delta = G a and D = max delta.
-
-    Slot j is ``alike`` slot j - 1 when their rows of G agree outside
-    columns j - 1 and j; the alike runs are the blocks {1..n} of (i),
-    {1, 2} and {3..n} of (ii) and {2, 3} and {4..n} of (iii), and a is
-    non-increasing inside each.  G has a zero diagonal and positive entries
-    elsewhere, so a^T G a is linear in each a_j with slope 2 (G a)_j > 0: a
-    prefix completed by ones bounds every completion from below, the slope
-    at the next slot bounds its coefficient, and the last coefficient
-    solves its linear equation.  A prefix carries q, its own a^T G a, and
-    c = G a over its slots, so each bound costs O(n).
-    """
-    levels: dict[tuple[int, int], list[tuple]] = {}
+@lru_cache(maxsize=None)
+def _patterns() -> list[tuple]:
+    """(pattern, alike, below, tail) for the patterns (i) n = 2..10, (ii)
+    n = 2..10 and (iii) n = 3..10.  Slot j is ``alike`` slot j - 1
+    when their rows of G agree outside columns j - 1 and j: the blocks
+    {1..n} of (i), {1, 2} and {3..n} of (ii), {2, 3} and {4..n} of (iii).
+    below[m] is G 1 over the slots past m, tail[m] 1^T G 1 over those from m."""
+    out = []
     for make, smallest in ((config_i, 2), (config_ii, 2), (config_iii, 3)):
-        # a = (1, ..., 1) gives at least n (n - 1), so (2n - 1)^2 <= 4 l_sq + 1
-        for n in range(smallest, min(10, (math.isqrt(4 * l_sq + 1) + 1) // 2) + 1):
+        for n in range(smallest, 11):
             p = make(n)
             g = p.gram_sub
             alike = [False] + [
                 all(g[j - 1][k] == g[j][k] for k in range(n) if k not in (j - 1, j))
                 for j in range(1, n)
             ]
-            # after[m] = (G 1)_m over the slots past m; tail[m] = 1^T G 1
-            # over the slots from m on
-            after = [sum(g[m][m + 1:]) for m in range(n)]
+            below = [[sum(row[m + 1:]) for row in g] for m in range(n)]
             tail = [0] * (n + 1)
             for m in range(n - 1, -1, -1):
-                tail[m] = tail[m + 1] + 2 * after[m]
-            prefixes = [([], 0, [0] * n)]
-            while prefixes:
-                a, q, c = prefixes.pop()
-                m = len(a)
-                room, rest = divmod(
-                    l_sq - q - 2 * sum(c[m:]) - tail[m], 2 * (c[m] + after[m])
-                )
-                top = min(1 + room, a[-1]) if alike[m] else 1 + room
-                if m < n - 1:
-                    for x in range(1, top + 1):
-                        c_x = [y + x * z for y, z in zip(c, g[m])]
-                        prefixes.append((a + [x], q + 2 * x * c[m], c_x))
-                elif room >= 0 and not rest and top == 1 + room:
-                    delta = [y + top * z for y, z in zip(c, g[m])]
-                    levels.setdefault((max(delta), n), []).append(
-                        (p, alike, a + [top], delta)
-                    )
-    return [levels[key] for key in sorted(levels)]
+                tail[m] = tail[m + 1] + 2 * below[m][m]
+            out.append((p, alike, below, tail))
+    return out
+
+
+def _levels(l_sq: int, floor: int = 1, spend=lambda steps: None):
+    """Yield the decomposition shapes of square l_sq with every degree at
+    least floor, by level (D, n) in increasing order: the (pattern, alike,
+    a, delta) of a pattern of :func:`_patterns` with Gram G, a >= 1
+    non-increasing inside each alike run, a^T G a = l_sq, delta = G a and
+    D = max delta.  A prefix taken up with its k children costs
+    ``spend(1 + k)``.
+
+    G has a zero diagonal and entries >= 1 elsewhere, so with S = sum a,
+    (G a)_j >= S - a_j >= a_k for every k != j, and l_sq = a . G a <= D S.
+    Hence D (D + a_j) >= l_sq for every coefficient a_j, and summing
+    a_j >= S - D over the n >= 2 slots gives S <= n D / (n - 1), so
+    n (l_sq / D - D) <= n D / (n - 1): D^2 >= (n - 1) l_sq / n >= l_sq / 2,
+    and at l_sq = 4,000 and D = 50 only n = 2 is left.
+
+    The walk fills the slots in order.  a^T G a and each (G a)_k grow in
+    every a_j, so a prefix completed by ones bounds the next coefficient
+    (the last one solves its linear equation) and the degree of every
+    completion from below; a prefix carries q, its own a^T G a, and
+    c = G a over its slots.  Each prefix waits at a degree that none of
+    its shapes goes under (floor, the bounds above, its parent's degree,
+    its degree completed by ones), and each shape at its own.  Degrees are
+    taken up in increasing order, and a prefix taken up forms all its
+    children, so when the walk leaves degree D every shape of degree D has
+    been formed, once.
+    """
+    waiting: dict[int, list[tuple]] = {}  # by degree, the least in degrees[0]
+    degrees: list[int] = []
+
+    def wait(key, item):
+        if key not in waiting:
+            heappush(degrees, key)
+        waiting.setdefault(key, []).append(item)
+
+    for pattern in _patterns():
+        n = pattern[0].n
+        if pattern[3][0] <= l_sq:  # the square of a = (1, ..., 1)
+            wait(max(floor, math.isqrt((n - 1) * l_sq // n)), (pattern, [], 0, [0] * n))
+    while degrees:
+        D = degrees[0]
+        todo, found = waiting[D], {}
+        while todo:
+            pattern, a, q, c = todo.pop()
+            p, alike, below, tail = pattern
+            n, m = p.n, len(a)
+            if m == n:
+                found.setdefault(n, []).append((p, alike, a, c))
+                continue
+            row = p.gram_sub[m]
+            top = (l_sq - q - 2 * sum(c[m + 1:]) - tail[m + 1]) // (2 * (c[m] + below[m][m]))
+            if alike[m]:
+                top = min(top, a[-1])
+            spend(1 + top)
+            for x in range(1, top + 1):
+                if m < n - 2:
+                    c_x = [y + x * z for y, z in zip(c, row)]
+                    key = max(D, max(map(add, c_x, below[m])))
+                    while key * (key + x) < l_sq:
+                        key += 1
+                    wait(key, (pattern, a + [x], q + 2 * x * c[m], c_x))
+                    continue
+                # the last coefficient solves its linear equation
+                y, rest = divmod(l_sq - q - 2 * x * c[m], 2 * (c[-1] + x * row[-1]))
+                if not rest and not (alike[-1] and y > x):
+                    delta = [u + x * v + y * w for u, v, w in zip(c, row, p.gram_sub[-1])]
+                    if min(delta) >= floor:
+                        wait(max(delta), (pattern, a + [x, y], None, delta))
+        del waiting[heappop(degrees)]
+        for n in sorted(found):
+            yield found[n]
 
 
 def _check_realization(
@@ -478,14 +523,14 @@ def decompose_isotropic(L: DivisorClass) -> IsotropicDecomposition:
     (iii).
 
     A pattern Gram G and coefficients a fix L^2 = a^T G a and every degree
-    E_j.L = (G a)_j, so the search runs over the shapes of :func:`_levels`.
-    Levels (D, n), D the largest degree, are visited in increasing order;
-    a level returns the realization with the least sorted list of
+    E_j.L = (G a)_j, so the search runs over the shapes of :func:`_levels`,
+    level (D, n) by level in increasing order, D the largest degree.  A
+    level returns the realization with the least sorted list of
     (E_j.L, coordinates of E_j), and the first level with one ends the
-    search.  That is the minimum of (max E.L, n, that list) over every
-    decomposition, so the answer does not depend on the order of the search.
-    Generators come in pattern order, alike slots (see :func:`_levels`) by
-    increasing (E.L, coordinates).
+    search before the walk reaches the next degree.  That is the minimum
+    of (max E.L, n, that list) over every decomposition, so the answer does
+    not depend on the order of the search.  Generators come in pattern
+    order, alike slots (see :func:`_patterns`) by increasing (E.L, coords).
 
     Every slot j < n is drawn from one source, the isotropic fiber
     x.L = delta_j of L (:meth:`Polarization.isotropic`), kept to the
@@ -494,9 +539,9 @@ def decompose_isotropic(L: DivisorClass) -> IsotropicDecomposition:
     the filter yields exactly the candidates of slot j, in that order.
     Every generator is isotropic with E_j.L = delta_j > 0 (the last one
     too, by the division below) and no isotropic class has
-    0 < x.L < phi(L), so a shape with min(G a) < phi(L) is skipped.  Alike
-    slots of equal coefficient take increasing coordinates, so each set is
-    found once.
+    0 < x.L < phi(L), so only shapes with every degree >= phi(L) count.
+    Alike slots of equal coefficient take increasing coordinates, so each
+    set is found once.
 
     The last slot needs no search.  Let R = L - sum_{i<n} a_i E_i.  For
     j < n, R.E_j = delta_j - sum_{i<n} a_i G_ij = a_n G_nj; then
@@ -508,7 +553,8 @@ def decompose_isotropic(L: DivisorClass) -> IsotropicDecomposition:
     CertificateError.
 
     Deterministic; raises SearchExhaustedError once DECOMPOSE_MAX_NODES
-    slots have been filled.
+    steps have been spent: the level walk's prefixes taken up and children
+    formed, and the slots filled.
     """
     if L.square <= 0:
         if not classify_positivity(L).is_effective:  # never at L^2 < 0
@@ -524,10 +570,15 @@ def decompose_isotropic(L: DivisorClass) -> IsotropicDecomposition:
     floor = pol.phi.value
     budget = DECOMPOSE_MAX_NODES
 
+    def spend(steps=1):
+        nonlocal budget
+        budget -= steps
+        if budget <= 0:
+            raise SearchExhaustedError(f"decomposition search exceeded {DECOMPOSE_MAX_NODES} nodes")
+
     def fill(p, alike, a, delta, gens, rows):
         """Every realization of the shape (p, a) that extends gens; rows
         holds the pairing row gram @ E_i of each generator but the last."""
-        nonlocal budget
         j = len(gens)
         if j < p.n - 1:
             if gens:
@@ -549,21 +600,15 @@ def decompose_isotropic(L: DivisorClass) -> IsotropicDecomposition:
         for x in candidates:
             if alike[j] and a[j] == a[j - 1] and x.coords <= gens[-1].coords:
                 continue
-            budget -= 1
-            if budget <= 0:
-                raise SearchExhaustedError(
-                    f"decomposition search exceeded {DECOMPOSE_MAX_NODES} nodes"
-                )
+            spend()
             if j < p.n - 1:
                 yield from fill(p, alike, a, delta, gens + [x], rows)
             else:
                 yield gens + [x]
 
-    for level in _levels(L.square):
+    for level in _levels(L.square, floor, spend):
         best = None
         for p, alike, a, delta in level:
-            if min(delta) < floor:
-                continue
             for gens in fill(p, alike, a, delta, [], []):
                 key = sorted(zip(delta, (e.coords for e in gens)))
                 if best is None or key < best[0]:

@@ -28,10 +28,9 @@ the coefficients with ``fraction_coefficients``, exact Gauss-Jordan
 elimination of the generators' Gram system, so it shares no solver with
 the library.
 
-``decompose_prefix_systems`` is ``decompose_isotropic`` with the slot
-source it had before every slot read L's lift: a ``FiberSystem`` per
-generator prefix, and phi's fiber filtered on the pattern pairings at
-degree phi.  It walks the shapes with a plain enumeration of its own.
+``_oracle_shapes`` lists every decomposition shape of a square at once, by
+a plain walk over the coefficient vectors with none of the degree bounds of
+``invariants._levels``; it is that lazy walk's reference, level by level.
 
 ``embed_eager`` is ``embed_configuration`` as it ran before its candidates
 came lazily: each height's whole fiber is listed before the first class is
@@ -792,15 +791,14 @@ def decompose_subset_search(L):
     )
 
 
-def _oracle_shapes(l_sq: int) -> list[list[tuple]]:
-    """(pattern, alike, a, delta) for every shape of square l_sq, grouped by
-    level (max delta, n) in increasing order, by a plain walk over the
-    coefficient vectors: a prefix completed by ones bounds its completions.
-    Alike slots (equal rows of the pattern Gram outside their two columns)
-    take non-increasing coefficients."""
+def _oracle_shapes(l_sq: int) -> list[set[tuple]]:
+    """(label, a, delta) for every shape of square l_sq, by level
+    (max delta, n) in increasing order: a plain walk over the coefficient
+    vectors, a prefix completed by ones bounding its completions, alike
+    slots (Gram rows equal outside their two columns) non-increasing."""
     from enriques_bn.lattice import config_i, config_ii, config_iii
 
-    levels: dict[tuple[int, int], list[tuple]] = {}
+    levels: dict[tuple[int, int], set[tuple]] = {}
     for make, smallest in ((config_i, 2), (config_ii, 2), (config_iii, 3)):
         for n in range(smallest, 11):
             p = make(n)
@@ -816,10 +814,8 @@ def _oracle_shapes(l_sq: int) -> list[list[tuple]]:
             def extend(a):
                 if len(a) == n:
                     if square(a) == l_sq:
-                        delta = [sum(g[i][j] * a[j] for j in range(n)) for i in range(n)]
-                        levels.setdefault((max(delta), n), []).append(
-                            (p, alike, a, delta)
-                        )
+                        delta = tuple(sum(g[i][j] * a[j] for j in range(n)) for i in range(n))
+                        levels.setdefault((max(delta), n), set()).add((p.label, tuple(a), delta))
                     return
                 x = 1
                 while (not alike[len(a)] or x <= a[-1]) and square(
@@ -830,89 +826,6 @@ def _oracle_shapes(l_sq: int) -> list[list[tuple]]:
 
             extend([])
     return [levels[key] for key in sorted(levels)]
-
-
-def decompose_prefix_systems(L):
-    """``decompose_isotropic(L)`` with the slot source it had before every
-    slot read L's lift: slot j < n draws from the ``FiberSystem`` of
-    [L, E_1, ..., E_{j-1}], one per constraint list per call, at values
-    (delta_j, G_1j, ..., G_{j-1,j}), primitive classes only, except that a
-    slot at degree phi(L) filters phi's fiber on the pattern pairings.  The
-    shapes come from ``_oracle_shapes``, not the library's level walk; the
-    answer, the least realization of the first level that has one, does not
-    depend on the order of the shapes."""
-    from enriques_bn.errors import SearchExhaustedError
-    from enriques_bn.invariants import DECOMPOSE_MAX_NODES, IsotropicDecomposition, phi
-    from enriques_bn.lattice import CONFIG_I, DivisorClass, content, is_primitive
-    from enriques_bn.shortvec import ComplementLift, FiberSystem
-
-    if L.square == 0:
-        c, prim = content(L.num)
-        return IsotropicDecomposition((DivisorClass(prim, 0),), (c,), CONFIG_I)
-    target = L.num
-    form = target.form
-    lift = ComplementLift(target)
-    floor = phi(L).value
-    floor_fiber = lift.fiber(floor, 0)
-    budget = DECOMPOSE_MAX_NODES
-    systems = {(): lift}  # the FiberSystem of [L] + gens, by gens' coordinates
-
-    def fill(p, alike, a, delta, gens):
-        nonlocal budget
-        j = len(gens)
-        if j < p.n - 1:
-            column = [delta[j]] + [p.gram_sub[i][j] for i in range(j)]
-            if delta[j] == floor:
-                pairings = column[1:]
-                candidates = (
-                    x for x in floor_fiber if [e.dot(x) for e in gens] == pairings
-                )
-            else:
-                key = tuple(e.coords for e in gens)
-                source = systems.get(key)
-                if source is None:
-                    source = systems[key] = FiberSystem([target] + gens)
-                candidates = (
-                    x for x in source.iter_solutions(column, 0) if is_primitive(x)
-                )
-        else:
-            rest = target.coords
-            for c, e in zip(a, gens):
-                rest = [r - c * x for r, x in zip(rest, e.coords)]
-            if any(r % a[j] for r in rest):
-                return
-            last = NumClass(tuple(r // a[j] for r in rest), form)
-            candidates = [last] if is_primitive(last) else []
-        for x in candidates:
-            if alike[j] and a[j] == a[j - 1] and x.coords <= gens[-1].coords:
-                continue
-            budget -= 1
-            if budget <= 0:
-                raise SearchExhaustedError(
-                    f"decomposition search exceeded {DECOMPOSE_MAX_NODES} nodes"
-                )
-            if j < p.n - 1:
-                yield from fill(p, alike, a, delta, gens + [x])
-            else:
-                yield gens + [x]
-
-    for level in _oracle_shapes(L.square):
-        best = None
-        for p, alike, a, delta in level:
-            if min(delta) < floor:
-                continue
-            for gens in fill(p, alike, a, delta, []):
-                key = sorted(zip(delta, (e.coords for e in gens)))
-                if best is None or key < best[0]:
-                    best = key, gens, a, p
-        if best is not None:
-            _, gens, a, p = best
-            return IsotropicDecomposition(
-                tuple(DivisorClass(e, 0) for e in gens), tuple(a), p.label
-            )
-    raise SearchExhaustedError(
-        f"no pattern (i)-(iii) decomposition of square {L.square} realizes L"
-    )
 
 
 def multiple_content_of_primitive_part(L, square: int, phi_value: int) -> int:

@@ -188,6 +188,18 @@ class TestEnumerateDestab:
         assert check_mn_bound([], rep.k) == (None, True)
 
 
+class TestDestabBudget:
+    def test_a_small_budget_raises_on_a_workload_class(self, monkeypatch):
+        # tests/test_golden.py recomputes all 26 destab workload listings
+        # under the default budget; f + 6g at d = 4 is one of them
+        L = divisor_class([1, 6] + [0] * 8)
+        assert len(enumerate_destab(L, 4)) == 2
+        monkeypatch.setattr(brill_noether, "DESTAB_MAX_CANDIDATES", 1)
+        with pytest.raises(SearchExhaustedError, match=r"^destab listing passed 1 candidates "
+                           r"for L = \(1, 6, 0, 0, 0, 0, 0, 0, 0, 0\) at d = 4$"):
+            enumerate_destab(L, 4)
+
+
 class TestDestabPruning:
     @staticmethod
     def destab_inputs(pair_one):

@@ -63,9 +63,9 @@ from enriques_bn.lattice import (
 from enriques_bn.positivity import classify_positivity, cohomology, reference_ample
 from enriques_bn.shortvec import ComplementLift, FiberSystem
 from oracles import (
+    _oracle_shapes,
     box_classes_with_square,
     box_isotropic_minimum,
-    decompose_prefix_systems,
     decompose_subset_search,
     degree_walks,
     mu_full_scan,
@@ -579,10 +579,23 @@ class TestSolveCoefficients:
 
 class TestDecomposeBudgets:
     def test_node_budget(self, monkeypatch, pair_two):
+        # slot fills count: with a free level walk, one fill spends the budget
         e1, e2 = pair_two
+        levels = invariants._levels
+        monkeypatch.setattr(invariants, "_levels", lambda l_sq, floor, _: levels(l_sq, floor))
         monkeypatch.setattr(invariants, "DECOMPOSE_MAX_NODES", 1)
         with pytest.raises(SearchExhaustedError, match="nodes"):
             decompose_isotropic(DivisorClass(3 * (e1 + e2), 0))
+
+    def test_the_level_walk_counts_against_the_budget(self, monkeypatch):
+        # 40f + 50g (L^2 = 4,000): the walk passes the budget before any
+        # slot reads an isotropic fiber (phi's is read when L's is built)
+        L = divisor_class([40, 50] + [0] * 8)
+        invariants.polarization(L.num)
+        monkeypatch.setattr(invariants.Polarization, "isotropic", None)
+        monkeypatch.setattr(invariants, "DECOMPOSE_MAX_NODES", 5)
+        with pytest.raises(SearchExhaustedError, match="exceeded 5 nodes"):
+            decompose_isotropic(L)
 
     def test_no_pattern_realizes_the_class(self, monkeypatch, pair_two):
         # every polarization of U + E8(-1) has a decomposition, so here no
@@ -749,16 +762,25 @@ def floor_classes():
     return classes + sweep_workload_classes()
 
 
-class TestOneSlotSource:
-    """Every decompose slot reads L's lift fiber, filtered on primitivity
-    and the pattern pairings; it finds what the per-prefix FiberSystems
-    with phi's fiber at degree phi found (``oracles.decompose_prefix_systems``)."""
+class TestLevels:
+    """``invariants._levels`` yields, level by level, the shapes of the plain
+    walk ``oracles._oracle_shapes``, which has none of its degree bounds;
+    with a floor, only the shapes with every degree >= floor."""
 
-    def test_against_the_prefix_systems(self):
-        classes = [L for _, _, L in structured_sweep(40)]
-        assert len(classes) == 166
-        for L in classes + sweep_workload_classes():
-            assert decompose_isotropic(L) == decompose_prefix_systems(L), L.num.coords
+    @staticmethod
+    def check(squares):
+        for l_sq, floor in itertools.product(squares, (1, 5, 9)):
+            want = [{s for s in level if min(s[2]) >= floor} for level in _oracle_shapes(l_sq)]
+            got = [{(p.label, tuple(a), tuple(delta)) for p, _, a, delta in level}
+                   for level in invariants._levels(l_sq, floor)]
+            assert got == [level for level in want if level], (l_sq, floor)
+
+    def test_against_the_plain_walk(self):
+        self.check(range(2, 61, 2))
+
+    @pytest.mark.slow
+    def test_against_the_plain_walk_up_to_square_200(self):
+        self.check(range(62, 201, 2))
 
 
 class TestIsotropicFloor:
