@@ -25,10 +25,10 @@ isotropic fibers and the gonality report of L at most once.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from functools import cached_property, lru_cache
-from heapq import heappop, heappush
-from operator import add, mul
+from operator import mul
 
 from .errors import (
     CertificateError,
@@ -67,7 +67,7 @@ CASE_FLOOR_PLAIN = "floor-plain"
 MU_EXACT = "exact"
 MU_NOT_FOUND = "not-found-below-cap"
 
-#: Budget of ``decompose_isotropic``: level-walk steps and slots filled.
+#: Budget of ``decompose_isotropic``: degree probes and slots filled.
 DECOMPOSE_MAX_NODES = 200_000
 
 #: How many classes :func:`polarization` keeps.
@@ -406,98 +406,101 @@ def clifford_generic(L: DivisorClass) -> int:
 
 @lru_cache(maxsize=None)
 def _patterns() -> list[tuple]:
-    """(pattern, alike, below, tail) for the patterns (i) n = 2..10, (ii)
-    n = 2..10 and (iii) n = 3..10.  Slot j is ``alike`` slot j - 1
-    when their rows of G agree outside columns j - 1 and j: the blocks
-    {1..n} of (i), {1, 2} and {3..n} of (ii), {2, 3} and {4..n} of (iii).
-    below[m] is G 1 over the slots past m, tail[m] 1^T G 1 over those from m."""
+    """(pattern, alike, c) for (i) n = 2..10, (ii) n = 2..10, (iii) n = 3..10.
+    Slot j is ``alike`` slot j - 1 when their rows of G agree outside
+    columns j - 1 and j: the blocks {1..n} of (i), {1, 2} and {3..n} of
+    (ii), {2, 3} and {4..n} of (iii).  G's pairings 2 lie in its first c."""
     out = []
-    for make, smallest in ((config_i, 2), (config_ii, 2), (config_iii, 3)):
-        for n in range(smallest, 11):
+    for make, c in ((config_i, 0), (config_ii, 2), (config_iii, 3)):
+        for n in range(max(c, 2), 11):
             p = make(n)
             g = p.gram_sub
-            alike = [False] + [
-                all(g[j - 1][k] == g[j][k] for k in range(n) if k not in (j - 1, j))
-                for j in range(1, n)
-            ]
-            below = [[sum(row[m + 1:]) for row in g] for m in range(n)]
-            tail = [0] * (n + 1)
-            for m in range(n - 1, -1, -1):
-                tail[m] = tail[m + 1] + 2 * below[m][m]
-            out.append((p, alike, below, tail))
+            alike = [j > 0 and all(g[j - 1][k] == g[j][k] for k in range(n) if k not in (j - 1, j))
+                     for j in range(n)]
+            out.append((p, alike, c))
     return out
 
 
-def _levels(l_sq: int, floor: int = 1, spend=lambda steps: None):
-    """Yield the decomposition shapes of square l_sq with every degree at
-    least floor, by level (D, n) in increasing order: the (pattern, alike,
-    a, delta) of a pattern of :func:`_patterns` with Gram G, a >= 1
-    non-increasing inside each alike run, a^T G a = l_sq, delta = G a and
-    D = max delta.  A prefix taken up with its k children costs
-    ``spend(1 + k)``.
+def _levels(pol: Polarization, l_sq: int, spend):
+    """Yield the decomposition shapes of square l_sq that L = pol.L may
+    realize, by level (D, n) in increasing order: the (pattern, alike, a,
+    delta) of a pattern of :func:`_patterns` with Gram G, a >= 1
+    non-increasing inside each alike run, a^T G a = l_sq, delta = G a,
+    D = max delta, and every delta_j in P(L), the degrees t at which
+    ``pol.isotropic(t)`` holds a primitive class (each generator of a
+    realization is one, of degree delta_j).  D runs from phi, a ``spend``
+    step per probe, to 2 l_sq / (phi + 2): the slot j of degree D has
+    D <= 2 (S - a_j) and l_sq = a . delta >= D + phi (S - a_j), S = sum a.
 
-    G has a zero diagonal and entries >= 1 elsewhere, so with S = sum a,
+    G has a zero diagonal and entries 1 or 2 elsewhere, so
     (G a)_j >= S - a_j >= a_k for every k != j, and l_sq = a . G a <= D S.
     Hence D (D + a_j) >= l_sq for every coefficient a_j, and summing
-    a_j >= S - D over the n >= 2 slots gives S <= n D / (n - 1), so
-    n (l_sq / D - D) <= n D / (n - 1): D^2 >= (n - 1) l_sq / n >= l_sq / 2,
-    and at l_sq = 4,000 and D = 50 only n = 2 is left.
+    a_j >= S - D over the n >= 2 slots gives S <= n D / (n - 1): S runs
+    over [ceil(l_sq / D), n D / (n - 1)], empty unless D^2 >= l_sq / 2.
 
-    The walk fills the slots in order.  a^T G a and each (G a)_k grow in
-    every a_j, so a prefix completed by ones bounds the next coefficient
-    (the last one solves its linear equation) and the degree of every
-    completion from below; a prefix carries q, its own a^T G a, and
-    c = G a over its slots.  Each prefix waits at a degree that none of
-    its shapes goes under (floor, the bounds above, its parent's degree,
-    its degree completed by ones), and each shape at its own.  Degrees are
-    taken up in increasing order, and a prefix taken up forms all its
-    children, so when the walk leaves degree D every shape of degree D has
-    been formed, once.
+    With G = J - I + E, delta = S - a + E a and
+    l_sq = S^2 - sum a^2 + a^T E a.  A plain slot has a_j = S - delta_j,
+    delta_j in P(L) up to D; k of them, of sum r and sum of squares q,
+    have a largest x >= r / k, q / r (the rest, each <= x, has squares
+    <= x (r - x)) and (r - x)^2 <= (k - 1)(q - x^2) (Cauchy), which at
+    k = 1 solve the last slot, x = r with x^2 = q.  The first c slots:
+
+    - (i) has none, and a non-increasing puts D on the last slot.
+    - (ii): delta_0 + delta_1 = 2 S, a_0 - a_1 = S - delta_0 >= 0, plain
+      degrees are below S <= delta_1 = D, and q = S^2 - l_sq - (D - S)^2.
+    - (iii): a_0 = delta_0 + delta_1 + delta_2 - 3 S and
+      a_i = a_0 + S - delta_i (i = 1, 2), so q = S^2 - l_sq + a_0^2 -
+      (S - delta_1)^2 - (S - delta_2)^2.  delta_2 >= S if a_0 >= a_2, and
+      delta_0 > S if not, so D = max(delta_0, delta_2).  delta_0 is
+      bisected out of P(L) between a_0 >= max(1, delta_2 - S + 1)
+      (a_2 >= 1) and a sum <= S - m of the three a (m plain slots).
     """
-    waiting: dict[int, list[tuple]] = {}  # by degree, the least in degrees[0]
-    degrees: list[int] = []
+    degrees: list[int] = []  # P(L) up to D, increasing
 
-    def wait(key, item):
-        if key not in waiting:
-            heappush(degrees, key)
-        waiting.setdefault(key, []).append(item)
+    def within(lo, hi):
+        return degrees[bisect_left(degrees, lo):bisect_right(degrees, hi)]
 
-    for pattern in _patterns():
-        n = pattern[0].n
-        if pattern[3][0] <= l_sq:  # the square of a = (1, ..., 1)
-            wait(max(floor, math.isqrt((n - 1) * l_sq // n)), (pattern, [], 0, [0] * n))
-    while degrees:
-        D = degrees[0]
-        todo, found = waiting[D], {}
-        while todo:
-            pattern, a, q, c = todo.pop()
-            p, alike, below, tail = pattern
-            n, m = p.n, len(a)
-            if m == n:
-                found.setdefault(n, []).append((p, alike, a, c))
-                continue
-            row = p.gram_sub[m]
-            top = (l_sq - q - 2 * sum(c[m + 1:]) - tail[m + 1]) // (2 * (c[m] + below[m][m]))
-            if alike[m]:
-                top = min(top, a[-1])
-            spend(1 + top)
-            for x in range(1, top + 1):
-                if m < n - 2:
-                    c_x = [y + x * z for y, z in zip(c, row)]
-                    key = max(D, max(map(add, c_x, below[m])))
-                    while key * (key + x) < l_sq:
-                        key += 1
-                    wait(key, (pattern, a + [x], q + 2 * x * c[m], c_x))
-                    continue
-                # the last coefficient solves its linear equation
-                y, rest = divmod(l_sq - q - 2 * x * c[m], 2 * (c[-1] + x * row[-1]))
-                if not rest and not (alike[-1] and y > x):
-                    delta = [u + x * v + y * w for u, v, w in zip(c, row, p.gram_sub[-1])]
-                    if min(delta) >= floor:
-                        wait(max(delta), (pattern, a + [x, y], None, delta))
-        del waiting[heappop(degrees)]
-        for n in sorted(found):
-            yield found[n]
+    def plain(k, r, q, top, S):
+        """The non-increasing k plain a <= top, of sum r and squares q."""
+        if k == 0 or r < k or k * q < r * r:
+            if k == r == q == 0:
+                yield []
+            return
+        hi = min(top, (r + math.isqrt((k - 1) * (k * q - r * r))) // k)
+        for x in [S - d for d in within(S - hi, S - max(-(-r // k), -(-q // r)))]:
+            yield from ([x] + rest for rest in plain(k - 1, r - x, q - x * x, x, S))
+
+    def shapes(c, m, S, D):
+        """The a of sum S and largest degree D, c slots then m plain ones."""
+        if c == 0 and S > D:
+            yield from (a + [S - D] for a in plain(m - 1, D, S * S - l_sq - (S - D) ** 2, S, S))
+        elif c == 2 and S <= D and within(2 * S - D, 2 * S - D):
+            q = S * S - l_sq - (D - S) ** 2
+            for a1 in range(1, (2 * S - D - m) // 2 + 1):
+                yield from ([a1 + D - S, a1] + a for a in plain(m, 2 * S - D - 2 * a1, q, S, S))
+        elif c == 3:
+            for d2 in within((S + m + 4) // 2, D):
+                for d1 in within(S + m + 3 - d2, d2):
+                    u = 3 * S - d1 - d2  # delta_0 - a_0
+                    least = max(1, d2 - S + 1, D - u if d2 < D else 1)
+                    for a0 in [d - u for d in within(least + u, (2 * S - m - u) // 3 + u)]:
+                        q = S * S - l_sq + a0 * a0 - (S - d1) ** 2 - (S - d2) ** 2
+                        yield from ([a0, a0 + S - d1, a0 + S - d2] + a
+                                    for a in plain(m, 2 * S - u - 3 * a0, q, S, S))
+
+    floor = pol.phi.value
+    for D in range(floor, 2 * l_sq // (floor + 2) + 1):
+        spend()
+        if not any(map(is_primitive, pol.isotropic(D))):
+            continue
+        degrees.append(D)
+        for n in range(2, 11):
+            level = [(p, alike, a, [sum(map(mul, row, a)) for row in p.gram_sub])
+                     for p, alike, c in _patterns() if p.n == n
+                     for S in range(-(-l_sq // D), n * D // (n - 1) + 1)
+                     for a in shapes(c, n - c, S, D)]
+            if level:
+                yield level
 
 
 def _check_realization(
@@ -523,25 +526,22 @@ def decompose_isotropic(L: DivisorClass) -> IsotropicDecomposition:
     (iii).
 
     A pattern Gram G and coefficients a fix L^2 = a^T G a and every degree
-    E_j.L = (G a)_j, so the search runs over the shapes of :func:`_levels`,
-    level (D, n) by level in increasing order, D the largest degree.  A
-    level returns the realization with the least sorted list of
-    (E_j.L, coordinates of E_j), and the first level with one ends the
-    search before the walk reaches the next degree.  That is the minimum
-    of (max E.L, n, that list) over every decomposition, so the answer does
-    not depend on the order of the search.  Generators come in pattern
-    order, alike slots (see :func:`_patterns`) by increasing (E.L, coords).
+    E_j.L = (G a)_j, and every generator is primitive isotropic of degree
+    delta_j (the last one too, by the division below), so the search runs
+    over the shapes of :func:`_levels`, level (D, n) by level in increasing
+    order, D the largest degree.  A level returns the realization with the
+    least sorted list of (E_j.L, coordinates of E_j), and the first level
+    with one ends the search before the walk probes the next degree.  That
+    is the minimum of (max E.L, n, that list) over every decomposition, so
+    the answer does not depend on the order of the search.  Generators
+    come in pattern order, alike slots (see :func:`_patterns`) by
+    increasing (E.L, coords).
 
     Every slot j < n is drawn from one source, the isotropic fiber
-    x.L = delta_j of L (:meth:`Polarization.isotropic`), kept to the
-    classes with E_i.x = G_ij for i < j that are primitive.  That fiber
-    holds every isotropic x with x.L = delta_j, in lexicographic order, so
-    the filter yields exactly the candidates of slot j, in that order.
-    Every generator is isotropic with E_j.L = delta_j > 0 (the last one
-    too, by the division below) and no isotropic class has
-    0 < x.L < phi(L), so only shapes with every degree >= phi(L) count.
-    Alike slots of equal coefficient take increasing coordinates, so each
-    set is found once.
+    x.L = delta_j of L (:meth:`Polarization.isotropic`), in lexicographic
+    order, kept to the primitive classes with E_i.x = G_ij for i < j:
+    exactly the candidates of slot j.  Alike slots of equal coefficient
+    take increasing coordinates, so each set is found once.
 
     The last slot needs no search.  Let R = L - sum_{i<n} a_i E_i.  For
     j < n, R.E_j = delta_j - sum_{i<n} a_i G_ij = a_n G_nj; then
@@ -553,8 +553,7 @@ def decompose_isotropic(L: DivisorClass) -> IsotropicDecomposition:
     CertificateError.
 
     Deterministic; raises SearchExhaustedError once DECOMPOSE_MAX_NODES
-    steps have been spent: the level walk's prefixes taken up and children
-    formed, and the slots filled.
+    steps, degree probes and slots filled, have been spent.
     """
     if L.square <= 0:
         if not classify_positivity(L).is_effective:  # never at L^2 < 0
@@ -567,14 +566,14 @@ def decompose_isotropic(L: DivisorClass) -> IsotropicDecomposition:
     target = L.num
     form = target.form
     pol = polarization(target)  # which checks that L is effective
-    floor = pol.phi.value
     budget = DECOMPOSE_MAX_NODES
 
-    def spend(steps=1):
+    def spend():
         nonlocal budget
-        budget -= steps
+        budget -= 1
         if budget <= 0:
-            raise SearchExhaustedError(f"decomposition search exceeded {DECOMPOSE_MAX_NODES} nodes")
+            raise SearchExhaustedError(f"decomposition search for L = {target.coords} "
+                                       f"exceeded {DECOMPOSE_MAX_NODES} nodes")
 
     def fill(p, alike, a, delta, gens, rows):
         """Every realization of the shape (p, a) that extends gens; rows
@@ -606,7 +605,7 @@ def decompose_isotropic(L: DivisorClass) -> IsotropicDecomposition:
             else:
                 yield gens + [x]
 
-    for level in _levels(L.square, floor, spend):
+    for level in _levels(pol, L.square, spend):
         best = None
         for p, alike, a, delta in level:
             for gens in fill(p, alike, a, delta, [], []):

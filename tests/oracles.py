@@ -29,8 +29,11 @@ elimination of the generators' Gram system, so it shares no solver with
 the library.
 
 ``_oracle_shapes`` lists every decomposition shape of a square at once, by
-a plain walk over the coefficient vectors with none of the degree bounds of
-``invariants._levels``; it is that lazy walk's reference, level by level.
+a plain walk over the coefficient vectors with none of the bounds or slot
+identities of ``invariants._levels``.  Kept to the shapes whose degrees
+all lie in P(L), the degrees at which a fresh lift of L has a primitive
+isotropic class, it is that walk's reference, level by level up to the
+degree of L's decomposition.
 
 ``embed_eager`` is ``embed_configuration`` as it ran before its candidates
 came lazily: each height's whole fiber is listed before the first class is

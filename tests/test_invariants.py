@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import math
 import random
@@ -579,23 +580,35 @@ class TestSolveCoefficients:
 
 class TestDecomposeBudgets:
     def test_node_budget(self, monkeypatch, pair_two):
-        # slot fills count: with a free level walk, one fill spends the budget
+        # slot fills count: with free degree probes, one fill spends the budget
         e1, e2 = pair_two
         levels = invariants._levels
-        monkeypatch.setattr(invariants, "_levels", lambda l_sq, floor, _: levels(l_sq, floor))
+        monkeypatch.setattr(invariants, "_levels",
+                            lambda pol, l_sq, _: levels(pol, l_sq, lambda: None))
         monkeypatch.setattr(invariants, "DECOMPOSE_MAX_NODES", 1)
         with pytest.raises(SearchExhaustedError, match="nodes"):
             decompose_isotropic(DivisorClass(3 * (e1 + e2), 0))
 
     def test_the_level_walk_counts_against_the_budget(self, monkeypatch):
-        # 40f + 50g (L^2 = 4,000): the walk passes the budget before any
-        # slot reads an isotropic fiber (phi's is read when L's is built)
-        L = divisor_class([40, 50] + [0] * 8)
+        # f + 206g (phi 1): each degree probed is a step, so the probe of
+        # degree 5 passes a budget of 5, after the lift is searched at
+        # degrees 2 to 4 (phi's fiber is read when L's is built); no slot
+        # is filled, as every shape has D^2 >= L^2 / 2 = 206
+        L = divisor_class([1, 206] + [0] * 8)
         invariants.polarization(L.num)
-        monkeypatch.setattr(invariants.Polarization, "isotropic", None)
+        searched = []
+        real = ComplementLift.fiber
+
+        def recording(self, t, square):
+            searched.append(t)
+            return real(self, t, square)
+
+        monkeypatch.setattr(ComplementLift, "fiber", recording)
         monkeypatch.setattr(invariants, "DECOMPOSE_MAX_NODES", 5)
-        with pytest.raises(SearchExhaustedError, match="exceeded 5 nodes"):
+        with pytest.raises(SearchExhaustedError,
+                           match=r"L = \(1, 206, 0, 0, 0, 0, 0, 0, 0, 0\) exceeded 5 nodes"):
             decompose_isotropic(L)
+        assert searched == [2, 3, 4]
 
     def test_no_pattern_realizes_the_class(self, monkeypatch, pair_two):
         # every polarization of U + E8(-1) has a decomposition, so here no
@@ -762,25 +775,47 @@ def floor_classes():
     return classes + sweep_workload_classes()
 
 
+class Probed(Exception):
+    """The level walk asked for a step past the degree it may probe."""
+
+
 class TestLevels:
-    """``invariants._levels`` yields, level by level, the shapes of the plain
-    walk ``oracles._oracle_shapes``, which has none of its degree bounds;
-    with a floor, only the shapes with every degree >= floor."""
+    """``invariants._levels(pol, L^2, spend)`` yields, level by level up to
+    the degree of L's decomposition, the shapes of the plain walk
+    ``oracles._oracle_shapes``, which has none of its bounds, whose degrees
+    all lie in P(L): the degrees t at which a fresh lift of L has a
+    primitive isotropic class."""
 
     @staticmethod
-    def check(squares):
-        for l_sq, floor in itertools.product(squares, (1, 5, 9)):
-            want = [{s for s in level if min(s[2]) >= floor} for level in _oracle_shapes(l_sq)]
-            got = [{(p.label, tuple(a), tuple(delta)) for p, _, a, delta in level}
-                   for level in invariants._levels(l_sq, floor)]
-            assert got == [level for level in want if level], (l_sq, floor)
+    def check(classes):
+        for L in classes:
+            top = max(e.dot(L) for e in decompose_isotropic(L).generators)
+            lift = ComplementLift(L.num)
+            degrees = {t for t in range(1, top + 1)
+                       if any(is_primitive(x) for x in lift.fiber(t, 0))}
+            want = [{s for s in level if set(s[2]) <= degrees}
+                    for level in _oracle_shapes(L.square)]
+            pol = invariants.polarization(L.num)
+            probes = iter(range(top - pol.phi.value + 1))  # one per degree
+
+            def spend():
+                if next(probes, None) is None:
+                    raise Probed
+
+            got = []  # the walk stops at its degree bound or past top
+            with contextlib.suppress(Probed):
+                for level in invariants._levels(pol, L.square, spend):
+                    got.append({(p.label, tuple(a), tuple(delta)) for p, _, a, delta in level})
+            assert got == [level for level in want if level], L.num.coords
 
     def test_against_the_plain_walk(self):
-        self.check(range(2, 61, 2))
+        # at L^2 = 56, pattern (iii) has shapes whose largest degree is
+        # delta_0 and shapes whose a_2 the bounds must keep >= 1
+        self.check(floor_classes() + [L for _, _, L in structured_sweep(56) if L.square == 56])
 
     @pytest.mark.slow
-    def test_against_the_plain_walk_up_to_square_200(self):
-        self.check(range(62, 201, 2))
+    def test_against_the_plain_walk_up_to_square_100(self):
+        self.check([L for _, _, L in structured_sweep(100)])
 
 
 class TestIsotropicFloor:
