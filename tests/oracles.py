@@ -20,14 +20,6 @@ reduces columns where the library reduces the rows of [rows^T | I], and
 its kernel basis is not in echelon form.  ``fraction_solutions`` solves
 with it, so the fiber oracle shares no reduction with the library.
 
-``decompose_subset_search`` is ``decompose_isotropic``'s earlier form: it
-searches subsets of a pool of isotropic classes, with its stage and
-residual cuts, where the library searches coefficient vectors of the
-pattern Grams and finds the last generator by division.  Its leaf solves
-the coefficients with ``fraction_coefficients``, exact Gauss-Jordan
-elimination of the generators' Gram system, so it shares no solver with
-the library.
-
 ``_oracle_shapes`` lists every decomposition shape of a square at once, by
 a plain walk over the coefficient vectors with none of the bounds or slot
 identities of ``invariants._levels``.  Kept to the shapes whose degrees
@@ -35,9 +27,11 @@ all lie in P(L), the degrees at which a fresh lift of L has a primitive
 isotropic class, it is that walk's reference, level by level up to the
 degree of L's decomposition.
 
-``embed_eager`` is ``embed_configuration`` as it ran before its candidates
-came lazily: each height's whole fiber is listed before the first class is
-tried.
+``decompose_by_definition`` is ``decompose_isotropic``'s answer by its
+definition: the least realization, level by level of ``_oracle_shapes``,
+found by filling every slot by plain backtracking over a fresh lift's
+primitive isotropic fibers and checking the sum at the leaf.  It has none
+of the library's level bounds, slot identities or last-slot division.
 
 ``degree_walks`` is ``phi`` and ``mu`` as they ran before both read the
 W(E10) chamber reduction: phi is the least degree t with an isotropic
@@ -475,79 +469,6 @@ def fraction_solutions(form, classes, values, square: int, exact: bool) -> set:
     return out
 
 
-def fraction_coefficients(gens: list, target) -> list[int] | None:
-    """Positive integer a_i with sum a_i E_i = target, or None, from the
-    pairings: Gauss-Jordan elimination on the Gram system (E_i.E_j) a =
-    (E_i.target), rows combined by cross-multiplication and divided by
-    their content, one ``Fraction`` per coefficient at the end, then the
-    coordinate identity verified.  A singular Gram gives None."""
-    n = len(gens)
-    a = [[0] * n + [gens[i].dot(target)] for i in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            a[i][j] = a[j][i] = gens[i].dot(gens[j])
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return None
-        a[col], a[piv] = a[piv], a[col]
-        p = a[col]
-        for r in range(n):
-            f = a[r][col]
-            if r != col and f != 0:
-                row = [p[col] * x - f * y for x, y in zip(a[r], p)]
-                g = math.gcd(*row) or 1
-                a[r] = [x // g for x in row]
-    coeffs = []
-    for i in range(n):
-        v = Fraction(a[i][n], a[i][i])
-        if v.denominator != 1 or v <= 0:
-            return None
-        coeffs.append(int(v))
-    acc = coeffs[0] * gens[0]
-    for c, e in zip(coeffs[1:], gens[1:]):
-        acc = acc + c * e
-    if acc != target:
-        return None
-    return coeffs
-
-
-def embed_eager(p, max_height: int = 6) -> list:
-    """``embed_configuration(p)`` at ``EMBED_MAX_HEIGHT = max_height`` with
-    every fiber built in full by ``FiberSystem.solutions``; same order, same
-    errors."""
-    from enriques_bn.errors import SearchExhaustedError
-    from enriques_bn.lattice import basis_vector, is_primitive
-    from enriques_bn.shortvec import FiberSystem
-
-    form = canonical_form()
-    ample = basis_vector(0, form) + basis_vector(1, form)
-
-    def candidates(chosen, idx):
-        fiber = FiberSystem([ample] + chosen)
-        wanted = [p.gram_sub[k][idx] for k in range(len(chosen))]
-        for height in range(1, max_height + 1):
-            yield from (
-                x for x in fiber.solutions([height] + wanted, 0) if is_primitive(x)
-            )
-
-    chosen = []
-
-    def search(idx):
-        if idx == p.n:
-            return True
-        for cand in candidates(chosen, idx):
-            chosen.append(cand)
-            if search(idx + 1):
-                return True
-            chosen.pop()
-        return False
-
-    if not search(0):
-        raise SearchExhaustedError(f"no embedding with degrees <= {max_height}")
-    return chosen
-
-
 def degree_walks(L, caps):
     """phi(L) and mu(L) at every cap of ``caps(phi)`` by the degree walks,
     on one lift of L: ((phi, witness coordinates), [(cap, (mu, witness
@@ -647,153 +568,6 @@ def destab_unpruned(L, d: int) -> list:
     return out
 
 
-def _subset_pattern(two_edges) -> str | None:
-    """Which decomposition pattern a set of 2-pairings realizes, if any."""
-    from enriques_bn.lattice import CONFIG_I, CONFIG_II, CONFIG_III
-
-    if not two_edges:
-        return CONFIG_I
-    if len(two_edges) == 1:
-        return CONFIG_II
-    if len(two_edges) == 2 and len(set(two_edges[0]) & set(two_edges[1])) == 1:
-        return CONFIG_III
-    return None
-
-
-def _subset_normalized(gens, coeffs, two_edges):
-    """The decomposition in canonical pattern order: for (ii) the pair
-    meeting in 2 first, for (iii) the shared class and then its two
-    partners, every other class in the order found."""
-    from enriques_bn.invariants import IsotropicDecomposition
-    from enriques_bn.lattice import CONFIG_II, CONFIG_III, DivisorClass
-
-    n = len(gens)
-    label = _subset_pattern(two_edges)
-    order = list(range(n))
-    if label == CONFIG_II:
-        a, b = two_edges[0]
-        order = [a, b] + [i for i in range(n) if i not in (a, b)]
-    elif label == CONFIG_III:
-        (a1, b1), (a2, b2) = two_edges
-        shared = ({a1, b1} & {a2, b2}).pop()
-        partners = sorted({a1, b1, a2, b2} - {shared})
-        order = [shared] + partners + [
-            i for i in range(n) if i != shared and i not in partners
-        ]
-    return IsotropicDecomposition(
-        tuple(DivisorClass(gens[i], 0) for i in order),
-        tuple(coeffs[i] for i in order),
-        label,
-    )
-
-
-#: Budgets of ``decompose_subset_search``: candidate pool size and nodes.
-SUBSET_MAX_CANDIDATES = 512
-SUBSET_MAX_NODES = 200_000
-
-
-def decompose_subset_search(L):
-    """``decompose_isotropic(L)`` as a search over subsets of a pool of
-    primitive isotropic classes, the form the library had before it
-    searched by coefficient vectors.
-
-    The pool grows degree by degree from 1 up to L^2, sorted by degree and
-    then coordinates, and keeps the pairings it has computed.  Within a
-    stage, subsets of 2..10 classes are tried smallest first, each in the
-    order of its indices, and the first set with pairwise pairings in a
-    pattern and positive integer coefficients (``fraction_coefficients``)
-    wins.  That is the least (max E.L, n, sorted list of (E.L,
-    coordinates)) over every decomposition.  Two cuts leave the first hit
-    unchanged: a stage tries only subsets holding a class new at its
-    degree, and a partial subset is dropped unless its residual
-    R = L - sum E_i has R^2 >= 0 and R.A0 >= 0.  Raises
-    SearchExhaustedError past SUBSET_MAX_CANDIDATES pool classes or
-    SUBSET_MAX_NODES nodes.
-    """
-    from enriques_bn.errors import SearchExhaustedError
-    from enriques_bn.invariants import IsotropicDecomposition
-    from enriques_bn.lattice import CONFIG_I, DivisorClass, content
-    from enriques_bn.positivity import reference_ample
-    from enriques_bn.shortvec import ComplementLift
-
-    if L.square == 0:
-        c, prim = content(L.num)
-        return IsotropicDecomposition((DivisorClass(prim, 0),), (c,), CONFIG_I)
-    lift = ComplementLift(L.num)
-    a0 = reference_ample(L.num.form).num
-    l_sq = L.square
-    cands, deg_l, deg_a0 = [], [], []
-    pairs = {}
-    budget = SUBSET_MAX_NODES
-
-    def pairing(i, j):
-        if (i, j) not in pairs:
-            pairs[i, j] = cands[i].dot(cands[j])
-        return pairs[i, j]
-
-    def search(size, first_new):
-        chosen, two_edges = [], []
-
-        def rec(start, r_sq, r_a0):
-            nonlocal budget
-            if len(chosen) == size:
-                gens = [cands[i] for i in chosen]
-                coeffs = fraction_coefficients(gens, L.num)
-                if coeffs is not None:
-                    return _subset_normalized(gens, coeffs, two_edges)
-                return None
-            if len(chosen) == size - 1:
-                start = max(start, first_new)
-            for idx in range(start, len(cands)):
-                budget -= 1
-                if budget <= 0:
-                    raise SearchExhaustedError(
-                        f"subset search exceeded {SUBSET_MAX_NODES} nodes"
-                    )
-                values = [pairing(prev, idx) for prev in chosen]
-                if any(v not in (1, 2) for v in values):
-                    continue
-                next_sq = r_sq - 2 * (deg_l[idx] - sum(values))
-                next_a0 = r_a0 - deg_a0[idx]
-                if next_sq < 0 or next_a0 < 0:
-                    continue  # the residual is neither 0 nor effective
-                new_edges = [
-                    (pos, len(chosen)) for pos, v in enumerate(values) if v == 2
-                ]
-                if _subset_pattern(two_edges + new_edges) is None:
-                    continue
-                chosen.append(idx)
-                two_edges.extend(new_edges)
-                hit = rec(idx + 1, next_sq, next_a0)
-                if hit is not None:
-                    return hit
-                del two_edges[len(two_edges) - len(new_edges):]
-                chosen.pop()
-            return None
-
-        return rec(0, l_sq, L.num.dot(a0))
-
-    for bound in range(1, l_sq + 1):
-        new = [x for x in lift.fiber(bound, 0) if content(x)[0] == 1]
-        if not new:
-            continue
-        first_new = len(cands)
-        cands.extend(new)
-        deg_l.extend([bound] * len(new))
-        deg_a0.extend(x.dot(a0) for x in new)
-        if len(cands) > SUBSET_MAX_CANDIDATES:
-            raise SearchExhaustedError(
-                f"candidate pool exceeded {SUBSET_MAX_CANDIDATES} classes"
-            )
-        for size in range(2, min(10, len(cands)) + 1):
-            hit = search(size, first_new)
-            if hit is not None:
-                return hit
-    raise SearchExhaustedError(
-        f"no decomposition found with generator degrees <= L^2 = {l_sq}"
-    )
-
-
 def _oracle_shapes(l_sq: int) -> list[set[tuple]]:
     """(label, a, delta) for every shape of square l_sq, by level
     (max delta, n) in increasing order: a plain walk over the coefficient
@@ -829,6 +603,67 @@ def _oracle_shapes(l_sq: int) -> list[set[tuple]]:
 
             extend([])
     return [levels[key] for key in sorted(levels)]
+
+
+def decompose_by_definition(L):
+    """``decompose_isotropic(L)`` by its definition: over the realizations
+    L = sum a_i E_i of the shapes (label, a, delta) of ``_oracle_shapes``,
+    each E_i primitive isotropic with E_i.L = delta_i and E_i.E_j the
+    pattern's pairing, the least (max E.L, n, sorted list of (E.L,
+    coordinates)), generators in pattern order.  L^2 = 0 gives the content
+    times the primitive part.  None if no shape is realized.
+
+    Each slot, the last one included, is filled by plain backtracking over
+    the primitive classes of a fresh lift's isotropic fiber at its degree,
+    alike slots of equal coefficient in increasing coordinates, and the
+    sum is checked at the leaf.  A shape with a degree whose fiber holds no
+    primitive class is skipped, as it has no realization.
+    """
+    from enriques_bn.invariants import IsotropicDecomposition
+    from enriques_bn.lattice import (
+        CONFIG_I, CONFIG_II, CONFIG_III, DivisorClass, config_i, config_ii,
+        config_iii, content, is_primitive,
+    )
+    from enriques_bn.shortvec import ComplementLift
+
+    if L.square == 0:
+        c, prim = content(L.num)
+        return IsotropicDecomposition((DivisorClass(prim, 0),), (c,), CONFIG_I)
+    lift = ComplementLift(L.num)
+    fibers = {}
+
+    def fiber(t):
+        if t not in fibers:
+            fibers[t] = [x for x in lift.fiber(t, 0) if is_primitive(x)]
+        return fibers[t]
+
+    def fill(g, a, delta, gens):
+        j = len(gens)
+        if j == len(a):
+            total = a[0] * gens[0]
+            for c, e in zip(a[1:], gens[1:]):
+                total = total + c * e
+            if total == L.num:
+                yield gens
+            return
+        alike = j > 0 and a[j] == a[j - 1] and all(
+            g[j - 1][k] == g[j][k] for k in range(len(a)) if k not in (j - 1, j))
+        for x in fiber(delta[j]):
+            if all(e.dot(x) == g[i][j] for i, e in enumerate(gens)) and not (
+                    alike and x.coords <= gens[-1].coords):
+                yield from fill(g, a, delta, gens + [x])
+
+    make = {CONFIG_I: config_i, CONFIG_II: config_ii, CONFIG_III: config_iii}
+    for level in _oracle_shapes(L.square):
+        found = [
+            (sorted(zip(delta, (e.coords for e in gens))), gens, a, label)
+            for label, a, delta in level if all(map(fiber, delta))
+            for gens in fill(make[label](len(a)).gram_sub, a, delta, [])
+        ]
+        if found:
+            _, gens, a, label = min(found, key=lambda r: r[0])
+            return IsotropicDecomposition(tuple(DivisorClass(e, 0) for e in gens), a, label)
+    return None
 
 
 def multiple_content_of_primitive_part(L, square: int, phi_value: int) -> int:

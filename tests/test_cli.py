@@ -183,6 +183,23 @@ class TestCommands:
         assert len(audits) == 3
         assert all(a["total_bound"] <= a["theorem_bound"] for a in audits)
 
+    def test_destab_audit_where_the_mn_bound_fails(self, capsys):
+        """4E1 + 4E2 at d = k = 8: the splitting N = f + g has N^2 = 2,
+        ell = 2 and M.N = 6 = k - 2, so its parameter count exceeds the
+        theorem's g - 1 + d - k and M.N >= k - 1 fails.  What the audit
+        certifies on such splittings is open (ROADMAP item 6: the length
+        bound ell <= N^2 and the base-point pencils); settling it changes
+        these values."""
+        r = result_of(
+            capsys,
+            "destab", "--class", "4*E1+4*E2", "--config", "i:2",
+            "--d", "8", "--audit",
+        )
+        assert (r["k"], r["count"], r["minMN"], r["mnBoundHolds"]) == (8, 6, 6, False)
+        over = [c for c in r["candidates"]
+                if any(a["total_bound"] > a["theorem_bound"] for a in c["audits"])]
+        assert [(c["MN"], c["ell"]) for c in over] == [(6, 2)]
+
     def test_decompose(self, capsys):
         r = result_of(capsys, "decompose", "--class", "3*E1+3*E2", "--config", "two:2")
         assert r["n"] == 2
@@ -191,16 +208,15 @@ class TestCommands:
 
     @pytest.mark.parametrize("cls", ["3*E1+2*E2+E3", "3*E1+E2+2*E3"])
     def test_decompose_square_forty(self, capsys, cls):
-        # a search over subsets of the isotropic classes of degree <= L^2
-        # needs about 94,000 nodes here, and without its stage and residual
-        # cuts it exhausts a budget of 200,000 (exit 3)
+        # E2 and E3 are alike slots of pattern (iii), so both classes
+        # answer (3, 2, 1)
         r = result_of(capsys, "decompose", "--class", cls, "--config", "iii:3")
         assert r["n"] == 3
         assert r["configuration"] == "config-iii"
         assert r["coefficients"] == [3, 2, 1]
 
     def test_decompose_square_fifty_six(self, capsys):
-        # the subset search exhausts its budget of 200,000 nodes here (exit 3)
+        # (1, 3, 2, 2), one of tests/test_invariants.py's FORMERLY_EXHAUSTED
         r = result_of(
             capsys, "decompose", "--class", "E1+3*E2+2*E3+2*E4", "--config", "iii:4"
         )

@@ -7,6 +7,10 @@ checks the decompose answers of 40f + 50g (L^2 = 4,000), f + 206g and
 config-i (b, a) on g, f at degree b: no primitive isotropic class has
 a < x.L < b.
 The ``slow`` marker runs that ladder in process, a <= 5 up to L^2 = 4,000.
+
+One command still runs past HANG_SECONDS: ``invariants`` of f + 30g at
+``--mu-cap 200``, as mu's walk has no budget.  It is a strict xfail on the
+timeout, so it fails the day mu answers or stops in time.
 """
 
 import json
@@ -46,6 +50,14 @@ def run_cli(*argv):
 def test_answers_or_exits_three_in_time(argv, code):
     done = run_cli(*argv)
     assert done.returncode == code, done.stderr.decode()
+
+
+@pytest.mark.hang
+@pytest.mark.xfail(strict=True, raises=subprocess.TimeoutExpired,
+                   reason="mu's walk has no budget")
+def test_mu_at_a_raised_cap_answers_or_exits_three_in_time():
+    done = run_cli("invariants", "--class", literal(1, 30), "--mu-cap", "200")
+    assert done.returncode in (0, 3), done.stderr.decode()
 
 
 def answer_on_g_and_f(a: int, b: int) -> dict:

@@ -67,7 +67,7 @@ from oracles import (
     _oracle_shapes,
     box_classes_with_square,
     box_isotropic_minimum,
-    decompose_subset_search,
+    decompose_by_definition,
     degree_walks,
     mu_full_scan,
     multiple_content_of_primitive_part,
@@ -546,6 +546,7 @@ class TestDecompose:
                 continue
             dec = decompose_isotropic(d)
             self.assert_valid(d, dec)
+            assert dec == decompose_by_definition(d), d.num.coords
             checked += 1
 
 
@@ -670,8 +671,9 @@ def structured_sweep(max_square):
             yield from extend([])
 
 
-#: Classes of pattern (iii) at L^2 = 56..58 on which the subset search
-#: exhausted its node budget.
+#: Classes of pattern (iii) at L^2 = 56..58 on which a search over subsets
+#: of the isotropic classes of degree <= L^2 exhausts a budget of 200,000
+#: nodes, even with stage and residual cuts.
 FORMERLY_EXHAUSTED = [
     (1, 3, 2, 2), (1, 3, 3, 1),
     (1, 2, 1, 2, 2), (1, 2, 2, 2, 1), (1, 3, 1, 2, 1), (1, 3, 2, 1, 1),
@@ -681,17 +683,19 @@ FORMERLY_EXHAUSTED = [
 
 
 class TestDecomposeCuts:
-    """The coefficient-vector search returns what the subset search with its
-    stage and residual cuts returned (``oracles.decompose_subset_search``),
-    and every answer rebuilds L in its labelled pattern."""
+    """The coefficient-vector search, with its level bounds, slot identities
+    and last-slot division, returns decompose's answer by its definition
+    (``oracles.decompose_by_definition``): the least realization over a
+    plain walk of the shapes, every slot filled by backtracking.  Every
+    answer rebuilds L in its labelled pattern."""
 
     @staticmethod
-    def check_against_the_subset_search(classes):
+    def check_against_the_definition(classes):
         checked = 0
         for L in classes:
             dec = decompose_isotropic(L)
             check_decomposition(L, dec)
-            assert dec == decompose_subset_search(L)
+            assert dec == decompose_by_definition(L), L.num.coords
             checked += 1
         return checked
 
@@ -702,24 +706,27 @@ class TestDecomposeCuts:
     )
     def test_against_the_unpruned_search(self, config, count):
         members = (L for _, L in family_members(config))
-        assert self.check_against_the_subset_search(members) == count
+        assert self.check_against_the_definition(members) == count
 
     def test_against_the_unpruned_search_on_iii3(self):
-        # (3, 2, 1) and (3, 1, 2) at L^2 = 40 take the subset search 9e4 nodes
         members = (L for _, L in family_members(config_iii(3)))
-        assert self.check_against_the_subset_search(members) == 17
+        assert self.check_against_the_definition(members) == 17
 
-    def test_structured_sweep_against_the_subset_search(self):
-        classes = (L for _, _, L in structured_sweep(30))
-        assert self.check_against_the_subset_search(classes) == 89
+    def test_structured_sweep_against_the_definition(self):
+        classes = [L for _, _, L in structured_sweep(40)] + sweep_workload_classes()
+        assert self.check_against_the_definition(classes) == 166 + 36
+
+    @pytest.mark.slow
+    def test_structured_sweep_against_the_definition_up_to_square_100(self):
+        classes = (L for _, _, L in structured_sweep(100))
+        assert self.check_against_the_definition(classes) == 1352
 
     @pytest.mark.parametrize("coeffs", FORMERLY_EXHAUSTED, ids=str)
     def test_formerly_exhausted_classes(self, coeffs):
         gens = embed_configuration(config_iii(len(coeffs)))
         L = DivisorClass(combine(coeffs, gens), 0)
         assert 56 <= L.square <= 58
-        dec = decompose_isotropic(L)
-        check_decomposition(L, dec)
+        assert self.check_against_the_definition([L]) == 1
 
     def test_one_lift_search_per_degree(self, monkeypatch):
         # the shapes of iii:7 with all a_i = 1 share slot degrees: every
@@ -744,7 +751,7 @@ class TestDecomposeCuts:
         assert builds == []
         assert len(degrees) == len(set(degrees)) > 0
         check_decomposition(L, dec)
-        assert dec == decompose_subset_search(L)
+        assert dec == decompose_by_definition(L)
 
     @pytest.mark.parametrize("coeffs", [(3, 2, 1), (3, 1, 2)])
     def test_square_forty_members_of_iii3(self, triple_iii, coeffs):

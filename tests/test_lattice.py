@@ -31,7 +31,7 @@ from enriques_bn.lattice import (
     num_class,
     solve_integer_linear,
 )
-from oracles import charpoly_inertia, column_reduction_solve, embed_eager, fraction_det
+from oracles import charpoly_inertia, column_reduction_solve, fraction_det
 
 
 def random_class(rng, form, spread=5):
@@ -469,23 +469,24 @@ class TestEmbedConfiguration:
             embed_configuration(cfg)
 
     @pytest.mark.parametrize("max_height", [1, 2, 6])
-    def test_lazy_candidates_against_the_eager_oracle(self, max_height, monkeypatch):
-        # every pattern (i) 2..10, (ii) 2..10, (iii) 3..10
+    def test_realizations_within_the_height(self, max_height, monkeypatch):
+        # every pattern (i) 2..10, (ii) 2..10, (iii) 3..10: a realization has
+        # the pattern's Gram and primitive classes of (f+g)-degree 1..height
         monkeypatch.setattr(lattice, "EMBED_MAX_HEIGHT", max_height)
-
-        def outcome(embed, cfg):
-            try:
-                return [x.coords for x in embed(cfg)]
-            except SearchExhaustedError:
-                return "exhausted"
-
+        ample = basis_vector(0) + basis_vector(1)
         got = {}
         for make, smallest in ((config_i, 2), (config_ii, 2), (config_iii, 3)):
             for n in range(smallest, 11):
                 cfg = make(n)
-                got[make.__name__, n] = outcome(embed_configuration, cfg)
-                eager = outcome(lambda p: embed_eager(p, max_height), cfg)
-                assert got[make.__name__, n] == eager
+                try:
+                    gens = embed_configuration(cfg)
+                except SearchExhaustedError:
+                    got[make.__name__, n] = "exhausted"
+                    continue
+                got[make.__name__, n] = "embedded"
+                assert tuple(tuple(e.dot(f) for f in gens) for e in gens) == cfg.gram_sub
+                assert all(is_primitive(e) for e in gens)
+                assert all(1 <= e.dot(ample) <= max_height for e in gens)
         assert len(got) == 26
         if max_height == 1:
             assert got["config_ii", 2] == "exhausted"
