@@ -6,19 +6,23 @@ inverse Gram matrix, and isotropic classes are generated by scanning the E8
 block of the lattice over a coordinate box and completing the two
 hyperbolic coordinates by integer factorization.
 
-The Fraction oracles are the search kernel's earlier form: Fincke-Pohst on
-the same LDL factors, but with the centre solved and every level bound
-computed in ``fractions.Fraction``.  They check the integer-scaled kernel
-point for point.
+The fiber oracles count where the kernel searches: for L = p f + q g,
+#{x : x.L = t, x^2 = s} is a sum of theta-series coefficients of E8
+(``theta_fiber_count``), and it holds for every isometric image of L
+(``chamber_word_image``).  ``counted_fiber`` certifies a kernel fiber by
+it, and ``a0_system_solutions`` answers a system led by a0 = f + g from
+certified fibers of a0.  ``fraction_ellipsoid``, Fincke-Pohst on Fraction
+LDL factors, stays the oracle of ``_ScaledLDL.search`` on random
+positive-definite forms, centres and bounds, which no lattice count
+reaches (``TestScaledKernelAgainstFractionOracle``).
 
 ``charpoly_inertia`` counts the signs of a symmetric matrix's eigenvalues
 from its characteristic polynomial (Faddeev-LeVerrier and Descartes' rule
 of signs), so it shares no elimination with ``lattice.inertia``.
-
-``column_reduction_solve`` is the integer solver's earlier form: it
-reduces columns where the library reduces the rows of [rows^T | I], and
-its kernel basis is not in echelon form.  ``fraction_solutions`` solves
-with it, so the fiber oracle shares no reduction with the library.
+``integer_solve_faults`` checks the integer solver against its definition
+(Heger's criterion, kernel rank and saturation) with minors from
+``fraction_det`` and ranks from ``charpoly_inertia``, so it shares no
+reduction with the library.
 
 ``_oracle_shapes`` lists every decomposition shape of a square at once, by
 a plain walk over the coefficient vectors with none of the bounds or slot
@@ -66,12 +70,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
-from typing import Sequence
+from itertools import combinations, product
+from operator import mul
 
 import numpy as np
 
-from enriques_bn.lattice import NumClass, canonical_form
+from enriques_bn.lattice import CHAMBER_ROOTS, NumClass, canonical_form, num_class
 from enriques_bn.errors import NotPositiveDefiniteError
 
 E8_BOX_RADIUS = 2
@@ -276,197 +280,159 @@ def fraction_ldl(gram) -> tuple[list[Fraction], list[list[Fraction]]]:
     return d, r
 
 
-def _solve_spd(
-    d: list[Fraction], r: list[list[Fraction]], b
-) -> list[Fraction]:
-    """Solve (R^T D R) y = b using the cached LDL factors."""
-    n = len(d)
-    z = [Fraction(0)] * n
-    for i in range(n):
-        z[i] = Fraction(b[i]) - sum(r[j][i] * z[j] for j in range(i))
-    for i in range(n):
-        z[i] /= d[i]
-    y = [Fraction(0)] * n
-    for i in range(n - 1, -1, -1):
-        y[i] = z[i] - sum(r[i][j] * y[j] for j in range(i + 1, n))
-    return y
-
-
-def _ellipsoid(
-    d: list[Fraction],
-    r: list[list[Fraction]],
-    center,
-    bound: Fraction,
-    exact: bool,
-) -> list[tuple[int, ...]]:
-    """All integer y with q(y - center) <= bound (== bound if exact), q
-    given by its LDL factors.
-
-    Integer loop bounds come from integer square roots with one unit of
-    slack; the exact inequality is rechecked before descending, so the
-    output is complete and contains no spurious points.  When exact, the
-    innermost coordinate is solved from the equality (a perfect-square
-    test) instead of scanned, which avoids walking the interior of large
-    ellipsoids.
-    """
-    n = len(d)
-    if bound < 0 or (n == 0 and exact and bound != 0):
-        return []
-    if n == 0:
-        return [()]
-    out: list[tuple[int, ...]] = []
-    y = [0] * n
-
-    def rec(i: int, rem: Fraction) -> None:
-        u = sum(
-            (r[i][j] * (y[j] - center[j]) for j in range(i + 1, n)),
-            start=Fraction(0),
-        )
-        ci = center[i] - u
-        tau = rem / d[i]
-        if i == 0 and exact:
-            num_root = math.isqrt(tau.numerator)
-            den_root = math.isqrt(tau.denominator)
-            if num_root**2 == tau.numerator and den_root**2 == tau.denominator:
-                root = Fraction(num_root, den_root)
-                for cand in {ci + root, ci - root}:
-                    if cand.denominator == 1:
-                        y[0] = int(cand)
-                        out.append(tuple(y))
-            y[0] = 0
-            return
-        root_hi = Fraction(math.isqrt(tau.numerator * tau.denominator) + 1, tau.denominator)
-        lo = math.ceil(ci - root_hi)
-        hi = math.floor(ci + root_hi)
-        for yi in range(lo, hi + 1):
-            t = d[i] * (yi - ci) ** 2
-            if t <= rem:
-                y[i] = yi
-                if i == 0:
-                    out.append(tuple(y))
-                else:
-                    rec(i - 1, rem - t)
-        y[i] = 0
-
-    rec(n - 1, Fraction(bound))
-    return out
-
-
 def fraction_ellipsoid(gram, b, excess, exact: bool) -> set[tuple[int, ...]]:
     """Integer y with q(y - c) <= excess + b.c (== if exact), c = G^-1 b,
-    for the positive-definite integer Gram matrix G of q."""
+    for the positive-definite integer Gram matrix G of q: Fincke-Pohst on
+    the Fraction LDL factors, each level scanning the integers within
+    isqrt(rem / d_i) + 1 of its centre and keeping those that fit."""
     d, r = fraction_ldl([[Fraction(x) for x in row] for row in gram])
-    center = _solve_spd(d, r, b)
-    bound = Fraction(excess) + sum(Fraction(bi) * ci for bi, ci in zip(b, center))
-    return set(_ellipsoid(d, r, center, bound, exact))
+    c = [sum(m * bj for m, bj in zip(row, b)) for row in fraction_inverse(gram)]
+    n, y, out = len(d), [0] * len(d), set()
 
+    def rec(i: int, rem: Fraction) -> None:
+        if i < 0:
+            if rem == 0 or not exact:
+                out.add(tuple(y))
+            return
+        ci = c[i] - sum((r[i][j] * (y[j] - c[j]) for j in range(i + 1, n)), start=Fraction(0))
+        h = math.isqrt(math.floor(rem / d[i])) + 1
+        for yi in range(math.floor(ci) - h, math.ceil(ci) + h + 1):
+            if (t := d[i] * (yi - ci) ** 2) <= rem:
+                y[i] = yi
+                rec(i - 1, rem - t)
 
-def column_reduction_solve(
-    rows: Sequence[Sequence[int]], rhs: Sequence[int]
-) -> tuple[tuple[int, ...] | None, list[tuple[int, ...]]]:
-    """Solve rows @ x = rhs over the integers.
-
-    Returns ``(x0, kernel)``: one particular integer solution (or None if the
-    system has no integer solution) and a basis of the integer kernel of the
-    homogeneous system.  Works by unimodular column reduction, so the kernel
-    basis is a genuine lattice basis, not just a rational one, but not in
-    echelon form.
-    """
-    r = len(rows)
-    n = len(rows[0]) if r else 0
-    h = [list(row) for row in rows]
-    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def col_swap(a: int, b: int) -> None:
-        for row in h:
-            row[a], row[b] = row[b], row[a]
-        for row in u:
-            row[a], row[b] = row[b], row[a]
-
-    def col_addmul(dst: int, src: int, q: int) -> None:
-        for row in h:
-            row[dst] += q * row[src]
-        for row in u:
-            row[dst] += q * row[src]
-
-    def col_neg(a: int) -> None:
-        for row in h:
-            row[a] = -row[a]
-        for row in u:
-            row[a] = -row[a]
-
-    pivots: list[tuple[int, int]] = []
-    p = 0
-    for i in range(r):
-        if p >= n:
-            break
-        while True:
-            if h[i][p] < 0:
-                col_neg(p)
-            rest = [j for j in range(p + 1, n) if h[i][j] != 0]
-            if h[i][p] == 0:
-                if not rest:
-                    break
-                col_swap(rest[0], p)
-                continue
-            if not rest:
-                break
-            for j in rest:
-                col_addmul(j, p, -(h[i][j] // h[i][p]))
-            rest = [j for j in range(p + 1, n) if h[i][j] != 0]
-            if not rest:
-                break
-            # remainders are in [0, pivot); swapping in the smallest shrinks
-            # the pivot, so this loop terminates like the Euclid algorithm
-            col_swap(min(rest, key=lambda j: h[i][j]), p)
-        if h[i][p] != 0:
-            pivots.append((i, p))
-            p += 1
-
-    piv_by_row = dict(pivots)
-    y = [0] * n
-    solvable = True
-    for i in range(r):
-        res = rhs[i] - sum(h[i][j] * y[j] for j in range(n) if h[i][j])
-        pc = piv_by_row.get(i)
-        if pc is None:
-            if res != 0:
-                solvable = False
-                break
-        else:
-            if res % h[i][pc] != 0:
-                solvable = False
-                break
-            y[pc] = res // h[i][pc]
-
-    x0 = None
-    if solvable:
-        x0 = tuple(sum(u[a][j] * y[j] for j in range(n)) for a in range(n))
-    pivot_cols = {pc for _, pc in pivots}
-    kernel = [
-        tuple(u[a][j] for a in range(n)) for j in range(n) if j not in pivot_cols
-    ]
-    return x0, kernel
-
-
-def fraction_solutions(form, classes, values, square: int, exact: bool) -> set:
-    """Coordinates of all x with x.u_j = values[j] and x^2 == square
-    (>= square unless exact), through the Fraction kernel."""
-    rows = [form.apply(u.coords) for u in classes]
-    x0_coords, kernel = column_reduction_solve(rows, list(values))
-    if x0_coords is None:
-        return set()
-    x0 = NumClass(x0_coords, form)
-    kernel = [NumClass(v, form) for v in kernel]
-    gram = [[-u.dot(v) for v in kernel] for u in kernel]
-    b = [x0.dot(v) for v in kernel]
-    out = set()
-    for y in fraction_ellipsoid(gram, b, x0.square - square, exact):
-        x = list(x0_coords)
-        for yi, v in zip(y, kernel):
-            x = [a + yi * c for a, c in zip(x, v.coords)]
-        out.add(tuple(x))
+    bound = excess + sum(bj * cj for bj, cj in zip(b, c))
+    if bound >= 0:
+        rec(n - 1, Fraction(bound))
     return out
+
+
+def theta_fiber_count(p: int, q: int, t: int, square: int, exact: bool) -> int:
+    """#{x : x.L = t, x^2 = square} for L = p f + q g, p, q > 0 (x^2 >=
+    square unless exact, up to the Hodge bound t^2 / L^2).
+
+    x = x1 f + x2 g + v, v in the E8(-1) block, has x.L = q x1 + p x2 and
+    x^2 = 2 x1 x2 - |v|^2: the count sums r_E8(2 x1 x2 - square) over
+    q x1 + p x2 = t, x1 between the roots of 2 q x1^2 - 2 t x1 + p square.
+    r_E8(0) = 1 and r_E8(2m) = 240 sigma_3(m), as the theta series of E8 is
+    the weight-4 Eisenstein series (Serre, *A Course in Arithmetic*, VII.6;
+    Conway-Sloane, *SPLAG*, ch. 4).  Fiber sizes are isometry invariants.
+    """
+    l_sq, total = 2 * p * q, 0
+    for s in [square] if exact else range(square, t * t // l_sq + 1):
+        root = math.isqrt(max(t * t - l_sq * s, 0))
+        for x1 in range((t - root) // (2 * q) - 1, (t + root) // (2 * q) + 2):
+            x2, rest = divmod(t - q * x1, p)
+            m, odd = divmod(2 * x1 * x2 - s, 2)
+            if not rest and not odd and m >= 0:
+                total += 240 * sum(e**3 for e in range(1, m + 1) if m % e == 0) if m else 1
+    return total
+
+
+def chamber_word_image(word, x):
+    """x under the reflections x -> x + (x.r) r (r^2 = -2) in
+    ``lattice.CHAMBER_ROOTS[k]`` for k in ``word``, first to last."""
+    for k in word:
+        r = NumClass(CHAMBER_ROOTS[k], x.form)
+        x = x + x.dot(r) * r
+    return x
+
+
+def counted_fiber(lift, p: int, q: int, t: int, square: int, exact: bool) -> list:
+    """The fiber of ``lift`` at (t, square) (x^2 >= square unless exact),
+    for ``lift.L`` an isometric image of p f + q g, certified: classes of
+    the fiber, strictly increasing, so distinct, and ``theta_fiber_count``
+    many, so all of it.  Raises AssertionError otherwise."""
+    fiber = lift.fiber(t, square) if exact else lift.fiber_min_square(t, square)
+    coords = [x.coords for x in fiber]
+    off = [x for x in fiber if x.dot(lift.L) != t
+           or (x.square != square if exact else x.square < square)]
+    if off or lift.L.square != 2 * p * q or any(a >= b for a, b in zip(coords, coords[1:])):
+        raise AssertionError(f"the fiber ({t}, {square}) of {lift.L.coords} is unsorted or wrong")
+    if len(fiber) != (want := theta_fiber_count(p, q, t, square, exact)):
+        raise AssertionError(f"the fiber ({t}, {square}, exact={exact}) of {lift.L.coords} "
+                             f"has {len(fiber)} classes, the theta series {want}")
+    return fiber
+
+
+A0 = num_class((1, 1) + (0,) * 8)
+
+
+@lru_cache(maxsize=16)
+def _a0_fibers(t: int, square: int, exact: bool, others: tuple) -> dict:
+    from enriques_bn.shortvec import ComplementLift
+
+    by = {}
+    for x in counted_fiber(ComplementLift(A0), 1, 1, t, square, exact):
+        by.setdefault(tuple(x.dot(u) for u in others), []).append(x.coords)
+    return by
+
+
+def a0_system_solutions(classes, values, square: int, exact: bool) -> list:
+    """Coordinates of all x with x.u_j = values[j] and x^2 == square (>=
+    unless exact) for u_0 = a0 = f + g, in increasing order: a lift of a0's
+    ``counted_fiber`` at (values[0], square), kept where the rest hold."""
+    if classes[0] != A0:
+        raise ValueError("the system must be led by f + g")
+    return list(_a0_fibers(values[0], square, exact, tuple(classes[1:])).get(tuple(values[1:]), []))
+
+
+def minors(m, k: int, column_sets=None):
+    """The k x k minors of m by ``fraction_det``, on the column sets given or all."""
+    column_sets = column_sets or list(combinations(range(len(m[0])), k))
+    for rs in combinations(range(len(m)), k):
+        for cs in column_sets:
+            yield int(fraction_det([[m[i][j] for j in cs] for i in rs]))
+
+
+def minors_gcd(m, k: int) -> int:
+    """The gcd of the k x k minors of m (0 if all vanish), up to a 1."""
+    d = 0
+    for x in minors(m, k):
+        if (d := math.gcd(d, x)) == 1:
+            break
+    return d
+
+
+def matrix_rank(m) -> int:
+    """rank m = rank m m^T (m^T m if m is tall), counted by ``charpoly_inertia``."""
+    m = list(zip(*m)) if len(m) > len(m[0]) else m
+    return len(m) - charpoly_inertia([[sum(map(mul, u, v)) for v in m] for u in m])[2]
+
+
+def heger_solvable(rows, rhs) -> bool:
+    """Whether rows @ x = rhs has an integer solution, by Heger's criterion:
+    A = rows and [A | rhs] have one rank r and one gcd of r x r minors (the
+    same test as comparing Smith forms; Cohen, GTM 138, 2.4).  A's minors
+    are among [A | rhs]'s, so the gcds agree when A's divides every minor
+    through the rhs column."""
+    n, r = len(rows[0]), matrix_rank(rows)
+    augmented = [list(row) + [b] for row, b in zip(rows, rhs)]
+    if matrix_rank(augmented) != r:
+        return False
+    d = minors_gcd(rows, r) if r else 1
+    return d == 1 or all(x % d == 0 for x in minors(
+        augmented, r, [cs + (n,) for cs in combinations(range(n), r - 1)]))
+
+
+def integer_solve_faults(rows, rhs, x0, kernel) -> list[str]:
+    """How (x0, kernel) fails to answer rows @ x = rhs over the integers by
+    definition, [] if it does not.  An x0 must solve the system, which
+    proves it solvable, and None needs ``heger_solvable`` to say no.  The
+    kernel is orthogonal to the rows, has n - rank independent vectors and
+    is saturated (maximal minors of gcd 1), so it spans the integer kernel."""
+    def image(v):
+        return [sum(map(mul, row, v)) for row in rows]
+
+    k = len(rows[0]) - matrix_rank(rows)
+    return [fault for fault, failed in (
+        ("x0 does not solve the system", x0 is not None and image(x0) != list(rhs)),
+        ("no x0 for a solvable system", x0 is None and heger_solvable(rows, rhs)),
+        ("a kernel vector is not orthogonal to the rows", any(any(image(v)) for v in kernel)),
+        ("the kernel is no basis of rank n - rank", len(kernel) != k or (
+            k > 0 and matrix_rank(kernel) != k)),
+        ("the kernel is not saturated", k > 0 and len(kernel) == k and minors_gcd(kernel, k) != 1),
+    ) if failed]
 
 
 def degree_walks(L, caps):
@@ -506,20 +472,22 @@ def degree_walks(L, caps):
 def mu_full_scan(L, cap: int):
     """(mu(L), witness coordinates) below cap, or None, from whole fibers.
 
-    Every fiber x.L = t, x^2 = 4 for t <= cap comes in full from the
-    Fraction kernel and is sorted; the first class that is not numerically
-    L and has phi 2 (the library's ``phi`` of it, not the isotropic pool
-    of ``mu``) is the witness at the smallest such t.
+    Every fiber x.L = t, x^2 = 4 for t <= cap is listed in full by a fresh
+    lift, where mu stops at its first admissible class; the first class
+    that is not numerically L and has phi 2 (the library's ``phi`` of it,
+    not the isotropic pool of ``mu``) is the witness at the smallest such
+    t.  The theta-series counts of ``counted_fiber`` certify the lift's
+    whole fibers (``tests/test_shortvec.py``).
     """
     from enriques_bn.invariants import phi
     from enriques_bn.lattice import DivisorClass
+    from enriques_bn.shortvec import ComplementLift
 
-    form = L.num.form
+    lift = ComplementLift(L.num)
     for t in range(1, cap + 1):
-        for coords in sorted(fraction_solutions(form, [L.num], [t], 4, True)):
-            b = NumClass(coords, form)
+        for b in lift.fiber(t, 4):
             if b != L.num and phi(DivisorClass(b, 0)).value == 2:
-                return t - 2, coords
+                return t - 2, b.coords
     return None
 
 

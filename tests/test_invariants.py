@@ -203,8 +203,8 @@ class TestMu:
 
 class TestMuFirstHit:
     def test_against_full_fiber_scan(self):
-        """mu stops at its first admissible class; the full scan sorts whole
-        fibers and tests chamber phi(B) = 2."""
+        """mu stops at its first admissible class; the full scan walks whole
+        fibers (certified by theta counts) and tests the library's phi = 2."""
         rng = random.Random(51)
         classes = []
         while len(classes) < 6:
@@ -433,6 +433,10 @@ class TestIsometryInvariance:
                 assert classify_positivity(DivisorClass(b, 0)).is_effective
                 assert target.num.dot(b) - 2 == target_rep.mu.value
                 assert chamber_phi(b) == 2
+        # an isometry maps each fiber of L onto the image's fiber
+        lift, lift_image = ComplementLift(L.num), ComplementLift(image.num)
+        assert all(len(lift_image.fiber(t, s)) == len(lift.fiber(t, s))
+                   for t in range(1, math.isqrt(L.square) + 2) for s in (0, 2, 4))
 
 
 class TestClifford:

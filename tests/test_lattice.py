@@ -31,7 +31,9 @@ from enriques_bn.lattice import (
     num_class,
     solve_integer_linear,
 )
-from oracles import charpoly_inertia, column_reduction_solve, fraction_det
+from oracles import (
+    charpoly_inertia, fraction_det, heger_solvable, integer_solve_faults, matrix_rank, minors_gcd,
+)
 
 
 def random_class(rng, form, spread=5):
@@ -322,29 +324,43 @@ def pivots_of(vectors):
     return [next(j for j, a in enumerate(v) if a) for v in vectors]
 
 
-def spans_each_other(a, b, n):
+def spans_each_other(a, b):
     """Each basis is an integer combination of the other: a unimodular
     change of basis."""
-    for x, y in ((a, b), (b, a)):
-        columns = [[v[j] for v in x] for j in range(n)]
-        if any(column_reduction_solve(columns, list(w))[0] is None for w in y):
-            return False
-    return True
+    return all(heger_solvable(list(zip(*x)), w) for x, y in ((a, b), (b, a)) for w in y)
+
+
+def unimodular_mix(rng, vectors):
+    """Another basis of the lattice spanned by vectors: random sign flips
+    and row additions, then a shuffle."""
+    rows = [list(v) for v in vectors]
+    for _ in range(12):
+        i, j = rng.randrange(len(rows)), rng.randrange(len(rows))
+        q = rng.choice((-2, -1, 1, 2)) if i != j else -2  # i == j: a sign flip
+        rows[i] = [a + q * b for a, b in zip(rows[i], rows[j])]
+    rng.shuffle(rows)
+    return rows
 
 
 class TestEchelonBasis:
     def test_positive_increasing_pivots_on_the_same_lattice(self):
+        # saturated lattices of rank k = 1..9 in Z^10; for k < 3 the first vector is doubled
         rng = random.Random(63)
-        for _ in range(30):
-            n_rows = rng.randint(1, 3)
-            rows = [[rng.randint(-3, 3) for _ in range(10)] for _ in range(n_rows)]
-            _, kernel = column_reduction_solve(rows, [0] * len(rows))
-            pivots, ech = _echelon_basis(kernel)
-            assert len(ech) == len(kernel)
+        for _ in range(40):
+            k = rng.randint(1, 9)
+            while True:
+                base = [[rng.randint(-3, 3) for _ in range(10)] for _ in range(k)]
+                if matrix_rank(base) == k and minors_gcd(base, k) == 1:
+                    break
+            if k < 3:
+                base[0] = [2 * a for a in base[0]]
+            basis = unimodular_mix(rng, base)
+            pivots, ech = _echelon_basis(basis)
+            assert len(ech) == k
             assert pivots == pivots_of(ech)
             assert all(v[p] > 0 for v, p in zip(ech, pivots))
             assert all(a < b for a, b in zip(pivots, pivots[1:]))
-            assert spans_each_other(kernel, ech, 10)
+            assert spans_each_other(basis, ech)
 
 
 def random_system(rng, r, n):
@@ -358,9 +374,10 @@ def random_system(rng, r, n):
     return rows
 
 
-class TestSolveAgainstColumnReduction:
-    """The row reduction against the column reduction it replaced, on the
-    fiber shapes (1-3 x 10) and the coefficient-solve shapes (10 x n)."""
+class TestSolveAgainstItsDefinition:
+    """The row reduction against the definition of its answer
+    (``integer_solve_faults``), on the fiber shapes (1-3 x 10) and the
+    coefficient-solve shapes (10 x n)."""
 
     def systems(self):
         rng = random.Random(15)
@@ -380,16 +397,8 @@ class TestSolveAgainstColumnReduction:
     def test_same_solvability_and_kernel_lattice(self):
         outcomes = set()
         for rows, rhs in self.systems():
-            n = len(rows[0])
             x0, kernel = solve_integer_linear(rows, rhs)
-            want, want_kernel = column_reduction_solve(rows, rhs)
-            assert (x0 is None) == (want is None)
-            if x0 is not None:
-                assert [sum(a * x for a, x in zip(row, x0)) for row in rows] == list(rhs)
-            assert all(
-                sum(a * x for a, x in zip(row, v)) == 0 for row in rows for v in kernel
-            )
-            assert spans_each_other(kernel, want_kernel, n)
+            assert integer_solve_faults(rows, rhs, x0, kernel) == []
             pivots = pivots_of(kernel)
             assert all(v[p] > 0 for v, p in zip(kernel, pivots))
             assert all(a < b for a, b in zip(pivots, pivots[1:]))

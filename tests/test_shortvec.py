@@ -35,13 +35,8 @@ from enriques_bn.shortvec import (
     enumerate_short,
 )
 from oracles import (
-    box_classes_with_square,
-    box_short_vectors,
-    fraction_det,
-    fraction_ellipsoid,
-    fraction_inverse,
-    fraction_ldl,
-    fraction_solutions,
+    A0, a0_system_solutions, box_classes_with_square, box_short_vectors, chamber_word_image,
+    counted_fiber, fraction_det, fraction_ellipsoid, fraction_inverse, fraction_ldl,
 )
 
 
@@ -259,22 +254,45 @@ def sample_ample(rng, count, max_square=16):
     return got
 
 
-class TestScaledKernelAgainstFractionOracle:
-    """The integer-scaled kernel returns exactly the Fraction kernel's points."""
+def hyperbolic_image(rng, p, q):
+    """w(p f + q g) with a nonzero E8 block, w a random chamber-root word."""
+    while True:
+        word = [rng.randrange(10) for _ in range(rng.randint(1, 12))]
+        L = chamber_word_image(word, num_class([p, q] + [0] * 8))
+        if any(L.coords[2:]):
+            return L
 
-    def test_fibers_of_sampled_ample_classes(self, form):
-        for L in sample_ample(random.Random(31), 30):
-            lift = ComplementLift(L)
+
+class TestFibersAgainstThetaCounts:
+    """Kernel fibers certified by ``counted_fiber``: classes of the fiber,
+    in strictly increasing order, as many as the theta series of E8 counts
+    for p f + q g, which holds for every isometric image of it."""
+
+    def test_weyl_images_of_hyperbolic_classes(self):
+        rng = random.Random(31)
+        pairs = [(p, q) for p in range(1, 9) for q in range(1, 8 // p + 1)]  # L^2 <= 16
+        points = 0
+        for p, q in (rng.choice(pairs) for _ in range(60)):
+            lift = ComplementLift(L := hyperbolic_image(rng, p, q))
             for t in range(1, math.isqrt(L.square) + 2):  # past phi(L) <= sqrt(L^2)
-                for sq in (0, 2, 4):
-                    got = [x.coords for x in lift.fiber(t, sq)]
-                    assert got == sorted(fraction_solutions(form, [L], [t], sq, True))
-                got = [x.coords for x in lift.fiber_min_square(t, 0)]
-                assert got == sorted(fraction_solutions(form, [L], [t], 0, False))
+                for sq, exact in ((0, True), (2, True), (4, True), (0, False), (2, False)):
+                    points += len(counted_fiber(lift, p, q, t, sq, exact))
+        assert points > 5_000
 
-    def test_fiber_system_solutions(self, form, pair_two, triple_iii):
-        a0 = basis_vector(0) + basis_vector(1)
-        for classes in ([a0], [a0, pair_two[0]], [a0] + list(triple_iii[:2])):
+    @pytest.mark.slow
+    def test_theta_ladder(self):
+        # every a f + b g of L^2 <= 200 and two images of each
+        rng = random.Random(71)
+        for p, q in ((p, q) for p in range(1, 101) for q in range(1, 100 // p + 1)):
+            images = [hyperbolic_image(rng, p, q) for _ in range(2)]
+            for L in [num_class([p, q] + [0] * 8)] + images:
+                lift = ComplementLift(L)
+                for t in range(1, math.isqrt(L.square) + 4):
+                    for sq, exact in ((0, True), (2, True), (4, True), (0, False)):
+                        counted_fiber(lift, p, q, t, sq, exact)
+
+    def test_fiber_system_solutions(self, pair_two, triple_iii):
+        for classes in ([A0], [A0, pair_two[0]], [A0] + list(triple_iii[:2])):
             fib = FiberSystem(classes)
             rests = [r for r in ([], [1], [2], [1, 2], [2, 1]) if len(r) == len(classes) - 1]
             for height in range(1, 4):
@@ -282,16 +300,14 @@ class TestScaledKernelAgainstFractionOracle:
                     values = [height] + rest
                     for sq in (0, 2):
                         got = [x.coords for x in fib.solutions(values, sq)]
-                        want = fraction_solutions(form, classes, values, sq, True)
-                        assert got == sorted(want)
+                        assert got == a0_system_solutions(classes, values, sq, True)
 
-    def test_values_off_the_reachable_sublattice(self, form):
+    def test_values_off_the_reachable_sublattice(self):
         # x -> (x.a0, x.v, x.w) maps onto Z^3, so the value vectors of
         # (a0, a0 + 2v, a0 + 3w) are the (a, b, c) with b = a mod 2 and
         # c = a mod 3, a proper sublattice of Z^3
-        a0 = basis_vector(0) + basis_vector(1)
         v, w = basis_vector(2), basis_vector(3)
-        for classes in ([a0, a0 + 2 * v], [a0, a0 + 2 * v, a0 + 3 * w]):
+        for classes in ([A0, A0 + 2 * v], [A0, A0 + 2 * v, A0 + 3 * w]):
             fib = FiberSystem(classes)
             found = 0
             for a, b, *c in product(range(1, 4), *[range(-2, 4)] * (len(classes) - 1)):
@@ -299,13 +315,18 @@ class TestScaledKernelAgainstFractionOracle:
                 reachable = (b - a) % 2 == 0 and all((ci - a) % 3 == 0 for ci in c)
                 for sq in (0, -2):
                     exact = [x.coords for x in fib.solutions(values, sq)]
-                    assert exact == sorted(fraction_solutions(form, classes, values, sq, True))
+                    assert exact == a0_system_solutions(classes, values, sq, True)
                     ball = [x.coords for x in fib.solutions_min_square(values, sq)]
-                    assert ball == sorted(fraction_solutions(form, classes, values, sq, False))
+                    assert ball == a0_system_solutions(classes, values, sq, False)
                     if not reachable:
                         assert exact == ball == []
                     found += len(ball)
             assert found > 0
+
+
+class TestScaledKernelAgainstFractionOracle:
+    """``_ScaledLDL.search`` on random positive-definite forms returns
+    exactly the points of the Fraction Fincke-Pohst ellipsoid."""
 
     def test_enumerate_short(self):
         rng = random.Random(32)
@@ -372,21 +393,20 @@ def strictly_increasing(xs):
 
 class TestLexicographicOrder:
     """Fibers leave the search in strictly increasing lexicographic order,
-    with no sort anywhere, and hold the Fraction kernel's points."""
+    with no sort anywhere, and hold classes of the fiber (all of it: see
+    ``TestFibersAgainstThetaCounts``)."""
 
-    def test_fibers_of_sampled_ample_classes(self, form):
-        rng = random.Random(61)
-        classes = sample_ample(rng, 10, max_square=24) + [num_class([2, 4] + [0] * 8)]
+    def test_fibers_of_sampled_ample_classes(self):
+        classes = sample_ample(random.Random(31), 30) + sample_ample(
+            random.Random(61), 10, max_square=24) + [num_class([2, 4] + [0] * 8)]
         for L in classes:
             lift = ComplementLift(L)
-            for t in range(1, math.isqrt(L.square) + 2):
-                for sq, exact in ((0, True), (4, True), (2, False)):
-                    if exact:
-                        got = [x.coords for x in lift.fiber(t, sq)]
-                    else:
-                        got = [x.coords for x in lift.fiber_min_square(t, sq)]
-                    assert strictly_increasing(got)
-                    assert set(got) == fraction_solutions(form, [L], [t], sq, exact)
+            for t in range(1, math.isqrt(L.square) + 2):  # past phi(L) <= sqrt(L^2)
+                for sq, exact in ((0, True), (2, True), (4, True), (0, False), (2, False)):
+                    got = lift.fiber(t, sq) if exact else lift.fiber_min_square(t, sq)
+                    assert strictly_increasing([x.coords for x in got])
+                    assert all(x.dot(L) == t and (x.square == sq if exact else x.square >= sq)
+                               for x in got)
                 # a caller that stops at its first accepted class, as mu
                 # does, gets the listed fiber's first one
                 fib = lift.fiber(t, 4)
@@ -394,20 +414,18 @@ class TestLexicographicOrder:
                     want = next((x for x in fib if accept(x)), None)
                     assert next(filter(accept, lift.iter_solutions((t,), 4)), None) == want
 
-    def test_fiber_system_solutions(self, form):
+    def test_fiber_system_solutions(self):
         rng = random.Random(62)
-        a0 = basis_vector(0) + basis_vector(1)
         for _ in range(12):
             u = num_class([rng.randint(-2, 2) for _ in range(10)])
             if u.is_zero():
                 continue
-            fib = FiberSystem([a0, u])
+            fib = FiberSystem([A0, u])
             for height in range(1, 4):
                 values = [height, rng.randint(-2, 2)]
                 for sq in (0, 2):
                     got = [x.coords for x in fib.solutions(values, sq)]
-                    assert strictly_increasing(got)
-                    assert set(got) == fraction_solutions(form, [a0, u], values, sq, True)
+                    assert got == a0_system_solutions([A0, u], values, sq, True)
 
 
 class TestEchelonBasis:
