@@ -325,8 +325,41 @@ class TestFibersAgainstThetaCounts:
 
 
 class TestScaledKernelAgainstFractionOracle:
-    """``_ScaledLDL.search`` on random positive-definite forms returns
-    exactly the points of the Fraction Fincke-Pohst ellipsoid."""
+    """``_ScaledLDL.search`` on random positive-definite forms, and on the
+    kernel Grams of sampled lifts, returns exactly the points of the
+    Fraction Fincke-Pohst ellipsoid."""
+
+    def test_fibers_of_sampled_ample_classes(self):
+        # for x0 with x0.L = t and kernel basis k_i, the fiber (t, sq) is
+        # x0 + sum y_i k_i over the y with q(y) - 2 b.y <= x0^2 - sq (== if
+        # exact), b_i = x0.k_i and q the negated kernel Gram; the scaled and
+        # the Fraction search must agree on it and count the fiber
+        rng, found = random.Random(35), 0
+        for L in sample_ample(random.Random(31), 30):
+            lift = ComplementLift(L)
+            kernel = [num_class([dict(v).get(j, 0) for j in range(10)]) for v in lift._entries]
+            gram = [[-u.dot(v) for v in kernel] for u in kernel]
+            cap = math.isqrt(L.square) + 1  # past phi(L) <= sqrt(L^2)
+            starts = []
+            while len(starts) < 3:
+                x0 = num_class([rng.randint(-2, 2) for _ in range(10)])
+                if 1 <= x0.dot(L) <= cap:
+                    starts.append(x0)
+            for x0 in starts:
+                t, b = x0.dot(L), [x0.dot(v) for v in kernel]
+                # one Fraction search, the ball x^2 >= 0, holds every shell
+                ball = {}
+                for y in fraction_ellipsoid(gram, b, x0.square, False):
+                    x = sum((yi * v for yi, v in zip(y, kernel)), x0)
+                    ball[y] = x.square
+                found += len(ball)
+                for sq, exact in ((0, True), (2, True), (4, True), (0, False), (2, False)):
+                    got = list(lift._ldl.search(b, x0.square - sq, exact))
+                    want = {y for y, s in ball.items() if (s == sq if exact else s >= sq)}
+                    assert set(got) == want
+                    fiber = lift.fiber(t, sq) if exact else lift.fiber_min_square(t, sq)
+                    assert len(got) == len(fiber)
+        assert found > 4_000
 
     def test_enumerate_short(self):
         rng = random.Random(32)
